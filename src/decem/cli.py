@@ -4,7 +4,7 @@
 Every simulation is one invocation; snapshots, probe CSVs and the run log go
 to the output directory together with a manifest that always names the last
 completed step (so an interrupted run leaves usable partial outputs marked
-incomplete).
+incomplete, and a run that raised is marked failed with its error).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
             output.write_csv_snapshot(os.path.join(outdir, stem + ".csv"), st)
             written.append(stem + ".csv")
 
-    def manifest(status, last_step):
+    def manifest(status, last_step, **extra):
         output.write_manifest(manifest_path, {
             "status": status,
             "mesh": os.path.basename(cfg.mesh_path),
@@ -85,8 +85,9 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
             "dt": repr(cfg.dt),
             "steps_requested": cfg.steps,
             "last_completed_step": last_step,
-            "solver": cfg.solver_kind,
+            "solver": stepper.solver,
             "files": ",".join(written),
+            **extra,
         })
 
     def diagnostics(st):
@@ -108,8 +109,9 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
                 diagnostics(state)
                 manifest("incomplete", state.n)
         manifest("complete", state.n)
-    except Exception:
-        manifest("incomplete", state.n)
+    except Exception as exc:
+        error = " ".join(f"{type(exc).__name__}: {exc}".split())  # one line
+        manifest("failed", state.n, error=error)
         raise
     finally:
         probe_writer.close()
@@ -195,11 +197,11 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
 def _add_common(parser) -> None:
     parser.add_argument("--output-dir", help="override output.directory")
     parser.add_argument("--direct-solver", action="store_true",
-                        help="use the dense direct solver")
+                        help="use the sparse LU solver (no size limit)")
     parser.add_argument("--allow-non-well-centered", action="store_true",
                         help="accept signed dual lengths on non-well-centered meshes")
     parser.add_argument("--allow-indefinite", action="store_true",
-                        help="attempt indefinite systems with a symmetric solver")
+                        help="attempt indefinite systems with the sparse LU solver")
 
 
 def main(argv=None) -> int:

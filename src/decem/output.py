@@ -169,7 +169,17 @@ class RunLogWriter:
 
 
 def write_manifest(path, entries: dict) -> None:
-    """Plain-text run manifest; always reflects the last completed step."""
-    with open(path, "w") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key} = {value}\n")
+    """Plain-text run manifest; always reflects the last completed step.
+
+    The text goes to a temporary file beside ``path`` that then replaces it,
+    so a failed write leaves the previous manifest intact.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for key, value in entries.items():
+                fh.write(f"{key} = {value}\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from decem import bundled, cli, config
+from decem import bundled, cli, config, output
 
 
 def write_cfg(path, **overrides):
@@ -246,6 +246,49 @@ def test_convergence_command_quick(tmp_path, capsys):
     table = (tmp_path / "conv" / "errors.csv").read_text().splitlines()
     assert table[0] == "study,h,dt,error"
     assert len(table) == 1 + 2 + 2
+
+
+def test_convergence_direct_matches_cg_orders(tmp_path, capsys):
+    cfg = bundled.bundled_path("cavity_convergence.cfg")  # 3 levels, 2048 faces
+    orders = {}
+    for flags in ([], ["--direct-solver"]):
+        rc = cli.main(["convergence", cfg, "--output-dir", str(tmp_path), *flags])
+        assert rc == 0
+        out = capsys.readouterr().out
+        orders[tuple(flags)] = [l for l in out.splitlines() if "observed order" in l]
+    assert orders[()] == orders[("--direct-solver",)]
+    assert orders[()][-1].strip() == "observed order: 0.954"
+
+
+def test_run_failure_marks_manifest_failed(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        "output.directory": str(out),
+        "solver.max_iters": "1", "solver.tolerance": "1e-14"})
+    rc = cli.main(["run", path, "--quiet"])
+    assert rc == 2
+    assert "failed to converge" in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status = failed" in manifest
+    assert "last_completed_step = 0" in manifest
+    errors = [l for l in manifest if l.startswith("error = ")]
+    assert len(errors) == 1 and "failed to converge" in errors[0]
+
+
+def test_manifest_write_error_keeps_previous(tmp_path):
+    class Unwritable:
+        def __format__(self, spec):
+            raise OSError("disk full")
+
+    path = tmp_path / "manifest.txt"
+    output.write_manifest(str(path), {"status": "incomplete", "last_completed_step": 3})
+    before = path.read_text()
+    with pytest.raises(OSError, match="disk full"):
+        output.write_manifest(
+            str(path), {"status": "complete", "last_completed_step": Unwritable()}
+        )
+    assert path.read_text() == before
+    assert os.listdir(tmp_path) == ["manifest.txt"]
 
 
 def test_demo_sphere_config_loads():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,18 +68,29 @@ def test_indefinite_rejected_then_allowed():
         solver.assemble("TM", s, m, mats, dt=0.1)
     stepper = solver.assemble("TM", s, m, mats, dt=0.1, allow_indefinite=True)
     assert stepper.indefinite
-    state = solver.step(stepper, solver.initial_state("TM", s, e=[1.0, -1.0]))
+    assert stepper.solver == "direct"  # the path that actually runs
+    e0 = np.array([1.0, -1.0])
+    state = solver.step(stepper, solver.initial_state("TM", s, e=e0))
     assert np.isfinite(state.e).all() and np.isfinite(state.h).all()
+    # h starts at zero, so the face right-hand side is face_minus * e0
+    dense = np.linalg.solve(stepper.system.toarray(), stepper.face_minus * e0)
+    assert np.abs(state.e - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def test_dense_direct_gate():
-    from decem import bundled
+def test_direct_has_no_size_limit_and_agrees_with_cg():
+    from decem import analysis, bundled
 
     s = bundled.bundled_surface("cavity_3.obj")  # 2048 faces
     m = mesh.compute_dual_metrics(s)
     mats = solver.MaterialParams.uniform("TM", s, eps=1.0, mu=1.0)
-    with pytest.raises(solver.SolverError, match="limited to 2000"):
-        solver.assemble("TM", s, m, mats, dt=0.01, solver="direct")
+    direct = solver.assemble("TM", s, m, mats, dt=0.1, solver="direct")
+    cg = solver.assemble("TM", s, m, mats, dt=0.1, solver="cg")
+    assert direct.n_unknowns == 2048
+    e0, _ = analysis.cavity_mode_fields(s, m, 0.0, 1, 1, 1.0, 1.0)
+    state = solver.initial_state("TM", s, e=e0)
+    a = solver.step(direct, state)
+    b = solver.step(cg, state)
+    assert np.linalg.norm(a.e - b.e) <= cg.tolerance * np.linalg.norm(a.e)
 
 
 # -- stepping ----------------------------------------------------------------
@@ -211,6 +224,23 @@ def test_cg_and_direct_agree(icosphere1, icosphere1_metrics):
         a = solver.step(st_cg, a)
         b = solver.step(st_dir, b)
     assert np.abs(a.h - b.h).max() < 1e-7 * max(np.abs(b.h).max(), 1.0)
+
+
+def test_stepper_is_immutable_and_repeatable(icosphere1, icosphere1_metrics):
+    """Stepping never writes to the stepper: two runs from one initial state
+    through one cg stepper are bitwise identical."""
+    stepper, _ = sphere_stepper(icosphere1, icosphere1_metrics, kind="cg")
+    start = solver.initial_state("TE", icosphere1, h=face_bump(icosphere1_metrics))
+    runs = []
+    for _ in range(2):
+        state = start
+        for _ in range(5):
+            state = solver.step(stepper, state)
+        runs.append(state)
+    assert np.array_equal(runs[0].e, runs[1].e)
+    assert np.array_equal(runs[0].h, runs[1].h)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stepper.dt = 1.0
 
 
 def test_cg_iteration_cap_raises(icosphere1, icosphere1_metrics):
