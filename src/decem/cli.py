@@ -26,10 +26,11 @@ __all__ = ["main", "run_simulation"]
 def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=print):
     """Execute a configured run; returns the final state.
 
-    The loop keeps only the last two states in memory (snapshots are
+    The loop keeps only the current state in memory (snapshots are
     streamed).  A nonzero initial state must satisfy the vertex Gauss law to
     within 1e-8 of its cancellation scale, or the run aborts (configurable to
-    warn via flags.initial_constraint).
+    warn via flags.initial_constraint).  A non-finite energy at a cadence
+    aborts the run with a ``SolverError`` naming the step.
     """
     surface = load_obj(cfg.mesh_path)
     cfg.validate_against(surface)
@@ -94,15 +95,16 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
         en = sv.energy(st, stars, materials)
         res = sv.gauss_residuals(st, surface, stars, materials)
         log_writer.record(st, en, res)
+        if not np.isfinite(en):
+            raise sv.SolverError(f"non-finite energy at step {st.n}")
 
-    prev = None
     try:
         snapshot(state)
         probe_writer.record(state)
         diagnostics(state)
         manifest("incomplete", 0)
         for _ in range(cfg.steps):
-            prev, state = state, sv.step(stepper, state, cfg.source)
+            state = sv.step(stepper, state, cfg.source)
             probe_writer.record(state)
             if state.n % cfg.cadence == 0 or state.n == cfg.steps:
                 snapshot(state)
@@ -116,7 +118,6 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     finally:
         probe_writer.close()
         log_writer.close()
-    del prev  # two-level ring: previous state kept alive during the loop
     return state
 
 
@@ -197,7 +198,7 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
 def _add_common(parser) -> None:
     parser.add_argument("--output-dir", help="override output.directory")
     parser.add_argument("--direct-solver", action="store_true",
-                        help="use the sparse LU solver (no size limit)")
+                        help="use the sparse LU solver, the default (no size limit)")
     parser.add_argument("--allow-non-well-centered", action="store_true",
                         help="accept signed dual lengths on non-well-centered meshes")
     parser.add_argument("--allow-indefinite", action="store_true",

@@ -14,7 +14,7 @@ Example::
     probe.center.quantity = h
     probe.center.index = 0
     output.cadence = 50
-    solver.kind = cg
+    solver.kind = direct      # default: sparse LU; cg needs no factor in memory
 
 ``#`` starts a comment; unknown keys are rejected so typos fail fast.
 Relative mesh paths resolve against the config file's directory, falling
@@ -108,7 +108,7 @@ class RunConfig:
     output_dir: str = "out"
     cadence: int = 1
     formats: tuple = ("vtk", "csv")
-    solver_kind: str = "cg"
+    solver_kind: str = "direct"
     tolerance: float = 1e-10
     max_iters: int | None = None
     allow_non_well_centered: bool = False
@@ -265,7 +265,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"unknown output format {fmt!r}")
     cfg.formats = formats
 
-    cfg.solver_kind = raw.get("solver.kind", "cg")
+    cfg.solver_kind = raw.get("solver.kind", "direct")
     if cfg.solver_kind not in ("cg", "direct"):
         raise ConfigError("solver.kind must be cg or direct")
     cfg.tolerance = float(raw.get("solver.tolerance", 1e-10))

@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 
+WHITNEY_BLOCK_FACES = 4096
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -38,30 +41,33 @@ def whitney_face_vectors(
     Lowest-order Whitney interpolation evaluated at the barycenter: each
     edge (u, v) of the face contributes value * (grad lambda_v -
     grad lambda_u) / 3, which reproduces constant tangential fields exactly.
+    Faces are processed in blocks of ``WHITNEY_BLOCK_FACES`` so that the
+    (faces, 3, 3) temporaries stay small; every face's arithmetic is the
+    same as in one pass over all faces.
     """
-    v = surface.vertices
-    f = surface.faces
-    p = v[f]                                 # (F,3,3)
-    normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    two_area = np.linalg.norm(normal, axis=1, keepdims=True)
-    n_hat = normal / two_area
-
-    grads = np.empty_like(p)                 # grad of the barycentric at each corner
-    for k in range(3):
-        opposite = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
-        grads[:, k] = np.cross(n_hat, opposite) / two_area
-
     out = np.zeros((surface.n_faces, 3))
-    fe = surface.face_edges
-    for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-        vals = edge_values[fe[:, k]]
-        # canonical edge orientation is low->high vertex index
-        tails = f[:, i]
-        heads = f[:, j]
-        swap = tails > heads
-        gi, gj = grads[:, i].copy(), grads[:, j].copy()
-        gi[swap], gj[swap] = grads[swap, j], grads[swap, i]
-        out += vals[:, None] * (gj - gi) / 3.0
+    for start in range(0, surface.n_faces, WHITNEY_BLOCK_FACES):
+        rows = slice(start, start + WHITNEY_BLOCK_FACES)
+        f = surface.faces[rows]
+        p = surface.vertices[f]              # (B,3,3)
+        normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        two_area = np.linalg.norm(normal, axis=1, keepdims=True)
+        n_hat = normal / two_area
+
+        grads = np.empty_like(p)             # grad of the barycentric at each corner
+        for k in range(3):
+            opposite = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
+            grads[:, k] = np.cross(n_hat, opposite) / two_area
+
+        block = out[rows]
+        fe = surface.face_edges[rows]
+        for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+            vals = edge_values[fe[:, k]]
+            # canonical edge orientation is low->high vertex index
+            swap = f[:, i] > f[:, j]
+            gi, gj = grads[:, i].copy(), grads[:, j].copy()
+            gi[swap], gj[swap] = grads[swap, j], grads[swap, i]
+            block += vals[:, None] * (gj - gi) / 3.0
     return out
 
 

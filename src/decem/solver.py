@@ -37,7 +37,7 @@ face carriers by |P|).  Sources are sampled at the half step t + dt/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -339,7 +339,7 @@ def assemble(
     materials: MaterialParams,
     dt: float,
     *,
-    solver: str = "cg",
+    solver: str = "direct",
     tolerance: float = 1e-10,
     max_iters: int | None = None,
     jm_sign: float = 1.0,
@@ -347,6 +347,8 @@ def assemble(
 ) -> ImplicitStepper:
     """Build the per-step system for one polarization.
 
+    ``solver="direct"`` (the default) factors the face system here, once;
+    ``"cg"`` keeps no factor and runs Jacobi CG every step, using less memory.
     The face system ``diag(p_f) + d1 diag(1/p_e) d1^T`` is symmetric positive
     definite whenever every diagonal entry is positive; nonpositive entries
     (possible only with signed dual metrics or extreme conduction) raise
@@ -405,9 +407,11 @@ def assemble(
         # MMD on A^T + A: COLAMD roughly doubles the fill on these meshes.
         # A definite system is diagonally dominant, so the default threshold
         # keeps every pivot on the diagonal; an indefinite one may pivot.
+        # panel_size=1 keeps the same fill with a smaller factor-time
+        # workspace (about 6 MB less peak at 20480 faces).
         factor = spla.splu(
             system.tocsc(), permc_spec="MMD_AT_PLUS_A",
-            options={"SymmetricMode": True},
+            options={"SymmetricMode": True}, panel_size=1,
         )
     else:
         precond = sp.diags(1.0 / system.diagonal())

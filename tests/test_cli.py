@@ -219,6 +219,13 @@ def test_direct_solver_flag(tmp_path):
     assert "solver = direct" in (out / "manifest.txt").read_text()
 
 
+def test_default_run_uses_direct_solver(tmp_path):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(out)})
+    assert cli.main(["run", path, "--quiet"]) == 0
+    assert "solver = direct" in (out / "manifest.txt").read_text().splitlines()
+
+
 def test_stability_command(tmp_path, capsys):
     rc = cli.main([
         "stability", bundled.bundled_path("stability_sphere.cfg"),
@@ -249,9 +256,13 @@ def test_convergence_command_quick(tmp_path, capsys):
 
 
 def test_convergence_direct_matches_cg_orders(tmp_path, capsys):
-    cfg = bundled.bundled_path("cavity_convergence.cfg")  # 3 levels, 2048 faces
+    direct_cfg = bundled.bundled_path("cavity_convergence.cfg")  # 3 levels, 2048 faces
+    cg_cfg = tmp_path / "cavity_convergence_cg.cfg"  # mesh_path falls back to bundled
+    with open(direct_cfg) as fh:
+        cg_cfg.write_text(fh.read() + "solver.kind = cg\n")
     orders = {}
     for flags in ([], ["--direct-solver"]):
+        cfg = direct_cfg if flags else str(cg_cfg)
         rc = cli.main(["convergence", cfg, "--output-dir", str(tmp_path), *flags])
         assert rc == 0
         out = capsys.readouterr().out
@@ -263,7 +274,7 @@ def test_convergence_direct_matches_cg_orders(tmp_path, capsys):
 def test_run_failure_marks_manifest_failed(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_cfg(tmp_path / "a.cfg", **{
-        "output.directory": str(out),
+        "output.directory": str(out), "solver.kind": "cg",
         "solver.max_iters": "1", "solver.tolerance": "1e-14"})
     rc = cli.main(["run", path, "--quiet"])
     assert rc == 2
@@ -273,6 +284,24 @@ def test_run_failure_marks_manifest_failed(tmp_path, capsys):
     assert "last_completed_step = 0" in manifest
     errors = [l for l in manifest if l.startswith("error = ")]
     assert len(errors) == 1 and "failed to converge" in errors[0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_nonfinite_energy_aborts_with_step(tmp_path, capsys):
+    # fields of order 1e200 are finite, but their energy overflows to inf
+    # at the first cadence after the pulse starts (step 4)
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        "output.directory": str(out), "source.amplitude": "1e200"})
+    rc = cli.main(["run", path, "--quiet"])
+    assert rc == 2
+    assert "non-finite energy at step 4" in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status = failed" in manifest
+    assert "error = SolverError: non-finite energy at step 4" in manifest
+    log = (out / "run_log.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in log[1:]] == ["0", "4"]
+    assert log[-1].split(",")[2] == "inf"
 
 
 def test_manifest_write_error_keeps_previous(tmp_path):

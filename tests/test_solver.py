@@ -247,7 +247,7 @@ def test_cg_iteration_cap_raises(icosphere1, icosphere1_metrics):
     mats = solver.MaterialParams.uniform("TE", icosphere1, eps=1.0, mu=1.0)
     dt = 1e4 * icosphere1_metrics.dual_edge_len.min()
     stepper = solver.assemble("TE", icosphere1, icosphere1_metrics, mats, dt,
-                              max_iters=1, tolerance=1e-14)
+                              solver="cg", max_iters=1, tolerance=1e-14)
     state = solver.initial_state("TE", icosphere1, h=face_bump(icosphere1_metrics))
     with pytest.raises(solver.SolverError, match="residual norm"):
         solver.step(stepper, state)
