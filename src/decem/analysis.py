@@ -49,13 +49,9 @@ __all__ = [
 def _face_wave_speed(surface, materials: sv.MaterialParams) -> np.ndarray:
     """Per-face wave speed 1/sqrt(eps mu); the edge-placed coefficient is
     averaged over the face's three edges (exact for uniform materials)."""
-    fe = surface.face_edges
-    if materials.mode == "TE":
-        eps_f = materials.eps[fe].mean(axis=1)
-        mu_f = materials.mu
-    else:
-        eps_f = materials.eps
-        mu_f = materials.mu[fe].mean(axis=1)
+    pol = sv.polarization(materials.mode)
+    edge_mat, face_mat = pol.place(materials.eps, materials.mu)
+    eps_f, mu_f = pol.place(edge_mat[surface.face_edges].mean(axis=1), face_mat)
     return 1.0 / np.sqrt(eps_f * mu_f)
 
 
@@ -170,10 +166,8 @@ def stability_sweep(
             -((metrics.circumcenters - metrics.circumcenters[0]) ** 2).sum(axis=1)
             / max(metrics.face_area.sum() / 20.0, 1e-30)
         )
-        if materials.mode == "TE":
-            state = sv.initial_state("TE", surface, h=bump)
-        else:
-            state = sv.initial_state("TM", surface, e=bump)
+        face_field = sv.polarization(materials.mode).face_field
+        state = sv.initial_state(materials.mode, surface, **{face_field: bump})
         prev = sv.energy(state, stars, materials)
         worst = 0.0
         for _ in range(empirical_steps):

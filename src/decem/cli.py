@@ -33,11 +33,10 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     aborts the run with a ``SolverError`` naming the step.
     """
     surface = load_obj(cfg.mesh_path)
-    cfg.validate_against(surface)
+    materials = cfg.validate_against(surface)
     metrics = compute_dual_metrics(
         surface, allow_non_well_centered=cfg.allow_non_well_centered
     )
-    materials = cfg.materials(surface)
     stepper = sv.assemble(
         cfg.mode, surface, metrics, materials, cfg.dt,
         solver=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bundled
-from .solver import EPS0, MU0, MaterialParams, SourceSpec
+from .solver import EPS0, MU0, MaterialParams, SourceSpec, polarization
 
 __all__ = ["ConfigError", "RunConfig", "ProbeSpec", "parse_kv_file", "load_config"]
 
@@ -128,30 +128,25 @@ class RunConfig:
         """Per-face material arrays from uniform values plus region overrides,
         placed for the configured polarization."""
         nf = surface.n_faces
-        eps = np.full(nf, self.eps)
-        mu = np.full(nf, self.mu)
-        sigma = np.full(nf, self.sigma)
-        sigma_m = np.full(nf, self.sigma_m)
+        values = {q: np.full(nf, getattr(self, q)) for q in ("eps", "mu", "sigma", "sigma_m")}
         for name, faces, over in self.regions:
             faces = np.asarray(faces, dtype=int)
-            if faces.size and (faces.min() < 0 or faces.max() >= nf):
+            bad = faces[(faces < 0) | (faces >= nf)]
+            if bad.size:
                 raise ConfigError(
-                    f"region.{name}.faces: face index {int(faces.max())} out of "
+                    f"region.{name}.faces: face index {int(bad[0])} out of "
                     f"range (mesh has {nf})"
                 )
             for quantity, value in over.items():
-                {"eps": eps, "mu": mu, "sigma": sigma, "sigma_m": sigma_m}[
-                    quantity
-                ][faces] = value
-        return MaterialParams.from_face_values(
-            self.mode, surface, eps, mu, sigma, sigma_m
-        )
+                values[quantity][faces] = value
+        return MaterialParams.from_face_values(self.mode, surface, **values)
 
-    def validate_against(self, surface) -> None:
-        """Index validation before any compute."""
+    def validate_against(self, surface) -> MaterialParams:
+        """Index validation before any compute; returns ``materials(surface)``
+        so that a run builds its materials once."""
         self.source.validate(surface, self.mode)
         for probe in self.probes:
-            on_edges = (probe.quantity == "e") == (self.mode == "TE")
+            on_edges = polarization(self.mode).on_edges(probe.quantity)
             limit = surface.n_edges if on_edges else surface.n_faces
             if not (0 <= probe.index < limit):
                 carrier = "edge" if on_edges else "face"
@@ -159,7 +154,7 @@ class RunConfig:
                     f"probe {probe.name}: {carrier} index {probe.index} out of "
                     f"range (mesh has {limit})"
                 )
-        _ = self.materials(surface)
+        return self.materials(surface)
 
 
 _SCALAR_KEYS = {
@@ -210,8 +205,10 @@ def load_config(path) -> RunConfig:
 
     cfg = RunConfig(mesh_path=mesh_path)
     cfg.mode = raw.get("mode", "TE").upper()
-    if cfg.mode not in ("TE", "TM"):
-        raise ConfigError(f"mode must be TE or TM, got {cfg.mode!r}")
+    try:
+        polarization(cfg.mode)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     cfg.dt = float(raw.get("dt", 0.0))
     cfg.steps = int(raw.get("steps", 0))
     if cfg.dt <= 0:

@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .mesh import DualMetrics, SimplicialSurface
-from .solver import FieldState
+from .solver import FieldState, polarization
 
 __all__ = [
     "whitney_face_vectors",
@@ -80,10 +80,8 @@ def write_vtk_snapshot(
 ) -> None:
     """Legacy ASCII VTK unstructured grid with the face scalar (TE: h,
     TM: e) and the Whitney vector reconstruction of the edge field."""
-    face_scalar = state.h if state.mode == "TE" else state.e
-    edge_field = state.e if state.mode == "TE" else state.h
-    scalar_name = "h" if state.mode == "TE" else "e"
-    vector_name = "e_vec" if state.mode == "TE" else "h_vec"
+    pol = polarization(state.mode)
+    edge_field, face_scalar = pol.place(state.e, state.h)
     vectors = whitney_face_vectors(surface, metrics, edge_field)
 
     with open(path, "w") as fh:
@@ -101,11 +99,11 @@ def write_vtk_snapshot(
         for _ in range(surface.n_faces):
             fh.write("5\n")
         fh.write(f"CELL_DATA {surface.n_faces}\n")
-        fh.write(f"SCALARS {scalar_name} double 1\n")
+        fh.write(f"SCALARS {pol.face_field} double 1\n")
         fh.write("LOOKUP_TABLE default\n")
         for val in face_scalar:
             fh.write(f"{_fmt(val)}\n")
-        fh.write(f"VECTORS {vector_name} double\n")
+        fh.write(f"VECTORS {pol.edge_field}_vec double\n")
         for vec in vectors:
             fh.write(f"{_fmt(vec[0])} {_fmt(vec[1])} {_fmt(vec[2])}\n")
 

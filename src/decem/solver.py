@@ -1,8 +1,8 @@
 """Implicit time steppers for the two surface-Maxwell polarizations.
 
 TE keeps the electric field as a primal edge cochain and the magnetizing
-field on face dual nodes; TM swaps the roles.  Both polarizations advance by
-the same fully implicit update: the two coupled cochain equations
+field on face dual nodes; TM swaps the roles (``Polarization``).  Both
+polarizations advance by one fully implicit update, the coupled equations
 
     edge:  p_e u^{n+1} = m_e u^n + s * d1^T w^{n+1} - star1 * j_edge
     face:  p_f w^{n+1} = m_f w^n - s * d1   u^{n+1} - j_face
@@ -51,6 +51,8 @@ __all__ = [
     "EPS0",
     "MU0",
     "SolverError",
+    "Polarization",
+    "polarization",
     "MaterialParams",
     "FieldState",
     "SourceSpec",
@@ -70,6 +72,46 @@ MU0 = 1.25663706212e-6    # H/m
 
 class SolverError(RuntimeError):
     """Raised for indefinite systems and solver breakdowns."""
+
+
+@dataclass(frozen=True)
+class Polarization:
+    """Placement table of one polarization, the only TE/TM difference.
+
+    ``edge_field`` ("e"/"h") is the edge cochain u, ``face_field`` the face
+    cochain w; each field brings its material pair (e: eps/sigma, h:
+    mu/sigma_m) and current (je/jm).  ``couple_sign`` is s in the update;
+    ``pec_edges`` holds the boundary edge unknowns at zero.
+    """
+
+    mode: str
+    edge_field: str
+    face_field: str
+    couple_sign: float
+    pec_edges: bool
+
+    def on_edges(self, quantity: str) -> bool:
+        """Whether a field ("e"/"h") or a current ("je"/"jm") lives on edges:
+        an electric one does exactly when ``e`` does."""
+        return (quantity in ("e", "je")) == (self.edge_field == "e")
+
+    def place(self, a, b):
+        """Order an electric/magnetic pair, e.g. (e, h) or (eps, mu), as (edge,
+        face), or an (edge, face) pair as (electric, magnetic)."""
+        return (a, b) if self.edge_field == "e" else (b, a)
+
+
+_POLARIZATIONS = {
+    "TE": Polarization("TE", "e", "h", couple_sign=1.0, pec_edges=True),
+    "TM": Polarization("TM", "h", "e", couple_sign=-1.0, pec_edges=False),
+}
+
+
+def polarization(mode: str) -> Polarization:
+    """The placement table of a mode; raises ``ValueError`` for any other."""
+    if mode not in _POLARIZATIONS:
+        raise ValueError(f"mode must be TE or TM, got {mode!r}")
+    return _POLARIZATIONS[mode]
 
 
 def _edge_values_from_faces(surface: SimplicialSurface, face_values: np.ndarray):
@@ -99,8 +141,7 @@ class MaterialParams:
     mu0: float = MU0
 
     def __post_init__(self):
-        if self.mode not in ("TE", "TM"):
-            raise ValueError(f"mode must be TE or TM, got {self.mode!r}")
+        polarization(self.mode)
         if (self.eps <= 0).any() or (self.mu <= 0).any():
             raise ValueError("eps and mu must be positive everywhere")
         if (self.sigma < 0).any() or (self.sigma_m < 0).any():
@@ -108,15 +149,9 @@ class MaterialParams:
 
     @classmethod
     def uniform(cls, mode, surface, eps=EPS0, mu=MU0, sigma=0.0, sigma_m=0.0):
-        n_edge, n_face = surface.n_edges, surface.n_faces
-        n_eps, n_mu = (n_edge, n_face) if mode == "TE" else (n_face, n_edge)
-        return cls(
-            mode=mode,
-            eps=np.full(n_eps, float(eps)),
-            mu=np.full(n_mu, float(mu)),
-            sigma=np.full(n_eps, float(sigma)),
-            sigma_m=np.full(n_mu, float(sigma_m)),
-        )
+        """Constant coefficients (the edge mean of equal values is exact)."""
+        full = [np.full(surface.n_faces, float(v)) for v in (eps, mu, sigma, sigma_m)]
+        return cls.from_face_values(mode, surface, *full)
 
     @classmethod
     def from_face_values(cls, mode, surface, eps, mu, sigma=None, sigma_m=None):
@@ -130,9 +165,8 @@ class MaterialParams:
             if arr.shape != (surface.n_faces,):
                 raise ValueError(f"{name} must be a per-face array")
         to_edges = lambda a: _edge_values_from_faces(surface, a)
-        if mode == "TE":
-            return cls(mode, to_edges(eps), mu.copy(), to_edges(sigma), sigma_m.copy())
-        return cls(mode, eps.copy(), to_edges(mu), sigma.copy(), to_edges(sigma_m))
+        place_e, place_h = polarization(mode).place(to_edges, np.copy)
+        return cls(mode, place_e(eps), place_h(mu), place_e(sigma), place_h(sigma_m))
 
 
 @dataclass
@@ -162,8 +196,7 @@ class FieldState:
 
 def initial_state(mode: str, surface: SimplicialSurface, e=None, h=None) -> FieldState:
     """Zero (or given) fields at n = 0; arrays are validated and copied."""
-    n_edge, n_face = surface.n_edges, surface.n_faces
-    n_e, n_h = (n_edge, n_face) if mode == "TE" else (n_face, n_edge)
+    n_e, n_h = polarization(mode).place(surface.n_edges, surface.n_faces)
     e = np.zeros(n_e) if e is None else np.array(e, dtype=float)
     h = np.zeros(n_h) if h is None else np.array(h, dtype=float)
     if e.shape != (n_e,) or h.shape != (n_h,):
@@ -207,7 +240,7 @@ class SourceSpec:
     def validate(self, surface: SimplicialSurface, mode: str) -> None:
         if self.kind == "none" or self.support.size == 0:
             return
-        on_edges = (self.target == "je") == (mode == "TE")
+        on_edges = polarization(mode).on_edges(self.target)
         limit = surface.n_edges if on_edges else surface.n_faces
         bad = (self.support < 0) | (self.support >= limit)
         if bad.any():
@@ -234,13 +267,13 @@ class ImplicitStepper:
     """
 
     mode: str
+    polarization: Polarization
     surface: SimplicialSurface
     metrics: DualMetrics
     stars: HodgeStars
     materials: MaterialParams
     dt: float
     jm_sign: float
-    couple_sign: float
     edge_plus: np.ndarray
     edge_minus: np.ndarray
     face_plus: np.ndarray
@@ -285,31 +318,21 @@ class ImplicitStepper:
 
     def _currents(self, t_half: float, sources: SourceSpec | None):
         """Integrated current cochains (edge carrier, face carrier) at t+dt/2."""
-        n_e, n_f = self.surface.n_edges, self.surface.n_faces
-        j_edge = np.zeros(n_e)
-        j_face = np.zeros(n_f)
+        j_edge, j_face = np.zeros(self.surface.n_edges), np.zeros(self.surface.n_faces)
         if sources is None or sources.kind == "none":
             return j_edge, j_face
-        g = sources.waveform(t_half)
-        on_edges = (sources.target == "je") == (self.mode == "TE")
-        if on_edges:
-            j_edge[sources.support] = g
-            j_edge *= self.metrics.edge_len
-        else:
-            j_face[sources.support] = g
-            j_face *= self.metrics.face_area
+        on_edges = self.polarization.on_edges(sources.target)
+        j = j_edge if on_edges else j_face
+        j[sources.support] = sources.waveform(t_half)
+        j *= self.metrics.edge_len if on_edges else self.metrics.face_area
         # the magnetic current enters with the configurable sign
         if sources.target == "jm":
-            if self.mode == "TE":
-                j_face *= self.jm_sign
-            else:
-                j_edge *= self.jm_sign
+            j *= self.jm_sign
         return j_edge, j_face
 
     def _advance_with_currents(self, state, j_edge, j_face) -> FieldState:
-        u = state.e if self.mode == "TE" else state.h   # edge cochain
-        w = state.h if self.mode == "TE" else state.e   # face cochain
-        s = self.couple_sign
+        u, w = self.polarization.place(state.e, state.h)   # edge, face cochains
+        s = self.polarization.couple_sign
         d1 = self.surface.d1_real
         act = self.active_edges
 
@@ -325,11 +348,8 @@ class ImplicitStepper:
         coup = d1.T @ w_new
         u_new[act] = (edge_hist[act] + s * coup[act]) / self.edge_plus[act]
 
-        e_new, h_new = (u_new, w_new) if self.mode == "TE" else (w_new, u_new)
-        return FieldState(
-            mode=self.mode, e=e_new, h=h_new, n=state.n + 1,
-            t=(state.n + 1) * self.dt,
-        )
+        e_new, h_new = self.polarization.place(u_new, w_new)
+        return FieldState(self.mode, e_new, h_new, n=state.n + 1, t=(state.n + 1) * self.dt)
 
 
 def assemble(
@@ -357,8 +377,7 @@ def assemble(
     (``solver`` becomes ``"direct"``), whose partial pivoting needs no
     definiteness.
     """
-    if mode not in ("TE", "TM"):
-        raise ValueError(f"mode must be TE or TM, got {mode!r}")
+    pol = polarization(mode)
     if materials.mode != mode:
         raise ValueError("materials were placed for a different mode")
     if dt <= 0:
@@ -370,16 +389,10 @@ def assemble(
     star1 = stars.star1
     areas = metrics.face_area
 
-    if mode == "TE":
-        edge_mat, edge_cond = materials.eps, materials.sigma
-        face_mat, face_cond = materials.mu, materials.sigma_m
-        couple_sign = 1.0
-        active = surface.interior_edge_mask  # PEC: boundary electric unknowns fixed at 0
-    else:
-        edge_mat, edge_cond = materials.mu, materials.sigma_m
-        face_mat, face_cond = materials.eps, materials.sigma
-        couple_sign = -1.0
-        active = np.ones(surface.n_edges, dtype=bool)
+    edge_mat, face_mat = pol.place(materials.eps, materials.mu)
+    edge_cond, face_cond = pol.place(materials.sigma, materials.sigma_m)
+    active = (surface.interior_edge_mask if pol.pec_edges
+              else np.ones(surface.n_edges, dtype=bool))
 
     edge_plus = (edge_mat / dt + 0.5 * edge_cond) * star1
     edge_minus = (edge_mat / dt - 0.5 * edge_cond) * star1
@@ -417,8 +430,8 @@ def assemble(
         precond = sp.diags(1.0 / system.diagonal())
 
     return ImplicitStepper(
-        mode=mode, surface=surface, metrics=metrics, stars=stars,
-        materials=materials, dt=dt, jm_sign=jm_sign, couple_sign=couple_sign,
+        mode=mode, polarization=pol, surface=surface, metrics=metrics, stars=stars,
+        materials=materials, dt=dt, jm_sign=jm_sign,
         edge_plus=edge_plus, edge_minus=edge_minus,
         face_plus=face_plus, face_minus=face_minus,
         active_edges=active, system=system, solver=solver,
@@ -440,13 +453,20 @@ def energy(state: FieldState, stars: HodgeStars, materials: MaterialParams) -> f
     by material times face area, which reduces to the usual sum of
     (eps E^2 + mu H^2)/2 times element area on flat meshes.
     """
-    if state.mode == "TE":
-        ee = state.e @ (materials.eps * stars.star1 * state.e)
-        hh = state.h @ (materials.mu / stars.star2 * state.h)
-    else:
-        ee = state.e @ (materials.eps / stars.star2 * state.e)
-        hh = state.h @ (materials.mu * stars.star1 * state.h)
-    return 0.5 * float(ee + hh)
+    pol = polarization(state.mode)
+    u, w = pol.place(state.e, state.h)
+    edge_mat, face_mat = pol.place(materials.eps, materials.mu)
+    uu = u @ (edge_mat * stars.star1 * u)
+    ww = w @ (face_mat / stars.star2 * w)
+    return 0.5 * float(uu + ww)
+
+
+def _edge_flux(state: FieldState, materials: MaterialParams) -> np.ndarray:
+    """The edge-carried flux: eps e in TE, mu h in TM."""
+    pol = polarization(state.mode)
+    edge_mat, _ = pol.place(materials.eps, materials.mu)
+    u, _ = pol.place(state.e, state.h)
+    return edge_mat * u
 
 
 def gauss_residuals(
@@ -466,15 +486,10 @@ def gauss_residuals(
     density for the vertex-based law (zero by default).
     """
     rho = np.zeros(surface.n_vertices) if charge is None else np.asarray(charge, float)
-    if state.mode == "TE":
-        flux = materials.eps * state.e
-    else:
-        flux = materials.mu * state.h
+    flux = _edge_flux(state, materials)
     vertex_law = surface.d0_real.T @ (stars.star1 * flux) - stars.star0 * rho
     structural = np.zeros(surface.n_faces)
-    if state.mode == "TE":
-        return GaussResiduals(electric=vertex_law, magnetic=structural)
-    return GaussResiduals(electric=structural, magnetic=vertex_law)
+    return GaussResiduals(*polarization(state.mode).place(vertex_law, structural))
 
 
 def gauss_residual_scale(
@@ -485,9 +500,5 @@ def gauss_residual_scale(
 ) -> float:
     """Natural cancellation scale for the vertex Gauss law (for relative
     residuals): the same divergence sum with absolute values taken."""
-    if state.mode == "TE":
-        flux = materials.eps * state.e
-    else:
-        flux = materials.mu * state.h
-    scale = abs(surface.d0_real).T @ np.abs(stars.star1 * flux)
+    scale = abs(surface.d0_real).T @ np.abs(stars.star1 * _edge_flux(state, materials))
     return float(scale.max()) if scale.size else 0.0

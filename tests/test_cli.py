@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from decem import bundled, cli, config, output
+from decem import bundled, cli, config, output, solver
 
 
 def write_cfg(path, **overrides):
@@ -325,3 +325,73 @@ def test_demo_sphere_config_loads():
     assert cfg.mode == "TE"
     surface = bundled.bundled_surface("icosphere_3.obj")
     cfg.validate_against(surface)
+
+
+def test_region_range_error_names_offending_index(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        "mesh_path": "icosphere_3.obj", "region.x.faces": "-1,3",
+        "region.x.sigma": "0.5", "output.directory": str(out)})
+    cfg = config.load_config(path)
+    surface = bundled.bundled_surface("icosphere_3.obj")
+    with pytest.raises(config.ConfigError, match=r"face index -1 out of range \(mesh has 1280\)"):
+        cfg.materials(surface)
+
+    def no_metrics(*args, **kwargs):
+        raise AssertionError("dual metrics computed before the region check")
+
+    monkeypatch.setattr(cli, "compute_dual_metrics", no_metrics)
+    assert cli.main(["run", path, "--quiet"]) == 2
+    assert not out.exists()
+
+
+def test_run_builds_materials_once(tmp_path, monkeypatch):
+    calls = []
+    build = solver.MaterialParams.from_face_values
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(solver.MaterialParams, "from_face_values", classmethod(counted))
+    path = write_cfg(tmp_path / "a.cfg", steps="2", **{
+        "region.x.faces": "0,1", "region.x.eps": "2.0",
+        "output.directory": str(tmp_path / "out")})
+    assert cli.main(["run", path, "--quiet"]) == 0
+    assert calls == ["TE"]
+
+
+def test_tm_run_end_to_end(tmp_path):
+    """TM on the cavity: je pulse on faces, a lossy region, an e and an h probe."""
+    out = tmp_path / "out"
+    surface = bundled.bundled_surface("cavity_2.obj")
+    path = write_cfg(tmp_path / "tm.cfg", steps="40", **{
+        "mesh_path": "cavity_2.obj", "mode": "TM", "dt": "0.02",
+        "source.target": "je", "source.support": "100,101",
+        "source.t0": "0.1", "source.width": "0.03",
+        "region.lossy.faces": ",".join(str(f) for f in range(0, 512, 4)),
+        "region.lossy.sigma": "0.5", "region.lossy.sigma_m": "0.2",
+        "probe.p0.quantity": "e", "probe.p0.index": "100",
+        "probe.p1.quantity": "h", "probe.p1.index": "7",
+        "output.cadence": "5", "output.formats": "vtk,csv",
+        "output.directory": str(out)})
+    assert cli.main(["run", path, "--quiet"]) == 0
+    assert "status = complete" in (out / "manifest.txt").read_text()
+
+    vtk = (out / "snapshot_000040.vtk").read_text().splitlines()
+    assert "SCALARS e double 1" in vtk
+    assert "VECTORS h_vec double" in vtk
+    rows = (out / "snapshot_000040.csv").read_text().splitlines()[3:]
+    quantities = [r.split(",")[0] for r in rows]
+    assert quantities.count("e") == surface.n_faces
+    assert quantities.count("h") == surface.n_edges
+
+    log = [r.split(",") for r in (out / "run_log.csv").read_text().splitlines()[1:]]
+    after = np.array([float(r[2]) for r in log if float(r[1]) >= 0.1 + 5 * 0.03])
+    assert len(after) >= 5 and after[0] > 0
+    assert (np.diff(after) <= 1e-12 * after[0]).all()
+
+    probes = [r.split(",") for r in (out / "probes.csv").read_text().splitlines()[4:]]
+    assert {r[2] for r in probes} == {"p0", "p1"}
+    values = np.array([float(r[5]) for r in probes])
+    assert len(values) == 2 * 41 and np.isfinite(values).all() and np.abs(values).max() > 0

@@ -199,6 +199,14 @@ def test_te_tm_duality(icosphere1, icosphere1_metrics):
         b = solver.step(st_tm, b)
     assert np.abs(b.e - a.h).max() < 1e-12
     assert np.abs(b.h + a.e).max() < 1e-12
+    stars = st_te.stars
+    en_te, en_tm = solver.energy(a, stars, te), solver.energy(b, stars, tm)
+    assert abs(en_tm - en_te) <= 1e-12 * en_te
+    ga = solver.gauss_residuals(a, s, stars, te)
+    gb = solver.gauss_residuals(b, s, stars, tm)
+    scale = solver.gauss_residual_scale(a, s, stars, te)
+    assert np.abs(gb.magnetic + ga.electric).max() <= 1e-12 * scale  # h = -e
+    assert not ga.magnetic.any() and not gb.electric.any()
 
 
 def test_pec_boundary_edges_stay_zero(cavity1, cavity1_metrics):
@@ -262,6 +270,33 @@ def test_source_validation(icosphere1):
         solver.SourceSpec(kind="gaussian_pulse", width=0.0)
     with pytest.raises(ValueError, match="target"):
         solver.SourceSpec(target="jx")
+
+
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+@pytest.mark.parametrize("target", ["je", "jm"])
+def test_source_carrier_and_jm_sign(mode, target, icosphere1, icosphere1_metrics):
+    """je drives e and jm drives h, on whichever carrier the mode gives that
+    field; flags.jm_sign = -1 negates a jm response bitwise."""
+    s, m = icosphere1, icosphere1_metrics
+    mats = solver.MaterialParams.uniform(mode, s, eps=1.0, mu=1.0)
+    src = solver.SourceSpec(kind="gaussian_pulse", target=target, amplitude=1.0,
+                            t0=0.0, width=0.1, support=[2, 5])
+    zero = solver.initial_state(mode, s)
+    plus, minus = (
+        solver.step(solver.assemble(mode, s, m, mats, 1e-3, jm_sign=sign), zero, src)
+        for sign in (1.0, -1.0)
+    )
+    driven, other = (plus.e, plus.h) if target == "je" else (plus.h, plus.e)
+    on_edges = (target == "je") == (mode == "TE")
+    assert driven.size == (s.n_edges if on_edges else s.n_faces)
+    # to leading order in dt the response sits on the support, in the driven field
+    on_support = np.abs(driven[[2, 5]]).min()
+    assert on_support > 0
+    assert np.abs(np.delete(driven, [2, 5])).max() <= 1e-3 * on_support
+    assert np.abs(other).max() <= 1e-2 * on_support
+    sign = -1.0 if target == "jm" else 1.0
+    assert np.array_equal(minus.e, sign * plus.e)
+    assert np.array_equal(minus.h, sign * plus.h)
 
 
 def test_initial_state_validation(icosphere1):
