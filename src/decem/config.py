@@ -144,7 +144,10 @@ class RunConfig:
     def validate_against(self, surface) -> MaterialParams:
         """Index validation before any compute; returns ``materials(surface)``
         so that a run builds its materials once."""
-        self.source.validate(surface, self.mode)
+        try:
+            self.source.validate(surface, self.mode)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for probe in self.probes:
             on_edges = polarization(self.mode).on_edges(probe.quantity)
             limit = surface.n_edges if on_edges else surface.n_faces

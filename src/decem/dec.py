@@ -95,12 +95,6 @@ class HodgeStars:
     star2: np.ndarray
     signed: bool
 
-    @property
-    def all_positive(self) -> bool:
-        return bool(
-            (self.star0 > 0).all() and (self.star1 > 0).all() and (self.star2 > 0).all()
-        )
-
 
 def build_hodge_stars(surface: SimplicialSurface, metrics: DualMetrics) -> HodgeStars:
     """Assemble the diagonal star factors from dual metrics."""

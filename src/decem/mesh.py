@@ -118,9 +118,10 @@ class SimplicialSurface:
 
     @property
     def face_edges(self) -> np.ndarray:
-        """(F, 3) edge indices per face, in (a,b),(b,c),(c,a) local order (cached)."""
+        """(F, 3) edge indices per face, in (a,b),(b,c),(c,a) local order
+        (kept by ``from_arrays``, else computed once and cached)."""
         if not hasattr(self, "_face_edges"):
-            _, fe = _canonical_edges(self.faces)
+            _, fe = _canonical_edges(self.faces, self.n_vertices)
             object.__setattr__(self, "_face_edges", fe)
         return self._face_edges
 
@@ -136,18 +137,21 @@ class SimplicialSurface:
         raise ValueError(f"unknown placement {placement!r}")
 
 
-def _canonical_edges(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_edges(faces: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
     """Return unique sorted edges and a (F, 3) map of face-edge indices.
 
     The k-th directed boundary edge of face (a, b, c) is (a,b), (b,c), (c,a).
+    An undirected edge lo < hi is found by the one integer key
+    ``lo * n_vertices + hi``, whose order is the lexicographic order of
+    (lo, hi).
     """
-    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
-    directed = np.stack(
-        [np.stack([a, b], axis=1), np.stack([b, c], axis=1), np.stack([c, a], axis=1)],
-        axis=1,
-    )  # (F, 3, 2)
-    undirected = np.sort(directed.reshape(-1, 2), axis=1)
-    edges, inverse = np.unique(undirected, axis=0, return_inverse=True)
+    tails = np.asarray(faces, dtype=np.int64)
+    heads = tails[:, [1, 2, 0]]
+    lo = np.minimum(tails, heads).reshape(-1)
+    hi = np.maximum(tails, heads).reshape(-1)
+    n = np.int64(n_vertices)
+    keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+    edges = np.stack([keys // n, keys % n], axis=1)
     return edges, inverse.reshape(-1, 3)
 
 
@@ -161,9 +165,14 @@ def build_incidence(
     the same direction by two faces (inconsistent winding), or isolated
     vertices.
     """
+    return _incidence(vertices, faces)[:4]
+
+
+def _incidence(vertices, faces):
+    """``build_incidence`` plus the (F, 3) face-edge map it derives."""
     n_v = vertices.shape[0]
     n_f = faces.shape[0]
-    edges, face_edge = _canonical_edges(faces)
+    edges, face_edge = _canonical_edges(faces, n_v)
     n_e = edges.shape[0]
 
     # d0: one -1 at the tail (low index), +1 at the head (high index)
@@ -203,7 +212,7 @@ def build_incidence(
         )
 
     boundary = frozenset(np.nonzero(counts == 1)[0].tolist())
-    return edges, d0, d1, boundary
+    return edges, d0, d1, boundary, face_edge
 
 
 def from_arrays(vertices, faces) -> SimplicialSurface:
@@ -218,11 +227,13 @@ def from_arrays(vertices, faces) -> SimplicialSurface:
         raise MeshError("face vertex index out of range")
     if faces.size == 0:
         raise MeshError("mesh has no faces")
-    edges, d0, d1, boundary = build_incidence(vertices, faces)
-    return SimplicialSurface(
+    edges, d0, d1, boundary, face_edge = _incidence(vertices, faces)
+    surface = SimplicialSurface(
         vertices=vertices, edges=edges, faces=faces, d0=d0, d1=d1,
         boundary_edges=boundary,
     )
+    object.__setattr__(surface, "_face_edges", face_edge)
+    return surface
 
 
 def load_obj(path) -> SimplicialSurface:

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 
+# Faces per block of the Whitney reconstruction, and rows per block of text
+# in the snapshot writers: both bound the size of their temporaries.
 WHITNEY_BLOCK_FACES = 4096
 
 
@@ -71,6 +73,38 @@ def whitney_face_vectors(
     return out
 
 
+def _blocks(array, dtype=np.float64):
+    """``(start, rows)`` for each block of at most ``WHITNEY_BLOCK_FACES``
+    rows of ``array``, the rows as Python scalars of ``dtype``.  A Python
+    float formats with ``repr`` to the same text as ``_fmt``, and joining
+    one block at a time keeps the text in memory small."""
+    array = np.asarray(array, dtype=dtype)
+    for start in range(0, len(array), WHITNEY_BLOCK_FACES):
+        yield start, array[start:start + WHITNEY_BLOCK_FACES].tolist()
+
+
+def _xyz_rows(array):
+    """The ``x y z`` lines of a (N, 3) float array, one string per block."""
+    for _, rows in _blocks(array):
+        yield "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in rows)
+
+
+def _vtk_geometry(surface: SimplicialSurface) -> tuple[str, ...]:
+    """The ``ASCII`` ... ``CELL_TYPES`` text of a snapshot.  It depends only
+    on the surface, so it is formatted at the first snapshot and cached on
+    the (immutable) surface for the later ones."""
+    if not hasattr(surface, "_vtk_geometry"):
+        nf = surface.n_faces
+        parts = [f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {surface.n_vertices} double\n"]
+        parts += _xyz_rows(surface.vertices)
+        parts.append(f"CELLS {nf} {4 * nf}\n")
+        parts += ("".join(f"3 {a} {b} {c}\n" for a, b, c in rows)
+                  for _, rows in _blocks(surface.faces, np.int64))
+        parts.append(f"CELL_TYPES {nf}\n" + "5\n" * nf)
+        object.__setattr__(surface, "_vtk_geometry", tuple(parts))
+    return surface._vtk_geometry
+
+
 def write_vtk_snapshot(
     path,
     surface: SimplicialSurface,
@@ -85,27 +119,14 @@ def write_vtk_snapshot(
     vectors = whitney_face_vectors(surface, metrics, edge_field)
 
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{title}\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {surface.n_vertices} double\n")
-        for p in surface.vertices:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        fh.write(f"CELLS {surface.n_faces} {4 * surface.n_faces}\n")
-        for a, b, c in surface.faces:
-            fh.write(f"3 {a} {b} {c}\n")
-        fh.write(f"CELL_TYPES {surface.n_faces}\n")
-        for _ in range(surface.n_faces):
-            fh.write("5\n")
-        fh.write(f"CELL_DATA {surface.n_faces}\n")
-        fh.write(f"SCALARS {pol.face_field} double 1\n")
-        fh.write("LOOKUP_TABLE default\n")
-        for val in face_scalar:
-            fh.write(f"{_fmt(val)}\n")
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\n")
+        fh.writelines(_vtk_geometry(surface))
+        fh.write(f"CELL_DATA {surface.n_faces}\n"
+                 f"SCALARS {pol.face_field} double 1\nLOOKUP_TABLE default\n")
+        for _, rows in _blocks(face_scalar):
+            fh.write("".join(f"{val!r}\n" for val in rows))
         fh.write(f"VECTORS {pol.edge_field}_vec double\n")
-        for vec in vectors:
-            fh.write(f"{_fmt(vec[0])} {_fmt(vec[1])} {_fmt(vec[2])}\n")
+        fh.writelines(_xyz_rows(vectors))
 
 
 def write_csv_snapshot(path, state: FieldState) -> None:
@@ -114,10 +135,10 @@ def write_csv_snapshot(path, state: FieldState) -> None:
         fh.write("# integrated cochain values (exact regression contract)\n")
         fh.write(f"# mode={state.mode} n={state.n} t={_fmt(state.t)}\n")
         fh.write("quantity,index,value\n")
-        for i, val in enumerate(state.e):
-            fh.write(f"e,{i},{_fmt(val)}\n")
-        for i, val in enumerate(state.h):
-            fh.write(f"h,{i},{_fmt(val)}\n")
+        for quantity, values in (("e", state.e), ("h", state.h)):
+            for start, rows in _blocks(values):
+                fh.write("".join(f"{quantity},{i},{val!r}\n"
+                                 for i, val in enumerate(rows, start)))
 
 
 def write_growth_csv(path, report) -> None:

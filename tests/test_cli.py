@@ -395,3 +395,10 @@ def test_tm_run_end_to_end(tmp_path):
     assert {r[2] for r in probes} == {"p0", "p1"}
     values = np.array([float(r[5]) for r in probes])
     assert len(values) == 2 * 41 and np.isfinite(values).all() and np.abs(values).max() > 0
+
+
+def test_source_index_error_is_config_error(tmp_path):
+    cfg = config.load_config(write_cfg(tmp_path / "a.cfg", **{"source.support": "999"}))
+    surface = bundled.bundled_surface("icosphere_1.obj")
+    with pytest.raises(config.ConfigError, match=r"source support face index 999 out of range"):
+        cfg.validate_against(surface)

@@ -185,3 +185,20 @@ def test_edge_order_deterministic(icosahedron_path):
     assert np.array_equal(s1.edges, s2.edges)
     # canonical orientation low -> high
     assert (s1.edges[:, 0] < s1.edges[:, 1]).all()
+
+
+def test_edges_match_lexicographic_unique(icosahedron_path, icosphere1, cavity1):
+    """The integer-key edge search gives the edges and face-edge map of a
+    row-wise unique over the sorted (tail, head) pairs, and the map stored
+    at construction equals the one computed on demand."""
+    shuffled = mesh.from_arrays(
+        cavity1.vertices, np.random.default_rng(5).permutation(cavity1.faces))
+    for s in (mesh.load_obj(icosahedron_path), icosphere1, cavity1, shuffled):
+        f = s.faces
+        pairs = np.stack([f, f[:, [1, 2, 0]]], axis=2).reshape(-1, 2)
+        edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+        assert np.array_equal(s.edges, edges)
+        assert np.array_equal(s.face_edges, inverse.reshape(-1, 3))
+        bare = mesh.SimplicialSurface(s.vertices, s.edges, s.faces, s.d0, s.d1,
+                                      s.boundary_edges)
+        assert np.array_equal(bare.face_edges, s.face_edges)

@@ -1,16 +1,16 @@
 import importlib.util
 import os
+import shutil
 
 import numpy as np
 
-from decem import bundled, mesh, output
+from decem import bundled, mesh, output, solver
 
 TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
 
 
-def load_make_assets():
-    spec = importlib.util.spec_from_file_location(
-        "make_assets", os.path.join(TOOLS, "make_assets.py"))
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -27,7 +27,7 @@ def test_whitney_reproduces_constant_tangential_field():
 
 
 def test_whitney_blocks_match_single_pass(monkeypatch):
-    make_assets = load_make_assets()
+    make_assets = load_tool("make_assets")
     ico3 = bundled.bundled_surface("icosphere_3.obj")
     verts, faces = make_assets.subdivide(ico3.vertices, ico3.faces,
                                          project_unit_sphere=True)
@@ -39,3 +39,156 @@ def test_whitney_blocks_match_single_pass(monkeypatch):
     monkeypatch.setattr(output, "WHITNEY_BLOCK_FACES", surface.n_faces)
     single = output.whitney_face_vectors(surface, metrics, cochain)
     assert np.array_equal(blocked, single)
+
+
+# The per-line writers that the block writers replaced, kept as the byte oracle.
+def _fmt(x):
+    return repr(float(x))
+
+
+def vtk_per_line(path, surface, metrics, state, title="decem snapshot"):
+    pol = solver.polarization(state.mode)
+    edge_field, face_scalar = pol.place(state.e, state.h)
+    vectors = output.whitney_face_vectors(surface, metrics, edge_field)
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(f"{title}\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {surface.n_vertices} double\n")
+        for p in surface.vertices:
+            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        fh.write(f"CELLS {surface.n_faces} {4 * surface.n_faces}\n")
+        for a, b, c in surface.faces:
+            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(f"CELL_TYPES {surface.n_faces}\n")
+        for _ in range(surface.n_faces):
+            fh.write("5\n")
+        fh.write(f"CELL_DATA {surface.n_faces}\n")
+        fh.write(f"SCALARS {pol.face_field} double 1\n")
+        fh.write("LOOKUP_TABLE default\n")
+        for val in face_scalar:
+            fh.write(f"{_fmt(val)}\n")
+        fh.write(f"VECTORS {pol.edge_field}_vec double\n")
+        for vec in vectors:
+            fh.write(f"{_fmt(vec[0])} {_fmt(vec[1])} {_fmt(vec[2])}\n")
+
+
+def csv_per_line(path, state):
+    with open(path, "w") as fh:
+        fh.write("# integrated cochain values (exact regression contract)\n")
+        fh.write(f"# mode={state.mode} n={state.n} t={_fmt(state.t)}\n")
+        fh.write("quantity,index,value\n")
+        for i, val in enumerate(state.e):
+            fh.write(f"e,{i},{_fmt(val)}\n")
+        for i, val in enumerate(state.h):
+            fh.write(f"h,{i},{_fmt(val)}\n")
+
+
+def assert_writers_match_oracle(tmp_path, surface, metrics, state, tag):
+    pairs = [
+        (lambda p: output.write_vtk_snapshot(p, surface, metrics, state),
+         lambda p: vtk_per_line(p, surface, metrics, state), "vtk"),
+        (lambda p: output.write_csv_snapshot(p, state),
+         lambda p: csv_per_line(p, state), "csv"),
+    ]
+    for write, oracle, ext in pairs:
+        new, old = tmp_path / f"{tag}.{ext}", tmp_path / f"{tag}_oracle.{ext}"
+        write(str(new))
+        oracle(str(old))
+        assert new.read_bytes() == old.read_bytes(), (tag, ext)
+
+
+def stepped_state(mode, surface, metrics, target, support, steps=5):
+    mats = solver.MaterialParams.uniform(mode, surface, eps=1.0, mu=1.0, sigma=0.1)
+    stepper = solver.assemble(mode, surface, metrics, mats, 0.05)
+    source = solver.SourceSpec(kind="gaussian_pulse", target=target, amplitude=1.0,
+                               t0=0.1, width=0.05, support=support)
+    state = solver.initial_state(mode, surface)
+    for _ in range(steps):
+        state = solver.step(stepper, state, source)
+    return state
+
+
+def test_writers_match_per_line_oracle_after_steps(tmp_path):
+    for mode, name, target in (("TE", "icosphere_2.obj", "jm"), ("TM", "cavity_2.obj", "je")):
+        surface = bundled.bundled_surface(name)
+        metrics = mesh.compute_dual_metrics(surface)
+        state = stepped_state(mode, surface, metrics, target, [3, 4])
+        assert np.abs(state.e).max() > 0 and np.abs(state.h).max() > 0
+        assert_writers_match_oracle(tmp_path, surface, metrics, state, mode)
+
+
+def special_state(surface):
+    specials = np.array([-0.0, 5e-324, 1e16, 0.1, 1.0, -1e-300, np.inf, np.nan])
+    e = np.resize(specials, surface.n_edges)
+    h = np.resize(specials[::-1], surface.n_faces)
+    return solver.FieldState("TE", e, h, n=3, t=0.1)
+
+
+def test_writers_match_per_line_oracle_on_special_values(tmp_path):
+    surface = bundled.bundled_surface("icosphere_2.obj")
+    metrics = mesh.compute_dual_metrics(surface)
+    with np.errstate(invalid="ignore"):
+        assert_writers_match_oracle(tmp_path, surface, metrics, special_state(surface), "special")
+
+
+def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(output, "WHITNEY_BLOCK_FACES", 7)
+    surface = bundled.bundled_surface("icosphere_2.obj")
+    metrics = mesh.compute_dual_metrics(surface)
+    # several blocks per section, each with a short last block
+    assert all(n % 7 for n in (surface.n_vertices, surface.n_edges, surface.n_faces))
+    state = stepped_state("TE", surface, metrics, "jm", [0])
+    assert_writers_match_oracle(tmp_path, surface, metrics, state, "blocks7")
+
+
+def test_vtk_geometry_is_formatted_once_per_surface(tmp_path):
+    surface = bundled.bundled_surface("icosphere_1.obj")
+    metrics = mesh.compute_dual_metrics(surface)
+    state = solver.initial_state("TE", surface)
+    output.write_vtk_snapshot(str(tmp_path / "a.vtk"), surface, metrics, state)
+    cached = surface._vtk_geometry
+    output.write_vtk_snapshot(str(tmp_path / "b.vtk"), surface, metrics, state)
+    assert surface._vtk_geometry is cached
+    assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
+    # a later snapshot writes the cached text, not a fresh formatting
+    object.__setattr__(surface, "_vtk_geometry", ("ASCII\nCACHED GEOMETRY\n",))
+    output.write_vtk_snapshot(str(tmp_path / "c.vtk"), surface, metrics, state)
+    assert "CACHED GEOMETRY" in (tmp_path / "c.vtk").read_text()
+
+
+def test_vtk_geometry_cache_is_per_surface(tmp_path):
+    first = bundled.bundled_surface("icosphere_1.obj")
+    moved = mesh.from_arrays(2.0 * first.vertices, first.faces)   # same cells
+    for tag, surface in (("first", first), ("moved", moved)):
+        metrics = mesh.compute_dual_metrics(surface)
+        state = stepped_state("TE", surface, metrics, "jm", [0], steps=2)
+        assert_writers_match_oracle(tmp_path, surface, metrics, state, tag)
+    assert first._vtk_geometry != moved._vtk_geometry
+
+
+def test_compare_outputs_tool(tmp_path, capsys):
+    tool = load_tool("compare_outputs")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(
+        "mesh_path = icosphere_1.obj\nmode = TE\ndt = 0.05\nsteps = 4\n"
+        "source.kind = gaussian_pulse\nsource.target = jm\nsource.amplitude = 1.0\n"
+        "source.t0 = 0.1\nsource.width = 0.05\nsource.support = 0\n"
+        "probe.p0.quantity = h\nprobe.p0.index = 0\n"
+        "output.cadence = 2\noutput.formats = vtk,csv\n")
+    assert tool.main([src, src, str(cfg)]) == 0
+    assert "same" in capsys.readouterr().out
+
+    # a copy whose CSV snapshot header differs is caught, file by file
+    mutant = tmp_path / "mutant"
+    shutil.copytree(os.path.join(src, "decem"), mutant / "decem",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    writer = mutant / "decem" / "output.py"
+    writer.write_text(writer.read_text().replace("exact regression contract", "changed"))
+    assert tool.main([src, str(mutant), str(cfg)]) == 1
+    differing = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("DIFFERS")]
+    assert [line.rsplit(": ", 1)[1] for line in differing] == [
+        "snapshot_000000.csv", "snapshot_000002.csv", "snapshot_000004.csv"]
