@@ -32,46 +32,15 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     warn via flags.initial_constraint).  A non-finite energy at a cadence
     aborts the run with a ``SolverError`` naming the step.
     """
-    surface = load_obj(cfg.mesh_path)
-    materials = cfg.validate_against(surface)
-    metrics = compute_dual_metrics(
-        surface, allow_non_well_centered=cfg.allow_non_well_centered
-    )
-    stepper = sv.assemble(
-        cfg.mode, surface, metrics, materials, cfg.dt,
-        solver=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
-        jm_sign=cfg.jm_sign, allow_indefinite=cfg.allow_indefinite,
-    )
-    stars = stepper.stars
-
-    state = initial if initial is not None else sv.initial_state(cfg.mode, surface)
-    if initial is not None:
-        res = sv.gauss_residuals(state, surface, stars, materials)
-        scale = sv.gauss_residual_scale(state, surface, stars, materials)
-        worst = max(np.abs(res.electric).max(), np.abs(res.magnetic).max())
-        if worst > 1e-8 * max(scale, 1e-300):
-            msg = (
-                f"initial data violates the divergence constraint "
-                f"(residual {worst:.3e}, scale {scale:.3e})"
-            )
-            if cfg.initial_constraint == "abort":
-                raise sv.SolverError(msg)
-            if echo is not None:
-                echo(f"warning: {msg}")
-
     outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    probe_writer = output.ProbeWriter(os.path.join(outdir, "probes.csv"), cfg.probes)
-    log_writer = output.RunLogWriter(os.path.join(outdir, "run_log.csv"), echo=echo)
-    written: list[str] = ["probes.csv", "run_log.csv"]
     manifest_path = os.path.join(outdir, "manifest.txt")
+    written: list[str] = []
+    stepper = state = probe_writer = log_writer = None
 
     def snapshot(st):
         stem = f"snapshot_{st.n:06d}"
         if "vtk" in cfg.formats:
-            output.write_vtk_snapshot(
-                os.path.join(outdir, stem + ".vtk"), surface, metrics, st
-            )
+            output.write_vtk_snapshot(os.path.join(outdir, stem + ".vtk"), surface, st)
             written.append(stem + ".vtk")
         if "csv" in cfg.formats:
             output.write_csv_snapshot(os.path.join(outdir, stem + ".csv"), st)
@@ -85,7 +54,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
             "dt": repr(cfg.dt),
             "steps_requested": cfg.steps,
             "last_completed_step": last_step,
-            "solver": stepper.solver,
+            "solver": cfg.solver_kind if stepper is None else stepper.solver,
             "files": ",".join(written),
             **extra,
         })
@@ -98,6 +67,38 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
             raise sv.SolverError(f"non-finite energy at step {st.n}")
 
     try:
+        surface = load_obj(cfg.mesh_path)
+        materials = cfg.validate_against(surface)
+        metrics = compute_dual_metrics(
+            surface, allow_non_well_centered=cfg.allow_non_well_centered
+        )
+        stepper = sv.assemble(
+            cfg.mode, surface, metrics, materials, cfg.dt,
+            solver=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
+            jm_sign=cfg.jm_sign, allow_indefinite=cfg.allow_indefinite,
+        )
+        stars = stepper.stars
+
+        if initial is not None:
+            res = sv.gauss_residuals(initial, surface, stars, materials)
+            scale = sv.gauss_residual_scale(initial, surface, stars, materials)
+            worst = max(np.abs(res.electric).max(), np.abs(res.magnetic).max())
+            if worst > 1e-8 * max(scale, 1e-300):
+                msg = (
+                    f"initial data violates the divergence constraint "
+                    f"(residual {worst:.3e}, scale {scale:.3e})"
+                )
+                if cfg.initial_constraint == "abort":
+                    raise sv.SolverError(msg)
+                if echo is not None:
+                    echo(f"warning: {msg}")
+
+        os.makedirs(outdir, exist_ok=True)
+        probe_writer = output.ProbeWriter(os.path.join(outdir, "probes.csv"), cfg.probes)
+        log_writer = output.RunLogWriter(os.path.join(outdir, "run_log.csv"), echo=echo)
+        written += ["probes.csv", "run_log.csv"]
+        state = initial if initial is not None else sv.initial_state(cfg.mode, surface)
+
         snapshot(state)
         probe_writer.record(state)
         diagnostics(state)
@@ -111,12 +112,13 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
                 manifest("incomplete", state.n)
         manifest("complete", state.n)
     except Exception as exc:
-        error = " ".join(f"{type(exc).__name__}: {exc}".split())  # one line
-        manifest("failed", state.n, error=error)
+        if os.path.isdir(outdir):   # a set-up error creates no directory
+            error = " ".join(f"{type(exc).__name__}: {exc}".split())  # one line
+            manifest("failed", 0 if state is None else state.n, error=error)
         raise
     finally:
-        probe_writer.close()
-        log_writer.close()
+        for writer in filter(None, (probe_writer, log_writer)):
+            writer.close()
     return state
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "DualMetrics",
     "from_arrays",
     "load_obj",
-    "build_incidence",
     "compute_dual_metrics",
     "mesh_report",
 ]
@@ -155,21 +154,14 @@ def _canonical_edges(faces: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np
     return edges, inverse.reshape(-1, 3)
 
 
-def build_incidence(
-    vertices: np.ndarray, faces: np.ndarray
-) -> tuple[np.ndarray, sp.csr_matrix, sp.csr_matrix, frozenset]:
+def _incidence(vertices, faces):
     """Derive edges and the incidence matrices d0, d1 from face triples.
 
-    Returns ``(edges, d0, d1, boundary_edges)``.  Raises :class:`MeshError`
-    on non-manifold edges (more than two incident faces), edges traversed in
-    the same direction by two faces (inconsistent winding), or isolated
-    vertices.
+    Returns ``(edges, d0, d1, boundary_edges, face_edge)``, the last the
+    (F, 3) face-edge map.  Raises :class:`MeshError` on non-manifold edges
+    (more than two incident faces), edges traversed in the same direction by
+    two faces (inconsistent winding), or isolated vertices.
     """
-    return _incidence(vertices, faces)[:4]
-
-
-def _incidence(vertices, faces):
-    """``build_incidence`` plus the (F, 3) face-edge map it derives."""
     n_v = vertices.shape[0]
     n_f = faces.shape[0]
     edges, face_edge = _canonical_edges(faces, n_v)

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .mesh import DualMetrics, SimplicialSurface
+from .mesh import SimplicialSurface
 from .solver import FieldState, polarization
 
 __all__ = [
@@ -35,9 +35,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def whitney_face_vectors(
-    surface: SimplicialSurface, metrics: DualMetrics, edge_values: np.ndarray
-) -> np.ndarray:
+def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) -> np.ndarray:
     """Per-face 3-vector reconstruction of an edge cochain.
 
     Lowest-order Whitney interpolation evaluated at the barycenter: each
@@ -108,7 +106,6 @@ def _vtk_geometry(surface: SimplicialSurface) -> tuple[str, ...]:
 def write_vtk_snapshot(
     path,
     surface: SimplicialSurface,
-    metrics: DualMetrics,
     state: FieldState,
     title: str = "decem snapshot",
 ) -> None:
@@ -116,7 +113,7 @@ def write_vtk_snapshot(
     TM: e) and the Whitney vector reconstruction of the edge field."""
     pol = polarization(state.mode)
     edge_field, face_scalar = pol.place(state.e, state.h)
-    vectors = whitney_face_vectors(surface, metrics, edge_field)
+    vectors = whitney_face_vectors(surface, edge_field)
 
     with open(path, "w") as fh:
         fh.write(f"# vtk DataFile Version 3.0\n{title}\n")

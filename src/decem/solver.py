@@ -12,23 +12,25 @@ with the per-element diagonals
     p_e/m_e = (edge material / dt +- edge conduction / 2) * star1
     p_f/m_f = (face material / dt +- face conduction / 2) * |P|
 
-and the coupling sign s = +1 (TE) or -1 (TM).  Eliminating the edge unknown
-(its block is diagonal) yields one symmetric positive definite face system
-per step,
+and the coupling sign s = +1 (TE) or -1 (TM).  The edge block is diagonal,
+so ``assemble`` folds its inverse and the PEC mask into g = 1/p_e (0 on PEC
+edges), and a step is two incidence products around one face solve:
 
-    [diag(p_f) + d1 diag(1/p_e) d1^T] w^{n+1} = rhs(u^n, w^n, currents),
+    hist    = g m_e u^n - g star1 j_edge
+    [diag(p_f) + d1 diag(g) d1^T] w^{n+1} = m_f w^n - j_face - s d1 hist
+    u^{n+1} = hist + s g d1^T w^{n+1}
 
-which is factored once by a sparse LU (SuperLU) or solved each step by
-Jacobi-preconditioned CG warm-started from the current face cochain.  The
-conduction terms use the time-average of the two levels; the curl coupling is
-fully implicit, which makes the update a contraction in the energy norm for
-any dt (unconditional stability).
+The face system is factored once by a sparse LU (SuperLU) or solved each
+step by Jacobi-preconditioned CG warm-started from the current face cochain.
+The conduction terms use the time-average of the two levels; the curl
+coupling is fully implicit, which makes the update a contraction in the
+energy norm for any dt (unconditional stability).
 
 Boundary condition is PEC: in TE the tangential electric unknowns on boundary
-edges are held at zero and removed from the system; in TM the missing-face
-contribution in the d1^T rows is zero, which pins the out-of-plane electric
-field to zero at boundary edge midpoints (the dual polyline endpoint lies on
-the wall).
+edges are held at zero (g = 0 removes them from the system); in TM the
+missing-face contribution in the d1^T rows is zero, which pins the
+out-of-plane electric field to zero at boundary edge midpoints (the dual
+polyline endpoint lies on the wall).
 
 Currents are supplied as pointwise densities on their carrier elements and
 converted to integrated cochains internally (edge carriers multiply by |e|,
@@ -262,8 +264,10 @@ class ImplicitStepper:
 
     Holds the diagonal update coefficients, the face Schur system with its
     sparse LU factor (``direct``) or Jacobi preconditioner (``cg``), and the
-    solver configuration.  A stepper is immutable: stepping never changes it,
-    so one stepper can serve any number of runs.
+    solver configuration.  ``edge_inv`` is g, and ``edge_decay``/``edge_drive``
+    are g m_e and g star1 (module docstring); all three are +0.0 on PEC edges,
+    so a PEC unknown at +0.0 stays +0.0.  A stepper is immutable: stepping
+    never changes it, so one stepper can serve any number of runs.
     """
 
     mode: str
@@ -279,6 +283,9 @@ class ImplicitStepper:
     face_plus: np.ndarray
     face_minus: np.ndarray
     active_edges: np.ndarray
+    edge_inv: np.ndarray
+    edge_decay: np.ndarray
+    edge_drive: np.ndarray
     system: sp.csr_matrix
     solver: str
     tolerance: float
@@ -286,10 +293,6 @@ class ImplicitStepper:
     indefinite: bool = False
     _factor: spla.SuperLU | None = None
     _precond: sp.dia_matrix | None = None
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.system.shape[0]
 
     # -- linear solve -----------------------------------------------------
 
@@ -334,19 +337,11 @@ class ImplicitStepper:
         u, w = self.polarization.place(state.e, state.h)   # edge, face cochains
         s = self.polarization.couple_sign
         d1 = self.surface.d1_real
-        act = self.active_edges
 
-        star1_j = self.stars.star1 * j_edge
-        edge_hist = self.edge_minus * u - star1_j
-
-        rhs = self.face_minus * w - j_face
-        rhs -= s * (d1 @ np.where(act, edge_hist / self.edge_plus, 0.0))
-
+        hist = self.edge_decay * u - self.edge_drive * j_edge
+        rhs = self.face_minus * w - j_face - s * (d1 @ hist)
         w_new = self._solve(rhs, x0=w)
-
-        u_new = np.zeros_like(u)
-        coup = d1.T @ w_new
-        u_new[act] = (edge_hist[act] + s * coup[act]) / self.edge_plus[act]
+        u_new = hist + s * self.edge_inv * (d1.T @ w_new)
 
         e_new, h_new = self.polarization.place(u_new, w_new)
         return FieldState(self.mode, e_new, h_new, n=state.n + 1, t=(state.n + 1) * self.dt)
@@ -369,7 +364,7 @@ def assemble(
 
     ``solver="direct"`` (the default) factors the face system here, once;
     ``"cg"`` keeps no factor and runs Jacobi CG every step, using less memory.
-    The face system ``diag(p_f) + d1 diag(1/p_e) d1^T`` is symmetric positive
+    The face system ``diag(p_f) + d1 diag(g) d1^T`` is symmetric positive
     definite whenever every diagonal entry is positive; nonpositive entries
     (possible only with signed dual metrics or extreme conduction) raise
     ``SolverError`` unless ``allow_indefinite`` is set, in which case the
@@ -407,9 +402,13 @@ def assemble(
             "rerun with allow_indefinite to use the sparse LU solver"
         )
 
-    d1a = surface.d1_real[:, active].tocsr()
-    inv_edge = sp.diags(1.0 / edge_plus[active])
-    system = (sp.diags(face_plus) + d1a @ inv_edge @ d1a.T).tocsr()
+    def on_active(num):
+        """num / edge_plus on active edges, +0.0 on PEC edges."""
+        return np.divide(num, edge_plus, out=np.zeros(surface.n_edges), where=active)
+
+    edge_inv = on_active(1.0)
+    d1 = surface.d1_real
+    system = (sp.diags(face_plus) + d1 @ sp.diags(edge_inv) @ d1.T).tocsr()
 
     if max_iters is None:
         max_iters = int(np.ceil(10.0 * np.sqrt(system.shape[0])))
@@ -434,7 +433,8 @@ def assemble(
         materials=materials, dt=dt, jm_sign=jm_sign,
         edge_plus=edge_plus, edge_minus=edge_minus,
         face_plus=face_plus, face_minus=face_minus,
-        active_edges=active, system=system, solver=solver,
+        active_edges=active, edge_inv=edge_inv, edge_decay=on_active(edge_minus),
+        edge_drive=on_active(star1), system=system, solver=solver,
         tolerance=tolerance, max_iters=max_iters, indefinite=indefinite,
         _factor=factor, _precond=precond,
     )
@@ -451,13 +451,14 @@ def energy(state: FieldState, stars: HodgeStars, materials: MaterialParams) -> f
 
     Edge cochains are weighted by their material times star1, face cochains
     by material times face area, which reduces to the usual sum of
-    (eps E^2 + mu H^2)/2 times element area on flat meshes.
+    (eps E^2 + mu H^2)/2 times element area on flat meshes.  The sums are
+    numpy's, not BLAS dot products, so no digit depends on the thread count.
     """
     pol = polarization(state.mode)
     u, w = pol.place(state.e, state.h)
     edge_mat, face_mat = pol.place(materials.eps, materials.mu)
-    uu = u @ (edge_mat * stars.star1 * u)
-    ww = w @ (face_mat / stars.star2 * w)
+    uu = np.sum(u * (edge_mat * stars.star1 * u))
+    ww = np.sum(w * (face_mat / stars.star2 * w))
     return 0.5 * float(uu + ww)
 
 

@@ -286,6 +286,26 @@ def test_run_failure_marks_manifest_failed(tmp_path, capsys):
     assert len(errors) == 1 and "failed to converge" in errors[0]
 
 
+def test_setup_failure_replaces_earlier_manifest(tmp_path, capsys):
+    """A run that fails in set-up (here a bad source index) marks the output
+    directory of an earlier good run failed instead of leaving its manifest
+    saying complete."""
+    out = tmp_path / "out"
+    good = write_cfg(tmp_path / "good.cfg", steps="4", **{"output.directory": str(out)})
+    assert cli.main(["run", good, "--quiet"]) == 0
+    assert "status = complete" in (out / "manifest.txt").read_text().splitlines()
+    bad = write_cfg(tmp_path / "bad.cfg", **{
+        "source.support": "999", "output.directory": str(out)})
+    assert cli.main(["run", bad, "--quiet"]) == 2
+    assert "out of range" in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status = failed" in manifest
+    assert "last_completed_step = 0" in manifest
+    assert "files = " in manifest   # no file belongs to the failed run
+    errors = [l for l in manifest if l.startswith("error = ")]
+    assert len(errors) == 1 and "ConfigError" in errors[0] and "999" in errors[0]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_nonfinite_energy_aborts_with_step(tmp_path, capsys):
     # fields of order 1e200 are finite, but their energy overflows to inf

@@ -18,11 +18,10 @@ def load_tool(name):
 
 def test_whitney_reproduces_constant_tangential_field():
     surface = bundled.bundled_surface("cavity_2.obj")   # flat, z = 0
-    metrics = mesh.compute_dual_metrics(surface)
     field = np.array([0.7, -1.3, 0.0])
     v = surface.vertices
     cochain = (v[surface.edges[:, 1]] - v[surface.edges[:, 0]]) @ field
-    vectors = output.whitney_face_vectors(surface, metrics, cochain)
+    vectors = output.whitney_face_vectors(surface, cochain)
     assert np.abs(vectors - field).max() <= 1e-12
 
 
@@ -33,11 +32,10 @@ def test_whitney_blocks_match_single_pass(monkeypatch):
                                          project_unit_sphere=True)
     surface = mesh.from_arrays(verts, faces)
     assert surface.n_faces == 5120 > output.WHITNEY_BLOCK_FACES
-    metrics = mesh.compute_dual_metrics(surface)
     cochain = np.random.default_rng(3).normal(size=surface.n_edges)
-    blocked = output.whitney_face_vectors(surface, metrics, cochain)
+    blocked = output.whitney_face_vectors(surface, cochain)
     monkeypatch.setattr(output, "WHITNEY_BLOCK_FACES", surface.n_faces)
-    single = output.whitney_face_vectors(surface, metrics, cochain)
+    single = output.whitney_face_vectors(surface, cochain)
     assert np.array_equal(blocked, single)
 
 
@@ -46,10 +44,10 @@ def _fmt(x):
     return repr(float(x))
 
 
-def vtk_per_line(path, surface, metrics, state, title="decem snapshot"):
+def vtk_per_line(path, surface, state, title="decem snapshot"):
     pol = solver.polarization(state.mode)
     edge_field, face_scalar = pol.place(state.e, state.h)
-    vectors = output.whitney_face_vectors(surface, metrics, edge_field)
+    vectors = output.whitney_face_vectors(surface, edge_field)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"{title}\n")
@@ -85,10 +83,10 @@ def csv_per_line(path, state):
             fh.write(f"h,{i},{_fmt(val)}\n")
 
 
-def assert_writers_match_oracle(tmp_path, surface, metrics, state, tag):
+def assert_writers_match_oracle(tmp_path, surface, state, tag):
     pairs = [
-        (lambda p: output.write_vtk_snapshot(p, surface, metrics, state),
-         lambda p: vtk_per_line(p, surface, metrics, state), "vtk"),
+        (lambda p: output.write_vtk_snapshot(p, surface, state),
+         lambda p: vtk_per_line(p, surface, state), "vtk"),
         (lambda p: output.write_csv_snapshot(p, state),
          lambda p: csv_per_line(p, state), "csv"),
     ]
@@ -116,7 +114,7 @@ def test_writers_match_per_line_oracle_after_steps(tmp_path):
         metrics = mesh.compute_dual_metrics(surface)
         state = stepped_state(mode, surface, metrics, target, [3, 4])
         assert np.abs(state.e).max() > 0 and np.abs(state.h).max() > 0
-        assert_writers_match_oracle(tmp_path, surface, metrics, state, mode)
+        assert_writers_match_oracle(tmp_path, surface, state, mode)
 
 
 def special_state(surface):
@@ -128,9 +126,8 @@ def special_state(surface):
 
 def test_writers_match_per_line_oracle_on_special_values(tmp_path):
     surface = bundled.bundled_surface("icosphere_2.obj")
-    metrics = mesh.compute_dual_metrics(surface)
     with np.errstate(invalid="ignore"):
-        assert_writers_match_oracle(tmp_path, surface, metrics, special_state(surface), "special")
+        assert_writers_match_oracle(tmp_path, surface, special_state(surface), "special")
 
 
 def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch):
@@ -140,21 +137,20 @@ def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch
     # several blocks per section, each with a short last block
     assert all(n % 7 for n in (surface.n_vertices, surface.n_edges, surface.n_faces))
     state = stepped_state("TE", surface, metrics, "jm", [0])
-    assert_writers_match_oracle(tmp_path, surface, metrics, state, "blocks7")
+    assert_writers_match_oracle(tmp_path, surface, state, "blocks7")
 
 
 def test_vtk_geometry_is_formatted_once_per_surface(tmp_path):
     surface = bundled.bundled_surface("icosphere_1.obj")
-    metrics = mesh.compute_dual_metrics(surface)
     state = solver.initial_state("TE", surface)
-    output.write_vtk_snapshot(str(tmp_path / "a.vtk"), surface, metrics, state)
+    output.write_vtk_snapshot(str(tmp_path / "a.vtk"), surface, state)
     cached = surface._vtk_geometry
-    output.write_vtk_snapshot(str(tmp_path / "b.vtk"), surface, metrics, state)
+    output.write_vtk_snapshot(str(tmp_path / "b.vtk"), surface, state)
     assert surface._vtk_geometry is cached
     assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
     # a later snapshot writes the cached text, not a fresh formatting
     object.__setattr__(surface, "_vtk_geometry", ("ASCII\nCACHED GEOMETRY\n",))
-    output.write_vtk_snapshot(str(tmp_path / "c.vtk"), surface, metrics, state)
+    output.write_vtk_snapshot(str(tmp_path / "c.vtk"), surface, state)
     assert "CACHED GEOMETRY" in (tmp_path / "c.vtk").read_text()
 
 
@@ -164,7 +160,7 @@ def test_vtk_geometry_cache_is_per_surface(tmp_path):
     for tag, surface in (("first", first), ("moved", moved)):
         metrics = mesh.compute_dual_metrics(surface)
         state = stepped_state("TE", surface, metrics, "jm", [0], steps=2)
-        assert_writers_match_oracle(tmp_path, surface, metrics, state, tag)
+        assert_writers_match_oracle(tmp_path, surface, state, tag)
     assert first._vtk_geometry != moved._vtk_geometry
 
 
@@ -180,6 +176,10 @@ def test_compare_outputs_tool(tmp_path, capsys):
         "output.cadence = 2\noutput.formats = vtk,csv\n")
     assert tool.main([src, src, str(cfg)]) == 0
     assert "same" in capsys.readouterr().out
+    assert tool.relative_difference("-0.0", "0.0") == 0.0
+    assert tool.relative_difference("nan", "nan") == 0.0
+    assert tool.relative_difference("nan", "1.0") == float("inf")
+    assert tool.relative_difference("-2.0", "2.0") == 2.0
 
     # a copy whose CSV snapshot header differs is caught, file by file
     mutant = tmp_path / "mutant"
@@ -188,7 +188,26 @@ def test_compare_outputs_tool(tmp_path, capsys):
     writer = mutant / "decem" / "output.py"
     writer.write_text(writer.read_text().replace("exact regression contract", "changed"))
     assert tool.main([src, str(mutant), str(cfg)]) == 1
-    differing = [line for line in capsys.readouterr().out.splitlines()
-                 if line.startswith("DIFFERS")]
+    lines = capsys.readouterr().out.splitlines()
+    differing = [line for line in lines if line.startswith("DIFFERS")]
     assert [line.rsplit(": ", 1)[1] for line in differing] == [
         "snapshot_000000.csv", "snapshot_000002.csv", "snapshot_000004.csv"]
+    # each is followed by how it differs: in its text, not in its numbers
+    details = [line.strip() for line in lines if line.startswith(" ")]
+    assert len(details) == 3
+    assert all(d.startswith("text differs, max relative difference 0 over ")
+               for d in details)
+
+    # a copy whose energies are 1e-9 larger differs in run_log.csv numbers only
+    scaled = tmp_path / "scaled"
+    shutil.copytree(os.path.join(src, "decem"), scaled / "decem",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    energy = scaled / "decem" / "solver.py"
+    text = energy.read_text()
+    assert text.count("return 0.5 * float(uu + ww)") == 1
+    energy.write_text(text.replace("return 0.5 * float(uu + ww)",
+                                   "return 0.5 * float(uu + ww) * (1 + 1e-9)"))
+    assert tool.main([src, str(scaled), str(cfg)]) == 1
+    assert [line.strip() for line in capsys.readouterr().out.splitlines()] == [
+        f"DIFFERS {cfg}: run_log.csv",
+        "text same, max relative difference 1e-09 over 15 numbers"]

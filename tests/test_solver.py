@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -85,7 +88,7 @@ def test_direct_has_no_size_limit_and_agrees_with_cg():
     mats = solver.MaterialParams.uniform("TM", s, eps=1.0, mu=1.0)
     direct = solver.assemble("TM", s, m, mats, dt=0.1, solver="direct")
     cg = solver.assemble("TM", s, m, mats, dt=0.1, solver="cg")
-    assert direct.n_unknowns == 2048
+    assert direct.system.shape[0] == 2048
     e0, _ = analysis.cavity_mode_fields(s, m, 0.0, 1, 1, 1.0, 1.0)
     state = solver.initial_state("TM", s, e=e0)
     a = solver.step(direct, state)
@@ -307,6 +310,39 @@ def test_initial_state_validation(icosphere1):
     assert st.h.shape == (icosphere1.n_edges,)
 
 
+ENERGY_SCRIPT = """
+import numpy as np
+from decem import dec, solver
+n_e, n_f = 61440, 40960
+out = []
+for seed in range(4):
+    rng = np.random.default_rng(seed)
+    mats = solver.MaterialParams("TE", eps=rng.uniform(1, 2, n_e), mu=rng.uniform(1, 2, n_f),
+                                 sigma=np.zeros(n_e), sigma_m=np.zeros(n_f))
+    stars = dec.HodgeStars(star0=np.ones(1), star1=rng.uniform(0.5, 1.5, n_e),
+                           star2=rng.uniform(1, 3, n_f), signed=False)
+    state = solver.FieldState("TE", rng.normal(size=n_e), rng.normal(size=n_f))
+    out.append(repr(solver.energy(state, stars, mats)))
+print(" ".join(out))
+"""
+
+
+def test_energy_does_not_depend_on_blas_threads():
+    """The energy of states as long as an icosphere L5's edge cochain reads
+    the same text with one and with two BLAS threads (a BLAS dot product of
+    this length splits its sum across threads).  On a one-CPU machine both
+    runs use one thread and the check cannot fail."""
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", ENERGY_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        texts.append(done.stdout)
+    assert texts[0] == texts[1]
+
+
 def test_derived_material_views(icosphere1):
     mats = solver.MaterialParams.uniform("TE", icosphere1, eps=3.0, mu=2.0)
     state = solver.initial_state(
@@ -482,3 +518,76 @@ def test_one_step_matches_full_coupled_solve(two_triangles):
     sol = np.linalg.solve(K, rhs)
     assert np.abs(state.e[act] - sol[:n_e]).max() < 1e-11
     assert np.abs(state.h - sol[n_e:]).max() < 1e-11
+
+
+@pytest.mark.parametrize("jm_sign", [1.0, -1.0])
+@pytest.mark.parametrize("target", ["je", "jm"])
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+def test_one_step_matches_coupled_solve_with_sources(mode, target, jm_sign, cavity1,
+                                                     cavity1_metrics):
+    """Oracle on the 128-face cavity: one step of the folded update equals
+    the dense edge+face block solve, with PEC edges (TE), lossy random
+    materials and a current on either carrier."""
+    s, m = cavity1, cavity1_metrics
+    rng = np.random.default_rng(62)
+    mats = solver.MaterialParams.from_face_values(
+        mode, s, rng.uniform(1, 2, s.n_faces), rng.uniform(1, 2, s.n_faces),
+        rng.uniform(0, 1, s.n_faces), rng.uniform(0, 1, s.n_faces))
+    dt = 0.07
+    stepper = solver.assemble(mode, s, m, mats, dt, jm_sign=jm_sign)
+    pol = solver.polarization(mode)
+    src = solver.SourceSpec(kind="gaussian_pulse", target=target, amplitude=-1.7,
+                            t0=0.02, width=0.05, support=[0, 3, 40, 41])
+    act = stepper.active_edges
+    assert act.all() == (mode == "TM")
+    u0 = np.where(act, rng.normal(size=s.n_edges), 0.0)
+    w0 = rng.normal(size=s.n_faces)
+    state = solver.step(stepper, solver.initial_state(mode, s, *pol.place(u0, w0)), src)
+    u1, w1 = pol.place(state.e, state.h)
+
+    # integrated currents at the half step, independently of the stepper
+    on_edges = pol.on_edges(target)
+    j = np.zeros(s.n_edges if on_edges else s.n_faces)
+    measure = m.edge_len if on_edges else m.face_area
+    j[src.support] = src.waveform(0.5 * dt) * measure[src.support]
+    j *= jm_sign if target == "jm" else 1.0
+    j_edge, j_face = (j, np.zeros(s.n_faces)) if on_edges else (np.zeros(s.n_edges), j)
+
+    # p_e u' - s d1^T w' = m_e u - star1 j_edge;  s d1 u' + p_f w' = m_f w - j_face
+    c = pol.couple_sign
+    d1 = s.d1_real.toarray()[:, act]
+    n_e, n_f = int(act.sum()), s.n_faces
+    K = np.zeros((n_e + n_f, n_e + n_f))
+    K[:n_e, :n_e] = np.diag(stepper.edge_plus[act])
+    K[:n_e, n_e:] = -c * d1.T
+    K[n_e:, :n_e] = c * d1
+    K[n_e:, n_e:] = np.diag(stepper.face_plus)
+    rhs = np.concatenate([
+        stepper.edge_minus[act] * u0[act] - stepper.stars.star1[act] * j_edge[act],
+        stepper.face_minus * w0 - j_face])
+    sol = np.linalg.solve(K, rhs)
+    scale = np.abs(sol).max()
+    assert np.abs(u1[act] - sol[:n_e]).max() <= 1e-12 * scale
+    assert np.abs(w1 - sol[n_e:]).max() <= 1e-12 * scale
+    assert not u1[~act].any()
+
+
+def test_pec_edges_stay_positive_zero_under_negative_edge_current(cavity1, cavity1_metrics):
+    """A negative je on boundary (and interior) edges leaves every TE PEC edge
+    at +0.0, never -0.0, which would print differently in the CSV.  The
+    conduction makes edge_minus negative, so a PEC coefficient formed as a
+    product with it would be -0.0."""
+    s, m = cavity1, cavity1_metrics
+    boundary = sorted(s.boundary_edges)
+    interior = np.flatnonzero(s.interior_edge_mask)[:4].tolist()
+    mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0, sigma=150.0)
+    stepper = solver.assemble("TE", s, m, mats, dt=0.02)
+    assert (stepper.edge_minus < 0).all()
+    src = solver.SourceSpec(kind="gaussian_pulse", target="je", amplitude=-2.0,
+                            t0=0.05, width=0.05, support=boundary[::2] + interior)
+    state = solver.initial_state("TE", s)
+    for _ in range(10):
+        state = solver.step(stepper, state, src)
+        assert not state.e[boundary].any()
+        assert not np.signbit(state.e[boundary]).any()
+    assert np.abs(state.e).max() > 0 and (state.h < 0).any() and (state.h > 0).any()

@@ -8,19 +8,24 @@ Each ``src`` is a directory that holds the ``decem`` package (a checkout's
 ``src``).  Every config is run as ``python -m decem.cli <command> <cfg>
 --output-dir <dir>`` once with ``PYTHONPATH=<src_a>`` and once with
 ``PYTHONPATH=<src_b>``, each side into its own directory.  OpenBLAS and
-OpenMP are pinned to one thread: the energy in ``run_log.csv`` is a BLAS dot
-product, whose last bits depend on the thread count.
+OpenMP are pinned to one thread, so that the two sides run the same
+arithmetic whatever the machine's core count.
 
 Every file either side wrote is compared as bytes.  A file that differs or
 exists on one side only, or an exit status that differs, is printed with
-the config it came from.  The exit status is 1 if anything differed, else 0.
+the config it came from.  A file present on both sides that differs gets a
+second line: whether its non-numeric text matches, and the largest relative
+difference between the numbers at the same positions.  The exit status is 1
+if anything differed, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -51,6 +56,37 @@ def compare_dirs(a: str, b: str) -> list[str]:
     )
 
 
+# a decimal or float literal (or inf/nan) that is not part of a longer word
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
+
+
+def relative_difference(x: str, y: str) -> float:
+    """|a - b| / max(|a|, |b|) of two number texts: 0 for equal texts or
+    values (0.0 and -0.0 are equal), inf when only one is inf or nan."""
+    a, b = float(x), float(y)
+    if x == y or a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def describe_difference(path_a: str, path_b: str) -> str:
+    """Whether two text files agree outside their numbers, and how far apart
+    their numbers are."""
+    texts = []
+    for path in (path_a, path_b):
+        with open(path, errors="replace") as fh:
+            texts.append(fh.read())
+    nums_a, nums_b = (NUMBER.findall(t) for t in texts)
+    same_text = NUMBER.sub("#", texts[0]) == NUMBER.sub("#", texts[1])
+    text = "text same" if same_text else "text differs"
+    if len(nums_a) != len(nums_b):
+        return f"{text}, {len(nums_a)} != {len(nums_b)} numbers"
+    worst = max(map(relative_difference, nums_a, nums_b), default=0.0)
+    return f"{text}, max relative difference {worst:.3g} over {len(nums_a)} numbers"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src_a")
@@ -71,6 +107,9 @@ def main(argv=None) -> int:
                 diffs.insert(0, f"exit status {codes[0]} != {codes[1]}")
             for what in diffs:
                 print(f"DIFFERS {cfg}: {what}")
+                pair = [os.path.join(out, what) for out in outs]
+                if all(os.path.isfile(p) for p in pair):
+                    print(f"        {describe_difference(*pair)}")
             if not diffs:
                 n = len(os.listdir(outs[0])) if os.path.isdir(outs[0]) else 0
                 print(f"same    {cfg}: {n} files")
