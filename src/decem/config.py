@@ -67,6 +67,16 @@ def _as_bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
+def _number(raw: dict, key: str, default, kind=float, prefix: str = ""):
+    """``kind(raw.get(key, default))``; a value that does not convert is a
+    ``ConfigError`` naming ``prefix + key``."""
+    value = raw.get(key, default)
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{prefix}{key}: expected {kind.__name__}, got {value!r}") from None
+
+
 def _as_int_list(value: str, key: str):
     if not value:
         return []
@@ -212,16 +222,16 @@ def load_config(path) -> RunConfig:
         polarization(cfg.mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    cfg.dt = float(raw.get("dt", 0.0))
-    cfg.steps = int(raw.get("steps", 0))
+    cfg.dt = _number(raw, "dt", 0.0)
+    cfg.steps = _number(raw, "steps", 0, int)
     if cfg.dt <= 0:
         raise ConfigError("dt must be positive")
     if cfg.steps < 0:
         raise ConfigError("steps must be nonnegative")
-    cfg.eps = float(raw.get("material.eps", EPS0))
-    cfg.mu = float(raw.get("material.mu", MU0))
-    cfg.sigma = float(raw.get("material.sigma", 0.0))
-    cfg.sigma_m = float(raw.get("material.sigma_m", 0.0))
+    cfg.eps = _number(raw, "material.eps", EPS0)
+    cfg.mu = _number(raw, "material.mu", MU0)
+    cfg.sigma = _number(raw, "material.sigma", 0.0)
+    cfg.sigma_m = _number(raw, "material.sigma_m", 0.0)
 
     for name in sorted(regions):
         spec = regions[name]
@@ -229,20 +239,24 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"region.{name}: missing region.{name}.faces")
         faces = _as_int_list(spec.pop("faces"), f"region.{name}.faces")
         over = {}
-        for quantity, value in spec.items():
+        for quantity in spec:
             if quantity not in ("eps", "mu", "sigma", "sigma_m"):
                 raise ConfigError(f"region.{name}.{quantity}: unknown material quantity")
-            over[quantity] = float(value)
+            over[quantity] = _number(spec, quantity, None, prefix=f"region.{name}.")
         cfg.regions.append((name, faces, over))
 
-    cfg.source = SourceSpec(
+    source = dict(
         kind=raw.get("source.kind", "none"),
         target=raw.get("source.target", "je"),
-        amplitude=float(raw.get("source.amplitude", 0.0)),
-        t0=float(raw.get("source.t0", 0.0)),
-        width=float(raw.get("source.width", 1.0)),
+        amplitude=_number(raw, "source.amplitude", 0.0),
+        t0=_number(raw, "source.t0", 0.0),
+        width=_number(raw, "source.width", 1.0),
         support=_as_int_list(raw.get("source.support", ""), "source.support"),
     )
+    try:
+        cfg.source = SourceSpec(**source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     for name in sorted(probes):
         spec = probes[name]
@@ -251,10 +265,11 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"probe.{name}.quantity must be e or h")
         if "index" not in spec:
             raise ConfigError(f"probe.{name}: missing probe.{name}.index")
-        cfg.probes.append(ProbeSpec(name=name, quantity=quantity, index=int(spec["index"])))
+        index = _number(spec, "index", None, int, f"probe.{name}.")
+        cfg.probes.append(ProbeSpec(name=name, quantity=quantity, index=index))
 
     cfg.output_dir = raw.get("output.directory", "out")
-    cfg.cadence = int(raw.get("output.cadence", 1))
+    cfg.cadence = _number(raw, "output.cadence", 1, int)
     if cfg.cadence < 1:
         raise ConfigError("output.cadence must be >= 1")
     formats = tuple(
@@ -268,8 +283,8 @@ def load_config(path) -> RunConfig:
     cfg.solver_kind = raw.get("solver.kind", "direct")
     if cfg.solver_kind not in ("cg", "direct"):
         raise ConfigError("solver.kind must be cg or direct")
-    cfg.tolerance = float(raw.get("solver.tolerance", 1e-10))
-    max_iters = int(raw.get("solver.max_iters", 0))
+    cfg.tolerance = _number(raw, "solver.tolerance", 1e-10)
+    max_iters = _number(raw, "solver.max_iters", 0, int)
     cfg.max_iters = max_iters if max_iters > 0 else None
 
     cfg.allow_non_well_centered = _as_bool(
@@ -278,7 +293,7 @@ def load_config(path) -> RunConfig:
     cfg.allow_indefinite = _as_bool(
         raw.get("flags.allow_indefinite", "false"), "flags.allow_indefinite"
     )
-    cfg.jm_sign = float(raw.get("flags.jm_sign", 1.0))
+    cfg.jm_sign = _number(raw, "flags.jm_sign", 1.0)
     if cfg.jm_sign not in (1.0, -1.0):
         raise ConfigError("flags.jm_sign must be +1 or -1")
     cfg.initial_constraint = raw.get("flags.initial_constraint", "abort")
@@ -288,12 +303,12 @@ def load_config(path) -> RunConfig:
     cfg.stability_dt_factors = _as_float_list(
         raw.get("stability.dt_factors", "1e-3,1,1e3"), "stability.dt_factors"
     )
-    cfg.stability_k_samples = int(raw.get("stability.k_samples", 64))
-    cfg.convergence_time = float(raw.get("convergence.time", 1.28))
-    cfg.convergence_dt0 = float(raw.get("convergence.dt0", 0.016))
-    cfg.convergence_levels = int(raw.get("convergence.levels", 3))
-    cfg.convergence_m = int(raw.get("convergence.m", 1))
-    cfg.convergence_n = int(raw.get("convergence.n", 1))
+    cfg.stability_k_samples = _number(raw, "stability.k_samples", 64, int)
+    cfg.convergence_time = _number(raw, "convergence.time", 1.28)
+    cfg.convergence_dt0 = _number(raw, "convergence.dt0", 0.016)
+    cfg.convergence_levels = _number(raw, "convergence.levels", 3, int)
+    cfg.convergence_m = _number(raw, "convergence.m", 1, int)
+    cfg.convergence_n = _number(raw, "convergence.n", 1, int)
     if not (1 <= cfg.convergence_levels <= 3):
         raise ConfigError("convergence.levels must be 1, 2 or 3")
     return cfg

@@ -16,7 +16,9 @@ Conventions
 * Circumcenters are computed in each face's own plane in 3D; the dual of an
   edge is the polyline joining the circumcenters of its (one or two) incident
   faces through the edge midpoint, so dual lengths are correct on curved
-  surfaces.
+  surfaces.  In closed form, with theta the angle opposite edge e in a face,
+  e's dual segment there is ``|e| cot(theta) / 2`` and the circumcenter has
+  barycentric weights ``|e|^2 cot(theta)``.
 
 Construction is pure: a surface and its metrics are immutable after creation
 and safe for concurrent read-only use.
@@ -292,51 +294,27 @@ def _face_geometry(surface: SimplicialSurface):
 
     Returns ``(circumcenters, areas, signed_dist)`` where ``signed_dist[f, k]``
     is the distance from the circumcenter of face ``f`` to its k-th edge
-    (edge opposite local vertex ordering (a,b),(b,c),(c,a)), positive when
-    the circumcenter lies on the same side of the edge as the opposite
-    vertex (i.e. inside for well-centered faces).
+    (local order (a,b),(b,c),(c,a)), positive when the circumcenter lies on
+    the same side of the edge as the opposite vertex (i.e. inside for
+    well-centered faces).  With theta_k the angle at the vertex opposite edge
+    k, ``cot theta_k = (tail - opp).(head - opp) / (2 area)``, the distance is
+    ``|e_k| cot theta_k / 2`` and the circumcenter has barycentric weights
+    ``|e_k|^2 cot theta_k`` on the opposite vertices.
     """
-    v = surface.vertices
-    f = surface.faces
-    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    u = p1 - p0
-    w = p2 - p0
-    uu = np.einsum("ij,ij->i", u, u)
-    ww = np.einsum("ij,ij->i", w, w)
-    uw = np.einsum("ij,ij->i", u, w)
-    det = uu * ww - uw * uw  # = |u x w|^2
-    areas = 0.5 * np.sqrt(np.maximum(det, 0.0))
+    p = surface.vertices[surface.faces]          # (F, corner, xyz)
+    head, opp = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
+    edge_sq = np.einsum("fkx,fkx->fk", head - p, head - p)
+    two_area = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    areas = 0.5 * two_area
 
-    longest_sq = np.maximum(uu, np.maximum(ww, np.einsum("ij,ij->i", p2 - p1, p2 - p1)))
-    degenerate = np.nonzero(areas < DEGENERATE_REL * longest_sq)[0]
+    degenerate = np.nonzero(areas < DEGENERATE_REL * edge_sq.max(axis=1))[0]
     if degenerate.size:
         raise MeshError(f"degenerate face (collinear vertices): face {degenerate[0]}")
 
-    # Circumcenter c = p0 + s*u + t*w from the equidistance conditions
-    #   2 (c - p0).u = |u|^2,  2 (c - p0).w = |w|^2
-    s = 0.5 * (ww * uu - uw * ww) / det
-    t = 0.5 * (uu * ww - uw * uu) / det
-    cc = p0 + s[:, None] * u + t[:, None] * w
-
-    # signed distance from circumcenter to each edge line, in the face plane
-    corners = np.stack([p0, p1, p2], axis=1)  # (F, 3, 3)
-    signed = np.empty((f.shape[0], 3))
-    for k, (i, j, opp) in enumerate(((0, 1, 2), (1, 2, 0), (2, 0, 1))):
-        tail, head, other = corners[:, i], corners[:, j], corners[:, opp]
-        mid = 0.5 * (tail + head)
-        t_hat = head - tail
-        t_hat = t_hat / np.linalg.norm(t_hat, axis=1, keepdims=True)
-
-        def perp(x):
-            return x - np.einsum("ij,ij->i", x, t_hat)[:, None] * t_hat
-
-        to_cc = perp(cc - mid)
-        to_opp = perp(other - mid)
-        dist = np.linalg.norm(to_cc, axis=1)
-        side = np.sign(np.einsum("ij,ij->i", to_cc, to_opp))
-        # circumcenter exactly on the edge line -> distance 0, sign moot
-        signed[:, k] = dist * np.where(side == 0, 1.0, side)
-    return cc, areas, signed
+    cot = np.einsum("fkx,fkx->fk", p - opp, head - opp) / two_area[:, None]
+    weights = edge_sq * cot
+    cc = np.einsum("fk,fkx->fx", weights, opp) / weights.sum(axis=1, keepdims=True)
+    return cc, areas, 0.5 * np.sqrt(edge_sq) * cot
 
 
 def face_circumcenters(surface: SimplicialSurface) -> np.ndarray:
@@ -360,14 +338,9 @@ def compute_dual_metrics(
     edges, which would break the diagonal Hodge star.
     """
     cc, areas, signed = _face_geometry(surface)
-    f = surface.faces
-    n_e = surface.n_edges
-
-    edge_vec = surface.vertices[surface.edges[:, 1]] - surface.vertices[surface.edges[:, 0]]
-    edge_len = np.linalg.norm(edge_vec, axis=1)
-    edge_mid = 0.5 * (
-        surface.vertices[surface.edges[:, 0]] + surface.vertices[surface.edges[:, 1]]
-    )
+    ends = surface.vertices[surface.edges]       # (E, tail/head, xyz)
+    edge_len = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    edge_mid = 0.5 * (ends[:, 0] + ends[:, 1])
 
     well_centered = (signed > 0.0).all(axis=1)
     if not allow_non_well_centered and not well_centered.all():
@@ -381,30 +354,24 @@ def compute_dual_metrics(
 
     # face-local edge indices in the (a,b),(b,c),(c,a) order used by signed[]
     face_edge = surface.face_edges
+    dual_edge_len = np.bincount(face_edge.ravel(), signed.ravel(), surface.n_edges)
 
-    segment = signed if allow_non_well_centered else np.abs(signed)
-    dual_edge_len = np.zeros(n_e)
-    np.add.at(dual_edge_len, face_edge.reshape(-1), segment.reshape(-1))
-
-    interior = surface.interior_edge_mask
     zero = np.abs(dual_edge_len) <= ZERO_DUAL_REL * edge_len
     if zero.any():
         which = np.nonzero(zero)[0]
-        kind = "interior" if interior[which[0]] else "boundary"
+        kind = "interior" if surface.interior_edge_mask[which[0]] else "boundary"
         raise MeshError(
             f"zero dual edge at {kind} edge {which[0]} "
             "(adjacent triangles cocircular or circumcenter on the edge); "
             "the diagonal Hodge star would divide by zero"
         )
 
-    # kite triangles: for each (face, local edge k) the two corners tail/head
-    # each receive area |e|/4 * signed_dist
-    dual_vertex_area = np.zeros(surface.n_vertices)
-    local_pairs = ((0, 1), (1, 2), (2, 0))
-    for k, (i, j) in enumerate(local_pairs):
-        contrib = 0.25 * edge_len[face_edge[:, k]] * segment[:, k]
-        np.add.at(dual_vertex_area, f[:, i], contrib)
-        np.add.at(dual_vertex_area, f[:, j], contrib)
+    # kite triangles: for each (face, local edge k) the tail and the head
+    # corner each receive area |e|/4 * signed_dist
+    kite = (0.25 * edge_len[face_edge] * signed).ravel()
+    f, n_v = surface.faces, surface.n_vertices
+    dual_vertex_area = (np.bincount(f.ravel(), kite, n_v)
+                        + np.bincount(f[:, [1, 2, 0]].ravel(), kite, n_v))
 
     return DualMetrics(
         edge_len=edge_len,

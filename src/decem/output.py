@@ -38,36 +38,25 @@ def _fmt(x: float) -> str:
 def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) -> np.ndarray:
     """Per-face 3-vector reconstruction of an edge cochain.
 
-    Lowest-order Whitney interpolation evaluated at the barycenter: each
-    edge (u, v) of the face contributes value * (grad lambda_v -
-    grad lambda_u) / 3, which reproduces constant tangential fields exactly.
-    Faces are processed in blocks of ``WHITNEY_BLOCK_FACES`` so that the
-    (faces, 3, 3) temporaries stay small; every face's arithmetic is the
-    same as in one pass over all faces.
+    Lowest-order Whitney interpolation evaluated at the barycenter b: the
+    edge from corner k to corner k+1 contributes value * (grad lambda_{k+1} -
+    grad lambda_k) / 3 = value * N x (b - p_{k+2}) / |N|^2, with N the face
+    normal (p1 - p0) x (p2 - p0) and the sign of the value flipped where the
+    canonical (low->high) orientation runs from k+1 to k.  This reproduces
+    constant tangential fields exactly.  Faces are processed in blocks of
+    ``WHITNEY_BLOCK_FACES`` so that the (faces, 3, 3) temporaries stay small;
+    every face's arithmetic is the same as in one pass over all faces.
     """
-    out = np.zeros((surface.n_faces, 3))
+    out = np.empty((surface.n_faces, 3))
     for start in range(0, surface.n_faces, WHITNEY_BLOCK_FACES):
         rows = slice(start, start + WHITNEY_BLOCK_FACES)
         f = surface.faces[rows]
-        p = surface.vertices[f]              # (B,3,3)
+        p = surface.vertices[f]              # (B, corner, xyz)
         normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        two_area = np.linalg.norm(normal, axis=1, keepdims=True)
-        n_hat = normal / two_area
-
-        grads = np.empty_like(p)             # grad of the barycentric at each corner
-        for k in range(3):
-            opposite = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
-            grads[:, k] = np.cross(n_hat, opposite) / two_area
-
-        block = out[rows]
-        fe = surface.face_edges[rows]
-        for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-            vals = edge_values[fe[:, k]]
-            # canonical edge orientation is low->high vertex index
-            swap = f[:, i] > f[:, j]
-            gi, gj = grads[:, i].copy(), grads[:, j].copy()
-            gi[swap], gj[swap] = grads[swap, j], grads[swap, i]
-            block += vals[:, None] * (gj - gi) / 3.0
+        values = edge_values[surface.face_edges[rows]] * np.where(f < f[:, [1, 2, 0]], 1, -1)
+        arms = p.mean(axis=1, keepdims=True) - p[:, [2, 0, 1]]
+        out[rows] = (np.cross(normal, np.einsum("fk,fkx->fx", values, arms))
+                     / np.einsum("fx,fx->f", normal, normal)[:, None])
     return out
 
 

@@ -365,8 +365,9 @@ def assemble(
     ``solver="direct"`` (the default) factors the face system here, once;
     ``"cg"`` keeps no factor and runs Jacobi CG every step, using less memory.
     The face system ``diag(p_f) + d1 diag(g) d1^T`` is symmetric positive
-    definite whenever every diagonal entry is positive; nonpositive entries
-    (possible only with signed dual metrics or extreme conduction) raise
+    definite whenever every diagonal entry ``(material / dt + conduction / 2)
+    * measure`` is positive.  With material, dt > 0 and conduction >= 0, only
+    a signed dual edge (star1 <= 0) makes one nonpositive; that raises
     ``SolverError`` unless ``allow_indefinite`` is set, in which case the
     stepper is flagged ``indefinite`` and always uses the sparse LU
     (``solver`` becomes ``"direct"``), whose partial pivoting needs no
@@ -398,7 +399,7 @@ def assemble(
     if indefinite and not allow_indefinite:
         raise SolverError(
             "indefinite system: nonpositive diagonal coefficient "
-            "(signed dual metrics or extreme conduction); "
+            "(a nonpositive signed dual edge length); "
             "rerun with allow_indefinite to use the sparse LU solver"
         )
 

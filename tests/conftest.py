@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,45 @@ def two_triangles():
         [0.5, -np.sqrt(3) / 2, 0],
     ]
     return mesh.from_arrays(v, [[0, 1, 2], [0, 3, 1]])
+
+
+@pytest.fixture(scope="session")
+def obtuse_pair():
+    """An obtuse triangle next to an acute one: one negative dual segment."""
+    v = [[0, 0, 0], [1, 0, 0], [0.5, 0.15, 0], [0.5, -0.8, 0]]
+    return mesh.from_arrays(v, [[0, 1, 2], [0, 3, 1]])
+
+
+@pytest.fixture(scope="session")
+def icosphere4():
+    """Icosphere L4 (5120 faces), subdivided in memory from the bundled L3."""
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_assets.py")
+    spec = importlib.util.spec_from_file_location("make_assets", path)
+    make_assets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_assets)
+    ico3 = bundled.bundled_surface("icosphere_3.obj")
+    return mesh.from_arrays(*make_assets.subdivide(ico3.vertices, ico3.faces,
+                                                   project_unit_sphere=True))
+
+
+@pytest.fixture(scope="session")
+def jittered_cavity():
+    """cavity_2 with its vertices moved in-plane by up to 15% of the shortest
+    edge: some faces are obtuse and some dual edges negative, none zero."""
+    s = bundled.bundled_surface("cavity_2.obj")
+    shortest = mesh.compute_dual_metrics(s).edge_len.min()
+    v = s.vertices.copy()
+    v[:, :2] += 0.15 * shortest * np.random.default_rng(0).uniform(-1, 1, (len(v), 2))
+    return mesh.from_arrays(v, s.faces)
+
+
+@pytest.fixture(params=[name for name in bundled.bundled_names() if name.endswith(".obj")]
+                + ["icosphere4", "obtuse_pair", "jittered_cavity"])
+def oracle_surface(request):
+    """Every bundled mesh, a finer sphere and two non-well-centered meshes."""
+    if request.param.endswith(".obj"):
+        return bundled.bundled_surface(request.param)
+    return request.getfixturevalue(request.param)
 
 
 ICOSAHEDRON_OBJ = """\

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,25 @@ def test_config_bad_values(tmp_path):
         config.load_config(
             write_cfg(tmp_path / "c.cfg", **{"flags.allow_indefinite": "maybe"})
         )
+    # values that do not convert name their key, and source errors are
+    # config errors too
+    cases = [
+        ({"dt": "abc"}, "dt: expected float, got 'abc'"),
+        ({"steps": "1.5"}, "steps: expected int, got '1.5'"),
+        ({"probe.p0.index": "x"}, "probe.p0.index: expected int, got 'x'"),
+        ({"output.cadence": "two"}, "output.cadence: expected int, got 'two'"),
+        ({"material.eps": "?"}, "material.eps: expected float"),
+        ({"region.r.faces": "0", "region.r.mu": "hot"},
+         "region.r.mu: expected float, got 'hot'"),
+        ({"source.amplitude": "big"}, "source.amplitude: expected float"),
+        ({"source.kind": "foo"}, "unknown source kind 'foo'"),
+        ({"source.target": "jx"}, "source target must be je or jm"),
+        ({"source.width": "0"}, "source width must be positive"),
+        ({"source.width": "-1"}, "source width must be positive"),
+    ]
+    for i, (overrides, message) in enumerate(cases):
+        with pytest.raises(config.ConfigError, match=re.escape(message)):
+            config.load_config(write_cfg(tmp_path / f"d{i}.cfg", **overrides))
 
 
 def test_config_region_materials(tmp_path):

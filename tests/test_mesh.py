@@ -202,3 +202,123 @@ def test_edges_match_lexicographic_unique(icosahedron_path, icosphere1, cavity1)
         bare = mesh.SimplicialSurface(s.vertices, s.edges, s.faces, s.d0, s.d1,
                                       s.boundary_edges)
         assert np.array_equal(bare.face_edges, s.face_edges)
+
+
+# The projection code that the cotangent closed forms replaced, kept as the
+# oracle: an s/t circumcenter solve and a per-edge perpendicular projection.
+def projection_face_geometry(surface):
+    v = surface.vertices
+    f = surface.faces
+    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    u = p1 - p0
+    w = p2 - p0
+    uu = np.einsum("ij,ij->i", u, u)
+    ww = np.einsum("ij,ij->i", w, w)
+    uw = np.einsum("ij,ij->i", u, w)
+    det = uu * ww - uw * uw  # = |u x w|^2
+    areas = 0.5 * np.sqrt(np.maximum(det, 0.0))
+
+    longest_sq = np.maximum(uu, np.maximum(ww, np.einsum("ij,ij->i", p2 - p1, p2 - p1)))
+    degenerate = np.nonzero(areas < mesh.DEGENERATE_REL * longest_sq)[0]
+    if degenerate.size:
+        raise mesh.MeshError(f"degenerate face (collinear vertices): face {degenerate[0]}")
+
+    s = 0.5 * (ww * uu - uw * ww) / det
+    t = 0.5 * (uu * ww - uw * uu) / det
+    cc = p0 + s[:, None] * u + t[:, None] * w
+
+    corners = np.stack([p0, p1, p2], axis=1)  # (F, 3, 3)
+    signed = np.empty((f.shape[0], 3))
+    for k, (i, j, opp) in enumerate(((0, 1, 2), (1, 2, 0), (2, 0, 1))):
+        tail, head, other = corners[:, i], corners[:, j], corners[:, opp]
+        mid = 0.5 * (tail + head)
+        t_hat = head - tail
+        t_hat = t_hat / np.linalg.norm(t_hat, axis=1, keepdims=True)
+
+        def perp(x):
+            return x - np.einsum("ij,ij->i", x, t_hat)[:, None] * t_hat
+
+        to_cc = perp(cc - mid)
+        to_opp = perp(other - mid)
+        dist = np.linalg.norm(to_cc, axis=1)
+        side = np.sign(np.einsum("ij,ij->i", to_cc, to_opp))
+        signed[:, k] = dist * np.where(side == 0, 1.0, side)
+    return cc, areas, signed
+
+
+def projection_dual_measures(surface, signed):
+    """Dual edge lengths and vertex areas summed edge by edge with add.at."""
+    v, f, fe = surface.vertices, surface.faces, surface.face_edges
+    edge_len = np.linalg.norm(v[surface.edges[:, 1]] - v[surface.edges[:, 0]], axis=1)
+    dual_edge_len = np.zeros(surface.n_edges)
+    np.add.at(dual_edge_len, fe.reshape(-1), signed.reshape(-1))
+    dual_vertex_area = np.zeros(surface.n_vertices)
+    for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+        contrib = 0.25 * edge_len[fe[:, k]] * signed[:, k]
+        np.add.at(dual_vertex_area, f[:, i], contrib)
+        np.add.at(dual_vertex_area, f[:, j], contrib)
+    return dual_edge_len, dual_vertex_area
+
+
+def assert_close_to_scale(new, old, what):
+    scale = np.abs(old).max()
+    assert np.abs(new - old).max() <= 1e-13 * scale, what
+
+
+def test_cotangent_geometry_matches_projection_oracle(oracle_surface):
+    s = oracle_surface
+    cc, areas, signed = projection_face_geometry(s)
+    new_cc, new_areas, new_signed = mesh._face_geometry(s)
+    for new, old, what in ((new_cc, cc, "circumcenters"), (new_areas, areas, "areas"),
+                           (new_signed, signed, "signed distances")):
+        assert_close_to_scale(new, old, what)
+    assert np.array_equal(np.sign(new_signed), np.sign(signed))
+
+    well_centered = (signed > 0).all(axis=1)
+    m = mesh.compute_dual_metrics(s, allow_non_well_centered=not well_centered.all())
+    assert np.array_equal(m.well_centered, well_centered)
+    assert m.signed == (not well_centered.all())
+    dual_edge_len, dual_vertex_area = projection_dual_measures(s, signed)
+    for new, old, what in ((m.dual_edge_len, dual_edge_len, "dual_edge_len"),
+                           (m.dual_vertex_area, dual_vertex_area, "dual_vertex_area"),
+                           (m.circumcenters, cc, "circumcenters"),
+                           (m.face_area, areas, "face_area")):
+        assert_close_to_scale(new, old, what)
+    assert np.array_equal(np.sign(m.dual_edge_len), np.sign(dual_edge_len))
+
+
+def test_signed_oracle_meshes_are_not_well_centered(obtuse_pair, jittered_cavity):
+    for s in (obtuse_pair, jittered_cavity):
+        m = mesh.compute_dual_metrics(s, allow_non_well_centered=True)
+        assert not m.well_centered.all()
+        assert m.dual_edge_len.min() < 0
+
+
+def test_mesh_errors_match_projection_oracle(obtuse_pair, jittered_cavity, monkeypatch):
+    """Each geometry error fires on the same input with the same message, and
+    the degenerate check runs before any division."""
+    square = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+    cases = [
+        (mesh.from_arrays([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]]), True),
+        (mesh.from_arrays([[0, 0, 0], [1, 0, 0], [2, 0, 1e-16]], [[0, 1, 2]]), True),
+        (mesh.from_arrays(square + [[1, 2, 0]], [[0, 1, 2], [0, 2, 3], [1, 4, 2]]), True),
+        (mesh.from_arrays(square, [[0, 1, 2], [0, 2, 3]]), True),
+        (mesh.from_arrays([[0, 0, 0], [2, 0, 0], [0, 2, 0]], [[0, 1, 2]]), True),
+        (obtuse_pair, False),
+        (jittered_cavity, False),
+    ]
+    messages = []
+    for s, allow in cases:
+        with pytest.raises(mesh.MeshError) as new, np.errstate(all="raise"):
+            mesh.compute_dual_metrics(s, allow_non_well_centered=allow)
+        messages.append(str(new.value))
+    monkeypatch.setattr(mesh, "_face_geometry", projection_face_geometry)
+    for (s, allow), message in zip(cases, messages):
+        with pytest.raises(mesh.MeshError) as old:
+            mesh.compute_dual_metrics(s, allow_non_well_centered=allow)
+        assert str(old.value) == message
+    assert [m.split(" (")[0] for m in messages[:5]] == [
+        "degenerate face", "degenerate face", "degenerate face",
+        "zero dual edge at interior edge 1", "zero dual edge at boundary edge 2"]
+    assert messages[2].endswith("face 2")
+    assert all(m.startswith("non-well-centered faces") for m in messages[5:])

@@ -39,6 +39,46 @@ def test_whitney_blocks_match_single_pass(monkeypatch):
     assert np.array_equal(blocked, single)
 
 
+# The per-corner-gradient reconstruction that the closed form replaced, kept
+# as the oracle.
+def whitney_per_corner(surface, edge_values):
+    out = np.zeros((surface.n_faces, 3))
+    for start in range(0, surface.n_faces, output.WHITNEY_BLOCK_FACES):
+        rows = slice(start, start + output.WHITNEY_BLOCK_FACES)
+        f = surface.faces[rows]
+        p = surface.vertices[f]              # (B,3,3)
+        normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        two_area = np.linalg.norm(normal, axis=1, keepdims=True)
+        n_hat = normal / two_area
+
+        grads = np.empty_like(p)             # grad of the barycentric at each corner
+        for k in range(3):
+            opposite = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
+            grads[:, k] = np.cross(n_hat, opposite) / two_area
+
+        block = out[rows]
+        fe = surface.face_edges[rows]
+        for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
+            vals = edge_values[fe[:, k]]
+            # canonical edge orientation is low->high vertex index
+            swap = f[:, i] > f[:, j]
+            gi, gj = grads[:, i].copy(), grads[:, j].copy()
+            gi[swap], gj[swap] = grads[swap, j], grads[swap, i]
+            block += vals[:, None] * (gj - gi) / 3.0
+    return out
+
+
+def test_whitney_closed_form_matches_per_corner_oracle(oracle_surface):
+    s = oracle_surface
+    rng = np.random.default_rng(s.n_faces)
+    v = s.vertices
+    tangent = (v[s.edges[:, 1]] - v[s.edges[:, 0]]) @ np.array([0.3, -1.1, 0.7])
+    for cochain in (rng.normal(size=s.n_edges), tangent, np.ones(s.n_edges)):
+        old = whitney_per_corner(s, cochain)
+        new = output.whitney_face_vectors(s, cochain)
+        assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
+
+
 # The per-line writers that the block writers replaced, kept as the byte oracle.
 def _fmt(x):
     return repr(float(x))
@@ -181,6 +221,19 @@ def test_compare_outputs_tool(tmp_path, capsys):
     assert tool.relative_difference("nan", "1.0") == float("inf")
     assert tool.relative_difference("-2.0", "2.0") == 2.0
 
+    def figures(a, b):
+        nums_a, nums_b = tool.NUMBER.findall(a), tool.NUMBER.findall(b)
+        return (max(map(tool.relative_difference, nums_a, nums_b)),
+                tool.scale_relative_difference(nums_a, nums_b))
+
+    # a roundoff-level entry next to O(1) ones: pointwise relative 0.5, but
+    # 1e-20 / 4 of the file's largest magnitude
+    assert figures("1,0.5,1e-20\n2,4.0,-inf\n", "1,0.5,2e-20\n2,4.0,-inf\n") == (
+        0.5, 1e-20 / 4.0)
+    assert figures("x 1.5\n", "x 1.5\n") == (0.0, 0.0)
+    # a file of zeros that differs is infinitely far off
+    assert figures("0.0 0\n", "1e-300 0\n") == (1.0, float("inf"))
+
     # a copy whose CSV snapshot header differs is caught, file by file
     mutant = tmp_path / "mutant"
     shutil.copytree(os.path.join(src, "decem"), mutant / "decem",
@@ -210,4 +263,14 @@ def test_compare_outputs_tool(tmp_path, capsys):
     assert tool.main([src, str(scaled), str(cfg)]) == 1
     assert [line.strip() for line in capsys.readouterr().out.splitlines()] == [
         f"DIFFERS {cfg}: run_log.csv",
-        "text same, max relative difference 1e-09 over 15 numbers"]
+        "text same, max relative difference 1e-09 over 15 numbers, "
+        # the energies are measured against the file's largest number, the
+        # final step count 4
+        "scale-relative difference 8.45e-10"]
+
+    # a config that fails on both sides with the same exit status differs
+    assert tool.main([src, src, str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"DIFFERS {tmp_path}: both exited 2" in lines
+    assert not any(line.startswith("same") for line in lines)
+

@@ -12,11 +12,15 @@ OpenMP are pinned to one thread, so that the two sides run the same
 arithmetic whatever the machine's core count.
 
 Every file either side wrote is compared as bytes.  A file that differs or
-exists on one side only, or an exit status that differs, is printed with
-the config it came from.  A file present on both sides that differs gets a
-second line: whether its non-numeric text matches, and the largest relative
-difference between the numbers at the same positions.  The exit status is 1
-if anything differed, else 0.
+exists on one side only, or a nonzero exit status on either side, is
+printed with the config it came from.  A file present on both sides that
+differs gets a second line: whether its non-numeric text matches, the
+largest relative difference between the numbers at the same positions, and
+the scale-relative difference: the largest |a - b| over the file's largest
+|a|.  The first reads large on entries at roundoff level next to O(1) ones;
+the second does not, but it measures every number against the file's
+largest, so a small column (an energy next to step numbers) weighs little
+in it.  The exit status is 1 if anything differed, else 0.
 """
 
 from __future__ import annotations
@@ -60,15 +64,31 @@ def compare_dirs(a: str, b: str) -> list[str]:
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 
 
-def relative_difference(x: str, y: str) -> float:
-    """|a - b| / max(|a|, |b|) of two number texts: 0 for equal texts or
-    values (0.0 and -0.0 are equal), inf when only one is inf or nan."""
+def absolute_difference(x: str, y: str) -> float:
+    """|a - b| of two number texts: 0 for equal texts or values (0.0 and
+    -0.0 are equal), inf when only one is inf or nan."""
     a, b = float(x), float(y)
     if x == y or a == b:
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b)
+
+
+def relative_difference(x: str, y: str) -> float:
+    """|a - b| / max(|a|, |b|) of two number texts, as in
+    ``absolute_difference`` for equal and non-finite values."""
+    d = absolute_difference(x, y)
+    return d if d in (0.0, math.inf) else d / max(abs(float(x)), abs(float(y)))
+
+
+def scale_relative_difference(nums_a: list, nums_b: list) -> float:
+    """The largest |a - b| over the largest finite |a| of one file's numbers:
+    inf where a file of zeros (or of non-finite values) differs."""
+    worst = max(map(absolute_difference, nums_a, nums_b), default=0.0)
+    scale = max((abs(a) for a in map(float, nums_a) if math.isfinite(a)),
+                default=0.0)
+    return worst and (worst / scale if scale else math.inf)
 
 
 def describe_difference(path_a: str, path_b: str) -> str:
@@ -84,7 +104,9 @@ def describe_difference(path_a: str, path_b: str) -> str:
     if len(nums_a) != len(nums_b):
         return f"{text}, {len(nums_a)} != {len(nums_b)} numbers"
     worst = max(map(relative_difference, nums_a, nums_b), default=0.0)
-    return f"{text}, max relative difference {worst:.3g} over {len(nums_a)} numbers"
+    scaled = scale_relative_difference(nums_a, nums_b)
+    return (f"{text}, max relative difference {worst:.3g} over {len(nums_a)} numbers, "
+            f"scale-relative difference {scaled:.3g}")
 
 
 def main(argv=None) -> int:
@@ -105,6 +127,8 @@ def main(argv=None) -> int:
             diffs = compare_dirs(*outs)
             if codes[0] != codes[1]:
                 diffs.insert(0, f"exit status {codes[0]} != {codes[1]}")
+            elif codes[0]:
+                diffs.insert(0, f"both exited {codes[0]}")
             for what in diffs:
                 print(f"DIFFERS {cfg}: {what}")
                 pair = [os.path.join(out, what) for out in outs]
