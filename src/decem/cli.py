@@ -3,8 +3,9 @@
 
 Every simulation is one invocation; snapshots, probe CSVs and the run log go
 to the output directory together with a manifest that always names the last
-completed step (so an interrupted run leaves usable partial outputs marked
-incomplete, and a run that raised is marked failed with its error).
+completed step and lists only the files written in full (so a run that
+stops early leaves usable partial outputs: marked interrupted after a
+``KeyboardInterrupt``, failed with its error after any other exception).
 """
 
 from __future__ import annotations
@@ -111,10 +112,14 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
                 diagnostics(state)
                 manifest("incomplete", state.n)
         manifest("complete", state.n)
-    except Exception as exc:
+    except (Exception, KeyboardInterrupt) as exc:
         if os.path.isdir(outdir):   # a set-up error creates no directory
-            error = " ".join(f"{type(exc).__name__}: {exc}".split())  # one line
-            manifest("failed", 0 if state is None else state.n, error=error)
+            last = 0 if state is None else state.n
+            if isinstance(exc, KeyboardInterrupt):
+                manifest("interrupted", last)
+            else:
+                error = " ".join(f"{type(exc).__name__}: {exc}".split())  # one line
+                manifest("failed", last, error=error)
         raise
     finally:
         for writer in filter(None, (probe_writer, log_writer)):

@@ -238,8 +238,7 @@ def load_obj(path) -> SimplicialSurface:
     slash is ignored).  Other record types are skipped.  Face orientation is
     taken from the file's winding order.
     """
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
+    coords, corners = [], []   # the v x y z and f i j k tokens, in file order
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -248,18 +247,19 @@ def load_obj(path) -> SimplicialSurface:
             if tokens[0] == "v":
                 if len(tokens) < 4:
                     raise MeshError(f"{path}:{lineno}: vertex record needs 3 coordinates")
-                vertices.append([float(t) for t in tokens[1:4]])
+                coords += tokens[1:4]
             elif tokens[0] == "f":
-                idx = [int(t.split("/")[0]) - 1 for t in tokens[1:]]
-                if len(idx) != 3:
+                refs = tokens[1:]
+                if len(refs) != 3:
                     raise MeshError(
-                        f"non-triangular face at face {len(faces)} "
-                        f"({len(idx)} vertices, line {lineno})"
+                        f"non-triangular face at face {len(corners) // 3} "
+                        f"({len(refs)} vertices, line {lineno})"
                     )
-                faces.append(idx)
-    if not vertices:
+                corners += [r.partition("/")[0] for r in refs] if "/" in line else refs
+    if not coords:
         raise MeshError(f"{path}: no vertices found")
-    return from_arrays(np.array(vertices), np.array(faces))
+    return from_arrays(np.array(coords, dtype=np.float64).reshape(-1, 3),
+                       np.array(corners, dtype=np.int64).reshape(-1, 3) - 1)
 
 
 @dataclass(frozen=True)

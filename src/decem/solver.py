@@ -20,8 +20,12 @@ edges), and a step is two incidence products around one face solve:
     [diag(p_f) + d1 diag(g) d1^T] w^{n+1} = m_f w^n - j_face - s d1 hist
     u^{n+1} = hist + s g d1^T w^{n+1}
 
-The face system is factored once by a sparse LU (SuperLU) or solved each
-step by Jacobi-preconditioned CG warm-started from the current face cochain.
+``assemble`` also stores d1^T as its own CSR matrix and s g as one
+diagonal, so a step builds no operator: it allocates only the new state and
+the intermediates of these three lines, and adds a current on its support
+only (off the support the full-array formulas above subtract +0.0).  The face
+system is factored once by a sparse LU (SuperLU) or solved each step by
+Jacobi-preconditioned CG warm-started from the current face cochain.
 The conduction terms use the time-average of the two levels; the curl
 coupling is fully implicit, which makes the update a contraction in the
 energy norm for any dt (unconditional stability).
@@ -264,10 +268,12 @@ class ImplicitStepper:
 
     Holds the diagonal update coefficients, the face Schur system with its
     sparse LU factor (``direct``) or Jacobi preconditioner (``cg``), and the
-    solver configuration.  ``edge_inv`` is g, and ``edge_decay``/``edge_drive``
-    are g m_e and g star1 (module docstring); all three are +0.0 on PEC edges,
-    so a PEC unknown at +0.0 stays +0.0.  A stepper is immutable: stepping
-    never changes it, so one stepper can serve any number of runs.
+    solver configuration.  ``edge_couple`` is s g, and ``edge_decay``/
+    ``edge_drive`` are g m_e and g star1 (module docstring); all three are
+    +0.0 on PEC edges, so a PEC unknown at +0.0 stays +0.0.  ``d1`` is the
+    float incidence and ``d1t`` its transpose as CSR, built once here rather
+    than as a CSC view each step.  A stepper is immutable: stepping never
+    changes it, so one stepper can serve any number of runs.
     """
 
     mode: str
@@ -283,9 +289,11 @@ class ImplicitStepper:
     face_plus: np.ndarray
     face_minus: np.ndarray
     active_edges: np.ndarray
-    edge_inv: np.ndarray
+    edge_couple: np.ndarray
     edge_decay: np.ndarray
     edge_drive: np.ndarray
+    d1: sp.csr_matrix
+    d1t: sp.csr_matrix
     system: sp.csr_matrix
     solver: str
     tolerance: float
@@ -316,32 +324,24 @@ class ImplicitStepper:
     def advance(self, state: FieldState, sources: SourceSpec | None = None) -> FieldState:
         if state.mode != self.mode:
             raise ValueError(f"state mode {state.mode} does not match stepper {self.mode}")
-        j_edge, j_face = self._currents(state.t + 0.5 * self.dt, sources)
-        return self._advance_with_currents(state, j_edge, j_face)
-
-    def _currents(self, t_half: float, sources: SourceSpec | None):
-        """Integrated current cochains (edge carrier, face carrier) at t+dt/2."""
-        j_edge, j_face = np.zeros(self.surface.n_edges), np.zeros(self.surface.n_faces)
-        if sources is None or sources.kind == "none":
-            return j_edge, j_face
-        on_edges = self.polarization.on_edges(sources.target)
-        j = j_edge if on_edges else j_face
-        j[sources.support] = sources.waveform(t_half)
-        j *= self.metrics.edge_len if on_edges else self.metrics.face_area
-        # the magnetic current enters with the configurable sign
-        if sources.target == "jm":
-            j *= self.jm_sign
-        return j_edge, j_face
-
-    def _advance_with_currents(self, state, j_edge, j_face) -> FieldState:
         u, w = self.polarization.place(state.e, state.h)   # edge, face cochains
-        s = self.polarization.couple_sign
-        d1 = self.surface.d1_real
-
-        hist = self.edge_decay * u - self.edge_drive * j_edge
-        rhs = self.face_minus * w - j_face - s * (d1 @ hist)
+        hist = self.edge_decay * u
+        rhs = self.face_minus * w
+        if sources is not None and sources.kind != "none":
+            # integrated current at t + dt/2, subtracted on its support only
+            on_edges = self.polarization.on_edges(sources.target)
+            support = sources.support
+            measure = self.metrics.edge_len if on_edges else self.metrics.face_area
+            j = sources.waveform(state.t + 0.5 * self.dt) * measure[support]
+            if sources.target == "jm":   # the magnetic current's configurable sign
+                j *= self.jm_sign
+            if on_edges:
+                hist[support] -= self.edge_drive[support] * j
+            else:
+                rhs[support] -= j
+        rhs -= self.polarization.couple_sign * (self.d1 @ hist)
         w_new = self._solve(rhs, x0=w)
-        u_new = hist + s * self.edge_inv * (d1.T @ w_new)
+        u_new = hist + self.edge_couple * (self.d1t @ w_new)
 
         e_new, h_new = self.polarization.place(u_new, w_new)
         return FieldState(self.mode, e_new, h_new, n=state.n + 1, t=(state.n + 1) * self.dt)
@@ -407,9 +407,9 @@ def assemble(
         """num / edge_plus on active edges, +0.0 on PEC edges."""
         return np.divide(num, edge_plus, out=np.zeros(surface.n_edges), where=active)
 
-    edge_inv = on_active(1.0)
     d1 = surface.d1_real
-    system = (sp.diags(face_plus) + d1 @ sp.diags(edge_inv) @ d1.T).tocsr()
+    d1t = d1.T.tocsr()
+    system = (sp.diags(face_plus) + d1 @ sp.diags(on_active(1.0)) @ d1t).tocsr()
 
     if max_iters is None:
         max_iters = int(np.ceil(10.0 * np.sqrt(system.shape[0])))
@@ -434,8 +434,9 @@ def assemble(
         materials=materials, dt=dt, jm_sign=jm_sign,
         edge_plus=edge_plus, edge_minus=edge_minus,
         face_plus=face_plus, face_minus=face_minus,
-        active_edges=active, edge_inv=edge_inv, edge_decay=on_active(edge_minus),
-        edge_drive=on_active(star1), system=system, solver=solver,
+        active_edges=active, edge_couple=on_active(pol.couple_sign),
+        edge_decay=on_active(edge_minus), edge_drive=on_active(star1),
+        d1=d1, d1t=d1t, system=system, solver=solver,
         tolerance=tolerance, max_iters=max_iters, indefinite=indefinite,
         _factor=factor, _precond=precond,
     )

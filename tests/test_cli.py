@@ -344,6 +344,33 @@ def test_run_nonfinite_energy_aborts_with_step(tmp_path, capsys):
     assert log[-1].split(",")[2] == "inf"
 
 
+def test_keyboard_interrupt_marks_manifest_interrupted(tmp_path, monkeypatch):
+    """An interrupt in step 7 leaves a manifest that says interrupted at
+    step 6, lists exactly the files on disk, and carries no error line; the
+    interrupt itself still propagates."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(out)})
+    real_step = solver.step
+
+    def step(stepper, state, sources=None):
+        if state.n == 6:
+            raise KeyboardInterrupt
+        return real_step(stepper, state, sources)
+
+    monkeypatch.setattr(cli.sv, "step", step)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", path, "--quiet"])
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status = interrupted" in manifest
+    assert "last_completed_step = 6" in manifest
+    assert not any(line.startswith("error") for line in manifest)
+    files = next(l for l in manifest if l.startswith("files = "))[len("files = "):]
+    assert sorted(files.split(",")) == sorted(set(os.listdir(out)) - {"manifest.txt"})
+    assert "snapshot_000004.csv" in files and "snapshot_000008.csv" not in files
+    rows = (out / "probes.csv").read_text().splitlines()[4:]   # after the header
+    assert [row.split(",")[0] for row in rows] == [str(n) for n in range(7)]
+
+
 def test_manifest_write_error_keeps_previous(tmp_path):
     class Unwritable:
         def __format__(self, spec):

@@ -234,6 +234,11 @@ def test_compare_outputs_tool(tmp_path, capsys):
     # a file of zeros that differs is infinitely far off
     assert figures("0.0 0\n", "1e-300 0\n") == (1.0, float("inf"))
 
+    # per column of a CSV: comment lines skipped, text cells ignored
+    assert tool.column_differences("# c\nstep,probe,value\n1,p0,2.0\n2,p0,-4.0\n",
+                                   "# c\nstep,probe,value\n1,p0,2.5\n2,p0,-4.0\n") == (
+        "step 0, value 0.125")
+
     # a copy whose CSV snapshot header differs is caught, file by file
     mutant = tmp_path / "mutant"
     shutil.copytree(os.path.join(src, "decem"), mutant / "decem",
@@ -266,7 +271,10 @@ def test_compare_outputs_tool(tmp_path, capsys):
         "text same, max relative difference 1e-09 over 15 numbers, "
         # the energies are measured against the file's largest number, the
         # final step count 4
-        "scale-relative difference 8.45e-10"]
+        "scale-relative difference 8.45e-10",
+        # and, per column, against the largest energy
+        "per column: step 0, t 0, energy 1e-09, max_gauss_electric 0, "
+        "max_gauss_magnetic 0"]
 
     # a config that fails on both sides with the same exit status differs
     assert tool.main([src, src, str(tmp_path)]) == 1

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from decem import dec, mesh, solver
+from decem import bundled, dec, mesh, solver
 
 
 def stars_of(surface, metrics):
@@ -81,7 +81,7 @@ def test_indefinite_rejected_then_allowed():
 
 
 def test_direct_has_no_size_limit_and_agrees_with_cg():
-    from decem import analysis, bundled
+    from decem import analysis
 
     s = bundled.bundled_surface("cavity_3.obj")  # 2048 faces
     m = mesh.compute_dual_metrics(s)
@@ -591,3 +591,87 @@ def test_pec_edges_stay_positive_zero_under_negative_edge_current(cavity1, cavit
         assert not state.e[boundary].any()
         assert not np.signbit(state.e[boundary]).any()
     assert np.abs(state.e).max() > 0 and (state.h < 0).any() and (state.h > 0).any()
+
+
+# -- the step against its full-array formulas --------------------------------
+
+
+def reference_step(stepper, state, src, solve):
+    """One step by the module docstring's full-array formulas: full-length
+    current cochains j_edge/j_face, s g formed from g = 1/p_e, the CSC view
+    ``d1.T`` built on the spot, and ``solve`` for the face system."""
+    s, m, pol = stepper.surface, stepper.metrics, stepper.polarization
+    j_edge, j_face = np.zeros(s.n_edges), np.zeros(s.n_faces)
+    if src is not None and src.kind != "none":
+        on_edges = pol.on_edges(src.target)
+        j = j_edge if on_edges else j_face
+        j[src.support] = src.waveform(state.t + 0.5 * stepper.dt)
+        j *= m.edge_len if on_edges else m.face_area
+        j *= stepper.jm_sign if src.target == "jm" else 1.0
+    g = np.divide(1.0, stepper.edge_plus, out=np.zeros(s.n_edges),
+                  where=stepper.active_edges)
+    c, d1 = pol.couple_sign, s.d1_real
+    u, w = pol.place(state.e, state.h)
+    hist = stepper.edge_decay * u - stepper.edge_drive * j_edge
+    rhs = stepper.face_minus * w - j_face - c * (d1 @ hist)
+    w_new = solve(rhs, w)
+    u_new = hist + c * g * (d1.T @ w_new)
+    return solver.FieldState(state.mode, *pol.place(u_new, w_new), n=state.n + 1,
+                             t=(state.n + 1) * stepper.dt)
+
+
+def lossy_stepper(mode, name, kind="direct"):
+    """A stepper on a bundled mesh with random lossy materials and jm_sign =
+    -1, and a random start state that is zero on PEC edges."""
+    s = bundled.bundled_surface(name)
+    m = mesh.compute_dual_metrics(s)
+    rng = np.random.default_rng(8)
+    mats = solver.MaterialParams.from_face_values(
+        mode, s, rng.uniform(1, 2, s.n_faces), rng.uniform(1, 2, s.n_faces),
+        rng.uniform(0, 1, s.n_faces), rng.uniform(0, 1, s.n_faces))
+    stepper = solver.assemble(mode, s, m, mats, 0.03, solver=kind, jm_sign=-1.0)
+    pol = stepper.polarization
+    u0 = np.where(stepper.active_edges, rng.normal(size=s.n_edges), 0.0)
+    state = solver.initial_state(mode, s, *pol.place(u0, rng.normal(size=s.n_faces)))
+    return stepper, state
+
+
+@pytest.mark.parametrize("name", ["icosphere_2.obj", "cavity_1.obj"])
+@pytest.mark.parametrize("target", ["je", "jm", "none"])
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+def test_step_bitwise_equals_full_array_reference(mode, target, name):
+    """The stored d1^T, the folded s g and the current added on its support
+    only change no bit against the full-array formulas, on either carrier,
+    on a closed sphere and a PEC cavity, with a support that lists a face or
+    edge twice, and with no source (None or kind = none)."""
+    stepper, start = lossy_stepper(mode, name)
+    kind = "none" if target == "none" else "gaussian_pulse"
+    src = solver.SourceSpec(kind=kind, target="je" if target == "none" else target,
+                            amplitude=-1.7, t0=0.1, width=0.08, support=[0, 7, 7, 40])
+    solve = lambda rhs, w: stepper._factor.solve(rhs)
+    for sources in ([src, None] if target == "none" else [src]):
+        state = ref = start
+        for _ in range(8):
+            state = solver.step(stepper, state, sources)
+            ref = reference_step(stepper, ref, sources, solve)
+            assert state.e.tobytes() == ref.e.tobytes()
+            assert state.h.tobytes() == ref.h.tobytes()
+            assert (state.n, state.t) == (ref.n, ref.t)
+        assert np.abs(state.e).max() > 0 and np.abs(state.h).max() > 0
+
+
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+def test_cg_step_matches_full_array_reference(mode):
+    """The cg path agrees with the dense solution of the full-array formulas
+    to within the solver tolerance."""
+    stepper, start = lossy_stepper(mode, "cavity_1.obj", kind="cg")
+    src = solver.SourceSpec(kind="gaussian_pulse", target="jm", amplitude=2.0,
+                            t0=0.1, width=0.08, support=[3, 3, 5])
+    dense = stepper.system.toarray()
+    solve = lambda rhs, w: np.linalg.solve(dense, rhs)
+    state = ref = start
+    for _ in range(8):
+        state = solver.step(stepper, state, src)
+        ref = reference_step(stepper, ref, src, solve)
+        for a, b in ((state.e, ref.e), (state.h, ref.h)):
+            assert np.abs(a - b).max() <= 10 * stepper.tolerance * np.abs(b).max()

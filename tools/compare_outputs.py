@@ -20,7 +20,10 @@ the scale-relative difference: the largest |a - b| over the file's largest
 |a|.  The first reads large on entries at roundoff level next to O(1) ones;
 the second does not, but it measures every number against the file's
 largest, so a small column (an energy next to step numbers) weighs little
-in it.  The exit status is 1 if anything differed, else 0.
+in it.  A CSV file whose numbers differ therefore gets a third line with
+the same figure per column named in its header (its first line that does
+not start with ``#``), so an energy column is measured against energies
+only.  The exit status is 1 if anything differed, else 0.
 """
 
 from __future__ import annotations
@@ -91,9 +94,27 @@ def scale_relative_difference(nums_a: list, nums_b: list) -> float:
     return worst and (worst / scale if scale else math.inf)
 
 
+def column_differences(text_a: str, text_b: str) -> str:
+    """The scale-relative difference of each column of two CSV texts, over
+    the rows both hold and the cells that are numbers on both sides; empty
+    when the headers differ or no column holds a number."""
+    rows_a, rows_b = ([line.split(",") for line in text.splitlines()
+                       if not line.startswith("#")] for text in (text_a, text_b))
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        return ""
+    figures = []
+    for k, name in enumerate(rows_a[0]):
+        pairs = [(a[k], b[k]) for a, b in zip(rows_a[1:], rows_b[1:])
+                 if len(a) > k and len(b) > k
+                 and NUMBER.fullmatch(a[k]) and NUMBER.fullmatch(b[k])]
+        if pairs:
+            figures.append(f"{name} {scale_relative_difference(*zip(*pairs)):.3g}")
+    return ", ".join(figures)
+
+
 def describe_difference(path_a: str, path_b: str) -> str:
-    """Whether two text files agree outside their numbers, and how far apart
-    their numbers are."""
+    """Whether two text files agree outside their numbers, how far apart
+    their numbers are and, for a CSV file, how far apart each column is."""
     texts = []
     for path in (path_a, path_b):
         with open(path, errors="replace") as fh:
@@ -105,8 +126,10 @@ def describe_difference(path_a: str, path_b: str) -> str:
         return f"{text}, {len(nums_a)} != {len(nums_b)} numbers"
     worst = max(map(relative_difference, nums_a, nums_b), default=0.0)
     scaled = scale_relative_difference(nums_a, nums_b)
+    columns = column_differences(*texts) if worst and path_a.endswith(".csv") else ""
     return (f"{text}, max relative difference {worst:.3g} over {len(nums_a)} numbers, "
-            f"scale-relative difference {scaled:.3g}")
+            f"scale-relative difference {scaled:.3g}"
+            + (f"\n        per column: {columns}" if columns else ""))
 
 
 def main(argv=None) -> int:
