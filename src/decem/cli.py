@@ -11,6 +11,7 @@ stops early leaves usable partial outputs: marked interrupted after a
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -212,6 +213,10 @@ def _add_common(parser) -> None:
 
 
 def main(argv=None) -> int:
+    # A CLI process ends when main returns, so the objects that importing
+    # numpy and scipy made are never garbage.  Freezing them keeps every
+    # full collection, during the run and at exit, from walking them again.
+    gc.freeze()
     parser = argparse.ArgumentParser(
         prog="decem",
         description="implicit DEC time-domain Maxwell solver on triangulated surfaces",

@@ -68,13 +68,28 @@ def _as_bool(value: str, key: str) -> bool:
 
 
 def _number(raw: dict, key: str, default, kind=float, prefix: str = ""):
-    """``kind(raw.get(key, default))``; a value that does not convert is a
-    ``ConfigError`` naming ``prefix + key``."""
+    """``kind(raw.get(key, default))``; a value that does not convert, or a
+    float that is nan or infinite, is a ``ConfigError`` naming
+    ``prefix + key``."""
     value = raw.get(key, default)
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError:
         raise ConfigError(f"{prefix}{key}: expected {kind.__name__}, got {value!r}") from None
+    if kind is float and not np.isfinite(number):
+        raise ConfigError(f"{prefix}{key}: expected a finite number, got {value!r}")
+    return number
+
+
+def _material(raw: dict, key: str, default, prefix: str = "") -> float:
+    """A material value: eps and mu positive, conductivities nonnegative."""
+    value = _number(raw, key, default, prefix=prefix)
+    if key.endswith(("eps", "mu")):
+        if not value > 0:
+            raise ConfigError(f"{prefix}{key} must be positive")
+    elif not value >= 0:
+        raise ConfigError(f"{prefix}{key} must be nonnegative")
+    return value
 
 
 def _as_int_list(value: str, key: str):
@@ -88,9 +103,12 @@ def _as_int_list(value: str, key: str):
 
 def _as_float_list(value: str, key: str):
     try:
-        return [float(tok) for tok in value.split(",") if tok.strip() != ""]
+        out = [float(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated floats, got {value!r}")
+    if not np.isfinite(out).all():
+        raise ConfigError(f"{key}: expected finite numbers, got {value!r}")
+    return out
 
 
 @dataclass
@@ -228,10 +246,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError("dt must be positive")
     if cfg.steps < 0:
         raise ConfigError("steps must be nonnegative")
-    cfg.eps = _number(raw, "material.eps", EPS0)
-    cfg.mu = _number(raw, "material.mu", MU0)
-    cfg.sigma = _number(raw, "material.sigma", 0.0)
-    cfg.sigma_m = _number(raw, "material.sigma_m", 0.0)
+    cfg.eps = _material(raw, "material.eps", EPS0)
+    cfg.mu = _material(raw, "material.mu", MU0)
+    cfg.sigma = _material(raw, "material.sigma", 0.0)
+    cfg.sigma_m = _material(raw, "material.sigma_m", 0.0)
 
     for name in sorted(regions):
         spec = regions[name]
@@ -242,7 +260,7 @@ def load_config(path) -> RunConfig:
         for quantity in spec:
             if quantity not in ("eps", "mu", "sigma", "sigma_m"):
                 raise ConfigError(f"region.{name}.{quantity}: unknown material quantity")
-            over[quantity] = _number(spec, quantity, None, prefix=f"region.{name}.")
+            over[quantity] = _material(spec, quantity, None, prefix=f"region.{name}.")
         cfg.regions.append((name, faces, over))
 
     source = dict(
@@ -284,6 +302,8 @@ def load_config(path) -> RunConfig:
     if cfg.solver_kind not in ("cg", "direct"):
         raise ConfigError("solver.kind must be cg or direct")
     cfg.tolerance = _number(raw, "solver.tolerance", 1e-10)
+    if not cfg.tolerance > 0:
+        raise ConfigError("solver.tolerance must be positive")
     max_iters = _number(raw, "solver.max_iters", 0, int)
     cfg.max_iters = max_iters if max_iters > 0 else None
 

@@ -60,20 +60,24 @@ def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) ->
     return out
 
 
-def _blocks(array, dtype=np.float64):
-    """``(start, rows)`` for each block of at most ``WHITNEY_BLOCK_FACES``
-    rows of ``array``, the rows as Python scalars of ``dtype``.  A Python
-    float formats with ``repr`` to the same text as ``_fmt``, and joining
-    one block at a time keeps the text in memory small."""
-    array = np.asarray(array, dtype=dtype)
-    for start in range(0, len(array), WHITNEY_BLOCK_FACES):
-        yield start, array[start:start + WHITNEY_BLOCK_FACES].tolist()
+def _blocks(row: str, *columns):
+    """``row`` %-formatted over the rows of the 1-D arrays ``columns``, one
+    string per block of at most ``WHITNEY_BLOCK_FACES`` rows.
 
-
-def _xyz_rows(array):
-    """The ``x y z`` lines of a (N, 3) float array, one string per block."""
-    for _, rows in _blocks(array):
-        yield "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in rows)
+    Each block's columns become Python scalars through ``.tolist()``,
+    interleaved into one flat list, and the block's text is one C-level
+    ``(row * n) % tuple(flat)``: ``%r`` of a Python float is its ``repr``
+    (the text ``_fmt`` gives) and ``%d`` of a Python int its ``str``.  No
+    per-row list, tuple or generator frame is made, and formatting one
+    block at a time keeps the text in memory small.
+    """
+    width, total = len(columns), len(columns[0])
+    for start in range(0, total, WHITNEY_BLOCK_FACES):
+        n = min(WHITNEY_BLOCK_FACES, total - start)
+        flat = [None] * (width * n)
+        for j, column in enumerate(columns):
+            flat[j::width] = column[start:start + n].tolist()
+        yield (row * n) % tuple(flat)
 
 
 def _vtk_geometry(surface: SimplicialSurface) -> tuple[str, ...]:
@@ -83,10 +87,9 @@ def _vtk_geometry(surface: SimplicialSurface) -> tuple[str, ...]:
     if not hasattr(surface, "_vtk_geometry"):
         nf = surface.n_faces
         parts = [f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {surface.n_vertices} double\n"]
-        parts += _xyz_rows(surface.vertices)
+        parts += _blocks("%r %r %r\n", *np.asarray(surface.vertices, dtype=np.float64).T)
         parts.append(f"CELLS {nf} {4 * nf}\n")
-        parts += ("".join(f"3 {a} {b} {c}\n" for a, b, c in rows)
-                  for _, rows in _blocks(surface.faces, np.int64))
+        parts += _blocks("3 %d %d %d\n", *np.asarray(surface.faces, dtype=np.int64).T)
         parts.append(f"CELL_TYPES {nf}\n" + "5\n" * nf)
         object.__setattr__(surface, "_vtk_geometry", tuple(parts))
     return surface._vtk_geometry
@@ -109,10 +112,9 @@ def write_vtk_snapshot(
         fh.writelines(_vtk_geometry(surface))
         fh.write(f"CELL_DATA {surface.n_faces}\n"
                  f"SCALARS {pol.face_field} double 1\nLOOKUP_TABLE default\n")
-        for _, rows in _blocks(face_scalar):
-            fh.write("".join(f"{val!r}\n" for val in rows))
+        fh.writelines(_blocks("%r\n", np.asarray(face_scalar, dtype=np.float64)))
         fh.write(f"VECTORS {pol.edge_field}_vec double\n")
-        fh.writelines(_xyz_rows(vectors))
+        fh.writelines(_blocks("%r %r %r\n", *vectors.T))
 
 
 def write_csv_snapshot(path, state: FieldState) -> None:
@@ -122,23 +124,32 @@ def write_csv_snapshot(path, state: FieldState) -> None:
         fh.write(f"# mode={state.mode} n={state.n} t={_fmt(state.t)}\n")
         fh.write("quantity,index,value\n")
         for quantity, values in (("e", state.e), ("h", state.h)):
-            for start, rows in _blocks(values):
-                fh.write("".join(f"{quantity},{i},{val!r}\n"
-                                 for i, val in enumerate(rows, start)))
+            fh.writelines(_blocks(f"{quantity},%d,%r\n", np.arange(len(values)),
+                                  np.asarray(values, dtype=np.float64)))
 
 
 def write_growth_csv(path, report) -> None:
+    """One row per (dt, face, k) in the order of ``report.rows()``."""
+    n_dt, n_faces, n_k = report.M.shape
+    columns = (
+        np.tile(np.repeat(np.arange(n_faces), n_k), n_dt),
+        np.tile(np.asarray(report.k_grid, dtype=np.float64), n_dt * n_faces),
+        np.asarray(report.M, dtype=np.float64).ravel(),
+        np.asarray(report.xi_mod, dtype=np.float64).ravel(),
+        np.repeat(np.asarray(report.dt_list, dtype=np.float64), n_faces * n_k),
+    )
     with open(path, "w") as fh:
         fh.write("face_id,k,M,xi_mod,dt\n")
-        for face_id, k, m, xi, dt in report.rows():
-            fh.write(f"{face_id},{_fmt(k)},{_fmt(m)},{_fmt(xi)},{_fmt(dt)}\n")
+        fh.writelines(_blocks("%d,%r,%r,%r,%r\n", *columns))
 
 
 class ProbeWriter:
     """Streams probe samples (integrated cochain values) to CSV."""
 
     def __init__(self, path, probes):
-        self.probes = probes
+        # each probe's array, index and constant ",name,quantity,index," text
+        self._probes = [(p.quantity == "e", p.index, f",{p.name},{p.quantity},{p.index},")
+                         for p in probes]
         self.fh = open(path, "w")
         self.fh.write("# probe samples of integrated cochain values\n")
         self.fh.write("# (edge quantities are line integrals: field x length;\n")
@@ -146,12 +157,10 @@ class ProbeWriter:
         self.fh.write("step,t,probe,quantity,index,value\n")
 
     def record(self, state: FieldState) -> None:
-        for probe in self.probes:
-            array = state.e if probe.quantity == "e" else state.h
-            self.fh.write(
-                f"{state.n},{_fmt(state.t)},{probe.name},"
-                f"{probe.quantity},{probe.index},{_fmt(array[probe.index])}\n"
-            )
+        head = f"{state.n},{_fmt(state.t)}"
+        for on_e, index, text in self._probes:
+            value = (state.e if on_e else state.h)[index]
+            self.fh.write(f"{head}{text}{_fmt(value)}\n")
 
     def close(self):
         self.fh.close()

@@ -148,9 +148,12 @@ class MaterialParams:
 
     def __post_init__(self):
         polarization(self.mode)
-        if (self.eps <= 0).any() or (self.mu <= 0).any():
+        materials = (self.eps, self.mu, self.sigma, self.sigma_m)
+        if not all(np.isfinite(a).all() for a in materials):
+            raise ValueError("material coefficients must be finite")
+        if not ((self.eps > 0).all() and (self.mu > 0).all()):
             raise ValueError("eps and mu must be positive everywhere")
-        if (self.sigma < 0).any() or (self.sigma_m < 0).any():
+        if not ((self.sigma >= 0).all() and (self.sigma_m >= 0).all()):
             raise ValueError("conductivities must be nonnegative")
 
     @classmethod
@@ -233,7 +236,9 @@ class SourceSpec:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.target not in ("je", "jm"):
             raise ValueError(f"source target must be je or jm, got {self.target!r}")
-        if self.kind != "none" and self.width <= 0:
+        if not np.isfinite([self.amplitude, self.t0, self.width]).all():
+            raise ValueError("source amplitude, t0 and width must be finite")
+        if self.kind != "none" and not self.width > 0:
             raise ValueError("source width must be positive")
         self.support = np.asarray(self.support, dtype=int)
 
@@ -376,8 +381,10 @@ def assemble(
     pol = polarization(mode)
     if materials.mode != mode:
         raise ValueError("materials were placed for a different mode")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ValueError("dt must be positive and finite")
+    if not (tolerance > 0 and np.isfinite(tolerance)):
+        raise ValueError("tolerance must be positive and finite")
     if solver not in ("cg", "direct"):
         raise ValueError(f"solver must be cg or direct, got {solver!r}")
 

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import os
 
@@ -5,6 +6,14 @@ import numpy as np
 import pytest
 
 from decem import bundled, mesh
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_gc():
+    """``cli.main`` freezes the heap of its process (see there); unfreeze
+    after each test so that the suite's own garbage stays collectable."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 
@@ -84,6 +85,22 @@ def test_config_bad_values(tmp_path):
         ({"source.target": "jx"}, "source target must be je or jm"),
         ({"source.width": "0"}, "source width must be positive"),
         ({"source.width": "-1"}, "source width must be positive"),
+        # non-finite and out-of-range numbers name their key before any compute
+        ({"dt": "nan"}, "dt: expected a finite number, got 'nan'"),
+        ({"dt": "inf"}, "dt: expected a finite number, got 'inf'"),
+        ({"material.eps": "nan"}, "material.eps: expected a finite number"),
+        ({"material.mu": "inf"}, "material.mu: expected a finite number"),
+        ({"material.eps": "0"}, "material.eps must be positive"),
+        ({"material.sigma": "-1"}, "material.sigma must be nonnegative"),
+        ({"region.r.faces": "0", "region.r.sigma": "nan"},
+         "region.r.sigma: expected a finite number"),
+        ({"region.r.faces": "0", "region.r.mu": "-2"}, "region.r.mu must be positive"),
+        ({"source.width": "nan"}, "source.width: expected a finite number"),
+        ({"source.amplitude": "-inf"}, "source.amplitude: expected a finite number"),
+        ({"source.t0": "nan"}, "source.t0: expected a finite number"),
+        ({"solver.tolerance": "-1"}, "solver.tolerance must be positive"),
+        ({"solver.tolerance": "nan"}, "solver.tolerance: expected a finite number"),
+        ({"stability.dt_factors": "1,nan"}, "stability.dt_factors: expected finite numbers"),
     ]
     for i, (overrides, message) in enumerate(cases):
         with pytest.raises(config.ConfigError, match=re.escape(message)):
@@ -165,6 +182,15 @@ def test_run_invalid_probe_index_fails_before_compute(tmp_path, capsys):
     assert rc == 2
     assert "out of range" in capsys.readouterr().err
     assert not out.exists()  # validation error before any compute
+
+
+def test_run_nonfinite_value_fails_before_compute(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        "material.mu": "inf", "output.directory": str(out)})
+    assert cli.main(["run", path, "--quiet"]) == 2
+    assert "material.mu: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_invalid_source_index(tmp_path, capsys):
@@ -469,3 +495,28 @@ def test_source_index_error_is_config_error(tmp_path):
     surface = bundled.bundled_surface("icosphere_1.obj")
     with pytest.raises(config.ConfigError, match=r"source support face index 999 out of range"):
         cfg.validate_against(surface)
+
+
+def test_main_freezes_the_import_graph(tmp_path):
+    assert gc.get_freeze_count() == 0   # the suite unfreezes after each test
+    path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(tmp_path / "out")})
+    assert cli.main(["run", path, "--quiet"]) == 0
+    assert gc.get_freeze_count() > 0
+
+
+def test_main_outputs_equal_run_simulation(tmp_path):
+    """The frozen heap changes no output byte: the CLI's files equal those
+    of ``run_simulation`` on the same config."""
+    via_main, via_library = tmp_path / "main", tmp_path / "library"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        "probe.p1.quantity": "e", "probe.p1.index": "5"})
+    assert cli.main(["run", path, "--quiet", "--output-dir", str(via_main)]) == 0
+    cfg = config.load_config(path)
+    cfg.output_dir = str(via_library)
+    cli.run_simulation(cfg, echo=None)
+    names = sorted(os.listdir(via_main))
+    assert names == sorted(os.listdir(via_library))
+    assert {"snapshot_000012.vtk", "snapshot_000012.csv", "probes.csv",
+            "run_log.csv", "manifest.txt"} <= set(names)
+    for name in names:
+        assert (via_main / name).read_bytes() == (via_library / name).read_bytes(), name

@@ -4,7 +4,7 @@ import shutil
 
 import numpy as np
 
-from decem import bundled, mesh, output, solver
+from decem import analysis, bundled, config, mesh, output, solver
 
 TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
 
@@ -178,6 +178,60 @@ def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch
     assert all(n % 7 for n in (surface.n_vertices, surface.n_edges, surface.n_faces))
     state = stepped_state("TE", surface, metrics, "jm", [0])
     assert_writers_match_oracle(tmp_path, surface, state, "blocks7")
+
+
+def growth_per_line(path, report):
+    with open(path, "w") as fh:
+        fh.write("face_id,k,M,xi_mod,dt\n")
+        for face_id, k, m, xi, dt in report.rows():
+            fh.write(f"{face_id},{_fmt(k)},{_fmt(m)},{_fmt(xi)},{_fmt(dt)}\n")
+
+
+def test_growth_csv_matches_per_line_oracle(tmp_path, monkeypatch):
+    surface = bundled.bundled_surface("icosphere_1.obj")
+    metrics = mesh.compute_dual_metrics(surface)
+    mats = solver.MaterialParams.uniform("TE", surface, eps=1.0, mu=1.0)
+    swept = analysis.stability_sweep(surface, metrics, mats, [1e-3, 0.1, 10.0],
+                                     k_samples=5, empirical_steps=0)
+    specials = np.array([-0.0, 5e-324, 1e16, 0.1, 1.0, -1e-300, np.inf, np.nan])
+    special = analysis.GrowthFactorReport(
+        dt_list=[0.5, 1e-300], k_grid=specials[:3], M=np.resize(specials, (2, 4, 3)),
+        xi_mod=np.resize(specials[::-1], (2, 4, 3)), c=np.ones(4))
+    for block in (output.WHITNEY_BLOCK_FACES, 7):   # one block; many, short last
+        monkeypatch.setattr(output, "WHITNEY_BLOCK_FACES", block)
+        for tag, report in (("swept", swept), ("special", special)):
+            new, old = tmp_path / f"{tag}{block}.csv", tmp_path / f"{tag}{block}_oracle.csv"
+            output.write_growth_csv(str(new), report)
+            growth_per_line(str(old), report)
+            assert new.read_bytes() == old.read_bytes(), (tag, block)
+
+
+def probes_per_line(path, probes, states):
+    with open(path, "w") as fh:
+        fh.write("# probe samples of integrated cochain values\n")
+        fh.write("# (edge quantities are line integrals: field x length;\n")
+        fh.write("#  face quantities are dual-node values)\n")
+        fh.write("step,t,probe,quantity,index,value\n")
+        for state in states:
+            for probe in probes:
+                array = state.e if probe.quantity == "e" else state.h
+                fh.write(f"{state.n},{_fmt(state.t)},{probe.name},"
+                         f"{probe.quantity},{probe.index},{_fmt(array[probe.index])}\n")
+
+
+def test_probe_writer_matches_per_line_oracle(tmp_path):
+    surface = bundled.bundled_surface("icosphere_2.obj")
+    first = special_state(surface)
+    states = [first, solver.FieldState("TE", -first.e, first.h[::-1], n=4, t=np.float64(0.2))]
+    probes = [config.ProbeSpec(name, quantity, index) for name, quantity, index in
+              (("p%d", "e", 0), ("{h}", "h", 1), ("x", "e", 6), ("y", "h", 7))]
+    writer = output.ProbeWriter(str(tmp_path / "new.csv"), probes)
+    with np.errstate(invalid="ignore"):
+        for state in states:
+            writer.record(state)
+    writer.close()
+    probes_per_line(str(tmp_path / "old.csv"), probes, states)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_vtk_geometry_is_formatted_once_per_surface(tmp_path):

@@ -60,6 +60,23 @@ def test_material_validation(icosphere1):
         solver.MaterialParams.uniform("TE", icosphere1, sigma=-0.5)
 
 
+def test_nonfinite_inputs_rejected(icosphere1, icosphere1_metrics):
+    mats = solver.MaterialParams.uniform("TE", icosphere1)
+    for dt in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            solver.assemble("TE", icosphere1, icosphere1_metrics, mats, dt=dt)
+    for tolerance in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            solver.assemble("TE", icosphere1, icosphere1_metrics, mats, dt=0.1,
+                            solver="cg", tolerance=tolerance)
+    for bad in ({"eps": np.nan}, {"mu": np.inf}, {"sigma": np.nan}, {"sigma_m": np.inf}):
+        with pytest.raises(ValueError, match="must be finite"):
+            solver.MaterialParams.uniform("TE", icosphere1, **bad)
+    for bad in ({"width": np.nan}, {"amplitude": np.inf}, {"t0": np.nan}):
+        with pytest.raises(ValueError, match="must be finite"):
+            solver.SourceSpec(kind="gaussian_pulse", support=[0], **bad)
+
+
 def test_indefinite_rejected_then_allowed():
     # obtuse/acute pair in signed mode has a negative shared dual edge
     v = [[0, 0, 0], [1, 0, 0], [0.5, 0.15, 0], [0.5, -0.8, 0]]
