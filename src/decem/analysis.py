@@ -55,6 +55,17 @@ def _face_wave_speed(surface, materials: sv.MaterialParams) -> np.ndarray:
     return 1.0 / np.sqrt(eps_f * mu_f)
 
 
+def _growth_m(surface, metrics: DualMetrics, c, faces, dt, k) -> np.ndarray:
+    """M of the module docstring for ``faces`` (an index list or slice) with
+    per-face wave speeds ``c``, each dt in ``dt`` and k in ``k``: (D, F, K)."""
+    fe = surface.face_edges[faces]
+    le, lde = metrics.edge_len[fe], metrics.dual_edge_len[fe]     # (F,3)
+    geom = ((1.0 - np.cos(lde[None, :, :] * k[:, None, None]))
+            * (le / lde)[None, :, :]).sum(axis=-1)                # (K,F)
+    base = geom.T / metrics.face_area[faces][:, None]             # (F,K)
+    return (c[faces][None, :, None] ** 2) * (dt[:, None, None] ** 2) * base[None, :, :]
+
+
 def growth_factor(face, surface, metrics: DualMetrics, materials, dt, k):
     """Growth factor data for one face: returns ``(M, (xi_plus, xi_minus))``.
 
@@ -66,14 +77,11 @@ def growth_factor(face, surface, metrics: DualMetrics, materials, dt, k):
     k = np.asarray(k, dtype=float)
     if (k < 0).any():
         raise ValueError("spatial frequency k must be nonnegative")
-    fe = surface.face_edges[face]
-    le = metrics.edge_len[fe]
-    lde = metrics.dual_edge_len[fe]
-    if (lde == 0).any():
+    if (metrics.dual_edge_len[surface.face_edges[face]] == 0).any():
         raise ValueError(f"face {face} has a zero dual edge")
-    c = _face_wave_speed(surface, materials)[face]
-    geom = (1.0 - np.cos(np.multiply.outer(k, lde))) * (le / lde)
-    M = (c * dt) ** 2 / metrics.face_area[face] * geom.sum(axis=-1)
+    c = _face_wave_speed(surface, materials)
+    M = _growth_m(surface, metrics, c, [face], np.ravel(dt), k.ravel())
+    M = M.reshape(np.shape(dt) + k.shape)[()]
     disc = np.asarray(-4.0 * M, dtype=complex)
     sq = np.sqrt(disc)
     xi_plus = (2.0 + sq) / (2.0 * (1.0 + M))
@@ -145,15 +153,8 @@ def stability_sweep(
     """
     dt_list = np.atleast_1d(np.asarray(dt_list, dtype=float))
     k_grid = np.linspace(0.0, np.pi / metrics.dual_edge_len.min(), k_samples)
-    fe = surface.face_edges
-    le = metrics.edge_len[fe]           # (F,3)
-    lde = metrics.dual_edge_len[fe]     # (F,3)
     c = _face_wave_speed(surface, materials)
-
-    geom = ((1.0 - np.cos(lde[None, :, :] * k_grid[:, None, None]))
-            * (le / lde)[None, :, :]).sum(axis=-1)        # (K,F)
-    base = geom.T / metrics.face_area[:, None]            # (F,K)
-    M = (c[None, :, None] ** 2) * (dt_list[:, None, None] ** 2) * base[None, :, :]
+    M = _growth_m(surface, metrics, c, slice(None), dt_list, k_grid)
     xi_mod = 1.0 / np.sqrt(1.0 + M)
 
     empirical = None

@@ -29,10 +29,10 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     """Execute a configured run; returns the final state.
 
     The loop keeps only the current state in memory (snapshots are
-    streamed).  A nonzero initial state must satisfy the vertex Gauss law to
-    within 1e-8 of its cancellation scale, or the run aborts (configurable to
-    warn via flags.initial_constraint).  A non-finite energy at a cadence
-    aborts the run with a ``SolverError`` naming the step.
+    streamed).  A supplied initial state must satisfy the vertex Gauss law to
+    within 1e-8 of its cancellation scale, or the run aborts with a
+    ``SolverError`` before it creates the output directory.  A non-finite
+    energy at a cadence aborts the run with a ``SolverError`` naming the step.
     """
     outdir = cfg.output_dir
     manifest_path = os.path.join(outdir, "manifest.txt")
@@ -86,14 +86,10 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
             scale = sv.gauss_residual_scale(initial, surface, stars, materials)
             worst = max(np.abs(res.electric).max(), np.abs(res.magnetic).max())
             if worst > 1e-8 * max(scale, 1e-300):
-                msg = (
+                raise sv.SolverError(
                     f"initial data violates the divergence constraint "
                     f"(residual {worst:.3e}, scale {scale:.3e})"
                 )
-                if cfg.initial_constraint == "abort":
-                    raise sv.SolverError(msg)
-                if echo is not None:
-                    echo(f"warning: {msg}")
 
         os.makedirs(outdir, exist_ok=True)
         probe_writer = output.ProbeWriter(os.path.join(outdir, "probes.csv"), cfg.probes)
@@ -192,14 +188,12 @@ def _cmd_convergence(args) -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> None:
-    if getattr(args, "output_dir", None):
+    if args.output_dir:
         cfg.output_dir = args.output_dir
-    if getattr(args, "direct_solver", False):
+    if args.direct_solver:
         cfg.solver_kind = "direct"
-    if getattr(args, "allow_non_well_centered", False):
-        cfg.allow_non_well_centered = True
-    if getattr(args, "allow_indefinite", False):
-        cfg.allow_indefinite = True
+    cfg.allow_non_well_centered |= args.allow_non_well_centered
+    cfg.allow_indefinite |= args.allow_indefinite
 
 
 def _add_common(parser) -> None:

@@ -17,8 +17,10 @@ Example::
     solver.kind = direct      # default: sparse LU; cg needs no factor in memory
 
 ``#`` starts a comment; unknown keys are rejected so typos fail fast.
-Relative mesh paths resolve against the config file's directory, falling
-back to the bundled data directory.
+``_KEYS`` lists each scalar key once, with the ``RunConfig`` (or
+``SourceSpec``) field it sets and its parser; a key left out keeps that
+field's default.  Relative mesh paths resolve against the config file's
+directory, falling back to the bundled data directory.
 """
 
 from __future__ import annotations
@@ -58,6 +60,15 @@ def parse_kv_file(path) -> dict:
     return out
 
 
+# Parsers: each takes a value's text and its full key, which every error names.
+def _text(value: str, key: str) -> str:
+    return value
+
+
+def _upper(value: str, key: str) -> str:
+    return value.upper()
+
+
 def _as_bool(value: str, key: str) -> bool:
     low = value.lower()
     if low in ("1", "true", "yes", "on"):
@@ -67,34 +78,41 @@ def _as_bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def _number(raw: dict, key: str, default, kind=float, prefix: str = ""):
-    """``kind(raw.get(key, default))``; a value that does not convert, or a
-    float that is nan or infinite, is a ``ConfigError`` naming
-    ``prefix + key``."""
-    value = raw.get(key, default)
+def _int(value: str, key: str) -> int:
     try:
-        number = kind(value)
+        return int(value)
     except ValueError:
-        raise ConfigError(f"{prefix}{key}: expected {kind.__name__}, got {value!r}") from None
-    if kind is float and not np.isfinite(number):
-        raise ConfigError(f"{prefix}{key}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{key}: expected int, got {value!r}") from None
+
+
+def _float(value: str, key: str) -> float:
+    """A finite float: nan and infinities are rejected too."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected float, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     return number
 
 
-def _material(raw: dict, key: str, default, prefix: str = "") -> float:
+def _max_iters(value: str, key: str) -> int | None:
+    """An iteration cap; 0 or less leaves the solver's own (None)."""
+    return max(_int(value, key), 0) or None
+
+
+def _material(value: str, key: str) -> float:
     """A material value: eps and mu positive, conductivities nonnegative."""
-    value = _number(raw, key, default, prefix=prefix)
+    number = _float(value, key)
     if key.endswith(("eps", "mu")):
-        if not value > 0:
-            raise ConfigError(f"{prefix}{key} must be positive")
-    elif not value >= 0:
-        raise ConfigError(f"{prefix}{key} must be nonnegative")
-    return value
+        if not number > 0:
+            raise ConfigError(f"{key} must be positive")
+    elif not number >= 0:
+        raise ConfigError(f"{key} must be nonnegative")
+    return number
 
 
 def _as_int_list(value: str, key: str):
-    if not value:
-        return []
     try:
         return [int(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError:
@@ -111,6 +129,14 @@ def _as_float_list(value: str, key: str):
     return out
 
 
+def _formats(value: str, key: str) -> tuple:
+    formats = tuple(tok.strip() for tok in value.split(",") if tok.strip())
+    for fmt in formats:
+        if fmt not in ("vtk", "csv"):
+            raise ConfigError(f"unknown output format {fmt!r}")
+    return formats
+
+
 @dataclass
 class ProbeSpec:
     name: str
@@ -120,7 +146,7 @@ class ProbeSpec:
 
 @dataclass
 class RunConfig:
-    """Validated simulation configuration (see module docstring for keys)."""
+    """Validated simulation configuration; ``_KEYS`` names each field's key."""
 
     mesh_path: str
     mode: str = "TE"
@@ -142,7 +168,6 @@ class RunConfig:
     allow_non_well_centered: bool = False
     allow_indefinite: bool = False
     jm_sign: float = 1.0
-    initial_constraint: str = "abort"   # abort | warn
     # stability / convergence command settings
     stability_dt_factors: list = field(default_factory=lambda: [1e-3, 1.0, 1e3])
     stability_k_samples: int = 64
@@ -188,25 +213,44 @@ class RunConfig:
         return self.materials(surface)
 
 
-_SCALAR_KEYS = {
-    "mesh_path", "mode", "dt", "steps",
-    "material.eps", "material.mu", "material.sigma", "material.sigma_m",
-    "source.kind", "source.target", "source.amplitude", "source.t0",
-    "source.width", "source.support",
-    "output.directory", "output.cadence", "output.formats",
-    "solver.kind", "solver.tolerance", "solver.max_iters",
-    "flags.allow_non_well_centered", "flags.allow_indefinite",
-    "flags.jm_sign", "flags.initial_constraint",
-    "stability.dt_factors", "stability.k_samples",
-    "convergence.time", "convergence.dt0", "convergence.levels",
-    "convergence.m", "convergence.n",
+# key: (the dataclass it sets, its field, the parser of its text)
+_KEYS = {
+    "mesh_path": (RunConfig, "mesh_path", _text),
+    "mode": (RunConfig, "mode", _upper),
+    "dt": (RunConfig, "dt", _float),
+    "steps": (RunConfig, "steps", _int),
+    "material.eps": (RunConfig, "eps", _material),
+    "material.mu": (RunConfig, "mu", _material),
+    "material.sigma": (RunConfig, "sigma", _material),
+    "material.sigma_m": (RunConfig, "sigma_m", _material),
+    "source.kind": (SourceSpec, "kind", _text),
+    "source.target": (SourceSpec, "target", _text),
+    "source.amplitude": (SourceSpec, "amplitude", _float),
+    "source.t0": (SourceSpec, "t0", _float),
+    "source.width": (SourceSpec, "width", _float),
+    "source.support": (SourceSpec, "support", _as_int_list),
+    "output.directory": (RunConfig, "output_dir", _text),
+    "output.cadence": (RunConfig, "cadence", _int),
+    "output.formats": (RunConfig, "formats", _formats),
+    "solver.kind": (RunConfig, "solver_kind", _text),
+    "solver.tolerance": (RunConfig, "tolerance", _float),
+    "solver.max_iters": (RunConfig, "max_iters", _max_iters),
+    "flags.allow_non_well_centered": (RunConfig, "allow_non_well_centered", _as_bool),
+    "flags.allow_indefinite": (RunConfig, "allow_indefinite", _as_bool),
+    "flags.jm_sign": (RunConfig, "jm_sign", _float),
+    "stability.dt_factors": (RunConfig, "stability_dt_factors", _as_float_list),
+    "stability.k_samples": (RunConfig, "stability_k_samples", _int),
+    "convergence.time": (RunConfig, "convergence_time", _float),
+    "convergence.dt0": (RunConfig, "convergence_dt0", _float),
+    "convergence.levels": (RunConfig, "convergence_levels", _int),
+    "convergence.m": (RunConfig, "convergence_m", _int),
+    "convergence.n": (RunConfig, "convergence_n", _int),
 }
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
     raw = parse_kv_file(path)
-    base = os.path.dirname(os.path.abspath(path))
 
     regions: dict[str, dict] = {}
     probes: dict[str, dict] = {}
@@ -217,118 +261,67 @@ def load_config(path) -> RunConfig:
         elif parts[0] == "probe" and len(parts) == 3:
             probes.setdefault(parts[1], {})[parts[2]] = raw.pop(key)
 
-    unknown = set(raw) - _SCALAR_KEYS
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "mesh_path" not in raw:
         raise ConfigError("mesh_path is required")
-
-    mesh_path = raw["mesh_path"]
-    if not os.path.isabs(mesh_path):
-        cand = os.path.join(base, mesh_path)
-        if os.path.exists(cand):
-            mesh_path = cand
-        else:
-            try:
-                mesh_path = bundled.bundled_path(mesh_path)
-            except KeyError:
-                mesh_path = cand  # keep for the error message at load time
-
-    cfg = RunConfig(mesh_path=mesh_path)
-    cfg.mode = raw.get("mode", "TE").upper()
+    values: dict = {RunConfig: {}, SourceSpec: {}}
+    for key, text in raw.items():
+        owner, name, parse = _KEYS[key]
+        values[owner][name] = parse(text, key)
+    try:
+        source = SourceSpec(**values[SourceSpec])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    cfg = RunConfig(source=source, **values[RunConfig])
+    # the range rules, on the final values (defaults included)
     try:
         polarization(cfg.mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    cfg.dt = _number(raw, "dt", 0.0)
-    cfg.steps = _number(raw, "steps", 0, int)
-    if cfg.dt <= 0:
-        raise ConfigError("dt must be positive")
-    if cfg.steps < 0:
-        raise ConfigError("steps must be nonnegative")
-    cfg.eps = _material(raw, "material.eps", EPS0)
-    cfg.mu = _material(raw, "material.mu", MU0)
-    cfg.sigma = _material(raw, "material.sigma", 0.0)
-    cfg.sigma_m = _material(raw, "material.sigma_m", 0.0)
+    for ok, message in (
+        (cfg.dt > 0, "dt must be positive"),
+        (cfg.steps >= 0, "steps must be nonnegative"),
+        (cfg.cadence >= 1, "output.cadence must be >= 1"),
+        (cfg.solver_kind in ("cg", "direct"), "solver.kind must be cg or direct"),
+        (cfg.tolerance > 0, "solver.tolerance must be positive"),
+        (cfg.jm_sign in (1.0, -1.0), "flags.jm_sign must be +1 or -1"),
+        (cfg.stability_k_samples >= 1, "stability.k_samples must be >= 1"),
+        (min(cfg.stability_dt_factors, default=0.0) > 0,
+         "stability.dt_factors must be nonempty and positive"),
+        (cfg.convergence_time > 0, "convergence.time must be positive"),
+        (cfg.convergence_dt0 > 0, "convergence.dt0 must be positive"),
+        (1 <= cfg.convergence_levels <= 3, "convergence.levels must be 1, 2 or 3"),
+        (cfg.convergence_m >= 1, "convergence.m must be >= 1"),
+        (cfg.convergence_n >= 1, "convergence.n must be >= 1"),
+    ):
+        if not ok:
+            raise ConfigError(message)
+    # a relative mesh path that names no file beside the config may name a
+    # bundled mesh; else it stays for the error at load time
+    mesh = os.path.join(os.path.dirname(os.path.abspath(path)), cfg.mesh_path)
+    if not os.path.exists(mesh) and cfg.mesh_path in bundled.bundled_names():
+        mesh = bundled.bundled_path(cfg.mesh_path)
+    cfg.mesh_path = mesh
 
-    for name in sorted(regions):
-        spec = regions[name]
+    for name, spec in sorted(regions.items()):
         if "faces" not in spec:
             raise ConfigError(f"region.{name}: missing region.{name}.faces")
         faces = _as_int_list(spec.pop("faces"), f"region.{name}.faces")
         over = {}
-        for quantity in spec:
+        for quantity, text in spec.items():
             if quantity not in ("eps", "mu", "sigma", "sigma_m"):
                 raise ConfigError(f"region.{name}.{quantity}: unknown material quantity")
-            over[quantity] = _material(spec, quantity, None, prefix=f"region.{name}.")
+            over[quantity] = _material(text, f"region.{name}.{quantity}")
         cfg.regions.append((name, faces, over))
 
-    source = dict(
-        kind=raw.get("source.kind", "none"),
-        target=raw.get("source.target", "je"),
-        amplitude=_number(raw, "source.amplitude", 0.0),
-        t0=_number(raw, "source.t0", 0.0),
-        width=_number(raw, "source.width", 1.0),
-        support=_as_int_list(raw.get("source.support", ""), "source.support"),
-    )
-    try:
-        cfg.source = SourceSpec(**source)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    for name in sorted(probes):
-        spec = probes[name]
+    for name, spec in sorted(probes.items()):
         quantity = spec.get("quantity", "")
         if quantity not in ("e", "h"):
             raise ConfigError(f"probe.{name}.quantity must be e or h")
         if "index" not in spec:
             raise ConfigError(f"probe.{name}: missing probe.{name}.index")
-        index = _number(spec, "index", None, int, f"probe.{name}.")
+        index = _int(spec["index"], f"probe.{name}.index")
         cfg.probes.append(ProbeSpec(name=name, quantity=quantity, index=index))
-
-    cfg.output_dir = raw.get("output.directory", "out")
-    cfg.cadence = _number(raw, "output.cadence", 1, int)
-    if cfg.cadence < 1:
-        raise ConfigError("output.cadence must be >= 1")
-    formats = tuple(
-        tok.strip() for tok in raw.get("output.formats", "vtk,csv").split(",") if tok.strip()
-    )
-    for fmt in formats:
-        if fmt not in ("vtk", "csv"):
-            raise ConfigError(f"unknown output format {fmt!r}")
-    cfg.formats = formats
-
-    cfg.solver_kind = raw.get("solver.kind", "direct")
-    if cfg.solver_kind not in ("cg", "direct"):
-        raise ConfigError("solver.kind must be cg or direct")
-    cfg.tolerance = _number(raw, "solver.tolerance", 1e-10)
-    if not cfg.tolerance > 0:
-        raise ConfigError("solver.tolerance must be positive")
-    max_iters = _number(raw, "solver.max_iters", 0, int)
-    cfg.max_iters = max_iters if max_iters > 0 else None
-
-    cfg.allow_non_well_centered = _as_bool(
-        raw.get("flags.allow_non_well_centered", "false"), "flags.allow_non_well_centered"
-    )
-    cfg.allow_indefinite = _as_bool(
-        raw.get("flags.allow_indefinite", "false"), "flags.allow_indefinite"
-    )
-    cfg.jm_sign = _number(raw, "flags.jm_sign", 1.0)
-    if cfg.jm_sign not in (1.0, -1.0):
-        raise ConfigError("flags.jm_sign must be +1 or -1")
-    cfg.initial_constraint = raw.get("flags.initial_constraint", "abort")
-    if cfg.initial_constraint not in ("abort", "warn"):
-        raise ConfigError("flags.initial_constraint must be abort or warn")
-
-    cfg.stability_dt_factors = _as_float_list(
-        raw.get("stability.dt_factors", "1e-3,1,1e3"), "stability.dt_factors"
-    )
-    cfg.stability_k_samples = _number(raw, "stability.k_samples", 64, int)
-    cfg.convergence_time = _number(raw, "convergence.time", 1.28)
-    cfg.convergence_dt0 = _number(raw, "convergence.dt0", 0.016)
-    cfg.convergence_levels = _number(raw, "convergence.levels", 3, int)
-    cfg.convergence_m = _number(raw, "convergence.m", 1, int)
-    cfg.convergence_n = _number(raw, "convergence.n", 1, int)
-    if not (1 <= cfg.convergence_levels <= 3):
-        raise ConfigError("convergence.levels must be 1, 2 or 3")
     return cfg

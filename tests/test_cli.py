@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import re
@@ -5,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from decem import bundled, cli, config, output, solver
+from decem import bundled, cli, config, mesh, output, solver
 
 
 def write_cfg(path, **overrides):
@@ -101,10 +102,70 @@ def test_config_bad_values(tmp_path):
         ({"solver.tolerance": "-1"}, "solver.tolerance must be positive"),
         ({"solver.tolerance": "nan"}, "solver.tolerance: expected a finite number"),
         ({"stability.dt_factors": "1,nan"}, "stability.dt_factors: expected finite numbers"),
+        # the stability and convergence settings have range rules too
+        ({"stability.k_samples": "0"}, "stability.k_samples must be >= 1"),
+        ({"stability.dt_factors": "-1,1"}, "stability.dt_factors must be nonempty and positive"),
+        ({"stability.dt_factors": ""}, "stability.dt_factors must be nonempty and positive"),
+        ({"convergence.time": "0"}, "convergence.time must be positive"),
+        ({"convergence.time": "-1"}, "convergence.time must be positive"),
+        ({"convergence.dt0": "-0.016"}, "convergence.dt0 must be positive"),
+        ({"convergence.m": "0"}, "convergence.m must be >= 1"),
+        ({"convergence.n": "0"}, "convergence.n must be >= 1"),
     ]
     for i, (overrides, message) in enumerate(cases):
         with pytest.raises(config.ConfigError, match=re.escape(message)):
             config.load_config(write_cfg(tmp_path / f"d{i}.cfg", **overrides))
+
+
+def test_config_key_table(tmp_path):
+    # a key left out keeps the RunConfig (or SourceSpec) field default
+    p = tmp_path / "a.cfg"
+    p.write_text("mesh_path = icosphere_1.obj\ndt = 0.1\n")
+    cfg = config.load_config(str(p))
+    assert repr(cfg) == repr(config.RunConfig(mesh_path=cfg.mesh_path, dt=0.1))
+    # every table entry names a field of the dataclass it sets
+    for key, (owner, name, _) in config._KEYS.items():
+        assert name in {f.name for f in dataclasses.fields(owner)}, key
+    # a nonpositive iteration cap leaves the solver's own
+    cfg = config.load_config(write_cfg(tmp_path / "c.cfg", **{"solver.max_iters": "0"}))
+    assert cfg.max_iters is None
+    # the removed initial-state knob is an unknown key now
+    with pytest.raises(config.ConfigError, match="unknown config keys"):
+        config.load_config(write_cfg(tmp_path / "b.cfg", **{"flags.initial_constraint": "warn"}))
+
+
+def test_range_rules_fail_before_output(tmp_path, capsys):
+    for command, overrides in (("stability", {"stability.k_samples": "0"}),
+                               ("convergence", {"convergence.m": "0"})):
+        out = tmp_path / command
+        path = write_cfg(tmp_path / f"{command}.cfg", **overrides)
+        assert cli.main([command, path, "--output-dir", str(out)]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_run_simulation_initial_state(tmp_path):
+    cfg = config.load_config(write_cfg(tmp_path / "a.cfg", steps="4"))
+    surface = bundled.bundled_surface("icosphere_1.obj")
+    metrics = mesh.compute_dual_metrics(surface)
+    star1 = metrics.dual_edge_len / metrics.edge_len
+    rng = np.random.default_rng(7)
+
+    # e = d1^T psi / star1 has star1 e = d1^T psi, so d0^T star1 e = 0: it
+    # satisfies the vertex Gauss law, runs, and is the step-0 snapshot
+    cfg.output_dir = str(tmp_path / "good")
+    e = (surface.d1_real.T @ rng.normal(size=surface.n_faces)) / star1
+    state = cli.run_simulation(cfg, initial=solver.initial_state("TE", surface, e=e), echo=None)
+    assert state.n == 4
+    rows = (tmp_path / "good" / "snapshot_000000.csv").read_text().splitlines()
+    assert [float(r.split(",")[2]) for r in rows if r.startswith("e,")] == e.tolist()
+
+    # a random edge field violates it: the run aborts before any output
+    cfg.output_dir = str(tmp_path / "bad")
+    bad = solver.initial_state("TE", surface, e=rng.normal(size=surface.n_edges))
+    with pytest.raises(solver.SolverError, match="divergence constraint"):
+        cli.run_simulation(cfg, initial=bad, echo=None)
+    assert not (tmp_path / "bad").exists()
 
 
 def test_config_region_materials(tmp_path):

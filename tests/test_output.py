@@ -270,6 +270,12 @@ def test_compare_outputs_tool(tmp_path, capsys):
         "output.cadence = 2\noutput.formats = vtk,csv\n")
     assert tool.main([src, src, str(cfg)]) == 0
     assert "same" in capsys.readouterr().out
+    conv = tmp_path / "conv.cfg"
+    conv.write_text(
+        "mesh_path = cavity_1.obj\nmode = TM\ndt = 0.016\nmaterial.eps = 1\nmaterial.mu = 1\n"
+        "convergence.time = 0.064\nconvergence.dt0 = 0.016\nconvergence.levels = 2\n")
+    assert tool.main([src, src, str(conv), "--command", "convergence"]) == 0
+    assert "2 files" in capsys.readouterr().out
     assert tool.relative_difference("-0.0", "0.0") == 0.0
     assert tool.relative_difference("nan", "nan") == 0.0
     assert tool.relative_difference("nan", "1.0") == float("inf")

@@ -2,7 +2,7 @@
 
 Usage, from any directory::
 
-    python3 tools/compare_outputs.py <src_a> <src_b> <cfg>... [--command stability]
+    python3 tools/compare_outputs.py <src_a> <src_b> <cfg>... [--command stability|convergence]
 
 Each ``src`` is a directory that holds the ``decem`` package (a checkout's
 ``src``).  Every config is run as ``python -m decem.cli <command> <cfg>
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
     p.add_argument("src_a")
     p.add_argument("src_b")
     p.add_argument("cfg", nargs="+")
-    p.add_argument("--command", choices=("run", "stability"), default="run")
+    p.add_argument("--command", choices=("run", "stability", "convergence"), default="run")
     args = p.parse_args(argv)
 
     differed = False
