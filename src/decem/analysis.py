@@ -325,8 +325,9 @@ def convergence_study(
     ``mesh_family`` is a nested refinement family (coarse to fine) of the
     unit-square cavity; ``dt_family`` the matching time steps (dt ~ h).  The
     joint order comes from running level i with dt_i; the temporal order from
-    running every dt on the finest mesh.  Errors are area-weighted relative
-    L2 errors of the face field at the final time.  Each run factors its
+    running every dt on the finest mesh, whose finest-dt run is the last
+    joint one; at least two levels are needed.  Errors are area-weighted
+    relative L2 errors of the face field at the final time.  Each run factors its
     system once with the sparse LU (``solver_kind="direct"``); ``"cg"``
     solves every step with Jacobi CG instead.
     """
@@ -334,6 +335,8 @@ def convergence_study(
     dts = [float(x) for x in dt_family]
     if len(surfaces) != len(dts):
         raise ValueError("mesh_family and dt_family must have equal length")
+    if len(surfaces) < 2:
+        raise ValueError("a convergence study needs at least two meshes")
     check_nested_family(surfaces)
     metrics = [compute_dual_metrics(s) for s in surfaces]
 
@@ -343,11 +346,13 @@ def convergence_study(
         err = _run_cavity(s, met, dt, time, m, n, eps, mu, solver_kind, tolerance)
         joint.append((h, dt, err))
 
+    # the finest mesh at the finest dt is the last joint run: reuse its error
     temporal = []
     s_fine, met_fine = surfaces[-1], metrics[-1]
-    for dt in dts:
+    for dt in dts[:-1]:
         err = _run_cavity(s_fine, met_fine, dt, time, m, n, eps, mu, solver_kind, tolerance)
         temporal.append((dt, err))
+    temporal.append(joint[-1][1:])
 
     joint_order = float(
         np.polyfit(np.log([r[1] for r in joint]), np.log([r[2] for r in joint]), 1)[0]

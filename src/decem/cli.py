@@ -29,10 +29,11 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     """Execute a configured run; returns the final state.
 
     The loop keeps only the current state in memory (snapshots are
-    streamed).  A supplied initial state must satisfy the vertex Gauss law to
-    within 1e-8 of its cancellation scale, or the run aborts with a
-    ``SolverError`` before it creates the output directory.  A non-finite
-    energy at a cadence aborts the run with a ``SolverError`` naming the step.
+    streamed).  A supplied initial state must be of the configured mode (else
+    a ``ConfigError``) and satisfy the vertex Gauss law to within 1e-8 of its
+    cancellation scale (else a ``SolverError``); either error aborts the run
+    before it creates the output directory.  A non-finite energy at a cadence
+    aborts the run with a ``SolverError`` naming the step.
     """
     outdir = cfg.output_dir
     manifest_path = os.path.join(outdir, "manifest.txt")
@@ -69,6 +70,8 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
             raise sv.SolverError(f"non-finite energy at step {st.n}")
 
     try:
+        if initial is not None and initial.mode != cfg.mode:
+            raise ConfigError(f"initial state is {initial.mode} but the run is {cfg.mode}")
         surface = load_obj(cfg.mesh_path)
         materials = cfg.validate_against(surface)
         metrics = compute_dual_metrics(
@@ -77,7 +80,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
         stepper = sv.assemble(
             cfg.mode, surface, metrics, materials, cfg.dt,
             solver=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
-            jm_sign=cfg.jm_sign, allow_indefinite=cfg.allow_indefinite,
+            allow_indefinite=cfg.allow_indefinite,
         )
         stars = stepper.stars
 
@@ -190,16 +193,12 @@ def _cmd_convergence(args) -> int:
 def _apply_overrides(cfg: RunConfig, args) -> None:
     if args.output_dir:
         cfg.output_dir = args.output_dir
-    if args.direct_solver:
-        cfg.solver_kind = "direct"
     cfg.allow_non_well_centered |= args.allow_non_well_centered
     cfg.allow_indefinite |= args.allow_indefinite
 
 
 def _add_common(parser) -> None:
     parser.add_argument("--output-dir", help="override output.directory")
-    parser.add_argument("--direct-solver", action="store_true",
-                        help="use the sparse LU solver, the default (no size limit)")
     parser.add_argument("--allow-non-well-centered", action="store_true",
                         help="accept signed dual lengths on non-well-centered meshes")
     parser.add_argument("--allow-indefinite", action="store_true",

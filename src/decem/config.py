@@ -167,7 +167,6 @@ class RunConfig:
     max_iters: int | None = None
     allow_non_well_centered: bool = False
     allow_indefinite: bool = False
-    jm_sign: float = 1.0
     # stability / convergence command settings
     stability_dt_factors: list = field(default_factory=lambda: [1e-3, 1.0, 1e3])
     stability_k_samples: int = 64
@@ -237,7 +236,6 @@ _KEYS = {
     "solver.max_iters": (RunConfig, "max_iters", _max_iters),
     "flags.allow_non_well_centered": (RunConfig, "allow_non_well_centered", _as_bool),
     "flags.allow_indefinite": (RunConfig, "allow_indefinite", _as_bool),
-    "flags.jm_sign": (RunConfig, "jm_sign", _float),
     "stability.dt_factors": (RunConfig, "stability_dt_factors", _as_float_list),
     "stability.k_samples": (RunConfig, "stability_k_samples", _int),
     "convergence.time": (RunConfig, "convergence_time", _float),
@@ -286,13 +284,12 @@ def load_config(path) -> RunConfig:
         (cfg.cadence >= 1, "output.cadence must be >= 1"),
         (cfg.solver_kind in ("cg", "direct"), "solver.kind must be cg or direct"),
         (cfg.tolerance > 0, "solver.tolerance must be positive"),
-        (cfg.jm_sign in (1.0, -1.0), "flags.jm_sign must be +1 or -1"),
         (cfg.stability_k_samples >= 1, "stability.k_samples must be >= 1"),
         (min(cfg.stability_dt_factors, default=0.0) > 0,
          "stability.dt_factors must be nonempty and positive"),
         (cfg.convergence_time > 0, "convergence.time must be positive"),
         (cfg.convergence_dt0 > 0, "convergence.dt0 must be positive"),
-        (1 <= cfg.convergence_levels <= 3, "convergence.levels must be 1, 2 or 3"),
+        (2 <= cfg.convergence_levels <= 3, "convergence.levels must be 2 or 3"),
         (cfg.convergence_m >= 1, "convergence.m must be >= 1"),
         (cfg.convergence_n >= 1, "convergence.n must be >= 1"),
     ):

@@ -134,8 +134,7 @@ class MaterialParams:
 
     TE places permittivity and electric conductivity on edges (with the
     electric field) and permeability and magnetic conductivity on faces; TM
-    swaps the placements.  ``eps0``/``mu0`` record the vacuum constants used
-    for defaults.
+    swaps the placements.
     """
 
     mode: str
@@ -143,8 +142,6 @@ class MaterialParams:
     mu: np.ndarray
     sigma: np.ndarray
     sigma_m: np.ndarray
-    eps0: float = EPS0
-    mu0: float = MU0
 
     def __post_init__(self):
         polarization(self.mode)
@@ -281,14 +278,12 @@ class ImplicitStepper:
     changes it, so one stepper can serve any number of runs.
     """
 
-    mode: str
     polarization: Polarization
     surface: SimplicialSurface
     metrics: DualMetrics
     stars: HodgeStars
     materials: MaterialParams
     dt: float
-    jm_sign: float
     edge_plus: np.ndarray
     edge_minus: np.ndarray
     face_plus: np.ndarray
@@ -307,8 +302,6 @@ class ImplicitStepper:
     _factor: spla.SuperLU | None = None
     _precond: sp.dia_matrix | None = None
 
-    # -- linear solve -----------------------------------------------------
-
     def _solve(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
         if self.solver == "direct":
             return self._factor.solve(rhs)
@@ -324,33 +317,6 @@ class ImplicitStepper:
             )
         return x
 
-    # -- time step --------------------------------------------------------
-
-    def advance(self, state: FieldState, sources: SourceSpec | None = None) -> FieldState:
-        if state.mode != self.mode:
-            raise ValueError(f"state mode {state.mode} does not match stepper {self.mode}")
-        u, w = self.polarization.place(state.e, state.h)   # edge, face cochains
-        hist = self.edge_decay * u
-        rhs = self.face_minus * w
-        if sources is not None and sources.kind != "none":
-            # integrated current at t + dt/2, subtracted on its support only
-            on_edges = self.polarization.on_edges(sources.target)
-            support = sources.support
-            measure = self.metrics.edge_len if on_edges else self.metrics.face_area
-            j = sources.waveform(state.t + 0.5 * self.dt) * measure[support]
-            if sources.target == "jm":   # the magnetic current's configurable sign
-                j *= self.jm_sign
-            if on_edges:
-                hist[support] -= self.edge_drive[support] * j
-            else:
-                rhs[support] -= j
-        rhs -= self.polarization.couple_sign * (self.d1 @ hist)
-        w_new = self._solve(rhs, x0=w)
-        u_new = hist + self.edge_couple * (self.d1t @ w_new)
-
-        e_new, h_new = self.polarization.place(u_new, w_new)
-        return FieldState(self.mode, e_new, h_new, n=state.n + 1, t=(state.n + 1) * self.dt)
-
 
 def assemble(
     mode: str,
@@ -362,7 +328,6 @@ def assemble(
     solver: str = "direct",
     tolerance: float = 1e-10,
     max_iters: int | None = None,
-    jm_sign: float = 1.0,
     allow_indefinite: bool = False,
 ) -> ImplicitStepper:
     """Build the per-step system for one polarization.
@@ -437,8 +402,8 @@ def assemble(
         precond = sp.diags(1.0 / system.diagonal())
 
     return ImplicitStepper(
-        mode=mode, polarization=pol, surface=surface, metrics=metrics, stars=stars,
-        materials=materials, dt=dt, jm_sign=jm_sign,
+        polarization=pol, surface=surface, metrics=metrics, stars=stars,
+        materials=materials, dt=dt,
         edge_plus=edge_plus, edge_minus=edge_minus,
         face_plus=face_plus, face_minus=face_minus,
         active_edges=active, edge_couple=on_active(pol.couple_sign),
@@ -452,7 +417,28 @@ def assemble(
 def step(stepper: ImplicitStepper, state: FieldState,
          sources: SourceSpec | None = None) -> FieldState:
     """Advance one time level, sampling sources at the half step."""
-    return stepper.advance(state, sources)
+    pol = stepper.polarization
+    if state.mode != pol.mode:
+        raise ValueError(f"state mode {state.mode} does not match stepper {pol.mode}")
+    u, w = pol.place(state.e, state.h)   # edge, face cochains
+    hist = stepper.edge_decay * u
+    rhs = stepper.face_minus * w
+    if sources is not None and sources.kind != "none":
+        # integrated current at t + dt/2, subtracted on its support only
+        on_edges = pol.on_edges(sources.target)
+        support = sources.support
+        measure = stepper.metrics.edge_len if on_edges else stepper.metrics.face_area
+        j = sources.waveform(state.t + 0.5 * stepper.dt) * measure[support]
+        if on_edges:
+            hist[support] -= stepper.edge_drive[support] * j
+        else:
+            rhs[support] -= j
+    rhs -= pol.couple_sign * (stepper.d1 @ hist)
+    w_new = stepper._solve(rhs, x0=w)
+    u_new = hist + stepper.edge_couple * (stepper.d1t @ w_new)
+
+    e_new, h_new = pol.place(u_new, w_new)
+    return FieldState(pol.mode, e_new, h_new, n=state.n + 1, t=(state.n + 1) * stepper.dt)
 
 
 def energy(state: FieldState, stars: HodgeStars, materials: MaterialParams) -> float:

@@ -173,3 +173,28 @@ def test_convergence_mismatched_lengths():
     fam = bundled.cavity_family(2)
     with pytest.raises(ValueError, match="equal length"):
         analysis.convergence_study(fam, [0.01], time=0.1)
+
+
+def test_convergence_needs_two_meshes():
+    fam = bundled.cavity_family(1)
+    with pytest.raises(ValueError, match="at least two meshes"):
+        analysis.convergence_study(fam, [0.016], time=0.1)
+
+
+def test_convergence_reuses_the_finest_joint_run(monkeypatch):
+    """The finest mesh at the finest dt is both the last joint and the last
+    temporal run: three levels take five cavity runs, and the two rows
+    carry the same error."""
+    calls = []
+    run = analysis._run_cavity
+
+    def counted(surface, metrics, dt, *args):
+        calls.append((surface.n_faces, dt))
+        return run(surface, metrics, dt, *args)
+
+    monkeypatch.setattr(analysis, "_run_cavity", counted)
+    rep = analysis.convergence_study(bundled.cavity_family(3), [0.016, 0.008, 0.004],
+                                     time=0.064)
+    assert calls == [(128, 0.016), (512, 0.008), (2048, 0.004),
+                     (2048, 0.016), (2048, 0.008)]
+    assert rep.temporal[-1] == rep.joint[-1][1:] == (0.004, rep.joint[-1][2])

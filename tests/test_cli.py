@@ -65,8 +65,6 @@ def test_config_duplicate_key(tmp_path):
 def test_config_bad_values(tmp_path):
     with pytest.raises(config.ConfigError, match="dt must be positive"):
         config.load_config(write_cfg(tmp_path / "a.cfg", dt="0"))
-    with pytest.raises(config.ConfigError, match="jm_sign"):
-        config.load_config(write_cfg(tmp_path / "b.cfg", **{"flags.jm_sign": "2"}))
     with pytest.raises(config.ConfigError, match="boolean"):
         config.load_config(
             write_cfg(tmp_path / "c.cfg", **{"flags.allow_indefinite": "maybe"})
@@ -111,6 +109,8 @@ def test_config_bad_values(tmp_path):
         ({"convergence.dt0": "-0.016"}, "convergence.dt0 must be positive"),
         ({"convergence.m": "0"}, "convergence.m must be >= 1"),
         ({"convergence.n": "0"}, "convergence.n must be >= 1"),
+        ({"convergence.levels": "1"}, "convergence.levels must be 2 or 3"),
+        ({"convergence.levels": "4"}, "convergence.levels must be 2 or 3"),
     ]
     for i, (overrides, message) in enumerate(cases):
         with pytest.raises(config.ConfigError, match=re.escape(message)):
@@ -129,18 +129,38 @@ def test_config_key_table(tmp_path):
     # a nonpositive iteration cap leaves the solver's own
     cfg = config.load_config(write_cfg(tmp_path / "c.cfg", **{"solver.max_iters": "0"}))
     assert cfg.max_iters is None
-    # the removed initial-state knob is an unknown key now
-    with pytest.raises(config.ConfigError, match="unknown config keys"):
-        config.load_config(write_cfg(tmp_path / "b.cfg", **{"flags.initial_constraint": "warn"}))
+    # the removed initial-state knob and magnetic-current sign are unknown keys
+    for i, (key, value) in enumerate((("flags.initial_constraint", "warn"),
+                                      ("flags.jm_sign", "-1"))):
+        with pytest.raises(config.ConfigError, match="unknown config keys"):
+            config.load_config(write_cfg(tmp_path / f"b{i}.cfg", **{key: value}))
+
+
+def test_removed_second_spellings(tmp_path, icosphere1, icosphere1_metrics):
+    """Each setting has one spelling: the solver's CLI flag, the magnetic
+    current's sign and the unread vacuum constants of a material are gone."""
+    path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(tmp_path / "out")})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", path, "--quiet", "--direct-solver"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    mats = solver.MaterialParams.uniform("TE", icosphere1, eps=1.0, mu=1.0)
+    with pytest.raises(TypeError, match="jm_sign"):
+        solver.assemble("TE", icosphere1, icosphere1_metrics, mats, 0.1, jm_sign=-1.0)
+    with pytest.raises(TypeError, match="eps0"):
+        solver.MaterialParams("TE", mats.eps, mats.mu, mats.sigma, mats.sigma_m, eps0=1.0)
 
 
 def test_range_rules_fail_before_output(tmp_path, capsys):
-    for command, overrides in (("stability", {"stability.k_samples": "0"}),
-                               ("convergence", {"convergence.m": "0"})):
-        out = tmp_path / command
-        path = write_cfg(tmp_path / f"{command}.cfg", **overrides)
+    for i, (command, overrides, message) in enumerate((
+            ("stability", {"stability.k_samples": "0"}, "must be >= 1"),
+            ("convergence", {"convergence.m": "0"}, "must be >= 1"),
+            # one level would fit an order through one point
+            ("convergence", {"convergence.levels": "1"}, "convergence.levels must be 2 or 3"))):
+        out = tmp_path / f"{command}{i}"
+        path = write_cfg(tmp_path / f"{command}{i}.cfg", **overrides)
         assert cli.main([command, path, "--output-dir", str(out)]) == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -166,6 +186,13 @@ def test_run_simulation_initial_state(tmp_path):
     with pytest.raises(solver.SolverError, match="divergence constraint"):
         cli.run_simulation(cfg, initial=bad, echo=None)
     assert not (tmp_path / "bad").exists()
+
+    # a state of the other mode is refused, naming both, before any compute
+    cfg.output_dir = str(tmp_path / "tm")
+    other = solver.initial_state("TM", surface)
+    with pytest.raises(config.ConfigError, match="initial state is TM but the run is TE"):
+        cli.run_simulation(cfg, initial=other, echo=None)
+    assert not (tmp_path / "tm").exists()
 
 
 def test_config_region_materials(tmp_path):
@@ -321,8 +348,9 @@ def test_run_determinism(tmp_path):
 
 def test_direct_solver_flag(tmp_path):
     out = tmp_path / "out"
-    path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(out)})
-    assert cli.main(["run", path, "--quiet", "--direct-solver"]) == 0
+    path = write_cfg(tmp_path / "a.cfg", **{
+        "output.directory": str(out), "solver.kind": "direct"})
+    assert cli.main(["run", path, "--quiet"]) == 0
     assert "solver = direct" in (out / "manifest.txt").read_text()
 
 
@@ -363,19 +391,18 @@ def test_convergence_command_quick(tmp_path, capsys):
 
 
 def test_convergence_direct_matches_cg_orders(tmp_path, capsys):
-    direct_cfg = bundled.bundled_path("cavity_convergence.cfg")  # 3 levels, 2048 faces
-    cg_cfg = tmp_path / "cavity_convergence_cg.cfg"  # mesh_path falls back to bundled
-    with open(direct_cfg) as fh:
-        cg_cfg.write_text(fh.read() + "solver.kind = cg\n")
+    bundled_cfg = bundled.bundled_path("cavity_convergence.cfg")  # 3 levels, 2048 faces
     orders = {}
-    for flags in ([], ["--direct-solver"]):
-        cfg = direct_cfg if flags else str(cg_cfg)
-        rc = cli.main(["convergence", cfg, "--output-dir", str(tmp_path), *flags])
+    for kind in ("cg", "direct"):
+        cfg = tmp_path / f"cavity_convergence_{kind}.cfg"  # mesh_path falls back to bundled
+        with open(bundled_cfg) as fh:
+            cfg.write_text(fh.read() + f"solver.kind = {kind}\n")
+        rc = cli.main(["convergence", str(cfg), "--output-dir", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        orders[tuple(flags)] = [l for l in out.splitlines() if "observed order" in l]
-    assert orders[()] == orders[("--direct-solver",)]
-    assert orders[()][-1].strip() == "observed order: 0.954"
+        orders[kind] = [l for l in out.splitlines() if "observed order" in l]
+    assert orders["cg"] == orders["direct"]
+    assert orders["cg"][-1].strip() == "observed order: 0.954"
 
 
 def test_run_failure_marks_manifest_failed(tmp_path, capsys):
@@ -391,6 +418,32 @@ def test_run_failure_marks_manifest_failed(tmp_path, capsys):
     assert "last_completed_step = 0" in manifest
     errors = [l for l in manifest if l.startswith("error = ")]
     assert len(errors) == 1 and "failed to converge" in errors[0]
+
+
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+def test_indefinite_system_fails_without_opt_in(mode, tmp_path, capsys, jittered_cavity):
+    """A mesh with a negative interior dual edge, accepted by
+    --allow-non-well-centered, makes an indefinite system: without
+    --allow-indefinite the run exits 2 in set-up, creating no output
+    directory, and an existing one ends with a failed manifest."""
+    obj = tmp_path / "jittered.obj"
+    obj.write_text(
+        "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in jittered_cavity.vertices.tolist())
+        + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in jittered_cavity.faces))
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
+        "mesh_path": str(obj), "output.directory": str(out)})
+    argv = ["run", path, "--quiet", "--allow-non-well-centered"]
+    assert cli.main(argv) == 2
+    assert "indefinite system" in capsys.readouterr().err
+    assert not out.exists()
+    out.mkdir()
+    assert cli.main(argv) == 2
+    assert "indefinite system" in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status = failed" in manifest
+    assert "files = " in manifest
+    assert any(l.startswith("error = SolverError: indefinite system") for l in manifest)
 
 
 def test_setup_failure_replaces_earlier_manifest(tmp_path, capsys):

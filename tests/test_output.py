@@ -276,23 +276,20 @@ def test_compare_outputs_tool(tmp_path, capsys):
         "convergence.time = 0.064\nconvergence.dt0 = 0.016\nconvergence.levels = 2\n")
     assert tool.main([src, src, str(conv), "--command", "convergence"]) == 0
     assert "2 files" in capsys.readouterr().out
-    assert tool.relative_difference("-0.0", "0.0") == 0.0
-    assert tool.relative_difference("nan", "nan") == 0.0
-    assert tool.relative_difference("nan", "1.0") == float("inf")
-    assert tool.relative_difference("-2.0", "2.0") == 2.0
+    assert tool.absolute_difference("-0.0", "0.0") == 0.0
+    assert tool.absolute_difference("nan", "nan") == 0.0
+    assert tool.absolute_difference("nan", "1.0") == float("inf")
+    assert tool.absolute_difference("-2.0", "2.0") == 4.0
 
-    def figures(a, b):
-        nums_a, nums_b = tool.NUMBER.findall(a), tool.NUMBER.findall(b)
-        return (max(map(tool.relative_difference, nums_a, nums_b)),
-                tool.scale_relative_difference(nums_a, nums_b))
+    def figure(a, b):
+        return tool.scale_relative_difference(tool.NUMBER.findall(a), tool.NUMBER.findall(b))
 
-    # a roundoff-level entry next to O(1) ones: pointwise relative 0.5, but
-    # 1e-20 / 4 of the file's largest magnitude
-    assert figures("1,0.5,1e-20\n2,4.0,-inf\n", "1,0.5,2e-20\n2,4.0,-inf\n") == (
-        0.5, 1e-20 / 4.0)
-    assert figures("x 1.5\n", "x 1.5\n") == (0.0, 0.0)
-    # a file of zeros that differs is infinitely far off
-    assert figures("0.0 0\n", "1e-300 0\n") == (1.0, float("inf"))
+    # a roundoff-level entry next to O(1) ones is 1e-20 / 4 of the largest
+    # magnitude; equal numbers give 0 and a column of zeros that differs is
+    # infinitely far off
+    assert figure("1,0.5,1e-20\n2,4.0,-inf\n", "1,0.5,2e-20\n2,4.0,-inf\n") == 1e-20 / 4.0
+    assert figure("x 1.5\n", "x 1.5\n") == 0.0
+    assert figure("0.0 0\n", "1e-300 0\n") == float("inf")
 
     # per column of a CSV: comment lines skipped, text cells ignored
     assert tool.column_differences("# c\nstep,probe,value\n1,p0,2.0\n2,p0,-4.0\n",
@@ -313,8 +310,7 @@ def test_compare_outputs_tool(tmp_path, capsys):
     # each is followed by how it differs: in its text, not in its numbers
     details = [line.strip() for line in lines if line.startswith(" ")]
     assert len(details) == 3
-    assert all(d.startswith("text differs, max relative difference 0 over ")
-               for d in details)
+    assert all(d.startswith("text differs, 0 of ") for d in details)
 
     # a copy whose energies are 1e-9 larger differs in run_log.csv numbers only
     scaled = tmp_path / "scaled"
@@ -328,11 +324,8 @@ def test_compare_outputs_tool(tmp_path, capsys):
     assert tool.main([src, str(scaled), str(cfg)]) == 1
     assert [line.strip() for line in capsys.readouterr().out.splitlines()] == [
         f"DIFFERS {cfg}: run_log.csv",
-        "text same, max relative difference 1e-09 over 15 numbers, "
-        # the energies are measured against the file's largest number, the
-        # final step count 4
-        "scale-relative difference 8.45e-10",
-        # and, per column, against the largest energy
+        "text same, 2 of 15 numbers differ",
+        # each column is measured against its own largest number
         "per column: step 0, t 0, energy 1e-09, max_gauss_electric 0, "
         "max_gauss_magnetic 0"]
 

@@ -296,15 +296,17 @@ def test_source_validation(icosphere1):
 @pytest.mark.parametrize("target", ["je", "jm"])
 def test_source_carrier_and_jm_sign(mode, target, icosphere1, icosphere1_metrics):
     """je drives e and jm drives h, on whichever carrier the mode gives that
-    field; flags.jm_sign = -1 negates a jm response bitwise."""
+    field; a negated source.amplitude, the other sign convention of the
+    magnetic current, negates the response bitwise."""
     s, m = icosphere1, icosphere1_metrics
     mats = solver.MaterialParams.uniform(mode, s, eps=1.0, mu=1.0)
-    src = solver.SourceSpec(kind="gaussian_pulse", target=target, amplitude=1.0,
-                            t0=0.0, width=0.1, support=[2, 5])
+    stepper = solver.assemble(mode, s, m, mats, 1e-3)
     zero = solver.initial_state(mode, s)
     plus, minus = (
-        solver.step(solver.assemble(mode, s, m, mats, 1e-3, jm_sign=sign), zero, src)
-        for sign in (1.0, -1.0)
+        solver.step(stepper, zero, solver.SourceSpec(
+            kind="gaussian_pulse", target=target, amplitude=amplitude,
+            t0=0.0, width=0.1, support=[2, 5]))
+        for amplitude in (1.0, -1.0)
     )
     driven, other = (plus.e, plus.h) if target == "je" else (plus.h, plus.e)
     on_edges = (target == "je") == (mode == "TE")
@@ -314,9 +316,8 @@ def test_source_carrier_and_jm_sign(mode, target, icosphere1, icosphere1_metrics
     assert on_support > 0
     assert np.abs(np.delete(driven, [2, 5])).max() <= 1e-3 * on_support
     assert np.abs(other).max() <= 1e-2 * on_support
-    sign = -1.0 if target == "jm" else 1.0
-    assert np.array_equal(minus.e, sign * plus.e)
-    assert np.array_equal(minus.h, sign * plus.h)
+    assert np.array_equal(minus.e, -plus.e)
+    assert np.array_equal(minus.h, -plus.h)
 
 
 def test_initial_state_validation(icosphere1):
@@ -537,23 +538,23 @@ def test_one_step_matches_full_coupled_solve(two_triangles):
     assert np.abs(state.h - sol[n_e:]).max() < 1e-11
 
 
-@pytest.mark.parametrize("jm_sign", [1.0, -1.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("target", ["je", "jm"])
 @pytest.mark.parametrize("mode", ["TE", "TM"])
-def test_one_step_matches_coupled_solve_with_sources(mode, target, jm_sign, cavity1,
+def test_one_step_matches_coupled_solve_with_sources(mode, target, sign, cavity1,
                                                      cavity1_metrics):
     """Oracle on the 128-face cavity: one step of the folded update equals
     the dense edge+face block solve, with PEC edges (TE), lossy random
-    materials and a current on either carrier."""
+    materials and a current of either sign on either carrier."""
     s, m = cavity1, cavity1_metrics
     rng = np.random.default_rng(62)
     mats = solver.MaterialParams.from_face_values(
         mode, s, rng.uniform(1, 2, s.n_faces), rng.uniform(1, 2, s.n_faces),
         rng.uniform(0, 1, s.n_faces), rng.uniform(0, 1, s.n_faces))
     dt = 0.07
-    stepper = solver.assemble(mode, s, m, mats, dt, jm_sign=jm_sign)
+    stepper = solver.assemble(mode, s, m, mats, dt)
     pol = solver.polarization(mode)
-    src = solver.SourceSpec(kind="gaussian_pulse", target=target, amplitude=-1.7,
+    src = solver.SourceSpec(kind="gaussian_pulse", target=target, amplitude=-1.7 * sign,
                             t0=0.02, width=0.05, support=[0, 3, 40, 41])
     act = stepper.active_edges
     assert act.all() == (mode == "TM")
@@ -567,7 +568,6 @@ def test_one_step_matches_coupled_solve_with_sources(mode, target, jm_sign, cavi
     j = np.zeros(s.n_edges if on_edges else s.n_faces)
     measure = m.edge_len if on_edges else m.face_area
     j[src.support] = src.waveform(0.5 * dt) * measure[src.support]
-    j *= jm_sign if target == "jm" else 1.0
     j_edge, j_face = (j, np.zeros(s.n_faces)) if on_edges else (np.zeros(s.n_edges), j)
 
     # p_e u' - s d1^T w' = m_e u - star1 j_edge;  s d1 u' + p_f w' = m_f w - j_face
@@ -624,7 +624,6 @@ def reference_step(stepper, state, src, solve):
         j = j_edge if on_edges else j_face
         j[src.support] = src.waveform(state.t + 0.5 * stepper.dt)
         j *= m.edge_len if on_edges else m.face_area
-        j *= stepper.jm_sign if src.target == "jm" else 1.0
     g = np.divide(1.0, stepper.edge_plus, out=np.zeros(s.n_edges),
                   where=stepper.active_edges)
     c, d1 = pol.couple_sign, s.d1_real
@@ -638,15 +637,15 @@ def reference_step(stepper, state, src, solve):
 
 
 def lossy_stepper(mode, name, kind="direct"):
-    """A stepper on a bundled mesh with random lossy materials and jm_sign =
-    -1, and a random start state that is zero on PEC edges."""
+    """A stepper on a bundled mesh with random lossy materials, and a random
+    start state that is zero on PEC edges."""
     s = bundled.bundled_surface(name)
     m = mesh.compute_dual_metrics(s)
     rng = np.random.default_rng(8)
     mats = solver.MaterialParams.from_face_values(
         mode, s, rng.uniform(1, 2, s.n_faces), rng.uniform(1, 2, s.n_faces),
         rng.uniform(0, 1, s.n_faces), rng.uniform(0, 1, s.n_faces))
-    stepper = solver.assemble(mode, s, m, mats, 0.03, solver=kind, jm_sign=-1.0)
+    stepper = solver.assemble(mode, s, m, mats, 0.03, solver=kind)
     pol = stepper.polarization
     u0 = np.where(stepper.active_edges, rng.normal(size=s.n_edges), 0.0)
     state = solver.initial_state(mode, s, *pol.place(u0, rng.normal(size=s.n_faces)))
@@ -682,7 +681,7 @@ def test_cg_step_matches_full_array_reference(mode):
     """The cg path agrees with the dense solution of the full-array formulas
     to within the solver tolerance."""
     stepper, start = lossy_stepper(mode, "cavity_1.obj", kind="cg")
-    src = solver.SourceSpec(kind="gaussian_pulse", target="jm", amplitude=2.0,
+    src = solver.SourceSpec(kind="gaussian_pulse", target="jm", amplitude=-2.0,
                             t0=0.1, width=0.08, support=[3, 3, 5])
     dense = stepper.system.toarray()
     solve = lambda rhs, w: np.linalg.solve(dense, rhs)

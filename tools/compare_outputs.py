@@ -14,16 +14,12 @@ arithmetic whatever the machine's core count.
 Every file either side wrote is compared as bytes.  A file that differs or
 exists on one side only, or a nonzero exit status on either side, is
 printed with the config it came from.  A file present on both sides that
-differs gets a second line: whether its non-numeric text matches, the
-largest relative difference between the numbers at the same positions, and
-the scale-relative difference: the largest |a - b| over the file's largest
-|a|.  The first reads large on entries at roundoff level next to O(1) ones;
-the second does not, but it measures every number against the file's
-largest, so a small column (an energy next to step numbers) weighs little
-in it.  A CSV file whose numbers differ therefore gets a third line with
-the same figure per column named in its header (its first line that does
-not start with ``#``), so an energy column is measured against energies
-only.  The exit status is 1 if anything differed, else 0.
+differs gets a second line: whether its non-numeric text matches and how
+many of its numbers differ.  A CSV file whose numbers differ also gets, per
+column named in its header (its first line that does not start with
+``#``), the largest |a - b| over the column's largest |a|, so each figure
+measures an energy against energies and a step against steps.  The exit
+status is 1 if anything differed, else 0.
 """
 
 from __future__ import annotations
@@ -78,16 +74,9 @@ def absolute_difference(x: str, y: str) -> float:
     return abs(a - b)
 
 
-def relative_difference(x: str, y: str) -> float:
-    """|a - b| / max(|a|, |b|) of two number texts, as in
-    ``absolute_difference`` for equal and non-finite values."""
-    d = absolute_difference(x, y)
-    return d if d in (0.0, math.inf) else d / max(abs(float(x)), abs(float(y)))
-
-
 def scale_relative_difference(nums_a: list, nums_b: list) -> float:
-    """The largest |a - b| over the largest finite |a| of one file's numbers:
-    inf where a file of zeros (or of non-finite values) differs."""
+    """The largest |a - b| over the largest finite |a| of one column's
+    numbers: inf where a column of zeros (or of non-finite values) differs."""
     worst = max(map(absolute_difference, nums_a, nums_b), default=0.0)
     scale = max((abs(a) for a in map(float, nums_a) if math.isfinite(a)),
                 default=0.0)
@@ -113,8 +102,8 @@ def column_differences(text_a: str, text_b: str) -> str:
 
 
 def describe_difference(path_a: str, path_b: str) -> str:
-    """Whether two text files agree outside their numbers, how far apart
-    their numbers are and, for a CSV file, how far apart each column is."""
+    """Whether two text files agree outside their numbers, how many of their
+    numbers differ and, for a CSV file, how far apart each column is."""
     texts = []
     for path in (path_a, path_b):
         with open(path, errors="replace") as fh:
@@ -124,11 +113,9 @@ def describe_difference(path_a: str, path_b: str) -> str:
     text = "text same" if same_text else "text differs"
     if len(nums_a) != len(nums_b):
         return f"{text}, {len(nums_a)} != {len(nums_b)} numbers"
-    worst = max(map(relative_difference, nums_a, nums_b), default=0.0)
-    scaled = scale_relative_difference(nums_a, nums_b)
-    columns = column_differences(*texts) if worst and path_a.endswith(".csv") else ""
-    return (f"{text}, max relative difference {worst:.3g} over {len(nums_a)} numbers, "
-            f"scale-relative difference {scaled:.3g}"
+    differ = sum(map(bool, map(absolute_difference, nums_a, nums_b)))
+    columns = column_differences(*texts) if differ and path_a.endswith(".csv") else ""
+    return (f"{text}, {differ} of {len(nums_a)} numbers differ"
             + (f"\n        per column: {columns}" if columns else ""))
 
 
