@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+from ._text import render
 from .mesh import SimplicialSurface
 from .solver import FieldState, polarization
 
@@ -62,22 +63,12 @@ def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) ->
 
 def _blocks(row: str, *columns):
     """``row`` %-formatted over the rows of the 1-D arrays ``columns``, one
-    string per block of at most ``WHITNEY_BLOCK_FACES`` rows.
-
-    Each block's columns become Python scalars through ``.tolist()``,
-    interleaved into one flat list, and the block's text is one C-level
-    ``(row * n) % tuple(flat)``: ``%r`` of a Python float is its ``repr``
-    (the text ``_fmt`` gives) and ``%d`` of a Python int its ``str``.  No
-    per-row list, tuple or generator frame is made, and formatting one
-    block at a time keeps the text in memory small.
-    """
-    width, total = len(columns), len(columns[0])
-    for start in range(0, total, WHITNEY_BLOCK_FACES):
-        n = min(WHITNEY_BLOCK_FACES, total - start)
-        flat = [None] * (width * n)
-        for j, column in enumerate(columns):
-            flat[j::width] = column[start:start + n].tolist()
-        yield (row * n) % tuple(flat)
+    string per block of at most ``WHITNEY_BLOCK_FACES`` rows, each made by
+    ``_text.render``: ``%r`` gives a float's ``repr`` (the text ``_fmt``
+    gives) and ``%d`` an int's ``str``.  Formatting one block at a time keeps
+    the text in memory small."""
+    for start in range(0, len(columns[0]), WHITNEY_BLOCK_FACES):
+        yield render(row, *(column[start:start + WHITNEY_BLOCK_FACES] for column in columns))
 
 
 def _vtk_geometry(surface: SimplicialSurface) -> tuple[str, ...]:

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from decem import bundled, cli, config, mesh, output, solver
+from decem import _text, bundled, cli, config, mesh, output, solver
 
 
 def write_cfg(path, **overrides):
@@ -420,16 +420,20 @@ def test_run_failure_marks_manifest_failed(tmp_path, capsys):
     assert len(errors) == 1 and "failed to converge" in errors[0]
 
 
+def write_obj(path, surface):
+    path.write_text(
+        "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in surface.vertices.tolist())
+        + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in surface.faces))
+    return path
+
+
 @pytest.mark.parametrize("mode", ["TE", "TM"])
 def test_indefinite_system_fails_without_opt_in(mode, tmp_path, capsys, jittered_cavity):
     """A mesh with a negative interior dual edge, accepted by
     --allow-non-well-centered, makes an indefinite system: without
     --allow-indefinite the run exits 2 in set-up, creating no output
     directory, and an existing one ends with a failed manifest."""
-    obj = tmp_path / "jittered.obj"
-    obj.write_text(
-        "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in jittered_cavity.vertices.tolist())
-        + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in jittered_cavity.faces))
+    obj = write_obj(tmp_path / "jittered.obj", jittered_cavity)
     out = tmp_path / "out"
     path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
         "mesh_path": str(obj), "output.directory": str(out)})
@@ -444,6 +448,37 @@ def test_indefinite_system_fails_without_opt_in(mode, tmp_path, capsys, jittered
     assert "status = failed" in manifest
     assert "files = " in manifest
     assert any(l.startswith("error = SolverError: indefinite system") for l in manifest)
+
+
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+def test_indefinite_system_runs_with_opt_in(mode, tmp_path, jittered_cavity):
+    """With --allow-indefinite the same indefinite system runs to the end on
+    the sparse LU, even where the config asks for CG, which needs a
+    definite system."""
+    obj = write_obj(tmp_path / "jittered.obj", jittered_cavity)
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
+        "mesh_path": str(obj), "output.directory": str(out), "solver.kind": "cg"})
+    argv = ["run", path, "--quiet", "--allow-non-well-centered", "--allow-indefinite"]
+    assert cli.main(argv) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status = complete" in manifest
+    assert "last_completed_step = 12" in manifest
+    assert "solver = direct" in manifest
+    log = np.loadtxt(out / "run_log.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert log[-1, 0] == 12 and np.isfinite(log).all()
+
+
+def test_run_without_snapshots_builds_no_text_tables(tmp_path):
+    """A zero-step run that writes no snapshot, the shape of the benchmark's
+    set-up runs, leaves the number-formatting tables unbuilt, so that set-up
+    time never pays for them; the first snapshot builds them."""
+    _text._tables.cache_clear()
+    for formats, built in (("", 0), ("csv", 1)):
+        path = write_cfg(tmp_path / f"{formats}.cfg", steps="0", **{
+            "output.formats": formats, "output.directory": str(tmp_path / formats)})
+        assert cli.main(["run", path, "--quiet"]) == 0
+        assert _text._tables.cache_info().currsize == built
 
 
 def test_setup_failure_replaces_earlier_manifest(tmp_path, capsys):
