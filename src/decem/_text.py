@@ -107,13 +107,13 @@ def _tables() -> _Tables:
     hundreds = np.where(exp_digits == 3, e_at + 2, _TRASH)
     exp_at = np.where(fixed | word, _TRASH, [e_at, e_at + 1, hundreds, e_at + exp_digits,
                                              e_at + exp_digits + 1])
-    float_at = np.vstack([exp_at, dot_at, digit_at]).astype(np.int32)
+    float_at = np.vstack([exp_at, dot_at, digit_at]).astype(np.int64)
     float_len = np.where(fixed, zeros + np.maximum(ndig, point) + 1 + (point >= ndig),
                          np.where(word, 3, ndig + (ndig > 1) + 2 + exp_digits))
 
     # a %d text's rows are its digits; its class is its digit count
     j = np.arange(19)[:, None]
-    int_at = np.where(j < np.arange(20), j, _TRASH).astype(np.int32)
+    int_at = np.where(j < np.arange(20), j, _TRASH).astype(np.int64)
     return _Tables(g, (k - _K_MIN).astype(np.int16), h, quads.view(np.uint32).ravel(),
                    decimal_class, exponent, float_at, float_len, int_at)
 
@@ -228,9 +228,10 @@ def _float_text(x):
     neg = (bits > _M63) & (magnitude <= _INF)
     if regular.any():
         d, k = _shortest(np.where(regular, magnitude, _ONE_BITS))
+        digits, count = _digits(d, 17)
     else:
-        d, k = np.ones(len(x), dtype=np.uint64), 0
-    digits, count = _digits(d, 17)
+        digits, count, k = np.full((17, len(x)), ord("0"), dtype=np.uint8), np.ones(len(x), int), 0
+        digits[0] = ord("1")
     digits[0] -= (magnitude == 0)              # "0.0" where 1.0 has "1.0"
     ndig = ((digits != ord("0")) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
     ndig = np.maximum(ndig, 1)
@@ -299,7 +300,8 @@ def _render(literals, kinds, columns):
         buf[np.where(neg, first, total)] = ord("-")
         first += neg
         for rows in range(0, len(at), 8):     # 8 rows at a time bound the positions
-            pos = first + np.take(at[rows:rows + 8], cls, axis=1)
+            pos = np.take(at[rows:rows + 8], cls, axis=1)
+            pos += first
             np.minimum(pos, total, out=pos)
             buf[pos] = text[rows:rows + 8]
     return str(memoryview(buf)[:total], "ascii")
