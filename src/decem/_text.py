@@ -111,9 +111,10 @@ def _tables() -> _Tables:
     float_len = np.where(fixed, zeros + np.maximum(ndig, point) + 1 + (point >= ndig),
                          np.where(word, 3, ndig + (ndig > 1) + 2 + exp_digits))
 
-    # a %d text's rows are its digits; its class is its digit count
-    j = np.arange(19)[:, None]
-    int_at = np.where(j < np.arange(20), j, _TRASH).astype(np.int64)
+    # a %d text's rows are the 19 digits of its absolute value, leading zeros
+    # included; its class is its digit count
+    j, count = np.arange(19)[:, None], np.arange(20)
+    int_at = np.where(j >= 19 - count, j - (19 - count), _TRASH).astype(np.int64)
     return _Tables(g, (k - _K_MIN).astype(np.int16), h, quads.view(np.uint32).ravel(),
                    decimal_class, exponent, float_at, float_len, int_at)
 
@@ -191,20 +192,23 @@ def _shortest(bits):
     return np.where(upin | wpin, sp10 + _U(10) * wpin, s + ~pick_s), k
 
 
+def _count(d):
+    """The number of decimal digits of each uint64 value (1 for 0)."""
+    return np.searchsorted(_POW10[1:], d, side="right") + 1
+
+
 def _digits(d, width):
-    """The ASCII digits of the uint64 values ``d`` < 10^width (16 < width <=
-    20), left-aligned with '0' after them: row j of the (width, n) result
-    holds digit j of each value.  Also the number of digits (1 for 0)."""
-    count = np.searchsorted(_POW10[1:width], d, side="right") + 1
-    left = d * _POW10[width - count]
-    # the five 4-digit groups of the 20-digit left-aligned value
-    groups = np.empty((5, len(d)), dtype=np.uint64)
-    for i in range(5):
-        np.floor_divide(left, _POW10[16 - 4 * i], out=groups[i])
+    """The last ``width`` ASCII digits of the uint64 values ``d``, with
+    leading zeros: row j of the (width, n) result holds the digit of each
+    value worth 10^(width - 1 - j)."""
+    quads = -(-width // 4)
+    groups = np.empty((quads, len(d)), dtype=np.uint64)   # 4 digits each
+    for i in range(quads):
+        np.floor_divide(d, _POW10[4 * (quads - 1 - i)], out=groups[i])
     groups[1:] -= groups[:-1] * _POW10[4]
-    quads = np.take(_tables().quads, groups.astype(np.intp))
-    text = quads.view(np.uint8).reshape(5, len(d), 4).transpose(0, 2, 1).reshape(20, len(d))
-    return text[20 - width:], count
+    text = np.take(_tables().quads, groups.astype(np.intp)).view(np.uint8)
+    text = text.reshape(quads, len(d), 4).transpose(0, 2, 1).reshape(4 * quads, len(d))
+    return text[4 * quads - width:]
 
 
 def _int_text(x):
@@ -213,9 +217,10 @@ def _int_text(x):
     each row goes per class."""
     neg = x < 0
     u = x.astype(np.uint64)
-    digits, count = _digits(np.where(neg, ~u + _U(1), u), 19)
+    u = np.where(neg, ~u + _U(1), u)
+    count = _count(u)
     used = int(count.max())
-    return neg, neg + count, digits[:used], count, _tables().int_at[:used]
+    return neg, neg + count, _digits(u, used), count, _tables().int_at[19 - used:]
 
 
 def _float_text(x):
@@ -228,7 +233,8 @@ def _float_text(x):
     neg = (bits > _M63) & (magnitude <= _INF)
     if regular.any():
         d, k = _shortest(np.where(regular, magnitude, _ONE_BITS))
-        digits, count = _digits(d, 17)
+        count = _count(d)
+        digits = _digits(d * _POW10[17 - count], 17)    # left-aligned
     else:
         digits, count, k = np.full((17, len(x)), ord("0"), dtype=np.uint8), np.ones(len(x), int), 0
         digits[0] = ord("1")
