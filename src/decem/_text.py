@@ -76,7 +76,8 @@ def _tables() -> _Tables:
     g1, g0 = np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64)
     g = np.array([g1, g1 & _M32, g1 >> _U(32), g0 & _M32, g0 >> _U(32)])
     # per biased exponent: q, k = floor(q log10 2), or floor(log10 (3/4 2^q))
-    # for the powers of two with a closer lower neighbour, and h
+    # for the powers of two with a closer lower neighbour, and the shift h
+    # that brings the scaled values to 4 times the decimal's units
     q = np.tile(np.maximum(np.arange(2047), 1) - 1075, 2)
     k = (q * 661971961083 - np.repeat([0, 274743187321], 2047)) >> 41
     h = (q + _flog2pow10(-k) + 2).astype(np.uint8)
@@ -94,12 +95,12 @@ def _tables() -> _Tables:
     # per layout class (decimal class, significant digits) of the text after
     # the sign: where its rows go (0-4 exponent, 5 '.', 6-22 digits), and its
     # length
-    cls, ndig = (a.ravel() for a in np.indices((23, 18), dtype=np.int32))
+    cls, ndig = (a.ravel() for a in np.indices((23, 18)))
     fixed, word = cls < 20, cls == 22          # word: nan or inf
     point = np.where(fixed, cls - 3, 1)        # digits before the '.'
     zeros = np.maximum(1 - point, 0)           # the "0." and zeros after it
     split = np.where(word, 99, np.maximum(point, 0))
-    j = np.arange(17, dtype=np.int32)[:, None]
+    j = np.arange(17)[:, None]
     digit_at = np.where(j < np.where(word, 3, ndig), zeros + j + (j >= split), _TRASH)
     dot_at = np.where(word | (~fixed & (ndig < 2)), _TRASH, np.maximum(point, 1))
     e_at = ndig + (ndig > 1)
@@ -107,14 +108,14 @@ def _tables() -> _Tables:
     hundreds = np.where(exp_digits == 3, e_at + 2, _TRASH)
     exp_at = np.where(fixed | word, _TRASH, [e_at, e_at + 1, hundreds, e_at + exp_digits,
                                              e_at + exp_digits + 1])
-    float_at = np.vstack([exp_at, dot_at, digit_at]).astype(np.int64)
+    float_at = np.vstack([exp_at, dot_at, digit_at])
     float_len = np.where(fixed, zeros + np.maximum(ndig, point) + 1 + (point >= ndig),
                          np.where(word, 3, ndig + (ndig > 1) + 2 + exp_digits))
 
     # a %d text's rows are the 19 digits of its absolute value, leading zeros
     # included; its class is its digit count
     j, count = np.arange(19)[:, None], np.arange(20)
-    int_at = np.where(j >= 19 - count, j - (19 - count), _TRASH).astype(np.int64)
+    int_at = np.where(j >= 19 - count, j - (19 - count), _TRASH)
     return _Tables(g, (k - _K_MIN).astype(np.int16), h, quads.view(np.uint32).ravel(),
                    decimal_class, exponent, float_at, float_len, int_at)
 
@@ -235,8 +236,9 @@ def _float_text(x):
         d, k = _shortest(np.where(regular, magnitude, _ONE_BITS))
         count = _count(d)
         digits = _digits(d * _POW10[17 - count], 17)    # left-aligned
-    else:
-        digits, count, k = np.full((17, len(x)), ord("0"), dtype=np.uint8), np.ones(len(x), int), 0
+    else:                                      # zeros, nan and inf only
+        count, k = np.ones(len(x), dtype=np.int64), 0
+        digits = np.full((17, len(x)), ord("0"), dtype=np.uint8)
         digits[0] = ord("1")
     digits[0] -= (magnitude == 0)              # "0.0" where 1.0 has "1.0"
     ndig = ((digits != ord("0")) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
