@@ -12,7 +12,6 @@ import os
 
 import numpy as np
 
-from ._text import render
 from .mesh import SimplicialSurface
 from .solver import FieldState, polarization
 
@@ -67,6 +66,10 @@ def _blocks(row: str, *columns):
     ``_text.render``: ``%r`` gives a float's ``repr`` (the text ``_fmt``
     gives) and ``%d`` an int's ``str``.  Formatting one block at a time keeps
     the text in memory small."""
+    # imported here, so that a run that writes no snapshot does not load (or,
+    # without a bytecode cache, compile) the kernel
+    from ._text import render
+
     for start in range(0, len(columns[0]), WHITNEY_BLOCK_FACES):
         yield render(row, *(column[start:start + WHITNEY_BLOCK_FACES] for column in columns))
 

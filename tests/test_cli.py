@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -472,13 +474,22 @@ def test_indefinite_system_runs_with_opt_in(mode, tmp_path, jittered_cavity):
 def test_run_without_snapshots_builds_no_text_tables(tmp_path):
     """A zero-step run that writes no snapshot, the shape of the benchmark's
     set-up runs, leaves the number-formatting tables unbuilt, so that set-up
-    time never pays for them; the first snapshot builds them."""
+    time never pays for them; the first snapshot builds them.  A fresh
+    process making such a run does not even import the kernel."""
+    paths = {formats: write_cfg(tmp_path / f"{formats or 'none'}.cfg", steps="0", **{
+                 "output.formats": formats, "output.directory": str(tmp_path / formats)})
+             for formats in ("", "csv")}
     _text._tables.cache_clear()
     for formats, built in (("", 0), ("csv", 1)):
-        path = write_cfg(tmp_path / f"{formats}.cfg", steps="0", **{
-            "output.formats": formats, "output.directory": str(tmp_path / formats)})
-        assert cli.main(["run", path, "--quiet"]) == 0
+        assert cli.main(["run", paths[formats], "--quiet"]) == 0
         assert _text._tables.cache_info().currsize == built
+    script = ("import sys; from decem import cli; cli.main(sys.argv[1:]); "
+              "print('decem._text' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run([sys.executable, "-c", script, "run", paths[""], "--quiet"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split()[-1] == "False"
 
 
 def test_setup_failure_replaces_earlier_manifest(tmp_path, capsys):
