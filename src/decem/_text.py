@@ -15,6 +15,12 @@ position is <= -4 or > 16, with a signed exponent of at least two digits;
 fixed otherwise, with ``.0`` after an integral value; a sign on every
 negative value, ``-0.0`` and ``-inf`` included; ``nan`` and ``inf`` as text.
 
+The text of a block is assembled in one byte buffer, prefilled with '0' (the
+zeros ``repr`` pads with come free): row offsets come from a ``cumsum`` of
+the row lengths, and each number's characters are scattered to where a
+table for its layout puts them; characters a layout does not use go to a
+trash byte past the text.
+
 All uint64 arithmetic has uint64 operands only: numpy promotes a mix of
 uint64 and int64 arrays to float64.
 """

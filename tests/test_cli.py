@@ -477,7 +477,8 @@ def test_run_without_snapshots_builds_no_text_tables(tmp_path):
     time never pays for them; the first snapshot builds them.  A fresh
     process making such a run does not even import the kernel."""
     paths = {formats: write_cfg(tmp_path / f"{formats or 'none'}.cfg", steps="0", **{
-                 "output.formats": formats, "output.directory": str(tmp_path / formats)})
+                 "output.formats": formats,
+                 "output.directory": str(tmp_path / f"out_{formats or 'none'}")})
              for formats in ("", "csv")}
     _text._tables.cache_clear()
     for formats, built in (("", 0), ("csv", 1)):
