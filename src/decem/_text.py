@@ -86,8 +86,9 @@ def _tables() -> _Tables:
     # that brings the scaled values to 4 times the decimal's units
     q = np.tile(np.maximum(np.arange(2047), 1) - 1075, 2)
     k = (q * 661971961083 - np.repeat([0, 274743187321], 2047)) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(np.uint8)
-    quads = (48 + np.indices((10,) * 4, dtype=np.uint8)).reshape(4, -1).T.copy()
+    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
+    i = np.arange(10000, dtype=np.uint64)
+    quads = sum((48 + i // _POW10[3 - j] % _U(10)) << _U(8 * j) for j in range(4)).astype("<u4")
 
     # per decimal point position (index 0 stands for nan and inf): layout
     # class, and the exponent's text
@@ -122,7 +123,7 @@ def _tables() -> _Tables:
     # included; its class is its digit count
     j, count = np.arange(19)[:, None], np.arange(20)
     int_at = np.where(j >= 19 - count, j - (19 - count), _TRASH)
-    return _Tables(g, (k - _K_MIN).astype(np.int16), h, quads.view(np.uint32).ravel(),
+    return _Tables(g, k - _K_MIN, h, quads,
                    decimal_class, exponent, float_at, float_len, int_at)
 
 
@@ -224,7 +225,7 @@ def _int_text(x):
     each row goes per class."""
     neg = x < 0
     u = x.astype(np.uint64)
-    u = np.where(neg, ~u + _U(1), u)
+    u = np.where(neg, _U(0) - u, u)
     count = _count(u)
     used = int(count.max())
     return neg, neg + count, _digits(u, used), count, _tables().int_at[19 - used:]
