@@ -87,6 +87,7 @@ def _tables() -> _Tables:
     q = np.tile(np.maximum(np.arange(2047), 1) - 1075, 2)
     k = (q * 661971961083 - np.repeat([0, 274743187321], 2047)) >> 41
     h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
+    # little-endian words, so that byte j of word i in memory is digit j of i
     i = np.arange(10000, dtype=np.uint64)
     quads = sum((48 + i // _POW10[3 - j] % _U(10)) << _U(8 * j) for j in range(4)).astype("<u4")
 
