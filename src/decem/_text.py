@@ -39,7 +39,7 @@ _K_MIN, _K_MAX = -324, 292
 _POW10 = np.array([10 ** i for i in range(20)], dtype=np.uint64)
 _ONE_BITS = _U(0x3FF0000000000000)
 _FIELD = re.compile("%([rd])")
-_TRASH = 1 << 30   # an offset that clips to the trash byte
+_TRASH = 1 << 30   # an offset that clips to the trash byte; offsets are int32
 _INF = _U(0x7FF0000000000000)
 _DECPT = range(-330, 320)   # decimal point positions of the tables
 
@@ -116,45 +116,45 @@ def _tables() -> _Tables:
     hundreds = np.where(exp_digits == 3, e_at + 2, _TRASH)
     exp_at = np.where(fixed | word, _TRASH, [e_at, e_at + 1, hundreds, e_at + exp_digits,
                                              e_at + exp_digits + 1])
-    float_at = np.vstack([exp_at, dot_at, digit_at])
+    float_at = np.vstack([exp_at, dot_at, digit_at]).astype(np.int32)
     float_len = np.where(fixed, zeros + np.maximum(ndig, point) + 1 + (point >= ndig),
                          np.where(word, 3, ndig + (ndig > 1) + 2 + exp_digits))
 
     # a %d text's rows are the 19 digits of its absolute value, leading zeros
     # included; its class is its digit count
     j, count = np.arange(19)[:, None], np.arange(20)
-    int_at = np.where(j >= 19 - count, j - (19 - count), _TRASH)
+    int_at = np.where(j >= 19 - count, j - (19 - count), _TRASH).astype(np.int32)
     return _Tables(g, k - _K_MIN, h, quads,
                    decimal_class, exponent, float_at, float_len, int_at)
 
 
 def _mulhi(a_lo, a_hi, b_lo, b_hi):
     """High 64 bits of the products of uint64 arrays given as 32-bit limbs."""
-    cross_a, cross_b, mid = a_lo * b_hi, a_hi * b_lo, a_lo * b_lo
+    mid = a_lo * b_lo
     mid >>= _U(32)
-    mid += cross_a & _M32
-    mid += cross_b & _M32
+    mid += a_lo * b_hi            # at most (2^32 - 1)^2 + 2^32 - 1: no carry
+    high = a_hi * b_lo
+    mid += high & _M32
+    high >>= _U(32)
     mid >>= _U(32)
-    mid += a_hi * b_hi
-    cross_a >>= _U(32)
-    mid += cross_a
-    cross_b >>= _U(32)
-    mid += cross_b
-    return mid
+    high += mid
+    np.multiply(a_hi, b_hi, out=mid)
+    high += mid
+    return high
 
 
-def _rop(g, cp):
+def _rop(row, cp):
     """g cp / 2^127 rounded to odd: its floor, with the last bit set when the
-    quotient is not an integer (Schubfach's ``rop``); ``g`` is g1 and the
-    32-bit limbs of g1 and g0.  Overwrites ``cp``."""
-    g1, g1_lo, g1_hi, g0_lo, g0_hi = g
-    z = g1 * cp
+    quotient is not an integer (Schubfach's ``rop``), for the g of each
+    table row ``row``.  Overwrites ``cp``."""
+    g = _tables().g           # g1 and the 32-bit limbs of g1 and g0, gathered on use
+    z = g[0, row] * cp
     z >>= _U(1)
     cp_lo = cp & _M32
     cp_hi = cp
     cp_hi >>= _U(32)
-    z += _mulhi(g0_lo, g0_hi, cp_lo, cp_hi)
-    integral = _mulhi(g1_lo, g1_hi, cp_lo, cp_hi)
+    z += _mulhi(g[3, row], g[4, row], cp_lo, cp_hi)
+    integral = _mulhi(g[1, row], g[2, row], cp_lo, cp_hi)
     del cp_lo, cp_hi
     integral += z >> _U(63)
     z &= _M63
@@ -173,22 +173,22 @@ def _shortest(bits):
     # a power of two above the subnormals has a lower neighbour half as far
     # away as its upper one
     lower = (fraction == 0) & (biased > 1)
+    odd = (fraction & _U(1)).astype(bool)      # c odd: an open interval
     c = fraction + _U(1 << 52) * (biased > 0)
     exponent = biased + _U(2047) * lower
-    row, h = tables.row[exponent], tables.h[exponent]
-    g, k = np.take(tables.g, row, axis=1), row + _K_MIN
-    del biased, fraction, exponent
-    # 4 times the scaled value and its interval bounds in one pass; the
-    # bounds move in by one unit when the interval is open (c odd)
-    odd = c & _U(1)
+    del biased, fraction
+    # 4 times the scaled value and its interval bounds in one pass; open
+    # bounds move in by one unit below
     cb = np.empty((3, len(c)), dtype=np.uint64)
     cb[:] = c << _U(2)
     del c
     cb[1] -= _U(2) - lower
     cb[2] += _U(2)
-    cb <<= h
-    vb, low, high = _rop(g, cb)
-    del cb, g
+    cb <<= tables.h[exponent]
+    row = tables.row[exponent]
+    del exponent
+    vb, low, high = _rop(row, cb)
+    del cb
     low += odd
     high -= odd
     s, rest = vb >> _U(2), vb & _U(3)
@@ -198,7 +198,7 @@ def _shortest(bits):
     # the one multiple of 10^(k+1) in the interval, if any, is shortest;
     # else s or s + 1, whichever is in it, or the closer, or the even one
     pick_s = uin & (~win | (rest + (s & _U(1)) < 3))
-    return np.where(upin | wpin, sp10 + _U(10) * wpin, s + ~pick_s), k
+    return np.where(upin | wpin, sp10 + _U(10) * wpin, s + ~pick_s), row + _K_MIN
 
 
 def _count(d):
@@ -270,29 +270,36 @@ def _float_text(x):
     return neg, neg + tables.float_len[cls], text, cls, tables.float_at[start:stop]
 
 
-# Numbers worked at a time: the kernel's temporaries take a few hundred
-# bytes a number, and this bound keeps those of a block of the snapshot
-# writers near what formatting its rows through Python floats took.
-_NUMBERS = 2048
+def _fold(row, columns):
+    """``row`` with each ``%r`` whose column is +0.0 only (bitwise) made the
+    literal text ``0.0``, and the columns of the conversions left."""
+    zero = [kind == "r" and not np.asarray(column, np.float64).view(np.uint64).any()
+            for kind, column in zip(_FIELD.findall(row), columns)]
+    fields = iter(zero)
+    row = _FIELD.sub(lambda field: "0.0" if next(fields) else field[0], row)
+    return row, [column for column, folded in zip(columns, zero) if not folded]
 
 
 def render(row: str, *columns) -> str:
     """``(row * n) % flat`` for the ``n`` rows of the 1-D ``columns``, one per
     ``%r`` (float64) or ``%d`` (int64) conversion of ``row``, with ``flat``
-    their rows interleaved as Python floats and ints."""
+    their rows interleaved as Python floats and ints.  It takes one kernel
+    pass, on the columns that ``_fold`` leaves, so the caller bounds the
+    kernel's temporaries by the size of the block."""
+    n = len(columns[0])
+    row, columns = _fold(row, columns)
+    if not (columns and n):                    # repeated text
+        return row * n
     parts = _FIELD.split(row)
-    literals = [text.encode("ascii") for text in parts[0::2]]
-    step = max(1, _NUMBERS // len(columns))
-    return "".join(_render(literals, parts[1::2], [column[i:i + step] for column in columns])
-                   for i in range(0, len(columns[0]), step))
+    return _render([text.encode("ascii") for text in parts[0::2]], parts[1::2], columns)
 
 
 def _render(literals, kinds, columns):
-    """The text of rows few enough to work at once: ``literals[0]``, a
+    """The text of the rows of ``columns``, in one pass: ``literals[0]``, a
     ``kinds[0]`` conversion of ``columns[0]``, ``literals[1]``, ...,
     ``literals[-1]``."""
     n = len(columns[0])
-    sizes = np.empty((n, len(literals)), dtype=np.int64)
+    sizes = np.empty((n, len(literals)), dtype=np.int32)
     for j, text in enumerate(literals):
         sizes[:, j] = len(text)
     texts = []
@@ -305,7 +312,7 @@ def _render(literals, kinds, columns):
             for i, j in enumerate(fields):
                 sizes[:, j] += length[i * n:(i + 1) * n]
             texts.append((fields, neg, text, cls, at))
-    starts = np.cumsum(sizes.ravel()).reshape(sizes.shape) - sizes
+    starts = np.cumsum(sizes.ravel(), dtype=np.int32).reshape(sizes.shape) - sizes
     total = int(starts[-1, -1] + sizes[-1, -1])
     buf = np.full(total + 1, ord("0"), dtype=np.uint8)   # the last byte is trash
     for j, text in enumerate(literals):

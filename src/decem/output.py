@@ -26,9 +26,10 @@ __all__ = [
 ]
 
 
-# Faces per block of the Whitney reconstruction, and rows per block of text
-# in the snapshot writers: both bound the size of their temporaries.
+# Faces per block of the Whitney reconstruction, and numbers per block of
+# text (one kernel pass) in the writers: both bound their temporaries.
 WHITNEY_BLOCK_FACES = 4096
+TEXT_BLOCK_NUMBERS = 8192
 
 
 def _fmt(x: float) -> str:
@@ -54,24 +55,26 @@ def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) ->
         p = surface.vertices[f]              # (B, corner, xyz)
         normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         values = edge_values[surface.face_edges[rows]] * np.where(f < f[:, [1, 2, 0]], 1, -1)
-        arms = p.mean(axis=1, keepdims=True) - p[:, [2, 0, 1]]
+        # the barycenter, summed as p.mean sums it, at a fraction of its cost
+        arms = ((p[:, 0] + p[:, 1] + p[:, 2]) / 3)[:, None] - p[:, [2, 0, 1]]
         out[rows] = (np.cross(normal, np.einsum("fk,fkx->fx", values, arms))
                      / np.einsum("fx,fx->f", normal, normal)[:, None])
+    out += 0.0   # +0.0 where a component is -0.0, which would print as -0.0
     return out
 
 
 def _blocks(row: str, *columns):
-    """``row`` %-formatted over the rows of the 1-D arrays ``columns``, one
-    string per block of at most ``WHITNEY_BLOCK_FACES`` rows, each made by
-    ``_text.render``: ``%r`` gives a float's ``repr`` (the text ``_fmt``
-    gives) and ``%d`` an int's ``str``.  Formatting one block at a time keeps
-    the text in memory small."""
+    """``row`` %-formatted over the rows of the 1-D arrays ``columns`` by
+    ``_text.render`` (``%r`` gives ``_fmt``'s text, ``%d`` an int's ``str``),
+    one string per block of at most ``TEXT_BLOCK_NUMBERS`` numbers that need
+    the kernel: a ``%r`` column of +0.0 only is literal text."""
     # imported here, so that a run that writes no snapshot does not load (or,
     # without a bytecode cache, compile) the kernel
-    from ._text import render
+    from ._text import _fold, render
 
-    for start in range(0, len(columns[0]), WHITNEY_BLOCK_FACES):
-        yield render(row, *(column[start:start + WHITNEY_BLOCK_FACES] for column in columns))
+    step = max(1, TEXT_BLOCK_NUMBERS // max(1, len(_fold(row, columns)[1])))
+    for start in range(0, len(columns[0]), step):
+        yield render(row, *(column[start:start + step] for column in columns))
 
 
 def _vtk_geometry(surface: SimplicialSurface) -> tuple[str, ...]:

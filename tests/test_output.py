@@ -3,8 +3,9 @@ import os
 import shutil
 
 import numpy as np
+import pytest
 
-from decem import analysis, bundled, config, mesh, output, solver
+from decem import _text, analysis, bundled, config, mesh, output, solver
 
 TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
 
@@ -23,6 +24,14 @@ def test_whitney_reproduces_constant_tangential_field():
     cochain = (v[surface.edges[:, 1]] - v[surface.edges[:, 0]]) @ field
     vectors = output.whitney_face_vectors(surface, cochain)
     assert np.abs(vectors - field).max() <= 1e-12
+
+
+def test_whitney_zero_cochain_has_no_sign_bit():
+    """-0.0 would print as such in the VTK text, and +0.0 columns of a
+    state at rest are literal text for the writers."""
+    surface = bundled.bundled_surface("icosphere_3.obj")
+    vectors = output.whitney_face_vectors(surface, np.zeros(surface.n_edges))
+    assert not vectors.any() and not np.signbit(vectors).any()
 
 
 def test_whitney_blocks_match_single_pass(monkeypatch):
@@ -170,14 +179,21 @@ def test_writers_match_per_line_oracle_on_special_values(tmp_path):
         assert_writers_match_oracle(tmp_path, surface, special_state(surface), "special")
 
 
-def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(output, "WHITNEY_BLOCK_FACES", 7)
+@pytest.mark.parametrize("block", [1, 23])
+def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(output, "TEXT_BLOCK_NUMBERS", block)
     surface = bundled.bundled_surface("icosphere_2.obj")
     metrics = mesh.compute_dual_metrics(surface)
-    # several blocks per section, each with a short last block
-    assert all(n % 7 for n in (surface.n_vertices, surface.n_edges, surface.n_faces))
+    # 23 numbers: several blocks per section (rows of 1, 2 and 3 numbers),
+    # each with a short last block
+    assert all(n % (23 // width) for n, width in (
+        (surface.n_vertices, 3), (surface.n_faces, 3), (surface.n_faces, 1),
+        (surface.n_edges, 2), (surface.n_faces, 2)))
     state = stepped_state("TE", surface, metrics, "jm", [0])
-    assert_writers_match_oracle(tmp_path, surface, state, "blocks7")
+    assert_writers_match_oracle(tmp_path, surface, state, f"blocks{block}")
+    # a state at rest: its all-zero columns are literal text
+    assert_writers_match_oracle(tmp_path, surface, solver.initial_state("TE", surface),
+                                f"rest{block}")
 
 
 def growth_per_line(path, report):
@@ -197,13 +213,45 @@ def test_growth_csv_matches_per_line_oracle(tmp_path, monkeypatch):
     special = analysis.GrowthFactorReport(
         dt_list=[0.5, 1e-300], k_grid=specials[:3], M=np.resize(specials, (2, 4, 3)),
         xi_mod=np.resize(specials[::-1], (2, 4, 3)), c=np.ones(4))
-    for block in (output.WHITNEY_BLOCK_FACES, 7):   # one block; many, short last
-        monkeypatch.setattr(output, "WHITNEY_BLOCK_FACES", block)
+    # one block; many of 7 rows, short last; one row each
+    for block in (output.TEXT_BLOCK_NUMBERS, 35, 1):
+        monkeypatch.setattr(output, "TEXT_BLOCK_NUMBERS", block)
         for tag, report in (("swept", swept), ("special", special)):
             new, old = tmp_path / f"{tag}{block}.csv", tmp_path / f"{tag}{block}_oracle.csv"
             output.write_growth_csv(str(new), report)
             growth_per_line(str(old), report)
             assert new.read_bytes() == old.read_bytes(), (tag, block)
+
+
+def test_snapshot_text_kernel_passes(tmp_path, monkeypatch):
+    """The kernel passes of the 20480-face snapshots of the sphere_pulse
+    benchmark: blocks hold up to ``TEXT_BLOCK_NUMBERS`` numbers, and the
+    all-zero columns of a state at rest take none."""
+    make_assets = load_tool("make_assets")
+    ico3 = bundled.bundled_surface("icosphere_3.obj")
+    verts, faces = make_assets.subdivide(ico3.vertices, ico3.faces, project_unit_sphere=True)
+    verts, faces = make_assets.subdivide(verts, faces, project_unit_sphere=True)
+    surface = mesh.from_arrays(verts, faces)
+    assert (surface.n_vertices, surface.n_edges, surface.n_faces) == (10242, 30720, 20480)
+    assert output.TEXT_BLOCK_NUMBERS == 8192
+    passes = []
+    kernel = _text._render
+    monkeypatch.setattr(_text, "_render", lambda *args: passes.append(1) or kernel(*args))
+
+    def count(state):
+        passes.clear()
+        output.write_vtk_snapshot(str(tmp_path / "s.vtk"), surface, state)
+        output.write_csv_snapshot(str(tmp_path / "s.csv"), state)
+        return len(passes)
+
+    # geometry: 4 blocks of vertices and 8 of cells, formatted once; at rest
+    # the CSV's index columns only: 4 blocks of edges and 3 of faces
+    assert count(solver.initial_state("TE", surface)) == 12 + 7
+    rng = np.random.default_rng(4)
+    state = solver.FieldState("TE", rng.normal(size=surface.n_edges),
+                              rng.normal(size=surface.n_faces), n=40, t=1.0)
+    # VTK: 3 blocks of scalars, 8 of vectors; CSV: 8 of edges, 5 of faces
+    assert count(state) == 24
 
 
 def probes_per_line(path, probes, states):

@@ -78,6 +78,23 @@ def test_short_blocks(n):
         assert render(row, *columns) == oracle(row, *columns)
 
 
+def test_zero_columns():
+    """A %r column of +0.0 only is literal text; -0.0 is not +0.0."""
+    index = np.arange(50)
+    zeros, values = np.zeros(50), np.random.default_rng(23).normal(size=50)
+    signed = zeros.copy()
+    signed[17] = -0.0
+    cases = [("%r\n", (zeros,)), ("%r\n", (signed,)), ("%r %r %r\n", (zeros, zeros, zeros)),
+             ("%r %r %r\n", (zeros, signed, zeros)), ("e,%d,%r\n", (index, zeros)),
+             ("%d,%r,%r,%r\n", (index, values, zeros, -values)),
+             ("%d,%r,%r\n", (index[::-1], zeros, signed))]
+    for row, columns in cases:
+        for rows in (slice(None), slice(0), slice(1), slice(17, 18)):
+            cols = [column[rows] for column in columns]
+            assert render(row, *cols) == oracle(row, *cols), (row, rows)
+    assert "-0.0" in render("%r\n", signed)
+
+
 def test_rows_mixing_ints_floats_and_text():
     """The rows of the CSV, VTK and growth writers, with long blocks."""
     rng = np.random.default_rng(22)
@@ -94,8 +111,12 @@ def test_rows_mixing_ints_floats_and_text():
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(-2**63, 2**63 - 1))
-def test_any_floats_property(values, integer):
+@given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(-2**63, 2**63 - 1),
+       st.booleans(), st.booleans())
+def test_any_floats_property(values, integer, zero_first, zero_second):
     floats = np.array(values, dtype=np.float64)
     ints = np.full(len(floats), integer, dtype=np.int64)
-    assert render("x%d,%r\n", ints, floats) == oracle("x%d,%r\n", ints, floats)
+    first = np.zeros_like(floats) if zero_first else floats
+    second = np.zeros_like(floats) if zero_second else floats[::-1]
+    row = "x%d,%r %r\n"
+    assert render(row, ints, first, second) == oracle(row, ints, first, second)
