@@ -3,7 +3,6 @@ import os
 import shutil
 
 import numpy as np
-import pytest
 
 from decem import _text, analysis, bundled, config, mesh, output, solver
 
@@ -179,21 +178,21 @@ def test_writers_match_per_line_oracle_on_special_values(tmp_path):
         assert_writers_match_oracle(tmp_path, surface, special_state(surface), "special")
 
 
-@pytest.mark.parametrize("block", [1, 23])
-def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(output, "TEXT_BLOCK_NUMBERS", block)
+def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch):
     surface = bundled.bundled_surface("icosphere_2.obj")
     metrics = mesh.compute_dual_metrics(surface)
     # 23 numbers: several blocks per section (rows of 1, 2 and 3 numbers),
-    # each with a short last block
+    # each with a short last block; 1 number: a block per row
     assert all(n % (23 // width) for n, width in (
         (surface.n_vertices, 3), (surface.n_faces, 3), (surface.n_faces, 1),
         (surface.n_edges, 2), (surface.n_faces, 2)))
     state = stepped_state("TE", surface, metrics, "jm", [0])
-    assert_writers_match_oracle(tmp_path, surface, state, f"blocks{block}")
-    # a state at rest: its all-zero columns are literal text
-    assert_writers_match_oracle(tmp_path, surface, solver.initial_state("TE", surface),
-                                f"rest{block}")
+    rest = solver.initial_state("TE", surface)   # its all-zero columns are literal text
+    for block in (23, 1):
+        monkeypatch.setattr(output, "TEXT_BLOCK_NUMBERS", block)
+        fresh = bundled.bundled_surface("icosphere_2.obj")   # its geometry text at this block
+        assert_writers_match_oracle(tmp_path, fresh, state, f"blocks{block}")
+        assert_writers_match_oracle(tmp_path, fresh, rest, f"rest{block}")
 
 
 def growth_per_line(path, report):
