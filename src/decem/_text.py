@@ -39,7 +39,7 @@ _K_MIN, _K_MAX = -324, 292
 _POW10 = np.array([10 ** i for i in range(20)], dtype=np.uint64)
 _ONE_BITS = _U(0x3FF0000000000000)
 _FIELD = re.compile("%([rd])")
-_TRASH = 1 << 30   # an offset that clips to the trash byte; offsets are int32
+_TRASH = 1 << 30   # an offset that clips to the trash byte
 _INF = _U(0x7FF0000000000000)
 _DECPT = range(-330, 320)   # decimal point positions of the tables
 
@@ -116,14 +116,14 @@ def _tables() -> _Tables:
     hundreds = np.where(exp_digits == 3, e_at + 2, _TRASH)
     exp_at = np.where(fixed | word, _TRASH, [e_at, e_at + 1, hundreds, e_at + exp_digits,
                                              e_at + exp_digits + 1])
-    float_at = np.vstack([exp_at, dot_at, digit_at]).astype(np.int32)
+    float_at = np.vstack([exp_at, dot_at, digit_at])
     float_len = np.where(fixed, zeros + np.maximum(ndig, point) + 1 + (point >= ndig),
                          np.where(word, 3, ndig + (ndig > 1) + 2 + exp_digits))
 
     # a %d text's rows are the 19 digits of its absolute value, leading zeros
     # included; its class is its digit count
     j, count = np.arange(19)[:, None], np.arange(20)
-    int_at = np.where(j >= 19 - count, j - (19 - count), _TRASH).astype(np.int32)
+    int_at = np.where(j >= 19 - count, j - (19 - count), _TRASH)
     return _Tables(g, k - _K_MIN, h, quads,
                    decimal_class, exponent, float_at, float_len, int_at)
 
@@ -270,7 +270,7 @@ def _float_text(x):
     return neg, neg + tables.float_len[cls], text, cls, tables.float_at[start:stop]
 
 
-def _fold(row, columns):
+def fold(row, columns):
     """``row`` with each ``%r`` whose column is +0.0 only (bitwise) made the
     literal text ``0.0``, and the columns of the conversions left."""
     zero = [kind == "r" and not np.asarray(column, np.float64).view(np.uint64).any()
@@ -284,10 +284,10 @@ def render(row: str, *columns) -> str:
     """``(row * n) % flat`` for the ``n`` rows of the 1-D ``columns``, one per
     ``%r`` (float64) or ``%d`` (int64) conversion of ``row``, with ``flat``
     their rows interleaved as Python floats and ints.  It takes one kernel
-    pass, on the columns that ``_fold`` leaves, so the caller bounds the
+    pass, on the columns that ``fold`` leaves, so the caller bounds the
     kernel's temporaries by the size of the block."""
     n = len(columns[0])
-    row, columns = _fold(row, columns)
+    row, columns = fold(row, columns)
     if not (columns and n):                    # repeated text
         return row * n
     parts = _FIELD.split(row)
@@ -299,7 +299,7 @@ def _render(literals, kinds, columns):
     ``kinds[0]`` conversion of ``columns[0]``, ``literals[1]``, ...,
     ``literals[-1]``."""
     n = len(columns[0])
-    sizes = np.empty((n, len(literals)), dtype=np.int32)
+    sizes = np.empty((n, len(literals)), dtype=np.int64)
     for j, text in enumerate(literals):
         sizes[:, j] = len(text)
     texts = []
@@ -312,7 +312,7 @@ def _render(literals, kinds, columns):
             for i, j in enumerate(fields):
                 sizes[:, j] += length[i * n:(i + 1) * n]
             texts.append((fields, neg, text, cls, at))
-    starts = np.cumsum(sizes.ravel(), dtype=np.int32).reshape(sizes.shape) - sizes
+    starts = np.cumsum(sizes.ravel()).reshape(sizes.shape) - sizes
     total = int(starts[-1, -1] + sizes[-1, -1])
     buf = np.full(total + 1, ord("0"), dtype=np.uint8)   # the last byte is trash
     for j, text in enumerate(literals):
@@ -322,9 +322,9 @@ def _render(literals, kinds, columns):
         first = (starts[:, fields] + [len(literals[j]) for j in fields]).T.ravel()
         buf[np.where(neg, first, total)] = ord("-")
         first += neg
-        for rows in range(0, len(at), 8):     # 8 rows at a time bound the positions
-            pos = np.take(at[rows:rows + 8], cls, axis=1)
+        for rows in range(0, len(at), 4):     # 4 rows at a time bound the positions
+            pos = np.take(at[rows:rows + 4], cls, axis=1)
             pos += first
             np.minimum(pos, total, out=pos)
-            buf[pos] = text[rows:rows + 8]
+            buf[pos] = text[rows:rows + 4]
     return str(memoryview(buf)[:total], "ascii")

@@ -70,9 +70,9 @@ def _blocks(row: str, *columns):
     the kernel: a ``%r`` column of +0.0 only is literal text."""
     # imported here, so that a run that writes no snapshot does not load (or,
     # without a bytecode cache, compile) the kernel
-    from ._text import _fold, render
+    from ._text import fold, render
 
-    step = max(1, TEXT_BLOCK_NUMBERS // max(1, len(_fold(row, columns)[1])))
+    step = max(1, TEXT_BLOCK_NUMBERS // max(1, len(fold(row, columns)[1])))
     for start in range(0, len(columns[0]), step):
         yield render(row, *(column[start:start + step] for column in columns))
 
