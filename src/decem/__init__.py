@@ -7,15 +7,6 @@ faces; TM: the reverse), plus growth-factor stability analysis, conservation
 diagnostics and a small CLI (``decem run|check-mesh|stability|convergence``).
 """
 
-from .analysis import (
-    ConvergenceReport,
-    GrowthFactorReport,
-    cavity_mode_fields,
-    check_nested_family,
-    convergence_study,
-    growth_factor,
-    stability_sweep,
-)
 from .bundled import bundled_names, bundled_path, bundled_surface, cavity_family
 from .config import ConfigError, RunConfig, load_config
 from .dec import (
@@ -61,3 +52,27 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+# ``decem.analysis`` is imported on first use of one of its names, so that a
+# ``decem run`` never loads (or, without a bytecode cache, compiles) it.
+_ANALYSIS_NAMES = (
+    "ConvergenceReport",
+    "GrowthFactorReport",
+    "cavity_mode_fields",
+    "check_nested_family",
+    "convergence_study",
+    "growth_factor",
+    "stability_sweep",
+)
+
+
+def __getattr__(name):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_ANALYSIS_NAMES])

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, bundled, output
+from . import bundled, output
 from . import solver as sv
 from .config import ConfigError, RunConfig, load_config
 from .mesh import MeshError, compute_dual_metrics, load_obj, mesh_report
@@ -143,6 +143,8 @@ def _cmd_check_mesh(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from . import analysis   # here, so that a run does not import it
+
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     surface = load_obj(cfg.mesh_path)
@@ -166,6 +168,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    from . import analysis
+
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     levels = cfg.convergence_levels

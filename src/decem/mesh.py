@@ -26,6 +26,7 @@ and safe for concurrent read-only use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,7 +176,7 @@ def _incidence(vertices, faces):
     vals = np.tile(np.array([-1, 1], dtype=np.int64), n_e)
     d0 = sp.csr_matrix((vals, (rows, cols)), shape=(n_e, n_v))
 
-    isolated = np.setdiff1d(np.arange(n_v), np.unique(faces))
+    isolated = np.nonzero(np.bincount(faces.ravel(), minlength=n_v) == 0)[0]
     if isolated.size:
         raise MeshError(f"isolated vertices (no incident face): {isolated.tolist()}")
 
@@ -236,30 +237,37 @@ def load_obj(path) -> SimplicialSurface:
     Only ``v x y z`` and ``f i j k`` records are honoured (1-based indices;
     ``i/t/n`` vertex references are accepted, everything after the first
     slash is ignored).  Other record types are skipped.  Face orientation is
-    taken from the file's winding order.
+    taken from the file's winding order.  Coordinates are read as Python's
+    ``float`` reads them, vertex indices as decimal integers.
     """
-    coords, corners = [], []   # the v x y z and f i j k tokens, in file order
+    coords, refs = [], []   # the v x y z tokens, and every f record's tokens
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            if tokens[0] == "v":
+            kind = tokens[0] if tokens else ""
+            if kind == "v":
                 if len(tokens) < 4:
                     raise MeshError(f"{path}:{lineno}: vertex record needs 3 coordinates")
                 coords += tokens[1:4]
-            elif tokens[0] == "f":
-                refs = tokens[1:]
-                if len(refs) != 3:
+            elif kind == "f":
+                if len(tokens) != 4:
                     raise MeshError(
-                        f"non-triangular face at face {len(corners) // 3} "
-                        f"({len(refs)} vertices, line {lineno})"
+                        f"non-triangular face at face {len(refs) // 4} "
+                        f"({len(tokens) - 1} vertices, line {lineno})"
                     )
-                corners += [r.partition("/")[0] for r in refs] if "/" in line else refs
+                refs += tokens
     if not coords:
         raise MeshError(f"{path}: no vertices found")
-    return from_arrays(np.array(coords, dtype=np.float64).reshape(-1, 3),
-                       np.array(corners, dtype=np.int64).reshape(-1, 3) - 1)
+    vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    del refs[::4]   # the "f" of each record
+    text = re.sub(r"/\S*", "", " ".join(refs))   # i/t/n -> i
+    try:
+        corners = np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError:   # (older numpy only warns, and returns the numbers before it)
+        corners = np.empty(0, dtype=np.int64)
+    if corners.size != len(refs):
+        raise MeshError(f"{path}: a face vertex reference does not start with an integer")
+    return from_arrays(vertices, corners.reshape(-1, 3) - 1)
 
 
 @dataclass(frozen=True)

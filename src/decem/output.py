@@ -102,7 +102,9 @@ def write_vtk_snapshot(
     TM: e) and the Whitney vector reconstruction of the edge field."""
     pol = polarization(state.mode)
     edge_field, face_scalar = pol.place(state.e, state.h)
-    vectors = whitney_face_vectors(surface, edge_field)
+    # a state at rest: the +0.0 vectors that the reconstruction would give
+    vectors = (whitney_face_vectors(surface, edge_field) if np.any(edge_field)
+               else np.zeros((surface.n_faces, 3)))
 
     with open(path, "w") as fh:
         fh.write(f"# vtk DataFile Version 3.0\n{title}\n")

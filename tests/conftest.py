@@ -68,12 +68,18 @@ def obtuse_pair():
 
 
 @pytest.fixture(scope="session")
-def icosphere4():
-    """Icosphere L4 (5120 faces), subdivided in memory from the bundled L3."""
+def make_assets():
+    """The asset generator ``tools/make_assets.py``, loaded as a module."""
     path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_assets.py")
     spec = importlib.util.spec_from_file_location("make_assets", path)
-    make_assets = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_assets)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def icosphere4(make_assets):
+    """Icosphere L4 (5120 faces), subdivided in memory from the bundled L3."""
     ico3 = bundled.bundled_surface("icosphere_3.obj")
     return mesh.from_arrays(*make_assets.subdivide(ico3.vertices, ico3.faces,
                                                    project_unit_sphere=True))

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from decem import _text, bundled, cli, config, mesh, output, solver
+import decem
+from decem import _text, analysis, bundled, cli, config, mesh, output, solver
 
 
 def write_cfg(path, **overrides):
@@ -250,6 +251,15 @@ def test_check_mesh_load_error(tmp_path, capsys):
     assert "non-triangular" in capsys.readouterr().err
 
 
+def test_check_mesh_malformed_number(tmp_path, capsys):
+    for name, text in (("coordinate", "v 0 0 0\nv 1 0 zero\nv 0 1 0\nf 1 2 3\n"),
+                       ("index", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 three\n")):
+        p = tmp_path / f"{name}.obj"
+        p.write_text(text)
+        assert cli.main(["check-mesh", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_zero_steps_writes_initial_snapshot(tmp_path, capsys):
     path = write_cfg(tmp_path / "a.cfg", steps="0",
                      **{"output.directory": str(tmp_path / "out")})
@@ -485,12 +495,32 @@ def test_run_without_snapshots_builds_no_text_tables(tmp_path):
         assert cli.main(["run", paths[formats], "--quiet"]) == 0
         assert _text._tables.cache_info().currsize == built
     script = ("import sys; from decem import cli; cli.main(sys.argv[1:]); "
-              "print('decem._text' in sys.modules)")
+              "print('decem._text' in sys.modules, 'decem.analysis' in sys.modules)")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     done = subprocess.run([sys.executable, "-c", script, "run", paths[""], "--quiet"],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, check=True)
-    assert done.stdout.split()[-1] == "False"
+    assert done.stdout.split()[-2:] == ["False", "False"]
+
+
+def test_package_exposes_analysis_names_on_first_use():
+    """``decem`` imports ``decem.analysis`` only when one of its names is
+    asked for, and still lists and exports them all."""
+    names = ["ConvergenceReport", "GrowthFactorReport", "cavity_mode_fields",
+             "check_nested_family", "convergence_study", "growth_factor", "stability_sweep"]
+    script = ("import sys, decem; before = 'decem.analysis' in sys.modules; "
+              "listed = [n for n in %r if n in dir(decem)]; "
+              "from decem import convergence_study; "
+              "print(before, len(listed), decem.stability_sweep.__module__, "
+              "convergence_study.__module__)" % names)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "7", "decem.analysis", "decem.analysis"]
+    for name in names:
+        assert getattr(decem, name) is getattr(analysis, name)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        decem.nonexistent
 
 
 def test_setup_failure_replaces_earlier_manifest(tmp_path, capsys):

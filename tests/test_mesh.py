@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decem import mesh
 
@@ -42,11 +44,23 @@ def test_interior_edges_opposite_signs(icosphere1):
     assert np.all(sums == 0)  # closed surface: every edge interior
 
 
+def write_obj_text(tmp_path, text, name="mesh.obj"):
+    p = tmp_path / name
+    p.write_bytes(text.encode())
+    return str(p)
+
+
+TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
 def test_quad_face_rejected(tmp_path):
-    p = tmp_path / "quad.obj"
-    p.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-    with pytest.raises(mesh.MeshError, match="non-triangular face"):
-        mesh.load_obj(str(p))
+    path = write_obj_text(tmp_path, TRIANGLE + "v 1 1 0\nf 1 2 3\n\nf 2 4 3 1\n")
+    with pytest.raises(mesh.MeshError) as err:
+        mesh.load_obj(path)
+    assert str(err.value) == "non-triangular face at face 1 (4 vertices, line 7)"
+    path = write_obj_text(tmp_path, TRIANGLE + "f 1 2\n", "short.obj")
+    with pytest.raises(mesh.MeshError, match=r"at face 0 \(2 vertices, line 4\)"):
+        mesh.load_obj(path)
 
 
 def test_nonmanifold_edge_rejected():
@@ -65,18 +79,24 @@ def test_inconsistent_winding_rejected():
 
 def test_isolated_vertex_rejected():
     v = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]]
-    with pytest.raises(mesh.MeshError, match="isolated"):
+    with pytest.raises(mesh.MeshError) as err:
         mesh.from_arrays(v, [[0, 1, 2]])
+    assert str(err.value) == "isolated vertices (no incident face): [3]"
 
 
 def test_other_obj_records_ignored(tmp_path):
-    p = tmp_path / "extra.obj"
-    p.write_text(
-        "mtllib foo.mtl\nvn 0 0 1\nvt 0 0\n"
-        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1/1 2/1/1 3/1/1\n"
-    )
-    s = mesh.load_obj(str(p))
-    assert s.n_faces == 1
+    """Comments and other records are skipped; tabs and CRLF line ends
+    separate as spaces and LF do."""
+    text = ("# header\r\nmtllib m.mtl\r\no body\r\ng group\r\ns off\r\nusemtl red\r\n"
+            "v\t0 0\t0\r\n  v 1.5 0 0   \r\n\tv 0 1 0\r\n#v 9 9 9\r\nvn 0 0 1\r\nvt 0 0\r\n"
+            "f\t1/1/1 2/1/1\t3/1/1\r\n#f 1 2 3 4\r\n")
+    s = mesh.load_obj(write_obj_text(tmp_path, text))
+    assert s.vertices.tolist() == [[0, 0, 0], [1.5, 0, 0], [0, 1, 0]]
+    assert s.faces.tolist() == [[0, 1, 2]]
+    # a vertex record's tokens after the third coordinate are ignored
+    s = mesh.load_obj(write_obj_text(tmp_path, TRIANGLE.replace("v 1 0 0", "v 1 0 0 1 0.5")
+                                     + "f 1 2 3\n", "extra.obj"))
+    assert s.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
 
 def test_right_triangle_circumcenter():
@@ -322,3 +342,111 @@ def test_mesh_errors_match_projection_oracle(obtuse_pair, jittered_cavity, monke
         "zero dual edge at interior edge 1", "zero dual edge at boundary edge 2"]
     assert messages[2].endswith("face 2")
     assert all(m.startswith("non-well-centered faces") for m in messages[5:])
+
+
+# The line-by-line reader that ``load_obj`` replaced, kept as the oracle for
+# its vertex and face arrays.
+def reference_obj_arrays(path):
+    coords, corners = [], []
+    with open(path, "r") as fh:
+        for line in fh:
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            if tokens[0] == "v":
+                coords += tokens[1:4]
+            elif tokens[0] == "f":
+                corners += [r.partition("/")[0] for r in tokens[1:]]
+    return (np.array(coords, dtype=np.float64).reshape(-1, 3),
+            np.array(corners, dtype=np.int64).reshape(-1, 3) - 1)
+
+
+def assert_bitwise_equal(surface, vertices, faces):
+    assert surface.vertices.dtype == np.float64 and surface.faces.dtype == np.int64
+    assert np.array_equal(surface.vertices.view(np.uint64), vertices.view(np.uint64))
+    assert np.array_equal(surface.faces, faces)
+
+
+def test_reader_matches_reference_on_bundled_and_generated_meshes(tmp_path, make_assets):
+    from decem import bundled
+
+    paths = [bundled.bundled_path(name) for name in bundled.bundled_names()
+             if name.endswith(".obj")]
+    v, f = make_assets.icosahedron()
+    for level in range(1, 6):
+        v, f = make_assets.subdivide(v, f, project_unit_sphere=True)
+        if level in (3, 5):
+            paths.append(str(tmp_path / f"icosphere_{level}.obj"))
+            make_assets.write_obj(paths[-1], v, f)
+    assert len(f) == 20480
+    for path in paths:
+        assert_bitwise_equal(mesh.load_obj(path), *reference_obj_arrays(path))
+
+
+def test_short_vertex_record_names_path_and_line(tmp_path):
+    path = write_obj_text(tmp_path, "# a comment\nv 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(mesh.MeshError) as err:
+        mesh.load_obj(path)
+    assert str(err.value) == f"{path}:3: vertex record needs 3 coordinates"
+
+
+def test_first_record_error_in_file_order_wins(tmp_path):
+    """Record errors are found line by line, before any number is read."""
+    path = write_obj_text(tmp_path, "v 0 0 x\nv 1 0 0\nv 0 1 0\nf 1 2 3 4\nv 1\n")
+    with pytest.raises(mesh.MeshError, match="non-triangular face at face 0"):
+        mesh.load_obj(path)
+
+
+@pytest.mark.parametrize("refs", ["1//4 2//5 3//6", "1/7 2/8 3/9", "1/ 2/ 3/"])
+def test_face_reference_decorations_parse(tmp_path, refs):
+    s = mesh.load_obj(write_obj_text(tmp_path, TRIANGLE + f"f {refs}\n"))
+    assert s.faces.tolist() == [[0, 1, 2]]
+
+
+def test_empty_meshes_keep_their_errors(tmp_path):
+    path = write_obj_text(tmp_path, "# nothing\nf 1 2 3\n")
+    with pytest.raises(mesh.MeshError) as err:
+        mesh.load_obj(path)
+    assert str(err.value) == f"{path}: no vertices found"
+    with pytest.raises(mesh.MeshError, match="^mesh has no faces$"):
+        mesh.load_obj(write_obj_text(tmp_path, TRIANGLE, "nofaces.obj"))
+
+
+@pytest.mark.parametrize("face", ["1 2 x", "1 2 3.0", "1 /2 3", "1 2 0x3"])
+def test_malformed_face_index_rejected(tmp_path, face):
+    path = write_obj_text(tmp_path, TRIANGLE + f"f {face}\n")
+    with pytest.raises(mesh.MeshError) as err:
+        mesh.load_obj(path)
+    assert str(err.value) == f"{path}: a face vertex reference does not start with an integer"
+
+
+# A coordinate token and the float it must read as: shortest repr, 17
+# significant digits, or an integer-looking literal.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+coordinate_tokens = st.one_of(
+    finite.map(lambda x: (repr(x), x)),
+    finite.map(lambda x: ("%.17e" % x, x)),
+    st.sampled_from(["1", "-0", "0", "+3", "-7", "1e5", "1E-2"]).map(lambda t: (t, float(t))),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(coordinate_tokens, coordinate_tokens, coordinate_tokens),
+                min_size=3, max_size=12),
+       st.lists(st.sampled_from(["", "/1", "//2", "/3/4", "/"]), min_size=36, max_size=36),
+       st.sampled_from([" ", "\t", "  "]))
+def test_reader_round_trips_tokens(tmp_path_factory, rows, decorations, sep):
+    """Written coordinates read back bitwise, decorated faces exactly: a
+    strip of triangles over the vertices, consistently wound."""
+    faces = [(k, k + 1, k + 2) if k % 2 == 0 else (k + 1, k, k + 2)
+             for k in range(len(rows) - 2)]
+    suffix = iter(decorations)
+    text = "".join(f"v{sep}{sep.join(t for t, _ in row)}\n" for row in rows)
+    text += "".join("f" + "".join(f"{sep}{i + 1}{next(suffix)}" for i in face) + "\n"
+                    for face in faces)
+    path = tmp_path_factory.mktemp("obj") / "strip.obj"
+    path.write_text(text)
+    expected = np.array([[x for _, x in row] for row in rows], dtype=np.float64)
+    surface = mesh.load_obj(str(path))
+    assert_bitwise_equal(surface, expected, np.array(faces, dtype=np.int64))
+    assert_bitwise_equal(surface, *reference_obj_arrays(str(path)))

@@ -33,6 +33,26 @@ def test_whitney_zero_cochain_has_no_sign_bit():
     assert not vectors.any() and not np.signbit(vectors).any()
 
 
+def test_vtk_at_rest_skips_the_reconstruction(tmp_path, monkeypatch):
+    """A zero edge cochain, -0.0 entries included, writes the +0.0 vectors
+    the reconstruction would give without computing it."""
+    surface = bundled.bundled_surface("icosphere_2.obj")
+    rng = np.random.default_rng(6)
+    states = [solver.initial_state("TE", surface), solver.initial_state("TM", surface),
+              solver.FieldState("TE", np.where(rng.random(surface.n_edges) < 0.5, -0.0, 0.0),
+                                rng.normal(size=surface.n_faces), n=2, t=0.1)]
+    for k, state in enumerate(states):
+        vtk_per_line(str(tmp_path / f"{k}_oracle.vtk"), surface, state)
+
+    def fail(*args):
+        raise AssertionError("whitney_face_vectors called at rest")
+
+    monkeypatch.setattr(output, "whitney_face_vectors", fail)
+    for k, state in enumerate(states):
+        output.write_vtk_snapshot(str(tmp_path / f"{k}.vtk"), surface, state)
+        assert (tmp_path / f"{k}.vtk").read_bytes() == (tmp_path / f"{k}_oracle.vtk").read_bytes()
+
+
 def test_whitney_blocks_match_single_pass(monkeypatch):
     make_assets = load_tool("make_assets")
     ico3 = bundled.bundled_surface("icosphere_3.obj")
