@@ -29,6 +29,7 @@ from .mesh import (
     MeshError,
     SimplicialSurface,
     compute_dual_metrics,
+    edge_midpoints,
     face_circumcenters,
     from_arrays,
     load_obj,

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver as sv
-from .mesh import DualMetrics, SimplicialSurface, compute_dual_metrics
+from .mesh import (DualMetrics, SimplicialSurface, compute_dual_metrics, edge_midpoints,
+                   face_circumcenters)
 
 __all__ = [
     "GrowthFactorReport",
@@ -163,8 +164,9 @@ def stability_sweep(
         stepper = sv.assemble(materials.mode, surface, metrics, materials, dt_max)
         stars = stepper.stars
         # canned smooth bump on the face carrier, zero edge field
+        cc = face_circumcenters(surface)
         bump = np.exp(
-            -((metrics.circumcenters - metrics.circumcenters[0]) ** 2).sum(axis=1)
+            -((cc - cc[0]) ** 2).sum(axis=1)
             / max(metrics.face_area.sum() / 20.0, 1e-30)
         )
         face_field = sv.polarization(materials.mode).face_field
@@ -206,16 +208,17 @@ def cavity_mode_fields(
 
     Returns ``(e_faces, h_edges)``: the out-of-plane electric value at each
     face circumcenter and the tangential magnetic line integral along each
-    edge (midpoint quadrature).
+    edge (midpoint quadrature).  Both positions come from ``surface``;
+    ``metrics`` is not read.
     """
     c = 1.0 / np.sqrt(eps * mu)
     w = c * np.pi * np.sqrt(float(m * m + n * n))
     mp, npi = m * np.pi, n * np.pi
 
-    cc = metrics.circumcenters
+    cc = face_circumcenters(surface)
     e_faces = np.sin(mp * cc[:, 0]) * np.sin(npi * cc[:, 1]) * np.cos(w * t)
 
-    mid = metrics.edge_midpoints
+    mid = edge_midpoints(surface)
     hx = -(npi / (mu * w)) * np.sin(mp * mid[:, 0]) * np.cos(npi * mid[:, 1])
     hy = (mp / (mu * w)) * np.cos(mp * mid[:, 0]) * np.sin(npi * mid[:, 1])
     tangent = surface.vertices[surface.edges[:, 1]] - surface.vertices[surface.edges[:, 0]]

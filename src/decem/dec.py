@@ -120,9 +120,9 @@ def d(c: Cochain) -> Cochain:
     if c.degree == 2:
         raise DecError("d of a degree-2 cochain: no 3-cells on a surface")
     if c.placement == "primal":
-        mat = s.d0_real if c.degree == 0 else s.d1_real
+        mat = s.d0 if c.degree == 0 else s.d1
     else:
-        mat = s.d1_real.T if c.degree == 0 else s.d0_real.T
+        mat = s.d1.T if c.degree == 0 else s.d0.T
     return Cochain(s, c.degree + 1, c.placement, mat @ c.values)
 
 
@@ -204,8 +204,8 @@ def maxwell_residual(A: Cochain, J: Cochain, h: HodgeStars) -> Cochain:
     if J.degree != 1 or J.placement != "primal":
         raise DecError("current must be a primal 1-cochain")
     s = A.surface
-    dA = s.d1_real @ A.values
-    res = s.d1_real.T @ (h.star2 * dA) - h.star1 * J.values
+    dA = s.d1 @ A.values
+    res = s.d1.T @ (h.star2 * dA) - h.star1 * J.values
     return Cochain(s, 1, "primal", res)
 
 
@@ -213,11 +213,11 @@ def continuity_defect(J: Cochain, h: HodgeStars) -> np.ndarray:
     """Per-vertex defect of the discrete continuity condition d^T * J = 0."""
     if J.degree != 1 or J.placement != "primal":
         raise DecError("continuity_defect expects a primal 1-cochain")
-    return J.surface.d0_real.T @ (h.star1 * J.values)
+    return J.surface.d0.T @ (h.star1 * J.values)
 
 
 def field_action(A: Cochain, J: Cochain, h: HodgeStars) -> float:
     """Quadratic action <dA, dA>/2 - <A, J> whose gradient is the residual."""
     s = A.surface
-    dA = s.d1_real @ A.values
+    dA = s.d1 @ A.values
     return float(0.5 * dA @ (h.star2 * dA) - A.values @ (h.star1 * J.values))

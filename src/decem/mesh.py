@@ -1,18 +1,21 @@
 """Oriented triangle meshes with circumcentric-dual metrics.
 
 A :class:`SimplicialSurface` is a triangulated 2-manifold embedded in 3-space,
-stored with canonical edge orientations and integer incidence matrices.  The
-companion :class:`DualMetrics` carries every primal and circumcentric-dual
-measure the diagonal Hodge stars and the time steppers need: edge lengths,
-face areas, dual edge (polyline) lengths and dual vertex-cell areas.
+stored with canonical edge orientations and its incidence matrices, whose
++-1 entries are stored as float64 (exact: every sum of their products is a
+small integer).  The companion :class:`DualMetrics` carries only the primal
+and circumcentric-dual measures the diagonal Hodge stars and the time
+steppers need: edge lengths, face areas, dual edge (polyline) lengths and
+dual vertex-cell areas.  Positions are computed on demand, by
+:func:`face_circumcenters` and :func:`edge_midpoints`.
 
 Conventions
 -----------
 * Edges are canonically oriented from the lower vertex index to the higher.
 * ``d0[e, v]`` is +1 at the edge head, -1 at the tail.
 * ``d1[f, e]`` is +1 when the edge's canonical orientation agrees with the
-  face's boundary traversal, -1 otherwise, so ``d1 @ d0 == 0`` exactly in
-  integer arithmetic.
+  face's boundary traversal, -1 otherwise, so ``d1 @ d0`` has no nonzero
+  entry.
 * Circumcenters are computed in each face's own plane in 3D; the dual of an
   edge is the polyline joining the circumcenters of its (one or two) incident
   faces through the edge midpoint, so dual lengths are correct on curved
@@ -39,6 +42,8 @@ __all__ = [
     "from_arrays",
     "load_obj",
     "compute_dual_metrics",
+    "face_circumcenters",
+    "edge_midpoints",
     "mesh_report",
 ]
 
@@ -66,10 +71,10 @@ class SimplicialSurface:
         lexicographically (deterministic, independent of face order).
     faces : (F, 3) int array
         Vertex triples in the winding order of the input file.
-    d0 : (E, V) int sparse matrix
-        Vertex-to-edge incidence.
-    d1 : (F, E) int sparse matrix
-        Edge-to-face incidence.
+    d0 : (E, V) float64 CSR matrix
+        Vertex-to-edge incidence, entries +-1.
+    d1 : (F, E) float64 CSR matrix
+        Edge-to-face incidence, entries +-1.
     boundary_edges : frozenset of int
         Indices of edges with exactly one incident face.
     """
@@ -99,17 +104,13 @@ class SimplicialSurface:
 
     @property
     def d0_real(self) -> sp.csr_matrix:
-        """Float copy of d0 for numerical work (cached)."""
-        if not hasattr(self, "_d0_real"):
-            object.__setattr__(self, "_d0_real", self.d0.astype(np.float64))
-        return self._d0_real
+        """``d0`` itself, which is already float64."""
+        return self.d0
 
     @property
     def d1_real(self) -> sp.csr_matrix:
-        """Float copy of d1 for numerical work (cached)."""
-        if not hasattr(self, "_d1_real"):
-            object.__setattr__(self, "_d1_real", self.d1.astype(np.float64))
-        return self._d1_real
+        """``d1`` itself, which is already float64."""
+        return self.d1
 
     @property
     def interior_edge_mask(self) -> np.ndarray:
@@ -173,7 +174,7 @@ def _incidence(vertices, faces):
     # d0: one -1 at the tail (low index), +1 at the head (high index)
     rows = np.repeat(np.arange(n_e), 2)
     cols = edges.reshape(-1)
-    vals = np.tile(np.array([-1, 1], dtype=np.int64), n_e)
+    vals = np.tile([-1.0, 1.0], n_e)
     d0 = sp.csr_matrix((vals, (rows, cols)), shape=(n_e, n_v))
 
     isolated = np.nonzero(np.bincount(faces.ravel(), minlength=n_v) == 0)[0]
@@ -184,7 +185,7 @@ def _incidence(vertices, faces):
     # orientation of the edge
     a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
     directed_tails = np.stack([a, b, c], axis=1)  # tails of (a,b),(b,c),(c,a)
-    signs = np.where(directed_tails == edges[face_edge, 0], 1, -1).astype(np.int64)
+    signs = np.where(directed_tails == edges[face_edge, 0], 1.0, -1.0)
     rows = np.repeat(np.arange(n_f), 3)
     d1 = sp.csr_matrix(
         (signs.reshape(-1), (rows, face_edge.reshape(-1))), shape=(n_f, n_e)
@@ -279,16 +280,17 @@ class DualMetrics:
     midpoint (a single segment for boundary edges).  ``dual_vertex_area[v]``
     is the area of the circumcentric dual 2-cell of vertex ``v``, assembled
     from the per-corner kite triangles (vertex, edge midpoint, face
-    circumcenter).  In signed mode both can be negative for non-well-centered
-    faces.
+    circumcenter).  In signed mode (``signed``) both can be negative for
+    non-well-centered faces; ``well_centered[f]`` says whether face ``f``
+    contains its circumcenter.  The metrics hold measures only: the
+    positions they are built from are :func:`face_circumcenters` and
+    :func:`edge_midpoints`.
     """
 
     edge_len: np.ndarray
     face_area: np.ndarray
     dual_edge_len: np.ndarray
     dual_vertex_area: np.ndarray
-    circumcenters: np.ndarray
-    edge_midpoints: np.ndarray
     well_centered: np.ndarray
     signed: bool
 
@@ -297,38 +299,60 @@ class DualMetrics:
         return bool(self.well_centered.all())
 
 
-def _face_geometry(surface: SimplicialSurface):
-    """Per-face circumcenters, areas and signed circumcenter-edge distances.
+def _cotangents(surface: SimplicialSurface):
+    """Per-face areas, and per face and local edge k (order (a,b),(b,c),(c,a))
+    the squared edge length and the cotangent of the opposite angle.
 
-    Returns ``(circumcenters, areas, signed_dist)`` where ``signed_dist[f, k]``
-    is the distance from the circumcenter of face ``f`` to its k-th edge
-    (local order (a,b),(b,c),(c,a)), positive when the circumcenter lies on
-    the same side of the edge as the opposite vertex (i.e. inside for
-    well-centered faces).  With theta_k the angle at the vertex opposite edge
-    k, ``cot theta_k = (tail - opp).(head - opp) / (2 area)``, the distance is
-    ``|e_k| cot theta_k / 2`` and the circumcenter has barycentric weights
-    ``|e_k|^2 cot theta_k`` on the opposite vertices.
+    Returns ``(areas, edge_sq, cot)``.  With the edge vectors e_k = p_{k+1} -
+    p_k, taken once, the angle theta_k at p_{k+2} has ``cot theta_k =
+    (p_k - p_{k+2}).(p_{k+1} - p_{k+2}) / |N| = -e_{k+2}.e_{k+1} / |N|``, and
+    the normal N = (p1 - p0) x (p2 - p0) = -e_0 x e_2 is twice the area.
+    Degenerate faces raise :class:`MeshError` before any division.
     """
     p = surface.vertices[surface.faces]          # (F, corner, xyz)
-    head, opp = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
-    edge_sq = np.einsum("fkx,fkx->fk", head - p, head - p)
-    two_area = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    e = np.empty_like(p)
+    np.subtract(p[:, 1:], p[:, :2], out=e[:, :2])
+    np.subtract(p[:, 0], p[:, 2], out=e[:, 2])
+    del p
+    edge_sq = np.einsum("fkx,fkx->fk", e, e)
+    two_area = np.linalg.norm(np.cross(e[:, 0], e[:, 2]), axis=1)
     areas = 0.5 * two_area
 
     degenerate = np.nonzero(areas < DEGENERATE_REL * edge_sq.max(axis=1))[0]
     if degenerate.size:
         raise MeshError(f"degenerate face (collinear vertices): face {degenerate[0]}")
 
-    cot = np.einsum("fkx,fkx->fk", p - opp, head - opp) / two_area[:, None]
-    weights = edge_sq * cot
-    cc = np.einsum("fk,fkx->fx", weights, opp) / weights.sum(axis=1, keepdims=True)
-    return cc, areas, 0.5 * np.sqrt(edge_sq) * cot
+    # e_{j+1}.e_j for each j, then rolled so that entry k is e_{k+2}.e_{k+1}
+    dots = np.einsum("fkx,fkx->fk", e[:, [1, 2, 0]], e)[:, [1, 2, 0]]
+    return areas, edge_sq, dots / -two_area[:, None]
+
+
+def _face_geometry(surface: SimplicialSurface):
+    """Per-face areas and signed circumcenter-edge distances.
+
+    Returns ``(areas, signed_dist)`` where ``signed_dist[f, k]`` is the
+    distance from the circumcenter of face ``f`` to its k-th edge (local
+    order (a,b),(b,c),(c,a)), positive when the circumcenter lies on the same
+    side of the edge as the opposite vertex (i.e. inside for well-centered
+    faces): ``|e_k| cot theta_k / 2``.
+    """
+    areas, edge_sq, cot = _cotangents(surface)
+    return areas, 0.5 * np.sqrt(edge_sq) * cot
 
 
 def face_circumcenters(surface: SimplicialSurface) -> np.ndarray:
-    """Circumcenters of all faces, computed in each face's own 3D plane."""
-    cc, _, _ = _face_geometry(surface)
-    return cc
+    """Circumcenters of all faces, computed in each face's own 3D plane: the
+    corners weighted by ``|e_k|^2 cot theta_k`` on the vertex opposite edge k."""
+    _, edge_sq, cot = _cotangents(surface)
+    weights = edge_sq * cot
+    opp = surface.vertices[surface.faces[:, [2, 0, 1]]]
+    return np.einsum("fk,fkx->fx", weights, opp) / weights.sum(axis=1, keepdims=True)
+
+
+def edge_midpoints(surface: SimplicialSurface) -> np.ndarray:
+    """Midpoints of all edges, in edge order."""
+    ends = surface.vertices[surface.edges]       # (E, tail/head, xyz)
+    return 0.5 * (ends[:, 0] + ends[:, 1])
 
 
 def compute_dual_metrics(
@@ -345,10 +369,10 @@ def compute_dual_metrics(
     Raises :class:`MeshError` for degenerate faces and for (near-)zero dual
     edges, which would break the diagonal Hodge star.
     """
-    cc, areas, signed = _face_geometry(surface)
+    areas, signed = _face_geometry(surface)
     ends = surface.vertices[surface.edges]       # (E, tail/head, xyz)
     edge_len = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
-    edge_mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    del ends
 
     well_centered = (signed > 0.0).all(axis=1)
     if not allow_non_well_centered and not well_centered.all():
@@ -386,8 +410,6 @@ def compute_dual_metrics(
         face_area=areas,
         dual_edge_len=dual_edge_len,
         dual_vertex_area=dual_vertex_area,
-        circumcenters=cc,
-        edge_midpoints=edge_mid,
         well_centered=well_centered,
         signed=allow_non_well_centered,
     )

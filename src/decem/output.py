@@ -26,14 +26,28 @@ __all__ = [
 ]
 
 
-# Faces per block of the Whitney reconstruction, and numbers per block of
-# text (one kernel pass) in the writers: both bound their temporaries.
+# Faces per block of ``whitney_face_vectors``, and numbers per block of text
+# (one kernel pass) in the writers: both bound their temporaries.
 WHITNEY_BLOCK_FACES = 4096
 TEXT_BLOCK_NUMBERS = 8192
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _whitney_block(surface: SimplicialSurface, edge_values: np.ndarray, rows: slice):
+    """``whitney_face_vectors`` of the faces ``rows``, a slice."""
+    f = surface.faces[rows]
+    p = surface.vertices[f]              # (B, corner, xyz)
+    normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    values = edge_values[surface.face_edges[rows]] * np.where(f < f[:, [1, 2, 0]], 1, -1)
+    # the barycenter, summed as p.mean sums it, at a fraction of its cost
+    arms = ((p[:, 0] + p[:, 1] + p[:, 2]) / 3)[:, None] - p[:, [2, 0, 1]]
+    vectors = (np.cross(normal, np.einsum("fk,fkx->fx", values, arms))
+               / np.einsum("fx,fx->f", normal, normal)[:, None])
+    vectors += 0.0   # +0.0 where a component is -0.0, which would print as -0.0
+    return vectors
 
 
 def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) -> np.ndarray:
@@ -51,15 +65,7 @@ def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) ->
     out = np.empty((surface.n_faces, 3))
     for start in range(0, surface.n_faces, WHITNEY_BLOCK_FACES):
         rows = slice(start, start + WHITNEY_BLOCK_FACES)
-        f = surface.faces[rows]
-        p = surface.vertices[f]              # (B, corner, xyz)
-        normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        values = edge_values[surface.face_edges[rows]] * np.where(f < f[:, [1, 2, 0]], 1, -1)
-        # the barycenter, summed as p.mean sums it, at a fraction of its cost
-        arms = ((p[:, 0] + p[:, 1] + p[:, 2]) / 3)[:, None] - p[:, [2, 0, 1]]
-        out[rows] = (np.cross(normal, np.einsum("fk,fkx->fx", values, arms))
-                     / np.einsum("fx,fx->f", normal, normal)[:, None])
-    out += 0.0   # +0.0 where a component is -0.0, which would print as -0.0
+        out[rows] = _whitney_block(surface, edge_values, rows)
     return out
 
 
@@ -99,13 +105,13 @@ def write_vtk_snapshot(
     title: str = "decem snapshot",
 ) -> None:
     """Legacy ASCII VTK unstructured grid with the face scalar (TE: h,
-    TM: e) and the Whitney vector reconstruction of the edge field."""
+    TM: e) and the Whitney vector reconstruction of the edge field.
+
+    The vectors are computed and written a block of ``TEXT_BLOCK_NUMBERS //
+    3`` faces at a time, one kernel pass each, so that no (faces, 3) array
+    is held; their text is that of ``whitney_face_vectors``."""
     pol = polarization(state.mode)
     edge_field, face_scalar = pol.place(state.e, state.h)
-    # a state at rest: the +0.0 vectors that the reconstruction would give
-    vectors = (whitney_face_vectors(surface, edge_field) if np.any(edge_field)
-               else np.zeros((surface.n_faces, 3)))
-
     with open(path, "w") as fh:
         fh.write(f"# vtk DataFile Version 3.0\n{title}\n")
         fh.writelines(_vtk_geometry(surface))
@@ -113,7 +119,13 @@ def write_vtk_snapshot(
                  f"SCALARS {pol.face_field} double 1\nLOOKUP_TABLE default\n")
         fh.writelines(_blocks("%r\n", np.asarray(face_scalar, dtype=np.float64)))
         fh.write(f"VECTORS {pol.edge_field}_vec double\n")
-        fh.writelines(_blocks("%r %r %r\n", *vectors.T))
+        if np.any(edge_field):
+            faces = max(1, TEXT_BLOCK_NUMBERS // 3)
+            for start in range(0, surface.n_faces, faces):
+                vectors = _whitney_block(surface, edge_field, slice(start, start + faces))
+                fh.writelines(_blocks("%r %r %r\n", *vectors.T))
+        else:   # a state at rest: the +0.0 vectors that the reconstruction would give
+            fh.write("0.0 0.0 0.0\n" * surface.n_faces)
 
 
 def write_csv_snapshot(path, state: FieldState) -> None:

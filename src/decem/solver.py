@@ -219,6 +219,8 @@ class SourceSpec:
     converse).  ``amplitude`` is a pointwise density; the stepper integrates
     it over the carrier measure.  The pulse is
     ``amplitude * exp(-(t - t0)^2 / (2 width^2))``, evaluated at half steps.
+    ``support`` lists distinct carrier indices: a step subtracts the current
+    by one indexed update, which would apply a repeated index once.
     """
 
     kind: str = "none"
@@ -238,6 +240,10 @@ class SourceSpec:
         if self.kind != "none" and not self.width > 0:
             raise ValueError("source width must be positive")
         self.support = np.asarray(self.support, dtype=int)
+        index, count = np.unique(self.support, return_counts=True)
+        if (count > 1).any():
+            raise ValueError(
+                f"source.support lists index {int(index[count > 1][0])} more than once")
 
     def waveform(self, t: float) -> float:
         if self.kind == "none":
@@ -273,9 +279,9 @@ class ImplicitStepper:
     solver configuration.  ``edge_couple`` is s g, and ``edge_decay``/
     ``edge_drive`` are g m_e and g star1 (module docstring); all three are
     +0.0 on PEC edges, so a PEC unknown at +0.0 stays +0.0.  ``d1`` is the
-    float incidence and ``d1t`` its transpose as CSR, built once here rather
-    than as a CSC view each step.  A stepper is immutable: stepping never
-    changes it, so one stepper can serve any number of runs.
+    surface's own incidence matrix and ``d1t`` its transpose as CSR, built
+    once here rather than as a CSC view each step.  A stepper is immutable:
+    stepping never changes it, so one stepper can serve any number of runs.
     """
 
     polarization: Polarization
@@ -379,7 +385,7 @@ def assemble(
         """num / edge_plus on active edges, +0.0 on PEC edges."""
         return np.divide(num, edge_plus, out=np.zeros(surface.n_edges), where=active)
 
-    d1 = surface.d1_real
+    d1 = surface.d1
     d1t = d1.T.tocsr()
     system = (sp.diags(face_plus) + d1 @ sp.diags(on_active(1.0)) @ d1t).tocsr()
 
@@ -483,7 +489,7 @@ def gauss_residuals(
     """
     rho = np.zeros(surface.n_vertices) if charge is None else np.asarray(charge, float)
     flux = _edge_flux(state, materials)
-    vertex_law = surface.d0_real.T @ (stars.star1 * flux) - stars.star0 * rho
+    vertex_law = surface.d0.T @ (stars.star1 * flux) - stars.star0 * rho
     structural = np.zeros(surface.n_faces)
     return GaussResiduals(*polarization(state.mode).place(vertex_law, structural))
 
@@ -496,5 +502,5 @@ def gauss_residual_scale(
 ) -> float:
     """Natural cancellation scale for the vertex Gauss law (for relative
     residuals): the same divergence sum with absolute values taken."""
-    scale = abs(surface.d0_real).T @ np.abs(stars.star1 * _edge_flux(state, materials))
+    scale = abs(surface.d0).T @ np.abs(stars.star1 * _edge_flux(state, materials))
     return float(scale.max()) if scale.size else 0.0

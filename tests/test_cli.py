@@ -87,6 +87,7 @@ def test_config_bad_values(tmp_path):
         ({"source.target": "jx"}, "source target must be je or jm"),
         ({"source.width": "0"}, "source width must be positive"),
         ({"source.width": "-1"}, "source width must be positive"),
+        ({"source.support": "3,7,3"}, "source.support lists index 3 more than once"),
         # non-finite and out-of-range numbers name their key before any compute
         ({"dt": "nan"}, "dt: expected a finite number, got 'nan'"),
         ({"dt": "inf"}, "dt: expected a finite number, got 'inf'"),
@@ -290,6 +291,15 @@ def test_run_nonfinite_value_fails_before_compute(tmp_path, capsys):
         "material.mu": "inf", "output.directory": str(out)})
     assert cli.main(["run", path, "--quiet"]) == 2
     assert "material.mu: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_repeated_support_index_fails_before_compute(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        "source.support": "3,7,3", "output.directory": str(out)})
+    assert cli.main(["run", path, "--quiet"]) == 2
+    assert "source.support lists index 3" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -92,8 +92,7 @@ def test_zero_star1_rejected(equilateral):
     bad = mesh.DualMetrics(
         edge_len=m.edge_len, face_area=m.face_area,
         dual_edge_len=np.array([0.0, 1.0, 1.0]),
-        dual_vertex_area=m.dual_vertex_area, circumcenters=m.circumcenters,
-        edge_midpoints=m.edge_midpoints, well_centered=m.well_centered,
+        dual_vertex_area=m.dual_vertex_area, well_centered=m.well_centered,
         signed=True,
     )
     with pytest.raises(dec.DecError, match="zero"):

@@ -144,13 +144,21 @@ def test_non_well_centered_needs_flag():
 def test_equilateral_closed_forms(equilateral):
     m = mesh.compute_dual_metrics(equilateral)
     assert np.isclose(m.face_area[0], np.sqrt(3) / 4, rtol=1e-14)
-    r = np.linalg.norm(m.circumcenters[0] - equilateral.vertices, axis=1)
+    r = np.linalg.norm(mesh.face_circumcenters(equilateral)[0] - equilateral.vertices, axis=1)
     assert np.allclose(r, 1 / np.sqrt(3), rtol=1e-13)
     # the three corner duals tile the face exactly
     assert np.isclose(m.dual_vertex_area.sum(), m.face_area[0], rtol=1e-13)
     # boundary dual edges: single segment = distance from midpoint to center
-    seg = np.linalg.norm(m.edge_midpoints - m.circumcenters[0], axis=1)
+    seg = np.linalg.norm(mesh.edge_midpoints(equilateral)
+                         - mesh.face_circumcenters(equilateral)[0], axis=1)
     assert np.allclose(m.dual_edge_len, seg, rtol=1e-13)
+
+
+def test_edge_midpoints(icosphere1, cavity1):
+    for s in (icosphere1, cavity1):
+        v, e = s.vertices, s.edges
+        expected = 0.5 * (v[e[:, 0]] + v[e[:, 1]])
+        assert mesh.edge_midpoints(s).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", ["icosphere_1.obj", "icosphere_3.obj", "cavity_2.obj"])
@@ -288,7 +296,8 @@ def assert_close_to_scale(new, old, what):
 def test_cotangent_geometry_matches_projection_oracle(oracle_surface):
     s = oracle_surface
     cc, areas, signed = projection_face_geometry(s)
-    new_cc, new_areas, new_signed = mesh._face_geometry(s)
+    new_areas, new_signed = mesh._face_geometry(s)
+    new_cc = mesh.face_circumcenters(s)
     for new, old, what in ((new_cc, cc, "circumcenters"), (new_areas, areas, "areas"),
                            (new_signed, signed, "signed distances")):
         assert_close_to_scale(new, old, what)
@@ -301,7 +310,7 @@ def test_cotangent_geometry_matches_projection_oracle(oracle_surface):
     dual_edge_len, dual_vertex_area = projection_dual_measures(s, signed)
     for new, old, what in ((m.dual_edge_len, dual_edge_len, "dual_edge_len"),
                            (m.dual_vertex_area, dual_vertex_area, "dual_vertex_area"),
-                           (m.circumcenters, cc, "circumcenters"),
+                           (mesh.face_circumcenters(s), cc, "circumcenters"),
                            (m.face_area, areas, "face_area")):
         assert_close_to_scale(new, old, what)
     assert np.array_equal(np.sign(m.dual_edge_len), np.sign(dual_edge_len))
@@ -332,7 +341,7 @@ def test_mesh_errors_match_projection_oracle(obtuse_pair, jittered_cavity, monke
         with pytest.raises(mesh.MeshError) as new, np.errstate(all="raise"):
             mesh.compute_dual_metrics(s, allow_non_well_centered=allow)
         messages.append(str(new.value))
-    monkeypatch.setattr(mesh, "_face_geometry", projection_face_geometry)
+    monkeypatch.setattr(mesh, "_face_geometry", lambda s: projection_face_geometry(s)[1:])
     for (s, allow), message in zip(cases, messages):
         with pytest.raises(mesh.MeshError) as old:
             mesh.compute_dual_metrics(s, allow_non_well_centered=allow)

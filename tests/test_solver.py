@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from decem import bundled, dec, mesh, solver
 
@@ -19,8 +20,8 @@ def sphere_stepper(surface, metrics, dt_scale=100.0, kind="direct", **mat_kw):
     return solver.assemble("TE", surface, metrics, mats, dt, solver=kind), mats
 
 
-def face_bump(metrics, center=(0.0, 0.0, 1.0), width=0.1):
-    d2 = ((metrics.circumcenters - np.asarray(center)) ** 2).sum(axis=1)
+def face_bump(surface, center=(0.0, 0.0, 1.0), width=0.1):
+    d2 = ((mesh.face_circumcenters(surface) - np.asarray(center)) ** 2).sum(axis=1)
     return np.exp(-d2 / width)
 
 
@@ -75,6 +76,13 @@ def test_nonfinite_inputs_rejected(icosphere1, icosphere1_metrics):
     for bad in ({"width": np.nan}, {"amplitude": np.inf}, {"t0": np.nan}):
         with pytest.raises(ValueError, match="must be finite"):
             solver.SourceSpec(kind="gaussian_pulse", support=[0], **bad)
+
+
+def test_repeated_support_index_rejected():
+    """A step subtracts the current by one indexed update, which applies a
+    repeated index once, so a support that repeats one is an error."""
+    with pytest.raises(ValueError, match="source.support lists index 3 more than once"):
+        solver.SourceSpec(kind="gaussian_pulse", support=[5, 3, 0, 3])
 
 
 def test_indefinite_rejected_then_allowed():
@@ -156,7 +164,7 @@ def test_single_triangle_conduction_update_exact(equilateral):
 def test_energy_nonincreasing_across_dt_orders(icosphere1, icosphere1_metrics):
     """Source-free lossless energy never grows, for dt over four decades."""
     stars = stars_of(icosphere1, icosphere1_metrics)
-    h0 = face_bump(icosphere1_metrics)
+    h0 = face_bump(icosphere1)
     base = icosphere1_metrics.dual_edge_len.min()
     for factor in (1e-2, 1.0, 1e2, 1e4):
         stepper, mats = sphere_stepper(icosphere1, icosphere1_metrics,
@@ -181,7 +189,7 @@ def test_dissipation_ordering(icosphere1, icosphere1_metrics):
     dt = 1.0 * m.dual_edge_len.min()
     e0 = divergence_free_edge_field(s, stars, 52)
     e0 *= 0.1 / np.abs(e0).max()
-    h0 = face_bump(m)
+    h0 = face_bump(s)
     trajectories = []
     for sigma in (0.0, 0.3, 0.9, 2.0):
         mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0,
@@ -243,7 +251,7 @@ def test_pec_boundary_edges_stay_zero(cavity1, cavity1_metrics):
 
 
 def test_cg_and_direct_agree(icosphere1, icosphere1_metrics):
-    h0 = face_bump(icosphere1_metrics)
+    h0 = face_bump(icosphere1)
     st_cg, mats = sphere_stepper(icosphere1, icosphere1_metrics, kind="cg")
     st_dir, _ = sphere_stepper(icosphere1, icosphere1_metrics, kind="direct")
     a = solver.initial_state("TE", icosphere1, h=h0)
@@ -258,7 +266,7 @@ def test_stepper_is_immutable_and_repeatable(icosphere1, icosphere1_metrics):
     """Stepping never writes to the stepper: two runs from one initial state
     through one cg stepper are bitwise identical."""
     stepper, _ = sphere_stepper(icosphere1, icosphere1_metrics, kind="cg")
-    start = solver.initial_state("TE", icosphere1, h=face_bump(icosphere1_metrics))
+    start = solver.initial_state("TE", icosphere1, h=face_bump(icosphere1))
     runs = []
     for _ in range(2):
         state = start
@@ -271,12 +279,69 @@ def test_stepper_is_immutable_and_repeatable(icosphere1, icosphere1_metrics):
         stepper.dt = 1.0
 
 
+def held_bytes(*roots):
+    """Bytes of the distinct numpy arrays and sparse matrices reachable from
+    ``roots`` through instance attributes, lists and tuples, each array's
+    memory counted once however many views of it are reached; the LU factor
+    (``_factor``) is left out."""
+    seen, owners, total = set(), set(), 0
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            if id(obj) not in owners:
+                owners.add(id(obj))
+                total += obj.nbytes
+        elif sp.issparse(obj):
+            stack += [getattr(obj, name) for name in ("data", "indices", "indptr", "offsets")
+                      if hasattr(obj, name)]
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+            stack += [value for name, value in vars(obj).items() if name != "_factor"]
+    return total
+
+
+# What a direct TE stepper on the bundled icosphere_3 (1280 faces) holds
+# besides its factor: surface, metrics, materials, stars and the stepper's
+# own arrays.  With int64 incidence and its cached float64 copies, and
+# circumcenters and edge midpoints in the metrics, it was 704740.
+HELD_BYTES_ICOSPHERE_3 = 576_736
+
+
+def test_set_up_holds_each_array_once():
+    """The incidence is held once, as float64 with +-1 entries, and shared
+    with the stepper; the metrics hold measures only; and the total that a
+    set-up holds does not grow past ``HELD_BYTES_ICOSPHERE_3``."""
+    s = mesh.load_obj(bundled.bundled_path("icosphere_3.obj"))
+    for d in (s.d0, s.d1):
+        assert d.format == "csr" and d.dtype == np.float64
+        assert np.array_equal(np.unique(d.data), [-1.0, 1.0])
+    assert s.d0_real is s.d0 and s.d1_real is s.d1
+    assert (s.d1 @ s.d0).nnz == 0
+    m = mesh.compute_dual_metrics(s)
+    assert [f.name for f in dataclasses.fields(m)] == [
+        "edge_len", "face_area", "dual_edge_len", "dual_vertex_area", "well_centered",
+        "signed"]
+    mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0)
+    stepper = solver.assemble("TE", s, m, mats, 10.0 * m.dual_edge_len.min())
+    assert stepper.d1 is s.d1
+    held = held_bytes(s, m, mats, stepper.stars, stepper)
+    print(f"icosphere_3 set-up holds {held} bytes besides the LU factor")
+    assert held <= HELD_BYTES_ICOSPHERE_3
+
+
 def test_cg_iteration_cap_raises(icosphere1, icosphere1_metrics):
     mats = solver.MaterialParams.uniform("TE", icosphere1, eps=1.0, mu=1.0)
     dt = 1e4 * icosphere1_metrics.dual_edge_len.min()
     stepper = solver.assemble("TE", icosphere1, icosphere1_metrics, mats, dt,
                               solver="cg", max_iters=1, tolerance=1e-14)
-    state = solver.initial_state("TE", icosphere1, h=face_bump(icosphere1_metrics))
+    state = solver.initial_state("TE", icosphere1, h=face_bump(icosphere1))
     with pytest.raises(solver.SolverError, match="residual norm"):
         solver.step(stepper, state)
 
@@ -399,7 +464,7 @@ def test_gauss_residual_preserved_source_free(kind, icosphere1, icosphere1_metri
     stars = stars_of(s, m)
     stepper, mats = sphere_stepper(s, m, dt_scale=10.0, kind=kind)
     e0 = divergence_free_edge_field(s, stars, 50)
-    state = solver.initial_state("TE", s, e=e0, h=face_bump(m))
+    state = solver.initial_state("TE", s, e=e0, h=face_bump(s))
     res0 = solver.gauss_residuals(state, s, stars, mats)
     scale0 = solver.gauss_residual_scale(state, s, stars, mats)
     assert np.abs(res0.electric).max() <= 1e-13 * scale0
@@ -658,12 +723,12 @@ def lossy_stepper(mode, name, kind="direct"):
 def test_step_bitwise_equals_full_array_reference(mode, target, name):
     """The stored d1^T, the folded s g and the current added on its support
     only change no bit against the full-array formulas, on either carrier,
-    on a closed sphere and a PEC cavity, with a support that lists a face or
-    edge twice, and with no source (None or kind = none)."""
+    on a closed sphere and a PEC cavity, and with no source (None or kind =
+    none)."""
     stepper, start = lossy_stepper(mode, name)
     kind = "none" if target == "none" else "gaussian_pulse"
     src = solver.SourceSpec(kind=kind, target="je" if target == "none" else target,
-                            amplitude=-1.7, t0=0.1, width=0.08, support=[0, 7, 7, 40])
+                            amplitude=-1.7, t0=0.1, width=0.08, support=[0, 7, 40])
     solve = lambda rhs, w: stepper._factor.solve(rhs)
     for sources in ([src, None] if target == "none" else [src]):
         state = ref = start
@@ -682,7 +747,7 @@ def test_cg_step_matches_full_array_reference(mode):
     to within the solver tolerance."""
     stepper, start = lossy_stepper(mode, "cavity_1.obj", kind="cg")
     src = solver.SourceSpec(kind="gaussian_pulse", target="jm", amplitude=-2.0,
-                            t0=0.1, width=0.08, support=[3, 3, 5])
+                            t0=0.1, width=0.08, support=[3, 5])
     dense = stepper.system.toarray()
     solve = lambda rhs, w: np.linalg.solve(dense, rhs)
     state = ref = start
