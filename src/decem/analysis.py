@@ -11,10 +11,12 @@ where the dimensionless face quantity
 
 collects the face's three edge/dual-edge ratios, the local wave speed
 c = 1/sqrt(eps mu), the time step and a spatial frequency k.  The modal
-weight multiplying each term is taken as one.  The discriminant is -4M <= 0,
-so the two roots are complex conjugates with |xi| = 1/sqrt(1 + M) <= 1 for
-every dt and k: the scheme is unconditionally stable.  M is non-decreasing
-in dt and in each (1 - cos) factor, so |xi| never grows with the step size.
+weight multiplying each term is taken as one.  On a mesh whose dual edges
+are all positive (the Delaunay condition), M >= 0, the discriminant -4M is
+<= 0, and the two roots are complex conjugates with |xi| = 1/sqrt(1 + M)
+<= 1 for every dt and k: the scheme is unconditionally stable.  M is then
+non-decreasing in dt and in each (1 - cos) factor, so |xi| never grows with
+the step size.  A nonpositive dual edge is refused with a ``ValueError``.
 
 The convergence study runs the TM stepper on the nested unit-square cavity
 family against the exact standing mode
@@ -58,9 +60,14 @@ def _face_wave_speed(surface, materials: sv.MaterialParams) -> np.ndarray:
 
 def _growth_m(surface, metrics: DualMetrics, c, faces, dt, k) -> np.ndarray:
     """M of the module docstring for ``faces`` (an index list or slice) with
-    per-face wave speeds ``c``, each dt in ``dt`` and k in ``k``: (D, F, K)."""
+    per-face wave speeds ``c``, each dt in ``dt`` and k in ``k``: (D, F, K).
+    Raises ``ValueError`` naming the first nonpositive dual edge of those
+    faces, where M is undefined or negative."""
     fe = surface.face_edges[faces]
     le, lde = metrics.edge_len[fe], metrics.dual_edge_len[fe]     # (F,3)
+    if (lde <= 0).any():
+        raise ValueError(f"nonpositive dual edge length at edge {fe[lde <= 0].min()}; "
+                         "the growth factor needs positive dual edges")
     geom = ((1.0 - np.cos(lde[None, :, :] * k[:, None, None]))
             * (le / lde)[None, :, :]).sum(axis=-1)                # (K,F)
     base = geom.T / metrics.face_area[faces][:, None]             # (F,K)
@@ -78,8 +85,6 @@ def growth_factor(face, surface, metrics: DualMetrics, materials, dt, k):
     k = np.asarray(k, dtype=float)
     if (k < 0).any():
         raise ValueError("spatial frequency k must be nonnegative")
-    if (metrics.dual_edge_len[surface.face_edges[face]] == 0).any():
-        raise ValueError(f"face {face} has a zero dual edge")
     c = _face_wave_speed(surface, materials)
     M = _growth_m(surface, metrics, c, [face], np.ravel(dt), k.ravel())
     M = M.reshape(np.shape(dt) + k.shape)[()]
@@ -197,7 +202,6 @@ def stability_sweep(
 
 def cavity_mode_fields(
     surface: SimplicialSurface,
-    metrics: DualMetrics,
     t: float,
     m: int = 1,
     n: int = 1,
@@ -208,8 +212,7 @@ def cavity_mode_fields(
 
     Returns ``(e_faces, h_edges)``: the out-of-plane electric value at each
     face circumcenter and the tangential magnetic line integral along each
-    edge (midpoint quadrature).  Both positions come from ``surface``;
-    ``metrics`` is not read.
+    edge (midpoint quadrature).
     """
     c = 1.0 / np.sqrt(eps * mu)
     w = c * np.pi * np.sqrt(float(m * m + n * n))
@@ -299,13 +302,13 @@ def _run_cavity(surface, metrics, dt, time, m, n, eps, mu, solver_kind, toleranc
     stepper = sv.assemble(
         "TM", surface, metrics, mats, dt, solver=solver_kind, tolerance=tolerance
     )
-    e0, _ = cavity_mode_fields(surface, metrics, 0.0, m, n, eps, mu)
+    e0, _ = cavity_mode_fields(surface, 0.0, m, n, eps, mu)
     state = sv.initial_state("TM", surface, e=e0)
     steps = int(round(time / dt))
     for _ in range(steps):
         state = sv.step(stepper, state)
     t_end = steps * dt
-    e_exact, _ = cavity_mode_fields(surface, metrics, t_end, m, n, eps, mu)
+    e_exact, _ = cavity_mode_fields(surface, t_end, m, n, eps, mu)
     weights = metrics.face_area
     err = field_error(state.e, e_exact, weights)
     ref = float(np.sqrt((weights * e_exact * e_exact).sum()))

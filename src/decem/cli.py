@@ -74,9 +74,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
             raise ConfigError(f"initial state is {initial.mode} but the run is {cfg.mode}")
         surface = load_obj(cfg.mesh_path)
         materials = cfg.validate_against(surface)
-        metrics = compute_dual_metrics(
-            surface, allow_non_well_centered=cfg.allow_non_well_centered
-        )
+        metrics = compute_dual_metrics(surface)
         stepper = sv.assemble(
             cfg.mode, surface, metrics, materials, cfg.dt,
             solver=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
@@ -148,9 +146,7 @@ def _cmd_stability(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     surface = load_obj(cfg.mesh_path)
-    metrics = compute_dual_metrics(
-        surface, allow_non_well_centered=cfg.allow_non_well_centered
-    )
+    metrics = compute_dual_metrics(surface)
     materials = cfg.materials(surface)
     c_max = float(analysis._face_wave_speed(surface, materials).max())
     dt_base = metrics.dual_edge_len.min() / c_max
@@ -197,14 +193,11 @@ def _cmd_convergence(args) -> int:
 def _apply_overrides(cfg: RunConfig, args) -> None:
     if args.output_dir:
         cfg.output_dir = args.output_dir
-    cfg.allow_non_well_centered |= args.allow_non_well_centered
     cfg.allow_indefinite |= args.allow_indefinite
 
 
 def _add_common(parser) -> None:
     parser.add_argument("--output-dir", help="override output.directory")
-    parser.add_argument("--allow-non-well-centered", action="store_true",
-                        help="accept signed dual lengths on non-well-centered meshes")
     parser.add_argument("--allow-indefinite", action="store_true",
                         help="attempt indefinite systems with the sparse LU solver")
 

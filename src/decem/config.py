@@ -165,7 +165,6 @@ class RunConfig:
     solver_kind: str = "direct"
     tolerance: float = 1e-10
     max_iters: int | None = None
-    allow_non_well_centered: bool = False
     allow_indefinite: bool = False
     # stability / convergence command settings
     stability_dt_factors: list = field(default_factory=lambda: [1e-3, 1.0, 1e3])
@@ -234,7 +233,6 @@ _KEYS = {
     "solver.kind": (RunConfig, "solver_kind", _text),
     "solver.tolerance": (RunConfig, "tolerance", _float),
     "solver.max_iters": (RunConfig, "max_iters", _max_iters),
-    "flags.allow_non_well_centered": (RunConfig, "allow_non_well_centered", _as_bool),
     "flags.allow_indefinite": (RunConfig, "allow_indefinite", _as_bool),
     "stability.dt_factors": (RunConfig, "stability_dt_factors", _as_float_list),
     "stability.k_samples": (RunConfig, "stability_k_samples", _int),

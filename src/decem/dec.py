@@ -85,15 +85,15 @@ class HodgeStars:
 
     ``star0`` maps primal vertex values to dual 2-cells (factor ``|*v|``),
     ``star1`` primal edge values to dual edges (``|*e|/|e|``), and ``star2``
-    primal face values to dual vertices (``1/|P|``).  Entries can be negative
-    only when the metrics were computed in signed (non-well-centered) mode,
-    which ``signed`` records.
+    primal face values to dual vertices (``1/|P|``).  ``star2`` is positive;
+    ``star1`` is positive where the mesh is Delaunay (see
+    :class:`~decem.mesh.DualMetrics`), and ``star0`` can be negative at a
+    vertex next to non-well-centered faces.
     """
 
     star0: np.ndarray
     star1: np.ndarray
     star2: np.ndarray
-    signed: bool
 
 
 def build_hodge_stars(surface: SimplicialSurface, metrics: DualMetrics) -> HodgeStars:
@@ -104,7 +104,6 @@ def build_hodge_stars(surface: SimplicialSurface, metrics: DualMetrics) -> Hodge
         star0=metrics.dual_vertex_area.copy(),
         star1=metrics.dual_edge_len / metrics.edge_len,
         star2=1.0 / metrics.face_area,
-        signed=metrics.signed,
     )
 
 

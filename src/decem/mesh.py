@@ -280,11 +280,14 @@ class DualMetrics:
     midpoint (a single segment for boundary edges).  ``dual_vertex_area[v]``
     is the area of the circumcentric dual 2-cell of vertex ``v``, assembled
     from the per-corner kite triangles (vertex, edge midpoint, face
-    circumcenter).  In signed mode (``signed``) both can be negative for
-    non-well-centered faces; ``well_centered[f]`` says whether face ``f``
-    contains its circumcenter.  The metrics hold measures only: the
-    positions they are built from are :func:`face_circumcenters` and
-    :func:`edge_midpoints`.
+    circumcenter).  Both are signed: a face whose circumcenter lies beyond
+    one of its edges contributes negatively there.  An interior dual edge is
+    positive exactly when the two angles opposite the edge sum to less than
+    pi (the Delaunay condition), a boundary one when its opposite angle is
+    acute; the time stepper needs that on its active edges.
+    ``well_centered[f]``, whether face ``f`` contains its circumcenter, is
+    information only.  The metrics hold measures only: the positions they
+    are built from are :func:`face_circumcenters` and :func:`edge_midpoints`.
     """
 
     edge_len: np.ndarray
@@ -292,7 +295,6 @@ class DualMetrics:
     dual_edge_len: np.ndarray
     dual_vertex_area: np.ndarray
     well_centered: np.ndarray
-    signed: bool
 
     @property
     def all_well_centered(self) -> bool:
@@ -355,16 +357,14 @@ def edge_midpoints(surface: SimplicialSurface) -> np.ndarray:
     return 0.5 * (ends[:, 0] + ends[:, 1])
 
 
-def compute_dual_metrics(
-    surface: SimplicialSurface, allow_non_well_centered: bool = False
-) -> DualMetrics:
+def compute_dual_metrics(surface: SimplicialSurface) -> DualMetrics:
     """Compute circumcentric dual measures for every mesh element.
 
-    Without the flag, any face not containing its own circumcenter is an
-    error.  With the flag, dual edge segments and kite areas carry signs
-    (negative where the circumcenter falls outside), which keeps the
-    dual-tiling identity ``sum |*v| == sum |P|`` exact but may produce
-    negative Hodge star entries downstream.
+    Dual edge segments and kite areas carry signs (negative where a
+    circumcenter falls beyond the edge), which keeps the dual-tiling
+    identity ``sum |*v| == sum |P|`` exact on every mesh.  A negative dual
+    edge is not an error here: ``solver.assemble`` refuses one on an active
+    edge, and :func:`mesh_report` fails on any.
 
     Raises :class:`MeshError` for degenerate faces and for (near-)zero dual
     edges, which would break the diagonal Hodge star.
@@ -373,16 +373,6 @@ def compute_dual_metrics(
     ends = surface.vertices[surface.edges]       # (E, tail/head, xyz)
     edge_len = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
     del ends
-
-    well_centered = (signed > 0.0).all(axis=1)
-    if not allow_non_well_centered and not well_centered.all():
-        offenders = np.nonzero(~well_centered)[0]
-        raise MeshError(
-            "non-well-centered faces (circumcenter outside): "
-            f"{offenders.tolist()[:20]}"
-            + (" ..." if offenders.size > 20 else "")
-            + "; pass allow_non_well_centered to use signed dual lengths"
-        )
 
     # face-local edge indices in the (a,b),(b,c),(c,a) order used by signed[]
     face_edge = surface.face_edges
@@ -410,18 +400,17 @@ def compute_dual_metrics(
         face_area=areas,
         dual_edge_len=dual_edge_len,
         dual_vertex_area=dual_vertex_area,
-        well_centered=well_centered,
-        signed=allow_non_well_centered,
+        well_centered=(signed > 0.0).all(axis=1),
     )
 
 
 def mesh_report(surface: SimplicialSurface, path=None) -> str:
     """Plain-text well-formedness report (the ``check-mesh`` output).
 
-    Always computes signed dual metrics so problems are reported instead of
-    raised; the returned text lists counts, the Euler characteristic, edge
-    length extremes, the minimum (signed) dual edge length and the number of
-    non-well-centered faces.
+    Problems are reported instead of raised.  The returned text lists
+    counts, the Euler characteristic, edge length extremes, the minimum
+    (signed) dual edge length and the number of non-well-centered faces,
+    and ends ``status: PASS`` exactly when every dual edge is positive.
     """
     lines = [f"mesh: {path}" if path else "mesh: <in-memory>"]
     lines.append(
@@ -429,9 +418,8 @@ def mesh_report(surface: SimplicialSurface, path=None) -> str:
         f"faces={surface.n_faces} boundary_edges={len(surface.boundary_edges)}"
     )
     lines.append(f"euler_characteristic={surface.euler_characteristic}")
-    issues = []
     try:
-        metrics = compute_dual_metrics(surface, allow_non_well_centered=True)
+        metrics = compute_dual_metrics(surface)
     except MeshError as exc:
         lines.append(f"geometry: ERROR {exc}")
         lines.append("status: FAIL")
@@ -440,11 +428,8 @@ def mesh_report(surface: SimplicialSurface, path=None) -> str:
         f"edge_len: min={metrics.edge_len.min():.6g} max={metrics.edge_len.max():.6g}"
     )
     lines.append(f"min_dual_edge_len={metrics.dual_edge_len.min():.6g}")
-    n_bad = int((~metrics.well_centered).sum())
-    lines.append(f"non_well_centered_faces={n_bad}")
-    if n_bad:
-        issues.append(f"{n_bad} non-well-centered faces")
-    if metrics.dual_edge_len.min() <= 0:
-        issues.append("nonpositive dual edge length")
-    lines.append("status: " + ("FAIL (" + "; ".join(issues) + ")" if issues else "PASS"))
+    lines.append(f"non_well_centered_faces={int((~metrics.well_centered).sum())}")
+    bad = np.nonzero(metrics.dual_edge_len <= 0)[0]
+    lines.append(f"status: FAIL (nonpositive dual edge length at edge {bad[0]})"
+                 if bad.size else "status: PASS")
     return "\n".join(lines)

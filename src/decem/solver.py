@@ -343,8 +343,9 @@ def assemble(
     The face system ``diag(p_f) + d1 diag(g) d1^T`` is symmetric positive
     definite whenever every diagonal entry ``(material / dt + conduction / 2)
     * measure`` is positive.  With material, dt > 0 and conduction >= 0, only
-    a signed dual edge (star1 <= 0) makes one nonpositive; that raises
-    ``SolverError`` unless ``allow_indefinite`` is set, in which case the
+    a nonpositive dual edge (star1 <= 0, a mesh not Delaunay there) on an
+    active edge makes one nonpositive; that raises ``SolverError`` naming
+    the first such edge unless ``allow_indefinite`` is set, in which case the
     stepper is flagged ``indefinite`` and always uses the sparse LU
     (``solver`` becomes ``"direct"``), whose partial pivoting needs no
     definiteness.
@@ -373,11 +374,12 @@ def assemble(
     face_plus = (face_mat / dt + 0.5 * face_cond) * areas
     face_minus = (face_mat / dt - 0.5 * face_cond) * areas
 
-    indefinite = bool((edge_plus[active] <= 0).any() or (face_plus <= 0).any())
+    bad = np.nonzero(active & (edge_plus <= 0))[0]
+    indefinite = bool(bad.size)
     if indefinite and not allow_indefinite:
         raise SolverError(
-            "indefinite system: nonpositive diagonal coefficient "
-            "(a nonpositive signed dual edge length); "
+            f"indefinite system: nonpositive dual edge length at edge {bad[0]} "
+            f"(star1 = {star1[bad[0]]:.6g}); "
             "rerun with allow_indefinite to use the sparse LU solver"
         )
 

@@ -96,10 +96,42 @@ def jittered_cavity():
     return mesh.from_arrays(v, s.faces)
 
 
+def _delaunay_square(n, rng):
+    """``scipy.spatial.Delaunay`` triangulation of the (n+1)^2 grid on the
+    unit square, its interior points moved by up to 0.3 h = 0.3 / n in each
+    coordinate, every face wound counter-clockwise."""
+    from scipy.spatial import Delaunay
+
+    g = np.linspace(0.0, 1.0, n + 1)
+    p = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    inner = ((p > 0) & (p < 1)).all(axis=1)
+    p[inner] += (0.3 / n) * rng.uniform(-1.0, 1.0, (inner.sum(), 2))
+    faces = Delaunay(p).simplices
+    u, w = p[faces[:, 1]] - p[faces[:, 0]], p[faces[:, 2]] - p[faces[:, 0]]
+    clockwise = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0] < 0
+    faces[clockwise] = faces[clockwise][:, ::-1]
+    return mesh.from_arrays(np.column_stack([p, np.zeros(len(p))]), faces)
+
+
+@pytest.fixture(scope="session")
+def delaunay_squares():
+    """Seeded jittered Delaunay squares keyed by n = 8, 16, 32: every dual
+    edge positive, about a fifth of the faces not well-centered."""
+    rng = np.random.default_rng(1)
+    return {n: _delaunay_square(n, rng) for n in (8, 16, 32)}
+
+
+@pytest.fixture(scope="session")
+def delaunay_square(delaunay_squares):
+    """The 128-face member of ``delaunay_squares``."""
+    return delaunay_squares[8]
+
+
 @pytest.fixture(params=[name for name in bundled.bundled_names() if name.endswith(".obj")]
-                + ["icosphere4", "obtuse_pair", "jittered_cavity"])
+                + ["icosphere4", "obtuse_pair", "jittered_cavity", "delaunay_square"])
 def oracle_surface(request):
-    """Every bundled mesh, a finer sphere and two non-well-centered meshes."""
+    """Every bundled mesh, a finer sphere, two meshes with a negative dual
+    edge and a Delaunay mesh with non-well-centered faces."""
     if request.param.endswith(".obj"):
         return bundled.bundled_surface(request.param)
     return request.getfixturevalue(request.param)

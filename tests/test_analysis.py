@@ -114,14 +114,27 @@ def test_report_rows_match_csv_columns(sphere):
     assert np.isclose(xi, 1 / np.sqrt(1 + M))
 
 
+def test_nonpositive_dual_edge_rejected(obtuse_pair):
+    """Edge 0 of the obtuse pair has a negative dual edge, so M < 0 on both
+    faces (the acute one shares the edge): every entry point refuses it."""
+    s = obtuse_pair
+    m = mesh.compute_dual_metrics(s)
+    mats = solver.MaterialParams.uniform("TM", s, eps=1.0, mu=1.0)
+    for face in (0, 1):
+        with pytest.raises(ValueError, match="nonpositive dual edge length at edge 0;"):
+            analysis.growth_factor(face, s, m, mats, dt=0.1, k=1.0)
+    with pytest.raises(ValueError, match="nonpositive dual edge length at edge 0;"):
+        analysis.stability_sweep(s, m, mats, [0.1], k_samples=4, empirical_steps=0)
+
+
 # -- cavity oracle and convergence -----------------------------------------
 
 
 def test_cavity_oracle_projection_error_is_zero():
     s = bundled.bundled_surface("cavity_1.obj")
     m = mesh.compute_dual_metrics(s)
-    e1, h1 = analysis.cavity_mode_fields(s, m, t=0.37)
-    e2, h2 = analysis.cavity_mode_fields(s, m, t=0.37)
+    e1, h1 = analysis.cavity_mode_fields(s, t=0.37)
+    e2, h2 = analysis.cavity_mode_fields(s, t=0.37)
     assert analysis.field_error(e1, e2, m.face_area) == 0.0
     assert analysis.field_error(h1, h2, m.dual_edge_len / m.edge_len) == 0.0
 
@@ -132,10 +145,10 @@ def test_cavity_oracle_satisfies_wave_equation():
     s = bundled.bundled_surface("cavity_3.obj")
     m = mesh.compute_dual_metrics(s)
     t, dt = 0.2, 1e-6
-    e_minus, _ = analysis.cavity_mode_fields(s, m, t - dt)
-    e_plus, _ = analysis.cavity_mode_fields(s, m, t + dt)
+    e_minus, _ = analysis.cavity_mode_fields(s, t - dt)
+    e_plus, _ = analysis.cavity_mode_fields(s, t + dt)
     dedt = (e_plus - e_minus) / (2 * dt)
-    _, h = analysis.cavity_mode_fields(s, m, t)
+    _, h = analysis.cavity_mode_fields(s, t)
     curl = (s.d1_real @ h) / m.face_area
     interior = np.ones(s.n_faces, dtype=bool)
     # skip faces touching the boundary: one-sided stencils there
@@ -143,6 +156,21 @@ def test_cavity_oracle_satisfies_wave_equation():
         interior[s.d1[:, b].nonzero()[0]] = False
     err = np.abs(curl[interior] - dedt[interior]).max()
     assert err < 0.05 * np.abs(dedt).max()
+
+
+def test_delaunay_square_cavity_order_in_criterion_4_band(delaunay_squares):
+    """Delaunay squares with non-well-centered faces converge like the
+    bundled acute family: the TM cavity-mode error at dt = 0.128 h and
+    T = 1.28 over n = 8, 16, 32 has an order in criterion 4's band."""
+    hs, errors = [], []
+    for n, s in delaunay_squares.items():
+        m = mesh.compute_dual_metrics(s)
+        assert not m.all_well_centered and m.dual_edge_len.min() > 0
+        hs.append(1.0 / n)
+        errors.append(analysis._run_cavity(s, m, 0.128 / n, 1.28, 1, 1, 1.0, 1.0,
+                                           "direct", 1e-10))
+    order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
+    assert 0.8 <= order <= 1.5, (errors, order)
 
 
 def test_nested_family_accepted():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ def test_check_mesh_acute_strip_passes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_check_mesh_passes_exactly_on_positive_dual_edges(
+        tmp_path, capsys, delaunay_square, jittered_cavity):
+    """The Delaunay square passes although some of its faces are not
+    well-centered; the jittered cavity fails, naming its first negative dual
+    edge."""
+    rc = cli.main(["check-mesh", str(write_obj(tmp_path / "square.obj", delaunay_square))])
+    out = capsys.readouterr().out
+    assert rc == 0 and out.endswith("status: PASS\n")
+    assert int(re.search(r"non_well_centered_faces=(\d+)", out).group(1)) > 0
+
+    rc = cli.main(["check-mesh", str(write_obj(tmp_path / "jittered.obj", jittered_cavity))])
+    edge = np.argmax(mesh.compute_dual_metrics(jittered_cavity).dual_edge_len <= 0)
+    assert rc == 1
+    assert capsys.readouterr().out.endswith(
+        f"status: FAIL (nonpositive dual edge length at edge {edge})\n")
+
+
 def test_check_mesh_load_error(tmp_path, capsys):
     p = tmp_path / "quad.obj"
     p.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
@@ -451,25 +469,29 @@ def write_obj(path, surface):
 
 @pytest.mark.parametrize("mode", ["TE", "TM"])
 def test_indefinite_system_fails_without_opt_in(mode, tmp_path, capsys, jittered_cavity):
-    """A mesh with a negative interior dual edge, accepted by
-    --allow-non-well-centered, makes an indefinite system: without
-    --allow-indefinite the run exits 2 in set-up, creating no output
-    directory, and an existing one ends with a failed manifest."""
+    """A mesh with a negative interior dual edge makes an indefinite system:
+    without --allow-indefinite the run exits 2 in set-up, naming the first
+    nonpositive active edge and creating no output directory, and an
+    existing one ends with a failed manifest."""
     obj = write_obj(tmp_path / "jittered.obj", jittered_cavity)
     out = tmp_path / "out"
     path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
         "mesh_path": str(obj), "output.directory": str(out)})
-    argv = ["run", path, "--quiet", "--allow-non-well-centered"]
+    nonpositive = mesh.compute_dual_metrics(jittered_cavity).dual_edge_len <= 0
+    if mode == "TE":   # PEC: boundary edges are not active
+        nonpositive &= jittered_cavity.interior_edge_mask
+    message = f"indefinite system: nonpositive dual edge length at edge {np.argmax(nonpositive)} "
+    argv = ["run", path, "--quiet"]
     assert cli.main(argv) == 2
-    assert "indefinite system" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
     out.mkdir()
     assert cli.main(argv) == 2
-    assert "indefinite system" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert "status = failed" in manifest
     assert "files = " in manifest
-    assert any(l.startswith("error = SolverError: indefinite system") for l in manifest)
+    assert any(l.startswith("error = SolverError: " + message) for l in manifest)
 
 
 @pytest.mark.parametrize("mode", ["TE", "TM"])
@@ -481,7 +503,7 @@ def test_indefinite_system_runs_with_opt_in(mode, tmp_path, jittered_cavity):
     out = tmp_path / "out"
     path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
         "mesh_path": str(obj), "output.directory": str(out), "solver.kind": "cg"})
-    argv = ["run", path, "--quiet", "--allow-non-well-centered", "--allow-indefinite"]
+    argv = ["run", path, "--quiet", "--allow-indefinite"]
     assert cli.main(argv) == 0
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert "status = complete" in manifest
@@ -489,6 +511,41 @@ def test_indefinite_system_runs_with_opt_in(mode, tmp_path, jittered_cavity):
     assert "solver = direct" in manifest
     log = np.loadtxt(out / "run_log.csv", delimiter=",", skiprows=1, ndmin=2)
     assert log[-1, 0] == 12 and np.isfinite(log).all()
+
+
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+def test_delaunay_square_runs_with_default_flags(mode, tmp_path, delaunay_square):
+    """Non-well-centered faces need no option: every dual edge of the
+    Delaunay square is positive, so the system is definite and a run with
+    default flags completes."""
+    assert not mesh.compute_dual_metrics(delaunay_square).all_well_centered
+    obj = write_obj(tmp_path / "square.obj", delaunay_square)
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
+        "mesh_path": str(obj), "output.directory": str(out)})
+    assert cli.main(["run", path, "--quiet"]) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status = complete" in manifest
+    assert "last_completed_step = 12" in manifest
+    log = np.loadtxt(out / "run_log.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert log[-1, 0] == 12 and np.isfinite(log).all()
+
+
+def test_stability_refuses_a_nonpositive_dual_edge(tmp_path, capsys, jittered_cavity):
+    """M < 0 on a negative dual edge, where 1/sqrt(1 + M) is no growth
+    factor: the sweep exits 2 naming the first such edge, warns of no
+    invalid value, and writes no growth.csv."""
+    obj = write_obj(tmp_path / "jittered.obj", jittered_cavity)
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        "mesh_path": str(obj), "output.directory": str(out)})
+    edge = np.argmax(mesh.compute_dual_metrics(jittered_cavity).dual_edge_len <= 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["stability", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: nonpositive dual edge length at edge {edge};")
+    assert not (out / "growth.csv").exists()
 
 
 def test_run_without_snapshots_builds_no_text_tables(tmp_path):

@@ -57,7 +57,7 @@ def test_star_componentwise_ratio(single_triangle):
     # an edge value of 1 with |e| = 2 and |*e| = 0.5 maps to 0.25
     h = dec.HodgeStars(
         star0=np.ones(3), star1=np.array([0.5 / 2.0, 1.0, 1.0]),
-        star2=np.ones(1), signed=False,
+        star2=np.ones(1),
     )
     c = dec.Cochain(single_triangle, 1, "primal", np.ones(3))
     assert dec.star(c, h).values[0] == 0.25
@@ -93,7 +93,6 @@ def test_zero_star1_rejected(equilateral):
         edge_len=m.edge_len, face_area=m.face_area,
         dual_edge_len=np.array([0.0, 1.0, 1.0]),
         dual_vertex_area=m.dual_vertex_area, well_centered=m.well_centered,
-        signed=True,
     )
     with pytest.raises(dec.DecError, match="zero"):
         dec.build_hodge_stars(equilateral, bad)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decem import mesh
+from decem import mesh, solver
 
 
 def test_single_triangle_counts(single_triangle):
@@ -119,7 +119,7 @@ def test_square_diagonal_zero_dual_edge():
         [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], [[0, 1, 2], [0, 2, 3]]
     )
     with pytest.raises(mesh.MeshError, match="zero dual edge"):
-        mesh.compute_dual_metrics(s, allow_non_well_centered=True)
+        mesh.compute_dual_metrics(s)
 
 
 def test_degenerate_face_rejected():
@@ -128,16 +128,15 @@ def test_degenerate_face_rejected():
         mesh.compute_dual_metrics(s)
 
 
-def test_non_well_centered_needs_flag():
-    # obtuse triangle next to an acute one: negative dual segment, nonzero sum
+def test_non_well_centered_mesh_is_accepted():
+    """An obtuse triangle next to an acute one needs no option: its shared
+    dual edge is negative (nonzero sum), and the signed tiling identity
+    stays exact."""
     v = [[0, 0, 0], [1, 0, 0], [0.5, 0.15, 0], [0.5, -0.8, 0]]
     s = mesh.from_arrays(v, [[0, 1, 2], [0, 3, 1]])
-    with pytest.raises(mesh.MeshError, match="non-well-centered"):
-        mesh.compute_dual_metrics(s)
-    m = mesh.compute_dual_metrics(s, allow_non_well_centered=True)
-    assert m.signed
-    assert not m.well_centered.all()
-    # signed tiling identity still exact
+    m = mesh.compute_dual_metrics(s)
+    assert m.well_centered.tolist() == [False, True]
+    assert m.dual_edge_len[0] < 0 < m.dual_edge_len[1:].min()
     assert np.isclose(m.dual_vertex_area.sum(), m.face_area.sum(), rtol=1e-12)
 
 
@@ -303,10 +302,8 @@ def test_cotangent_geometry_matches_projection_oracle(oracle_surface):
         assert_close_to_scale(new, old, what)
     assert np.array_equal(np.sign(new_signed), np.sign(signed))
 
-    well_centered = (signed > 0).all(axis=1)
-    m = mesh.compute_dual_metrics(s, allow_non_well_centered=not well_centered.all())
-    assert np.array_equal(m.well_centered, well_centered)
-    assert m.signed == (not well_centered.all())
+    m = mesh.compute_dual_metrics(s)
+    assert np.array_equal(m.well_centered, (signed > 0).all(axis=1))
     dual_edge_len, dual_vertex_area = projection_dual_measures(s, signed)
     for new, old, what in ((m.dual_edge_len, dual_edge_len, "dual_edge_len"),
                            (m.dual_vertex_area, dual_vertex_area, "dual_vertex_area"),
@@ -318,39 +315,49 @@ def test_cotangent_geometry_matches_projection_oracle(oracle_surface):
 
 def test_signed_oracle_meshes_are_not_well_centered(obtuse_pair, jittered_cavity):
     for s in (obtuse_pair, jittered_cavity):
-        m = mesh.compute_dual_metrics(s, allow_non_well_centered=True)
+        m = mesh.compute_dual_metrics(s)
         assert not m.well_centered.all()
         assert m.dual_edge_len.min() < 0
 
 
 def test_mesh_errors_match_projection_oracle(obtuse_pair, jittered_cavity, monkeypatch):
     """Each geometry error fires on the same input with the same message, and
-    the degenerate check runs before any division."""
+    the degenerate check runs before any division.  The two meshes with a
+    negative dual edge pass the metrics and get the same refusal, naming the
+    same edge, from the stepper."""
     square = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
     cases = [
-        (mesh.from_arrays([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]]), True),
-        (mesh.from_arrays([[0, 0, 0], [1, 0, 0], [2, 0, 1e-16]], [[0, 1, 2]]), True),
-        (mesh.from_arrays(square + [[1, 2, 0]], [[0, 1, 2], [0, 2, 3], [1, 4, 2]]), True),
-        (mesh.from_arrays(square, [[0, 1, 2], [0, 2, 3]]), True),
-        (mesh.from_arrays([[0, 0, 0], [2, 0, 0], [0, 2, 0]], [[0, 1, 2]]), True),
-        (obtuse_pair, False),
-        (jittered_cavity, False),
+        mesh.from_arrays([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]]),
+        mesh.from_arrays([[0, 0, 0], [1, 0, 0], [2, 0, 1e-16]], [[0, 1, 2]]),
+        mesh.from_arrays(square + [[1, 2, 0]], [[0, 1, 2], [0, 2, 3], [1, 4, 2]]),
+        mesh.from_arrays(square, [[0, 1, 2], [0, 2, 3]]),
+        mesh.from_arrays([[0, 0, 0], [2, 0, 0], [0, 2, 0]], [[0, 1, 2]]),
     ]
-    messages = []
-    for s, allow in cases:
-        with pytest.raises(mesh.MeshError) as new, np.errstate(all="raise"):
-            mesh.compute_dual_metrics(s, allow_non_well_centered=allow)
-        messages.append(str(new.value))
+
+    def errors():
+        messages = []
+        for s in cases:
+            with pytest.raises(mesh.MeshError) as exc, np.errstate(all="raise"):
+                mesh.compute_dual_metrics(s)
+            messages.append(str(exc.value))
+        for s in (obtuse_pair, jittered_cavity):
+            with np.errstate(all="raise"):
+                m = mesh.compute_dual_metrics(s)
+            mats = solver.MaterialParams.uniform("TM", s, eps=1.0, mu=1.0)
+            with pytest.raises(solver.SolverError) as exc:
+                solver.assemble("TM", s, m, mats, 0.1)
+            messages.append(str(exc.value))
+        return messages
+
+    messages = errors()
     monkeypatch.setattr(mesh, "_face_geometry", lambda s: projection_face_geometry(s)[1:])
-    for (s, allow), message in zip(cases, messages):
-        with pytest.raises(mesh.MeshError) as old:
-            mesh.compute_dual_metrics(s, allow_non_well_centered=allow)
-        assert str(old.value) == message
+    assert errors() == messages
     assert [m.split(" (")[0] for m in messages[:5]] == [
         "degenerate face", "degenerate face", "degenerate face",
         "zero dual edge at interior edge 1", "zero dual edge at boundary edge 2"]
     assert messages[2].endswith("face 2")
-    assert all(m.startswith("non-well-centered faces") for m in messages[5:])
+    assert messages[5].startswith("indefinite system: nonpositive dual edge length at edge 0 ")
+    assert messages[6].startswith("indefinite system: nonpositive dual edge length at edge ")
 
 
 # The line-by-line reader that ``load_obj`` replaced, kept as the oracle for

@@ -86,13 +86,14 @@ def test_repeated_support_index_rejected():
 
 
 def test_indefinite_rejected_then_allowed():
-    # obtuse/acute pair in signed mode has a negative shared dual edge
+    # the obtuse/acute pair has a negative shared dual edge, edge 0
     v = [[0, 0, 0], [1, 0, 0], [0.5, 0.15, 0], [0.5, -0.8, 0]]
     s = mesh.from_arrays(v, [[0, 1, 2], [0, 3, 1]])
-    m = mesh.compute_dual_metrics(s, allow_non_well_centered=True)
-    assert m.dual_edge_len.min() < 0
+    m = mesh.compute_dual_metrics(s)
+    assert m.dual_edge_len[0] < 0 < m.dual_edge_len[1:].min()
     mats = solver.MaterialParams.uniform("TM", s, eps=1.0, mu=1.0)
-    with pytest.raises(solver.SolverError, match="indefinite system"):
+    with pytest.raises(solver.SolverError,
+                       match="indefinite system: nonpositive dual edge length at edge 0 "):
         solver.assemble("TM", s, m, mats, dt=0.1)
     stepper = solver.assemble("TM", s, m, mats, dt=0.1, allow_indefinite=True)
     assert stepper.indefinite
@@ -114,7 +115,7 @@ def test_direct_has_no_size_limit_and_agrees_with_cg():
     direct = solver.assemble("TM", s, m, mats, dt=0.1, solver="direct")
     cg = solver.assemble("TM", s, m, mats, dt=0.1, solver="cg")
     assert direct.system.shape[0] == 2048
-    e0, _ = analysis.cavity_mode_fields(s, m, 0.0, 1, 1, 1.0, 1.0)
+    e0, _ = analysis.cavity_mode_fields(s, 0.0, 1, 1, 1.0, 1.0)
     state = solver.initial_state("TM", s, e=e0)
     a = solver.step(direct, state)
     b = solver.step(cg, state)
@@ -326,8 +327,7 @@ def test_set_up_holds_each_array_once():
     assert (s.d1 @ s.d0).nnz == 0
     m = mesh.compute_dual_metrics(s)
     assert [f.name for f in dataclasses.fields(m)] == [
-        "edge_len", "face_area", "dual_edge_len", "dual_vertex_area", "well_centered",
-        "signed"]
+        "edge_len", "face_area", "dual_edge_len", "dual_vertex_area", "well_centered"]
     mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0)
     stepper = solver.assemble("TE", s, m, mats, 10.0 * m.dual_edge_len.min())
     assert stepper.d1 is s.d1
@@ -403,7 +403,7 @@ for seed in range(4):
     mats = solver.MaterialParams("TE", eps=rng.uniform(1, 2, n_e), mu=rng.uniform(1, 2, n_f),
                                  sigma=np.zeros(n_e), sigma_m=np.zeros(n_f))
     stars = dec.HodgeStars(star0=np.ones(1), star1=rng.uniform(0.5, 1.5, n_e),
-                           star2=rng.uniform(1, 3, n_f), signed=False)
+                           star2=rng.uniform(1, 3, n_f))
     state = solver.FieldState("TE", rng.normal(size=n_e), rng.normal(size=n_f))
     out.append(repr(solver.energy(state, stars, mats)))
 print(" ".join(out))
