@@ -3,10 +3,11 @@
 A :class:`SimplicialSurface` is a triangulated 2-manifold embedded in 3-space,
 stored with canonical edge orientations and its incidence matrices, whose
 +-1 entries are stored as float64 (exact: every sum of their products is a
-small integer).  The companion :class:`DualMetrics` carries only the primal
-and circumcentric-dual measures the diagonal Hodge stars and the time
-steppers need: edge lengths, face areas, dual edge (polyline) lengths and
-dual vertex-cell areas.  Positions are computed on demand, by
+small integer), together with its face-edge map and boundary-edge mask.
+The companion :class:`DualMetrics` carries only the primal and
+circumcentric-dual measures the diagonal Hodge stars and the time steppers
+need: edge lengths, face areas, dual edge (polyline) lengths and dual
+vertex-cell areas.  Positions are computed on demand, by
 :func:`face_circumcenters` and :func:`edge_midpoints`.
 
 Conventions
@@ -23,14 +24,15 @@ Conventions
   e's dual segment there is ``|e| cot(theta) / 2`` and the circumcenter has
   barycentric weights ``|e|^2 cot(theta)``.
 
-Construction is pure: a surface and its metrics are immutable after creation
-and safe for concurrent read-only use.
+Construction is pure: a surface and its metrics are frozen records, every
+array built once at creation and nothing attached later, so they are safe
+for concurrent read-only use.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,7 +60,7 @@ class MeshError(ValueError):
     """Raised for invalid, degenerate or non-orientable mesh input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicialSurface:
     """Oriented triangle mesh with edge/vertex incidence structure.
 
@@ -75,8 +77,13 @@ class SimplicialSurface:
         Vertex-to-edge incidence, entries +-1.
     d1 : (F, E) float64 CSR matrix
         Edge-to-face incidence, entries +-1.
-    boundary_edges : frozenset of int
-        Indices of edges with exactly one incident face.
+    face_edges : (F, 3) int array
+        Edge indices per face, in (a,b),(b,c),(c,a) local order.
+    boundary : (E,) bool array
+        True on the edges with exactly one incident face.
+
+    Every field is built once by :func:`from_arrays`; equality and hashing
+    are by identity.
     """
 
     vertices: np.ndarray
@@ -84,7 +91,8 @@ class SimplicialSurface:
     faces: np.ndarray
     d0: sp.csr_matrix
     d1: sp.csr_matrix
-    boundary_edges: frozenset = field(default_factory=frozenset)
+    face_edges: np.ndarray
+    boundary: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -111,22 +119,6 @@ class SimplicialSurface:
     def d1_real(self) -> sp.csr_matrix:
         """``d1`` itself, which is already float64."""
         return self.d1
-
-    @property
-    def interior_edge_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_edges, dtype=bool)
-        if self.boundary_edges:
-            mask[list(self.boundary_edges)] = False
-        return mask
-
-    @property
-    def face_edges(self) -> np.ndarray:
-        """(F, 3) edge indices per face, in (a,b),(b,c),(c,a) local order
-        (kept by ``from_arrays``, else computed once and cached)."""
-        if not hasattr(self, "_face_edges"):
-            _, fe = _canonical_edges(self.faces, self.n_vertices)
-            object.__setattr__(self, "_face_edges", fe)
-        return self._face_edges
 
     def count_carriers(self, degree: int, placement: str) -> int:
         """Number of cells carrying a cochain of the given degree/placement."""
@@ -161,10 +153,11 @@ def _canonical_edges(faces: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np
 def _incidence(vertices, faces):
     """Derive edges and the incidence matrices d0, d1 from face triples.
 
-    Returns ``(edges, d0, d1, boundary_edges, face_edge)``, the last the
-    (F, 3) face-edge map.  Raises :class:`MeshError` on non-manifold edges
-    (more than two incident faces), edges traversed in the same direction by
-    two faces (inconsistent winding), or isolated vertices.
+    Returns ``(edges, d0, d1, face_edge, boundary)``, the last two the
+    (F, 3) face-edge map and the (E,) mask of the edges with one incident
+    face.  Raises :class:`MeshError` on non-manifold edges (more than two
+    incident faces), edges traversed in the same direction by two faces
+    (inconsistent winding), or isolated vertices.
     """
     n_v = vertices.shape[0]
     n_f = faces.shape[0]
@@ -207,8 +200,7 @@ def _incidence(vertices, faces):
             "the surface must be consistently oriented"
         )
 
-    boundary = frozenset(np.nonzero(counts == 1)[0].tolist())
-    return edges, d0, d1, boundary, face_edge
+    return edges, d0, d1, face_edge, counts == 1
 
 
 def from_arrays(vertices, faces) -> SimplicialSurface:
@@ -223,13 +215,8 @@ def from_arrays(vertices, faces) -> SimplicialSurface:
         raise MeshError("face vertex index out of range")
     if faces.size == 0:
         raise MeshError("mesh has no faces")
-    edges, d0, d1, boundary, face_edge = _incidence(vertices, faces)
-    surface = SimplicialSurface(
-        vertices=vertices, edges=edges, faces=faces, d0=d0, d1=d1,
-        boundary_edges=boundary,
-    )
-    object.__setattr__(surface, "_face_edges", face_edge)
-    return surface
+    edges, d0, d1, face_edges, boundary = _incidence(vertices, faces)
+    return SimplicialSurface(vertices, edges, faces, d0, d1, face_edges, boundary)
 
 
 def load_obj(path) -> SimplicialSurface:
@@ -381,7 +368,7 @@ def compute_dual_metrics(surface: SimplicialSurface) -> DualMetrics:
     zero = np.abs(dual_edge_len) <= ZERO_DUAL_REL * edge_len
     if zero.any():
         which = np.nonzero(zero)[0]
-        kind = "interior" if surface.interior_edge_mask[which[0]] else "boundary"
+        kind = "boundary" if surface.boundary[which[0]] else "interior"
         raise MeshError(
             f"zero dual edge at {kind} edge {which[0]} "
             "(adjacent triangles cocircular or circumcenter on the edge); "
@@ -415,7 +402,7 @@ def mesh_report(surface: SimplicialSurface, path=None) -> str:
     lines = [f"mesh: {path}" if path else "mesh: <in-memory>"]
     lines.append(
         f"vertices={surface.n_vertices} edges={surface.n_edges} "
-        f"faces={surface.n_faces} boundary_edges={len(surface.boundary_edges)}"
+        f"faces={surface.n_faces} boundary_edges={int(surface.boundary.sum())}"
     )
     lines.append(f"euler_characteristic={surface.euler_characteristic}")
     try:

@@ -8,6 +8,7 @@ runs produce byte-identical files).
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -26,9 +27,8 @@ __all__ = [
 ]
 
 
-# Faces per block of ``whitney_face_vectors``, and numbers per block of text
-# (one kernel pass) in the writers: both bound their temporaries.
-WHITNEY_BLOCK_FACES = 4096
+# Numbers per block of text (one kernel pass) in the writers, and so faces
+# per block of Whitney vectors: it bounds every temporary.
 TEXT_BLOCK_NUMBERS = 8192
 
 
@@ -36,18 +36,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _whitney_block(surface: SimplicialSurface, edge_values: np.ndarray, rows: slice):
-    """``whitney_face_vectors`` of the faces ``rows``, a slice."""
-    f = surface.faces[rows]
-    p = surface.vertices[f]              # (B, corner, xyz)
-    normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    values = edge_values[surface.face_edges[rows]] * np.where(f < f[:, [1, 2, 0]], 1, -1)
-    # the barycenter, summed as p.mean sums it, at a fraction of its cost
-    arms = ((p[:, 0] + p[:, 1] + p[:, 2]) / 3)[:, None] - p[:, [2, 0, 1]]
-    vectors = (np.cross(normal, np.einsum("fk,fkx->fx", values, arms))
-               / np.einsum("fx,fx->f", normal, normal)[:, None])
-    vectors += 0.0   # +0.0 where a component is -0.0, which would print as -0.0
-    return vectors
+def _whitney_blocks(surface: SimplicialSurface, edge_values: np.ndarray):
+    """``whitney_face_vectors`` a block of ``TEXT_BLOCK_NUMBERS // 3`` faces
+    at a time."""
+    faces = max(1, TEXT_BLOCK_NUMBERS // 3)
+    for start in range(0, surface.n_faces, faces):
+        rows = slice(start, start + faces)
+        f = surface.faces[rows]
+        p = surface.vertices[f]              # (B, corner, xyz)
+        normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        values = edge_values[surface.face_edges[rows]] * np.where(f < f[:, [1, 2, 0]], 1, -1)
+        # the barycenter, summed as p.mean sums it, at a fraction of its cost
+        arms = ((p[:, 0] + p[:, 1] + p[:, 2]) / 3)[:, None] - p[:, [2, 0, 1]]
+        vectors = (np.cross(normal, np.einsum("fk,fkx->fx", values, arms))
+                   / np.einsum("fx,fx->f", normal, normal)[:, None])
+        vectors += 0.0   # +0.0 where a component is -0.0, which would print as -0.0
+        del f, p, normal, values, arms   # not held while the caller writes the block
+        yield vectors
 
 
 def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) -> np.ndarray:
@@ -59,14 +64,11 @@ def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) ->
     normal (p1 - p0) x (p2 - p0) and the sign of the value flipped where the
     canonical (low->high) orientation runs from k+1 to k.  This reproduces
     constant tangential fields exactly.  Faces are processed in blocks of
-    ``WHITNEY_BLOCK_FACES`` so that the (faces, 3, 3) temporaries stay small;
-    every face's arithmetic is the same as in one pass over all faces.
+    ``TEXT_BLOCK_NUMBERS // 3``, as the VTK writer takes them, so that the
+    (faces, 3, 3) temporaries stay small; every face's arithmetic is the same
+    as in one pass over all faces.
     """
-    out = np.empty((surface.n_faces, 3))
-    for start in range(0, surface.n_faces, WHITNEY_BLOCK_FACES):
-        rows = slice(start, start + WHITNEY_BLOCK_FACES)
-        out[rows] = _whitney_block(surface, edge_values, rows)
-    return out
+    return np.concatenate(list(_whitney_blocks(surface, edge_values)))
 
 
 def _blocks(row: str, *columns):
@@ -83,19 +85,18 @@ def _blocks(row: str, *columns):
         yield render(row, *(column[start:start + step] for column in columns))
 
 
+@functools.lru_cache(maxsize=1)
 def _vtk_geometry(surface: SimplicialSurface) -> tuple[str, ...]:
     """The ``ASCII`` ... ``CELL_TYPES`` text of a snapshot.  It depends only
-    on the surface, so it is formatted at the first snapshot and cached on
-    the (immutable) surface for the later ones."""
-    if not hasattr(surface, "_vtk_geometry"):
-        nf = surface.n_faces
-        parts = [f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {surface.n_vertices} double\n"]
-        parts += _blocks("%r %r %r\n", *np.asarray(surface.vertices, dtype=np.float64).T)
-        parts.append(f"CELLS {nf} {4 * nf}\n")
-        parts += _blocks("3 %d %d %d\n", *np.asarray(surface.faces, dtype=np.int64).T)
-        parts.append(f"CELL_TYPES {nf}\n" + "5\n" * nf)
-        object.__setattr__(surface, "_vtk_geometry", tuple(parts))
-    return surface._vtk_geometry
+    on the surface, so it is formatted at a surface's first snapshot and
+    kept, keyed by the surface's identity, for its later ones."""
+    nf = surface.n_faces
+    parts = [f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {surface.n_vertices} double\n"]
+    parts += _blocks("%r %r %r\n", *np.asarray(surface.vertices, dtype=np.float64).T)
+    parts.append(f"CELLS {nf} {4 * nf}\n")
+    parts += _blocks("3 %d %d %d\n", *np.asarray(surface.faces, dtype=np.int64).T)
+    parts.append(f"CELL_TYPES {nf}\n" + "5\n" * nf)
+    return tuple(parts)
 
 
 def write_vtk_snapshot(
@@ -120,9 +121,7 @@ def write_vtk_snapshot(
         fh.writelines(_blocks("%r\n", np.asarray(face_scalar, dtype=np.float64)))
         fh.write(f"VECTORS {pol.edge_field}_vec double\n")
         if np.any(edge_field):
-            faces = max(1, TEXT_BLOCK_NUMBERS // 3)
-            for start in range(0, surface.n_faces, faces):
-                vectors = _whitney_block(surface, edge_field, slice(start, start + faces))
+            for vectors in _whitney_blocks(surface, edge_field):
                 fh.writelines(_blocks("%r %r %r\n", *vectors.T))
         else:   # a state at rest: the +0.0 vectors that the reconstruction would give
             fh.write("0.0 0.0 0.0\n" * surface.n_faces)

@@ -20,15 +20,15 @@ edges), and a step is two incidence products around one face solve:
     [diag(p_f) + d1 diag(g) d1^T] w^{n+1} = m_f w^n - j_face - s d1 hist
     u^{n+1} = hist + s g d1^T w^{n+1}
 
-``assemble`` also stores d1^T as its own CSR matrix and s g as one
-diagonal, so a step builds no operator: it allocates only the new state and
-the intermediates of these three lines, and adds a current on its support
-only (off the support the full-array formulas above subtract +0.0).  The face
-system is factored once by a sparse LU (SuperLU) or solved each step by
-Jacobi-preconditioned CG warm-started from the current face cochain.
-The conduction terms use the time-average of the two levels; the curl
-coupling is fully implicit, which makes the update a contraction in the
-energy norm for any dt (unconditional stability).
+``assemble`` also stores d1^T, the CSC view that shares d1's arrays, and s g
+as one diagonal, so a step builds no operator: it allocates only the new
+state and the intermediates of these three lines, and adds a current on its
+support only (off the support the full-array formulas above subtract
++0.0).  The face system is factored once by a sparse LU (SuperLU) or solved
+each step by Jacobi-preconditioned CG warm-started from the current face
+cochain.  The conduction terms use the time-average of the two levels; the
+curl coupling is fully implicit, which makes the update a contraction in
+the energy norm for any dt (unconditional stability).
 
 Boundary condition is PEC: in TE the tangential electric unknowns on boundary
 edges are held at zero (g = 0 removes them from the system); in TM the
@@ -279,9 +279,10 @@ class ImplicitStepper:
     solver configuration.  ``edge_couple`` is s g, and ``edge_decay``/
     ``edge_drive`` are g m_e and g star1 (module docstring); all three are
     +0.0 on PEC edges, so a PEC unknown at +0.0 stays +0.0.  ``d1`` is the
-    surface's own incidence matrix and ``d1t`` its transpose as CSR, built
-    once here rather than as a CSC view each step.  A stepper is immutable:
-    stepping never changes it, so one stepper can serve any number of runs.
+    surface's own incidence matrix and ``d1t`` its transpose, the CSC view
+    that shares ``d1``'s arrays, taken once here rather than each step.  A
+    stepper is immutable: stepping never changes it, so one stepper can
+    serve any number of runs.
     """
 
     polarization: Polarization
@@ -299,7 +300,7 @@ class ImplicitStepper:
     edge_decay: np.ndarray
     edge_drive: np.ndarray
     d1: sp.csr_matrix
-    d1t: sp.csr_matrix
+    d1t: sp.csc_matrix
     system: sp.csr_matrix
     solver: str
     tolerance: float
@@ -366,8 +367,7 @@ def assemble(
 
     edge_mat, face_mat = pol.place(materials.eps, materials.mu)
     edge_cond, face_cond = pol.place(materials.sigma, materials.sigma_m)
-    active = (surface.interior_edge_mask if pol.pec_edges
-              else np.ones(surface.n_edges, dtype=bool))
+    active = ~surface.boundary if pol.pec_edges else np.ones(surface.n_edges, dtype=bool)
 
     edge_plus = (edge_mat / dt + 0.5 * edge_cond) * star1
     edge_minus = (edge_mat / dt - 0.5 * edge_cond) * star1
@@ -388,7 +388,7 @@ def assemble(
         return np.divide(num, edge_plus, out=np.zeros(surface.n_edges), where=active)
 
     d1 = surface.d1
-    d1t = d1.T.tocsr()
+    d1t = d1.T
     system = (sp.diags(face_plus) + d1 @ sp.diags(on_active(1.0)) @ d1t).tocsr()
 
     if max_iters is None:

@@ -169,6 +169,26 @@ def test_range_rules_fail_before_output(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cadence", ["4", "12"])
+def test_run_attaches_nothing_to_the_surface(tmp_path, monkeypatch, cadence):
+    """A run that writes VTK and CSV snapshots leaves its surface holding
+    its dataclass fields and nothing else: no cache is attached to it."""
+    loaded = []
+
+    def load(path):
+        loaded.append(mesh.load_obj(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_obj", load)
+    cfg = config.load_config(write_cfg(tmp_path / "a.cfg", **{
+        "output.cadence": cadence, "output.formats": "vtk,csv",
+        "output.directory": str(tmp_path / "out")}))
+    cli.run_simulation(cfg, echo=None)
+    (surface,) = loaded
+    assert len(list((tmp_path / "out").glob("*.vtk"))) == 1 + 12 // int(cadence)
+    assert vars(surface).keys() == {f.name for f in dataclasses.fields(surface)}
+
+
 def test_run_simulation_initial_state(tmp_path):
     cfg = config.load_config(write_cfg(tmp_path / "a.cfg", steps="4"))
     surface = bundled.bundled_surface("icosphere_1.obj")
@@ -479,7 +499,7 @@ def test_indefinite_system_fails_without_opt_in(mode, tmp_path, capsys, jittered
         "mesh_path": str(obj), "output.directory": str(out)})
     nonpositive = mesh.compute_dual_metrics(jittered_cavity).dual_edge_len <= 0
     if mode == "TE":   # PEC: boundary edges are not active
-        nonpositive &= jittered_cavity.interior_edge_mask
+        nonpositive &= ~jittered_cavity.boundary
     message = f"indefinite system: nonpositive dual edge length at edge {np.argmax(nonpositive)} "
     argv = ["run", path, "--quiet"]
     assert cli.main(argv) == 2

@@ -9,7 +9,7 @@ from decem import mesh, solver
 def test_single_triangle_counts(single_triangle):
     s = single_triangle
     assert (s.n_vertices, s.n_edges, s.n_faces) == (3, 3, 1)
-    assert len(s.boundary_edges) == 3
+    assert s.boundary.tolist() == [True, True, True]
 
 
 def test_single_triangle_d1_row(single_triangle):
@@ -29,7 +29,7 @@ def test_d0_head_tail(single_triangle):
 def test_icosahedron_obj(icosahedron_path):
     s = mesh.load_obj(icosahedron_path)
     assert (s.n_vertices, s.n_edges, s.n_faces) == (12, 30, 20)
-    assert not s.boundary_edges
+    assert not s.boundary.any()
     assert s.euler_characteristic == 2
 
 
@@ -189,7 +189,7 @@ def test_euler_characteristic_closed_genus0():
     for name in ("icosphere_1.obj", "icosphere_2.obj", "icosphere_3.obj"):
         s = bundled.bundled_surface(name)
         assert s.euler_characteristic == 2
-        assert not s.boundary_edges
+        assert not s.boundary.any()
 
 
 def test_mesh_report_pass(icosphere1):
@@ -216,8 +216,8 @@ def test_edge_order_deterministic(icosahedron_path):
 
 def test_edges_match_lexicographic_unique(icosahedron_path, icosphere1, cavity1):
     """The integer-key edge search gives the edges and face-edge map of a
-    row-wise unique over the sorted (tail, head) pairs, and the map stored
-    at construction equals the one computed on demand."""
+    row-wise unique over the sorted (tail, head) pairs, and the boundary
+    mask marks the edges that one face alone traverses."""
     shuffled = mesh.from_arrays(
         cavity1.vertices, np.random.default_rng(5).permutation(cavity1.faces))
     for s in (mesh.load_obj(icosahedron_path), icosphere1, cavity1, shuffled):
@@ -226,9 +226,7 @@ def test_edges_match_lexicographic_unique(icosahedron_path, icosphere1, cavity1)
         edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
         assert np.array_equal(s.edges, edges)
         assert np.array_equal(s.face_edges, inverse.reshape(-1, 3))
-        bare = mesh.SimplicialSurface(s.vertices, s.edges, s.faces, s.d0, s.d1,
-                                      s.boundary_edges)
-        assert np.array_equal(bare.face_edges, s.face_edges)
+        assert np.array_equal(s.boundary, np.bincount(inverse.ravel(), minlength=s.n_edges) == 1)
 
 
 # The projection code that the cotangent closed forms replaced, kept as the

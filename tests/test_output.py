@@ -59,10 +59,10 @@ def test_whitney_blocks_match_single_pass(monkeypatch):
     verts, faces = make_assets.subdivide(ico3.vertices, ico3.faces,
                                          project_unit_sphere=True)
     surface = mesh.from_arrays(verts, faces)
-    assert surface.n_faces == 5120 > output.WHITNEY_BLOCK_FACES
+    assert surface.n_faces == 5120 > output.TEXT_BLOCK_NUMBERS // 3
     cochain = np.random.default_rng(3).normal(size=surface.n_edges)
     blocked = output.whitney_face_vectors(surface, cochain)
-    monkeypatch.setattr(output, "WHITNEY_BLOCK_FACES", surface.n_faces)
+    monkeypatch.setattr(output, "TEXT_BLOCK_NUMBERS", 3 * surface.n_faces)
     single = output.whitney_face_vectors(surface, cochain)
     assert np.array_equal(blocked, single)
 
@@ -71,8 +71,8 @@ def test_whitney_blocks_match_single_pass(monkeypatch):
 # as the oracle.
 def whitney_per_corner(surface, edge_values):
     out = np.zeros((surface.n_faces, 3))
-    for start in range(0, surface.n_faces, output.WHITNEY_BLOCK_FACES):
-        rows = slice(start, start + output.WHITNEY_BLOCK_FACES)
+    for start in range(0, surface.n_faces, 4096):
+        rows = slice(start, start + 4096)
         f = surface.faces[rows]
         p = surface.vertices[f]              # (B,3,3)
         normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
@@ -302,17 +302,19 @@ def test_probe_writer_matches_per_line_oracle(tmp_path):
 
 
 def test_vtk_geometry_is_formatted_once_per_surface(tmp_path):
+    """A surface's first snapshot formats its geometry text and the later
+    ones reuse it; another surface formats its own."""
     surface = bundled.bundled_surface("icosphere_1.obj")
     state = solver.initial_state("TE", surface)
-    output.write_vtk_snapshot(str(tmp_path / "a.vtk"), surface, state)
-    cached = surface._vtk_geometry
-    output.write_vtk_snapshot(str(tmp_path / "b.vtk"), surface, state)
-    assert surface._vtk_geometry is cached
-    assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
-    # a later snapshot writes the cached text, not a fresh formatting
-    object.__setattr__(surface, "_vtk_geometry", ("ASCII\nCACHED GEOMETRY\n",))
-    output.write_vtk_snapshot(str(tmp_path / "c.vtk"), surface, state)
-    assert "CACHED GEOMETRY" in (tmp_path / "c.vtk").read_text()
+    before = output._vtk_geometry.cache_info()
+    for name in ("a.vtk", "b.vtk", "c.vtk"):
+        output.write_vtk_snapshot(str(tmp_path / name), surface, state)
+    after = output._vtk_geometry.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+    assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "c.vtk").read_bytes()
+    other = bundled.bundled_surface("icosphere_1.obj")
+    output.write_vtk_snapshot(str(tmp_path / "d.vtk"), other, state)
+    assert output._vtk_geometry.cache_info().misses == after.misses + 1
 
 
 def test_vtk_geometry_cache_is_per_surface(tmp_path):
@@ -322,7 +324,9 @@ def test_vtk_geometry_cache_is_per_surface(tmp_path):
         metrics = mesh.compute_dual_metrics(surface)
         state = stepped_state("TE", surface, metrics, "jm", [0], steps=2)
         assert_writers_match_oracle(tmp_path, surface, state, tag)
-    assert first._vtk_geometry != moved._vtk_geometry
+    geometry = [(tmp_path / f"{tag}.vtk").read_text().split("CELL_DATA")[0]
+                for tag in ("first", "moved")]
+    assert geometry[0] != geometry[1]
 
 
 def test_compare_outputs_tool(tmp_path, capsys):

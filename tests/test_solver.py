@@ -244,7 +244,7 @@ def test_pec_boundary_edges_stay_zero(cavity1, cavity1_metrics):
     src = solver.SourceSpec(kind="gaussian_pulse", target="jm", amplitude=1.0,
                             t0=0.1, width=0.05, support=[10])
     state = solver.initial_state("TE", cavity1)
-    boundary = sorted(cavity1.boundary_edges)
+    boundary = np.flatnonzero(cavity1.boundary)
     for _ in range(25):
         state = solver.step(stepper, state, src)
         assert np.abs(state.e[boundary]).max() == 0.0
@@ -311,14 +311,16 @@ def held_bytes(*roots):
 # What a direct TE stepper on the bundled icosphere_3 (1280 faces) holds
 # besides its factor: surface, metrics, materials, stars and the stepper's
 # own arrays.  With int64 incidence and its cached float64 copies, and
-# circumcenters and edge midpoints in the metrics, it was 704740.
-HELD_BYTES_ICOSPHERE_3 = 576_736
+# circumcenters and edge midpoints in the metrics, it was 704740; with a CSR
+# copy of d1^T in the stepper and a Python-int boundary set, 576736.
+HELD_BYTES_ICOSPHERE_3 = 524_892
 
 
 def test_set_up_holds_each_array_once():
     """The incidence is held once, as float64 with +-1 entries, and shared
-    with the stepper; the metrics hold measures only; and the total that a
-    set-up holds does not grow past ``HELD_BYTES_ICOSPHERE_3``."""
+    with the stepper, whose ``d1t`` is a view of it; the metrics hold
+    measures only; and the total that a set-up holds does not grow past
+    ``HELD_BYTES_ICOSPHERE_3``."""
     s = mesh.load_obj(bundled.bundled_path("icosphere_3.obj"))
     for d in (s.d0, s.d1):
         assert d.format == "csr" and d.dtype == np.float64
@@ -331,6 +333,8 @@ def test_set_up_holds_each_array_once():
     mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0)
     stepper = solver.assemble("TE", s, m, mats, 10.0 * m.dual_edge_len.min())
     assert stepper.d1 is s.d1
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(stepper.d1t, name), getattr(s.d1, name))
     held = held_bytes(s, m, mats, stepper.stars, stepper)
     print(f"icosphere_3 set-up holds {held} bytes besides the LU factor")
     assert held <= HELD_BYTES_ICOSPHERE_3
@@ -528,9 +532,7 @@ def test_te_update_matches_pointwise_stencil(two_triangles):
     stepper = solver.assemble("TE", s, m, mats, dt, solver="direct")
 
     # independent geometry for the shared edge of the equilateral pair
-    shared = [i for i in range(s.n_edges) if i not in s.boundary_edges]
-    assert len(shared) == 1
-    e1 = shared[0]
+    (e1,) = np.flatnonzero(~s.boundary)
     length = 1.0                      # |e1|
     dual_len = 1.0 / np.sqrt(3.0)     # two segments of 1/(2 sqrt(3))
     area = np.sqrt(3.0) / 4.0
@@ -583,7 +585,7 @@ def test_one_step_matches_full_coupled_solve(two_triangles):
     dt = 0.21
     stepper = solver.assemble("TE", s, m, mats, dt, solver="direct")
     e0 = rng.normal(size=s.n_edges)
-    e0[list(s.boundary_edges)] = 0.0
+    e0[s.boundary] = 0.0
     h0 = rng.normal(size=s.n_faces)
     state = solver.step(stepper, solver.initial_state("TE", s, e=e0, h=h0))
 
@@ -660,8 +662,8 @@ def test_pec_edges_stay_positive_zero_under_negative_edge_current(cavity1, cavit
     conduction makes edge_minus negative, so a PEC coefficient formed as a
     product with it would be -0.0."""
     s, m = cavity1, cavity1_metrics
-    boundary = sorted(s.boundary_edges)
-    interior = np.flatnonzero(s.interior_edge_mask)[:4].tolist()
+    boundary = np.flatnonzero(s.boundary).tolist()
+    interior = np.flatnonzero(~s.boundary)[:4].tolist()
     mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0, sigma=150.0)
     stepper = solver.assemble("TE", s, m, mats, dt=0.02)
     assert (stepper.edge_minus < 0).all()
