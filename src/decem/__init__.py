@@ -39,7 +39,6 @@ from .solver import (
     EPS0,
     MU0,
     FieldState,
-    GaussResiduals,
     ImplicitStepper,
     MaterialParams,
     SolverError,

@@ -19,7 +19,9 @@ The text of a block is assembled in one byte buffer, prefilled with '0' (the
 zeros ``repr`` pads with come free): row offsets come from a ``cumsum`` of
 the row lengths, and each number's characters are scattered to where a
 table for its layout puts them; characters a layout does not use go to a
-trash byte past the text.
+trash byte past the text.  The tables are module constants, built when the
+module is imported (a few milliseconds): the writers import it at their
+first snapshot, so a run that writes none never builds them.
 
 All uint64 arithmetic has uint64 operands only: numpy promotes a mix of
 uint64 and int64 arrays to float64.
@@ -27,9 +29,7 @@ uint64 and int64 arrays to float64.
 
 from __future__ import annotations
 
-import functools
 import re
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,24 +49,8 @@ def _flog2pow10(e):
     return (e * 913124641741) >> 38
 
 
-class _Tables(NamedTuple):
-    g: np.ndarray              # g1 and the 32-bit limbs of g1 and g0, per k
-    # per biased exponent, and per biased exponent + 2047 for a power of two
-    # with a closer lower neighbour: k - _K_MIN and h
-    row: np.ndarray
-    h: np.ndarray
-    quads: np.ndarray          # the four ASCII digits of each i < 10^4, as bytes
-    decimal_class: np.ndarray  # layout class of each decimal point position
-    exponent: np.ndarray       # the "e+dd" text of each decimal point position
-    float_at: np.ndarray       # where each text row goes, per %r layout class
-    float_len: np.ndarray      # the text length of each %r layout class
-    int_at: np.ndarray         # where each %d text row goes, per digit count
-
-
-@functools.cache
-def _tables() -> _Tables:
-    """Built on first use (a few milliseconds), so that a run that writes
-    no snapshot does not pay for them.
+def _build_tables():
+    """The tables of the kernel, in the order of the module constants below.
 
     g(k) = floor(10^-k 2^(125 - flog2pow10(-k))) + 1 is a 126-bit upper
     approximation of 10^-k, scaled into [2^125, 2^126).
@@ -81,6 +65,7 @@ def _tables() -> _Tables:
         g0.append(g & ((1 << 63) - 1))
     g1, g0 = np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64)
     g = np.array([g1, g1 & _M32, g1 >> _U(32), g0 & _M32, g0 >> _U(32)])
+
     # per biased exponent: q, k = floor(q log10 2), or floor(log10 (3/4 2^q))
     # for the powers of two with a closer lower neighbour, and the shift h
     # that brings the scaled values to 4 times the decimal's units
@@ -124,8 +109,20 @@ def _tables() -> _Tables:
     # included; its class is its digit count
     j, count = np.arange(19)[:, None], np.arange(20)
     int_at = np.where(j >= 19 - count, j - (19 - count), _TRASH)
-    return _Tables(g, k - _K_MIN, h, quads,
-                   decimal_class, exponent, float_at, float_len, int_at)
+    return g, k - _K_MIN, h, quads, decimal_class, exponent, float_at, float_len, int_at
+
+
+(_G,               # g1 and the 32-bit limbs of g1 and g0, per k
+ # per biased exponent, and per biased exponent + 2047 for a power of two
+ # with a closer lower neighbour: k - _K_MIN and h
+ _ROW, _H,
+ _QUADS,           # the four ASCII digits of each i < 10^4, as bytes
+ _DECIMAL_CLASS,   # layout class of each decimal point position
+ _EXPONENT,        # the "e+dd" text of each decimal point position
+ _FLOAT_AT,        # where each text row goes, per %r layout class
+ _FLOAT_LEN,       # the text length of each %r layout class
+ _INT_AT,          # where each %d text row goes, per digit count
+ ) = _build_tables()
 
 
 def _mulhi(a_lo, a_hi, b_lo, b_hi):
@@ -147,14 +144,13 @@ def _rop(row, cp):
     """g cp / 2^127 rounded to odd: its floor, with the last bit set when the
     quotient is not an integer (Schubfach's ``rop``), for the g of each
     table row ``row``.  Overwrites ``cp``."""
-    g = _tables().g           # g1 and the 32-bit limbs of g1 and g0, gathered on use
-    z = g[0, row] * cp
+    z = _G[0, row] * cp
     z >>= _U(1)
     cp_lo = cp & _M32
     cp_hi = cp
     cp_hi >>= _U(32)
-    z += _mulhi(g[3, row], g[4, row], cp_lo, cp_hi)
-    integral = _mulhi(g[1, row], g[2, row], cp_lo, cp_hi)
+    z += _mulhi(_G[3, row], _G[4, row], cp_lo, cp_hi)
+    integral = _mulhi(_G[1, row], _G[2, row], cp_lo, cp_hi)
     del cp_lo, cp_hi
     integral += z >> _U(63)
     z &= _M63
@@ -167,7 +163,6 @@ def _rop(row, cp):
 def _shortest(bits):
     """Shortest decimals d 10^k, the closest and then the even one on a tie,
     of the positive finite nonzero floats with these bit patterns."""
-    tables = _tables()
     biased = bits >> _U(52)
     fraction = bits & _U((1 << 52) - 1)
     # a power of two above the subnormals has a lower neighbour half as far
@@ -184,8 +179,8 @@ def _shortest(bits):
     del c
     cb[1] -= _U(2) - lower
     cb[2] += _U(2)
-    cb <<= tables.h[exponent]
-    row = tables.row[exponent]
+    cb <<= _H[exponent]
+    row = _ROW[exponent]
     del exponent
     vb, low, high = _rop(row, cb)
     del cb
@@ -215,7 +210,7 @@ def _digits(d, width):
     for i in range(quads):
         np.floor_divide(d, _POW10[4 * (quads - 1 - i)], out=groups[i])
     groups[1:] -= groups[:-1] * _POW10[4]
-    text = np.take(_tables().quads, groups.astype(np.intp)).view(np.uint8)
+    text = np.take(_QUADS, groups.astype(np.intp)).view(np.uint8)
     text = text.reshape(quads, len(d), 4).transpose(0, 2, 1).reshape(4 * quads, len(d))
     return text[4 * quads - width:]
 
@@ -229,25 +224,19 @@ def _int_text(x):
     u = np.where(neg, _U(0) - u, u)
     count = _count(u)
     used = int(count.max())
-    return neg, neg + count, _digits(u, used), count, _tables().int_at[19 - used:]
+    return neg, neg + count, _digits(u, used), count, _INT_AT[19 - used:]
 
 
 def _float_text(x):
     """The ``%r`` texts of the float64 values ``x``, as ``_int_text``."""
-    tables = _tables()
     bits = x.view(np.uint64)
     magnitude = bits & _M63
     # finite and nonzero; the others are worked as 1 (1.0) and then patched
     regular = magnitude - _U(1) < _U(0x7FF0000000000000 - 1)
     neg = (bits > _M63) & (magnitude <= _INF)
-    if regular.any():
-        d, k = _shortest(np.where(regular, magnitude, _ONE_BITS))
-        count = _count(d)
-        digits = _digits(d * _POW10[17 - count], 17)    # left-aligned
-    else:                                      # zeros, nan and inf only
-        count, k = np.ones(len(x), dtype=np.int64), 0
-        digits = np.full((17, len(x)), ord("0"), dtype=np.uint8)
-        digits[0] = ord("1")
+    d, k = _shortest(np.where(regular, magnitude, _ONE_BITS))
+    count = _count(d)
+    digits = _digits(d * _POW10[17 - count], 17)    # left-aligned
     digits[0] -= (magnitude == 0)              # "0.0" where 1.0 has "1.0"
     ndig = ((digits != ord("0")) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
     ndig = np.maximum(ndig, 1)
@@ -257,17 +246,17 @@ def _float_text(x):
         place[words], ndig[words] = 0, 3
         nan, inf = (np.frombuffer(word, np.uint8)[:, None] for word in (b"nan", b"inf"))
         digits[:3, words] = np.where(magnitude[words] > _INF, nan, inf)
-    decimal_class = tables.decimal_class[place]
+    decimal_class = _DECIMAL_CLASS[place]
     cls = decimal_class * 18 + ndig
     # rows that no number here uses are left out: the exponent's without an
     # exponential, the digits' past the longest
     start, stop = 0 if (decimal_class >= 20).any() else 5, 6 + int(ndig.max())
     text = np.empty((stop - start, len(x)), dtype=np.uint8)
     if start == 0:
-        np.take(tables.exponent, place, axis=1, out=text[:5])
+        np.take(_EXPONENT, place, axis=1, out=text[:5])
     text[5 - start] = ord(".")
     text[6 - start:] = digits[:stop - 6]
-    return neg, neg + tables.float_len[cls], text, cls, tables.float_at[start:stop]
+    return neg, neg + _FLOAT_LEN[cls], text, cls, _FLOAT_AT[start:stop]
 
 
 def fold(row, columns):

@@ -52,10 +52,8 @@ __all__ = [
 def _face_wave_speed(surface, materials: sv.MaterialParams) -> np.ndarray:
     """Per-face wave speed 1/sqrt(eps mu); the edge-placed coefficient is
     averaged over the face's three edges (exact for uniform materials)."""
-    pol = sv.polarization(materials.mode)
-    edge_mat, face_mat = pol.place(materials.eps, materials.mu)
-    eps_f, mu_f = pol.place(edge_mat[surface.face_edges].mean(axis=1), face_mat)
-    return 1.0 / np.sqrt(eps_f * mu_f)
+    edge_mat, face_mat = sv.polarization(materials.mode).place(materials.eps, materials.mu)
+    return 1.0 / np.sqrt(edge_mat[surface.face_edges].mean(axis=1) * face_mat)
 
 
 def _growth_m(surface, metrics: DualMetrics, c, faces, dt, k) -> np.ndarray:
@@ -99,17 +97,15 @@ def growth_factor(face, surface, metrics: DualMetrics, materials, dt, k):
 class GrowthFactorReport:
     """Growth factors of every face over a (dt, k) grid.
 
-    ``M`` and ``xi_mod`` have shape (len(dt_list), n_faces, len(k_grid));
-    ``c`` is the per-face wave speed.  ``empirical`` optionally records the
-    cross-check run of the actual stepper at the largest dt (max per-step
-    energy ratio over the run).
+    ``M`` and ``xi_mod`` have shape (len(dt_list), n_faces, len(k_grid)).
+    ``empirical`` optionally records the cross-check run of the actual
+    stepper at the largest dt (max per-step energy ratio over the run).
     """
 
     dt_list: np.ndarray
     k_grid: np.ndarray
     M: np.ndarray
     xi_mod: np.ndarray
-    c: np.ndarray
     empirical: dict | None = None
 
     @property
@@ -190,10 +186,8 @@ def stability_sweep(
             "max_energy_ratio": worst,
         }
 
-    return GrowthFactorReport(
-        dt_list=dt_list, k_grid=k_grid, M=M, xi_mod=xi_mod, c=c,
-        empirical=empirical,
-    )
+    return GrowthFactorReport(dt_list=dt_list, k_grid=k_grid, M=M, xi_mod=xi_mod,
+                              empirical=empirical)
 
 
 # ----------------------------------------------------------------------

@@ -85,7 +85,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
         if initial is not None:
             res = sv.gauss_residuals(initial, surface, stars, materials)
             scale = sv.gauss_residual_scale(initial, surface, stars, materials)
-            worst = max(np.abs(res.electric).max(), np.abs(res.magnetic).max())
+            worst = np.abs(res).max()
             if worst > 1e-8 * max(scale, 1e-300):
                 raise sv.SolverError(
                     f"initial data violates the divergence constraint "
@@ -128,6 +128,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
+    cfg.allow_indefinite |= args.allow_indefinite
     run_simulation(cfg, echo=None if args.quiet else print)
     print(f"run complete: {cfg.steps} steps, outputs in {cfg.output_dir}")
     return 0
@@ -193,13 +194,10 @@ def _cmd_convergence(args) -> int:
 def _apply_overrides(cfg: RunConfig, args) -> None:
     if args.output_dir:
         cfg.output_dir = args.output_dir
-    cfg.allow_indefinite |= args.allow_indefinite
 
 
 def _add_common(parser) -> None:
     parser.add_argument("--output-dir", help="override output.directory")
-    parser.add_argument("--allow-indefinite", action="store_true",
-                        help="attempt indefinite systems with the sparse LU solver")
 
 
 def main(argv=None) -> int:
@@ -216,6 +214,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a simulation from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--quiet", action="store_true", help="suppress the per-cadence log")
+    p_run.add_argument("--allow-indefinite", action="store_true",
+                       help="attempt indefinite systems with the sparse LU solver")
     _add_common(p_run)
     p_run.set_defaults(func=_cmd_run)
 

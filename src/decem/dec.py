@@ -101,7 +101,7 @@ def build_hodge_stars(surface: SimplicialSurface, metrics: DualMetrics) -> Hodge
     if np.any(metrics.dual_edge_len == 0.0):
         raise DecError("star1 contains a zero entry (zero dual edge length)")
     return HodgeStars(
-        star0=metrics.dual_vertex_area.copy(),
+        star0=metrics.dual_vertex_area,
         star1=metrics.dual_edge_len / metrics.edge_len,
         star2=1.0 / metrics.face_area,
     )

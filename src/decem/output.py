@@ -99,12 +99,7 @@ def _vtk_geometry(surface: SimplicialSurface) -> tuple[str, ...]:
     return tuple(parts)
 
 
-def write_vtk_snapshot(
-    path,
-    surface: SimplicialSurface,
-    state: FieldState,
-    title: str = "decem snapshot",
-) -> None:
+def write_vtk_snapshot(path, surface: SimplicialSurface, state: FieldState) -> None:
     """Legacy ASCII VTK unstructured grid with the face scalar (TE: h,
     TM: e) and the Whitney vector reconstruction of the edge field.
 
@@ -114,7 +109,7 @@ def write_vtk_snapshot(
     pol = polarization(state.mode)
     edge_field, face_scalar = pol.place(state.e, state.h)
     with open(path, "w") as fh:
-        fh.write(f"# vtk DataFile Version 3.0\n{title}\n")
+        fh.write("# vtk DataFile Version 3.0\ndecem snapshot\n")
         fh.writelines(_vtk_geometry(surface))
         fh.write(f"CELL_DATA {surface.n_faces}\n"
                  f"SCALARS {pol.face_field} double 1\nLOOKUP_TABLE default\n")
@@ -184,9 +179,11 @@ class RunLogWriter:
         self.fh.write("step,t,energy,max_gauss_electric,max_gauss_magnetic\n")
         self.echo = echo
 
-    def record(self, state, en, residuals) -> None:
-        ge = float(np.abs(residuals.electric).max()) if residuals.electric.size else 0.0
-        gm = float(np.abs(residuals.magnetic).max()) if residuals.magnetic.size else 0.0
+    def record(self, state, en, residual) -> None:
+        """``residual`` is the vertex Gauss residual; the law without
+        carriers (magnetic in TE, electric in TM) is written as 0.0."""
+        worst = float(np.abs(residual).max())
+        ge, gm = polarization(state.mode).place(worst, 0.0)
         self.fh.write(f"{state.n},{_fmt(state.t)},{_fmt(en)},{_fmt(ge)},{_fmt(gm)}\n")
         if self.echo is not None:
             self.echo(

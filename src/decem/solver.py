@@ -44,7 +44,6 @@ face carriers by |P|).  Sources are sampled at the half step t + dt/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +62,6 @@ __all__ = [
     "FieldState",
     "SourceSpec",
     "ImplicitStepper",
-    "GaussResiduals",
     "assemble",
     "step",
     "initial_state",
@@ -265,11 +263,6 @@ class SourceSpec:
             )
 
 
-class GaussResiduals(NamedTuple):
-    electric: np.ndarray
-    magnetic: np.ndarray
-
-
 @dataclass(frozen=True)
 class ImplicitStepper:
     """Pre-assembled per-step linear system for one polarization.
@@ -289,7 +282,6 @@ class ImplicitStepper:
     surface: SimplicialSurface
     metrics: DualMetrics
     stars: HodgeStars
-    materials: MaterialParams
     dt: float
     edge_plus: np.ndarray
     edge_minus: np.ndarray
@@ -410,8 +402,7 @@ def assemble(
         precond = sp.diags(1.0 / system.diagonal())
 
     return ImplicitStepper(
-        polarization=pol, surface=surface, metrics=metrics, stars=stars,
-        materials=materials, dt=dt,
+        polarization=pol, surface=surface, metrics=metrics, stars=stars, dt=dt,
         edge_plus=edge_plus, edge_minus=edge_minus,
         face_plus=face_plus, face_minus=face_minus,
         active_edges=active, edge_couple=on_active(pol.couple_sign),
@@ -479,21 +470,18 @@ def gauss_residuals(
     stars: HodgeStars,
     materials: MaterialParams,
     charge: np.ndarray | None = None,
-) -> GaussResiduals:
-    """Discrete Gauss-law residuals of a state.
+) -> np.ndarray:
+    """Discrete Gauss-law residual of a state, one value per vertex.
 
     The divergence constraint on the edge-carried flux lives on vertices
     (dual 2-cells): in TE the electric law ``d0^T star1 (eps e) - |*v| rho``,
-    in TM the magnetic law with ``mu h``.  The complementary constraint acts
-    on a top-degree form and has no carriers on a surface; it is reported as
-    a structural zero array over faces.  ``charge`` is a pointwise per-vertex
-    density for the vertex-based law (zero by default).
+    in TM the magnetic law with ``mu h``.  The complementary law acts on a
+    top-degree form and has no carriers on a surface, so it has no residual.
+    ``charge`` is a pointwise per-vertex density (zero by default).
     """
     rho = np.zeros(surface.n_vertices) if charge is None else np.asarray(charge, float)
     flux = _edge_flux(state, materials)
-    vertex_law = surface.d0.T @ (stars.star1 * flux) - stars.star0 * rho
-    structural = np.zeros(surface.n_faces)
-    return GaussResiduals(*polarization(state.mode).place(vertex_law, structural))
+    return surface.d0.T @ (stars.star1 * flux) - stars.star0 * rho
 
 
 def gauss_residual_scale(

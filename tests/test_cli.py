@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import decem
-from decem import _text, analysis, bundled, cli, config, mesh, output, solver
+from decem import analysis, bundled, cli, config, mesh, output, solver
 
 
 def write_cfg(path, **overrides):
@@ -365,9 +365,13 @@ def test_run_produces_finite_outputs(tmp_path, capsys):
             assert "nan" not in body and "inf" not in body
 
 
-def test_run_log_energy_and_gauss(tmp_path):
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+def test_run_log_energy_and_gauss(mode, tmp_path):
+    """The vertex law's column holds its residual; the column of the law
+    without carriers on a surface (magnetic in TE, electric in TM) reads
+    exactly 0.0 on every row."""
     out = tmp_path / "out"
-    path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(out)})
+    path = write_cfg(tmp_path / "a.cfg", mode=mode, **{"output.directory": str(out)})
     assert cli.main(["run", path, "--quiet"]) == 0
     lines = (out / "run_log.csv").read_text().splitlines()
     assert lines[0] == "step,t,energy,max_gauss_electric,max_gauss_magnetic"
@@ -375,6 +379,9 @@ def test_run_log_energy_and_gauss(tmp_path):
     assert [r[0] for r in rows] == ["0", "4", "8", "12"]
     energies = np.array([float(r[2]) for r in rows])
     assert (energies >= 0).all() and np.isfinite(energies).all()
+    vertex_law, no_carriers = (3, 4) if mode == "TE" else (4, 3)
+    assert all(r[no_carriers] == "0.0" for r in rows)
+    assert np.isfinite([float(r[vertex_law]) for r in rows]).all()
 
 
 def test_vtk_snapshot_structure(tmp_path):
@@ -419,6 +426,17 @@ def test_default_run_uses_direct_solver(tmp_path):
     path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(out)})
     assert cli.main(["run", path, "--quiet"]) == 0
     assert "solver = direct" in (out / "manifest.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("command, cfg", [("stability", "stability_sphere.cfg"),
+                                          ("convergence", "cavity_convergence.cfg")])
+def test_allow_indefinite_is_a_run_only_flag(command, cfg, capsys):
+    """Only ``run`` assembles a system the flag can act on; the other
+    commands reject it as an unknown argument."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, bundled.bundled_path(cfg), "--allow-indefinite"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --allow-indefinite" in capsys.readouterr().err
 
 
 def test_stability_command(tmp_path, capsys):
@@ -568,23 +586,16 @@ def test_stability_refuses_a_nonpositive_dual_edge(tmp_path, capsys, jittered_ca
     assert not (out / "growth.csv").exists()
 
 
-def test_run_without_snapshots_builds_no_text_tables(tmp_path):
+def test_run_without_snapshots_imports_no_text_kernel(tmp_path):
     """A zero-step run that writes no snapshot, the shape of the benchmark's
-    set-up runs, leaves the number-formatting tables unbuilt, so that set-up
-    time never pays for them; the first snapshot builds them.  A fresh
-    process making such a run does not even import the kernel."""
-    paths = {formats: write_cfg(tmp_path / f"{formats or 'none'}.cfg", steps="0", **{
-                 "output.formats": formats,
-                 "output.directory": str(tmp_path / f"out_{formats or 'none'}")})
-             for formats in ("", "csv")}
-    _text._tables.cache_clear()
-    for formats, built in (("", 0), ("csv", 1)):
-        assert cli.main(["run", paths[formats], "--quiet"]) == 0
-        assert _text._tables.cache_info().currsize == built
+    set-up runs, does not import the number-formatting kernel in a fresh
+    process, so that set-up time never pays for building its tables."""
+    path = write_cfg(tmp_path / "none.cfg", steps="0", **{
+        "output.formats": "", "output.directory": str(tmp_path / "out_none")})
     script = ("import sys; from decem import cli; cli.main(sys.argv[1:]); "
               "print('decem._text' in sys.modules, 'decem.analysis' in sys.modules)")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    done = subprocess.run([sys.executable, "-c", script, "run", paths[""], "--quiet"],
+    done = subprocess.run([sys.executable, "-c", script, "run", path, "--quiet"],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, check=True)
     assert done.stdout.split()[-2:] == ["False", "False"]

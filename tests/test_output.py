@@ -231,7 +231,7 @@ def test_growth_csv_matches_per_line_oracle(tmp_path, monkeypatch):
     specials = np.array([-0.0, 5e-324, 1e16, 0.1, 1.0, -1e-300, np.inf, np.nan])
     special = analysis.GrowthFactorReport(
         dt_list=[0.5, 1e-300], k_grid=specials[:3], M=np.resize(specials, (2, 4, 3)),
-        xi_mod=np.resize(specials[::-1], (2, 4, 3)), c=np.ones(4))
+        xi_mod=np.resize(specials[::-1], (2, 4, 3)))
     # one block; many of 7 rows, short last; one row each
     for block in (output.TEXT_BLOCK_NUMBERS, 35, 1):
         monkeypatch.setattr(output, "TEXT_BLOCK_NUMBERS", block)

@@ -48,7 +48,7 @@ def test_subnormals_layout_switches_and_special_values():
     with np.errstate(invalid="ignore"):
         assert_floats_match(np.concatenate([subnormals, -subnormals, switches, -switches,
                                             specials]))
-        # blocks of nothing but them, which leave the decimal conversion out
+        # blocks of nothing but them, which the kernel works as 1.0 and patches
         assert_floats_match(specials)
         for value in specials:
             assert_floats_match([value] * 3)
