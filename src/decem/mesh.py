@@ -54,6 +54,9 @@ DEGENERATE_REL = 1e-14
 # Interior dual edge shorter than ZERO_DUAL_REL * primal edge length is
 # treated as zero (cocircular adjacent triangles).
 ZERO_DUAL_REL = 1e-12
+# Tokens the OBJ reader holds as Python strings before it turns them into
+# arrays: it bounds the reader's objects.
+OBJ_BLOCK_TOKENS = 8192
 
 
 class MeshError(ValueError):
@@ -219,16 +222,15 @@ def from_arrays(vertices, faces) -> SimplicialSurface:
     return SimplicialSurface(vertices, edges, faces, d0, d1, face_edges, boundary)
 
 
-def load_obj(path) -> SimplicialSurface:
-    """Load a Wavefront OBJ file with triangular faces.
-
-    Only ``v x y z`` and ``f i j k`` records are honoured (1-based indices;
-    ``i/t/n`` vertex references are accepted, everything after the first
-    slash is ignored).  Other record types are skipped.  Face orientation is
-    taken from the file's winding order.  Coordinates are read as Python's
-    ``float`` reads them, vertex indices as decimal integers.
-    """
-    coords, refs = [], []   # the v x y z tokens, and every f record's tokens
+def _obj_token_blocks(path):
+    """Yield the ``v`` coordinate tokens and the ``f`` record tokens of an
+    OBJ file as fresh lists ``(coords, refs)``, each handed over once it
+    reaches ``OBJ_BLOCK_TOKENS`` tokens (records are never split) and the
+    rest at the end.  A malformed record raises :class:`MeshError` when its
+    line is read."""
+    coords, refs = [], []
+    n_faces = 0   # f records in the blocks already yielded
+    block = OBJ_BLOCK_TOKENS
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -237,25 +239,65 @@ def load_obj(path) -> SimplicialSurface:
                 if len(tokens) < 4:
                     raise MeshError(f"{path}:{lineno}: vertex record needs 3 coordinates")
                 coords += tokens[1:4]
+                if len(coords) >= block:
+                    yield coords, []
+                    coords = []
             elif kind == "f":
                 if len(tokens) != 4:
                     raise MeshError(
-                        f"non-triangular face at face {len(refs) // 4} "
+                        f"non-triangular face at face {n_faces + len(refs) // 4} "
                         f"({len(tokens) - 1} vertices, line {lineno})"
                     )
                 refs += tokens
-    if not coords:
+                if len(refs) >= block:
+                    n_faces += len(refs) // 4
+                    yield [], refs
+                    refs = []
+    yield coords, refs
+
+
+def load_obj(path) -> SimplicialSurface:
+    """Load a Wavefront OBJ file with triangular faces.
+
+    Only ``v x y z`` and ``f i j k`` records are honoured (1-based indices;
+    ``i/t/n`` vertex references are accepted, everything after the first
+    slash is ignored).  Other record types are skipped.  Face orientation is
+    taken from the file's winding order.  Coordinates are read as Python's
+    ``float`` reads them, vertex indices as decimal integers.
+
+    The tokens are turned into arrays a block of ``OBJ_BLOCK_TOKENS`` at a
+    time, so the reader holds at most one block of coordinate tokens and one
+    of face tokens as Python strings.  A number error in a block is kept
+    until the whole file is read, so the error raised does not depend on the
+    blocks: the first malformed record in file order (a short ``v`` record,
+    a face that is not a triangle); else a file without vertices; else the
+    first malformed coordinate (numpy's ``ValueError``); else a face
+    reference that does not start with an integer.
+    """
+    vertex_blocks, corner_blocks = [], []
+    n_coords, coordinate_error, reference_error = 0, None, False
+    for coords, refs in _obj_token_blocks(path):
+        n_coords += len(coords)
+        try:
+            vertex_blocks.append(np.array(coords, dtype=np.float64))
+        except ValueError as exc:
+            coordinate_error = coordinate_error or exc
+        del refs[::4]   # the "f" of each record
+        text = re.sub(r"/\S*", "", " ".join(refs))   # i/t/n -> i
+        try:
+            corners = np.fromstring(text, dtype=np.int64, sep=" ")
+        except ValueError:   # (older numpy only warns, and returns the numbers before it)
+            corners = np.empty(0, dtype=np.int64)
+        reference_error = reference_error or corners.size != len(refs)
+        corner_blocks.append(corners)
+    if not n_coords:
         raise MeshError(f"{path}: no vertices found")
-    vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
-    del refs[::4]   # the "f" of each record
-    text = re.sub(r"/\S*", "", " ".join(refs))   # i/t/n -> i
-    try:
-        corners = np.fromstring(text, dtype=np.int64, sep=" ")
-    except ValueError:   # (older numpy only warns, and returns the numbers before it)
-        corners = np.empty(0, dtype=np.int64)
-    if corners.size != len(refs):
+    if coordinate_error is not None:
+        raise coordinate_error
+    if reference_error:
         raise MeshError(f"{path}: a face vertex reference does not start with an integer")
-    return from_arrays(vertices, corners.reshape(-1, 3) - 1)
+    vertices = np.concatenate(vertex_blocks).reshape(-1, 3)
+    return from_arrays(vertices, np.concatenate(corner_blocks).reshape(-1, 3) - 1)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ runs produce byte-identical files).
 
 from __future__ import annotations
 
-import functools
 import os
+import weakref
 
 import numpy as np
 
@@ -85,11 +85,15 @@ def _blocks(row: str, *columns):
         yield render(row, *(column[start:start + step] for column in columns))
 
 
-@functools.lru_cache(maxsize=1)
+# The VTK geometry text of each surface that wrote a snapshot; an entry
+# dies with its surface.
+_GEOMETRY_TEXT = weakref.WeakKeyDictionary()
+
+
 def _vtk_geometry(surface: SimplicialSurface) -> tuple[str, ...]:
     """The ``ASCII`` ... ``CELL_TYPES`` text of a snapshot.  It depends only
-    on the surface, so it is formatted at a surface's first snapshot and
-    kept, keyed by the surface's identity, for its later ones."""
+    on the surface, so ``write_vtk_snapshot`` formats it at a surface's
+    first snapshot and keeps it in ``_GEOMETRY_TEXT`` for its later ones."""
     nf = surface.n_faces
     parts = [f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {surface.n_vertices} double\n"]
     parts += _blocks("%r %r %r\n", *np.asarray(surface.vertices, dtype=np.float64).T)
@@ -110,7 +114,10 @@ def write_vtk_snapshot(path, surface: SimplicialSurface, state: FieldState) -> N
     edge_field, face_scalar = pol.place(state.e, state.h)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\ndecem snapshot\n")
-        fh.writelines(_vtk_geometry(surface))
+        geometry = _GEOMETRY_TEXT.get(surface)
+        if geometry is None:
+            geometry = _GEOMETRY_TEXT[surface] = _vtk_geometry(surface)
+        fh.writelines(geometry)
         fh.write(f"CELL_DATA {surface.n_faces}\n"
                  f"SCALARS {pol.face_field} double 1\nLOOKUP_TABLE default\n")
         fh.writelines(_blocks("%r\n", np.asarray(face_scalar, dtype=np.float64)))

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,15 +55,41 @@ def write_obj_text(tmp_path, text, name="mesh.obj"):
 
 TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
 
+# The reader's default block, then blocks of a few tokens, so that small
+# files cross block boundaries within and between records.
+OBJ_BLOCKS = (mesh.OBJ_BLOCK_TOKENS, 1, 4, 7)
+
+
+def load_obj_each_block(path):
+    """``load_obj(path)`` at the default block size, checked to return the
+    same arrays, or raise the same error, at every block size of
+    ``OBJ_BLOCKS``."""
+    outcomes = []
+    for block in OBJ_BLOCKS:
+        with mock.patch.object(mesh, "OBJ_BLOCK_TOKENS", block):
+            try:
+                outcomes.append(mesh.load_obj(path))
+            except ValueError as exc:
+                outcomes.append(exc)
+    first = outcomes[0]
+    for other in outcomes[1:]:
+        if isinstance(first, ValueError):
+            assert (type(other), str(other)) == (type(first), str(first))
+        else:
+            assert_bitwise_equal(other, first.vertices, first.faces)
+    if isinstance(first, ValueError):
+        raise first
+    return first
+
 
 def test_quad_face_rejected(tmp_path):
     path = write_obj_text(tmp_path, TRIANGLE + "v 1 1 0\nf 1 2 3\n\nf 2 4 3 1\n")
     with pytest.raises(mesh.MeshError) as err:
-        mesh.load_obj(path)
+        load_obj_each_block(path)
     assert str(err.value) == "non-triangular face at face 1 (4 vertices, line 7)"
     path = write_obj_text(tmp_path, TRIANGLE + "f 1 2\n", "short.obj")
     with pytest.raises(mesh.MeshError, match=r"at face 0 \(2 vertices, line 4\)"):
-        mesh.load_obj(path)
+        load_obj_each_block(path)
 
 
 def test_nonmanifold_edge_rejected():
@@ -90,11 +119,11 @@ def test_other_obj_records_ignored(tmp_path):
     text = ("# header\r\nmtllib m.mtl\r\no body\r\ng group\r\ns off\r\nusemtl red\r\n"
             "v\t0 0\t0\r\n  v 1.5 0 0   \r\n\tv 0 1 0\r\n#v 9 9 9\r\nvn 0 0 1\r\nvt 0 0\r\n"
             "f\t1/1/1 2/1/1\t3/1/1\r\n#f 1 2 3 4\r\n")
-    s = mesh.load_obj(write_obj_text(tmp_path, text))
+    s = load_obj_each_block(write_obj_text(tmp_path, text))
     assert s.vertices.tolist() == [[0, 0, 0], [1.5, 0, 0], [0, 1, 0]]
     assert s.faces.tolist() == [[0, 1, 2]]
     # a vertex record's tokens after the third coordinate are ignored
-    s = mesh.load_obj(write_obj_text(tmp_path, TRIANGLE.replace("v 1 0 0", "v 1 0 0 1 0.5")
+    s = load_obj_each_block(write_obj_text(tmp_path, TRIANGLE.replace("v 1 0 0", "v 1 0 0 1 0.5")
                                      + "f 1 2 3\n", "extra.obj"))
     assert s.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
@@ -381,56 +410,98 @@ def assert_bitwise_equal(surface, vertices, faces):
     assert np.array_equal(surface.faces, faces)
 
 
-def test_reader_matches_reference_on_bundled_and_generated_meshes(tmp_path, make_assets):
-    from decem import bundled
-
-    paths = [bundled.bundled_path(name) for name in bundled.bundled_names()
-             if name.endswith(".obj")]
+@pytest.fixture(scope="module")
+def icosphere_objs(tmp_path_factory, make_assets):
+    """OBJ files of the icospheres of levels 3 and 5 (20480 faces), as
+    ``tools/make_assets.py`` subdivides and writes them."""
+    paths = {}
     v, f = make_assets.icosahedron()
     for level in range(1, 6):
         v, f = make_assets.subdivide(v, f, project_unit_sphere=True)
         if level in (3, 5):
-            paths.append(str(tmp_path / f"icosphere_{level}.obj"))
-            make_assets.write_obj(paths[-1], v, f)
+            paths[level] = str(tmp_path_factory.mktemp("obj") / f"icosphere_{level}.obj")
+            make_assets.write_obj(paths[level], v, f)
     assert len(f) == 20480
-    for path in paths:
+    return paths
+
+
+def test_reader_matches_reference_on_bundled_and_generated_meshes(icosphere_objs):
+    from decem import bundled
+
+    paths = [bundled.bundled_path(name) for name in bundled.bundled_names()
+             if name.endswith(".obj")]
+    for path in paths + list(icosphere_objs.values()):
         assert_bitwise_equal(mesh.load_obj(path), *reference_obj_arrays(path))
+
+
+def test_reader_peak_memory_on_20480_faces(icosphere_objs):
+    """The reader holds a block of tokens as Python strings, not the whole
+    file's: its traced peak stays below 9 MB (13.4 MB when it held every
+    token), for 3.4 MB of surface arrays."""
+    tracemalloc.start()
+    try:
+        surface = mesh.load_obj(icosphere_objs[5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert surface.n_faces == 20480
+    assert peak < 9_000_000
 
 
 def test_short_vertex_record_names_path_and_line(tmp_path):
     path = write_obj_text(tmp_path, "# a comment\nv 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n")
     with pytest.raises(mesh.MeshError) as err:
-        mesh.load_obj(path)
+        load_obj_each_block(path)
     assert str(err.value) == f"{path}:3: vertex record needs 3 coordinates"
 
 
 def test_first_record_error_in_file_order_wins(tmp_path):
-    """Record errors are found line by line, before any number is read."""
+    """Record errors are found line by line, before any number error is raised."""
     path = write_obj_text(tmp_path, "v 0 0 x\nv 1 0 0\nv 0 1 0\nf 1 2 3 4\nv 1\n")
     with pytest.raises(mesh.MeshError, match="non-triangular face at face 0"):
-        mesh.load_obj(path)
+        load_obj_each_block(path)
+
+
+def test_record_error_after_the_first_block_wins_over_its_number_error(tmp_path):
+    """A malformed coordinate in the first default block, then a quad face
+    after it: the quad is reported, with its face and line counted across
+    blocks."""
+    text = ("v 0 0 x\n" + "v 0 0 0\n" * 2999 + "f 1 2 3\n" * 2100 + "f 1 2 3 4\n"
+            + "f 1 2 3\n")
+    assert 3 * 3000 > mesh.OBJ_BLOCK_TOKENS and 4 * 2100 > mesh.OBJ_BLOCK_TOKENS
+    with pytest.raises(mesh.MeshError) as err:
+        load_obj_each_block(write_obj_text(tmp_path, text))
+    assert str(err.value) == "non-triangular face at face 2100 (4 vertices, line 5101)"
+
+
+def test_short_vertex_record_wins_over_a_reference_error_in_an_earlier_block(tmp_path):
+    text = TRIANGLE + "f 1 2 x\n" + "f 1 2 3\n" * 2100 + "v 1 0\n"
+    path = write_obj_text(tmp_path, text)
+    with pytest.raises(mesh.MeshError) as err:
+        load_obj_each_block(path)
+    assert str(err.value) == f"{path}:2105: vertex record needs 3 coordinates"
 
 
 @pytest.mark.parametrize("refs", ["1//4 2//5 3//6", "1/7 2/8 3/9", "1/ 2/ 3/"])
 def test_face_reference_decorations_parse(tmp_path, refs):
-    s = mesh.load_obj(write_obj_text(tmp_path, TRIANGLE + f"f {refs}\n"))
+    s = load_obj_each_block(write_obj_text(tmp_path, TRIANGLE + f"f {refs}\n"))
     assert s.faces.tolist() == [[0, 1, 2]]
 
 
 def test_empty_meshes_keep_their_errors(tmp_path):
     path = write_obj_text(tmp_path, "# nothing\nf 1 2 3\n")
     with pytest.raises(mesh.MeshError) as err:
-        mesh.load_obj(path)
+        load_obj_each_block(path)
     assert str(err.value) == f"{path}: no vertices found"
     with pytest.raises(mesh.MeshError, match="^mesh has no faces$"):
-        mesh.load_obj(write_obj_text(tmp_path, TRIANGLE, "nofaces.obj"))
+        load_obj_each_block(write_obj_text(tmp_path, TRIANGLE, "nofaces.obj"))
 
 
 @pytest.mark.parametrize("face", ["1 2 x", "1 2 3.0", "1 /2 3", "1 2 0x3"])
 def test_malformed_face_index_rejected(tmp_path, face):
     path = write_obj_text(tmp_path, TRIANGLE + f"f {face}\n")
     with pytest.raises(mesh.MeshError) as err:
-        mesh.load_obj(path)
+        load_obj_each_block(path)
     assert str(err.value) == f"{path}: a face vertex reference does not start with an integer"
 
 
@@ -461,6 +532,6 @@ def test_reader_round_trips_tokens(tmp_path_factory, rows, decorations, sep):
     path = tmp_path_factory.mktemp("obj") / "strip.obj"
     path.write_text(text)
     expected = np.array([[x for _, x in row] for row in rows], dtype=np.float64)
-    surface = mesh.load_obj(str(path))
+    surface = load_obj_each_block(str(path))
     assert_bitwise_equal(surface, expected, np.array(faces, dtype=np.int64))
     assert_bitwise_equal(surface, *reference_obj_arrays(str(path)))

@@ -1,6 +1,8 @@
+import gc
 import importlib.util
 import os
 import shutil
+import weakref
 
 import numpy as np
 
@@ -301,20 +303,33 @@ def test_probe_writer_matches_per_line_oracle(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_vtk_geometry_is_formatted_once_per_surface(tmp_path):
+def test_vtk_geometry_is_formatted_once_per_surface(tmp_path, monkeypatch):
     """A surface's first snapshot formats its geometry text and the later
     ones reuse it; another surface formats its own."""
+    formatted = []
+    format_geometry = output._vtk_geometry
+    monkeypatch.setattr(output, "_vtk_geometry",
+                        lambda s: formatted.append(s) or format_geometry(s))
     surface = bundled.bundled_surface("icosphere_1.obj")
     state = solver.initial_state("TE", surface)
-    before = output._vtk_geometry.cache_info()
     for name in ("a.vtk", "b.vtk", "c.vtk"):
         output.write_vtk_snapshot(str(tmp_path / name), surface, state)
-    after = output._vtk_geometry.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+    assert formatted == [surface]
     assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "c.vtk").read_bytes()
     other = bundled.bundled_surface("icosphere_1.obj")
     output.write_vtk_snapshot(str(tmp_path / "d.vtk"), other, state)
-    assert output._vtk_geometry.cache_info().misses == after.misses + 1
+    assert len(formatted) == 2 and formatted[1] is other
+
+
+def test_vtk_geometry_text_dies_with_its_surface(tmp_path):
+    """The kept geometry text does not keep its surface alive."""
+    surface = bundled.bundled_surface("icosphere_1.obj")
+    output.write_vtk_snapshot(str(tmp_path / "a.vtk"), surface,
+                              solver.initial_state("TE", surface))
+    ref = weakref.ref(surface)
+    del surface
+    gc.collect()
+    assert ref() is None
 
 
 def test_vtk_geometry_cache_is_per_surface(tmp_path):
