@@ -31,7 +31,7 @@ print(f"gauge shift changes F by {np.abs(F2.values - F.values).max():.2e}")
 
 # a divergence-free current: the circulation of a random face potential
 psi = rng.normal(size=surface.n_faces)
-J = Cochain(surface, 1, "primal", (surface.d1_real.T @ psi) / stars.star1)
+J = Cochain(surface, 1, "primal", (surface.d1.T @ psi) / stars.star1)
 print(f"continuity defect of the crafted current: "
       f"{np.abs(continuity_defect(J, stars)).max():.2e}")
 

@@ -162,7 +162,7 @@ def stability_sweep(
     empirical = None
     if empirical_steps > 0:
         dt_max = float(dt_list.max())
-        stepper = sv.assemble(materials.mode, surface, metrics, materials, dt_max)
+        stepper = sv.assemble(surface, metrics, materials, dt_max)
         stars = stepper.stars
         # canned smooth bump on the face carrier, zero edge field
         cc = face_circumcenters(surface)
@@ -251,9 +251,7 @@ def check_nested_family(surfaces) -> None:
                 f"non-nested mesh family: level {k} vertices are not a prefix "
                 f"of level {k + 1}"
             )
-        mids = 0.5 * (
-            coarse.vertices[coarse.edges[:, 0]] + coarse.vertices[coarse.edges[:, 1]]
-        )
+        mids = edge_midpoints(coarse)
         fine_set = {tuple(np.round(v, 9)) for v in fine.vertices}
         missing = [
             i for i, p in enumerate(np.round(mids, 9)) if tuple(p) not in fine_set
@@ -293,9 +291,8 @@ class ConvergenceReport:
 
 def _run_cavity(surface, metrics, dt, time, m, n, eps, mu, solver_kind, tolerance):
     mats = sv.MaterialParams.uniform("TM", surface, eps=eps, mu=mu)
-    stepper = sv.assemble(
-        "TM", surface, metrics, mats, dt, solver=solver_kind, tolerance=tolerance
-    )
+    stepper = sv.assemble(surface, metrics, mats, dt, solver=solver_kind,
+                          tolerance=tolerance)
     e0, _ = cavity_mode_fields(surface, 0.0, m, n, eps, mu)
     state = sv.initial_state("TM", surface, e=e0)
     steps = int(round(time / dt))

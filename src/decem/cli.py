@@ -20,7 +20,7 @@ import numpy as np
 from . import bundled, output
 from . import solver as sv
 from .config import ConfigError, RunConfig, load_config
-from .mesh import MeshError, compute_dual_metrics, load_obj, mesh_report
+from .mesh import compute_dual_metrics, load_obj, mesh_report
 
 __all__ = ["main", "run_simulation"]
 
@@ -76,7 +76,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
         materials = cfg.validate_against(surface)
         metrics = compute_dual_metrics(surface)
         stepper = sv.assemble(
-            cfg.mode, surface, metrics, materials, cfg.dt,
+            surface, metrics, materials, cfg.dt,
             solver=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
             allow_indefinite=cfg.allow_indefinite,
         )
@@ -128,7 +128,6 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    cfg.allow_indefinite |= args.allow_indefinite
     run_simulation(cfg, echo=None if args.quiet else print)
     print(f"run complete: {cfg.steps} steps, outputs in {cfg.output_dir}")
     return 0
@@ -214,8 +213,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a simulation from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--quiet", action="store_true", help="suppress the per-cadence log")
-    p_run.add_argument("--allow-indefinite", action="store_true",
-                       help="attempt indefinite systems with the sparse LU solver")
     _add_common(p_run)
     p_run.set_defaults(func=_cmd_run)
 
@@ -236,7 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MeshError, sv.SolverError, ValueError, OSError) as exc:
+    except (ValueError, sv.SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -97,8 +97,11 @@ def _float(value: str, key: str) -> float:
 
 
 def _max_iters(value: str, key: str) -> int | None:
-    """An iteration cap; 0 or less leaves the solver's own (None)."""
-    return max(_int(value, key), 0) or None
+    """An iteration cap; 0 leaves the solver's own (None)."""
+    number = _int(value, key)
+    if number < 0:
+        raise ConfigError(f"{key} must be nonnegative")
+    return number or None
 
 
 def _material(value: str, key: str) -> float:

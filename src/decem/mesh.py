@@ -118,11 +118,6 @@ class SimplicialSurface:
         """``d0`` itself, which is already float64."""
         return self.d0
 
-    @property
-    def d1_real(self) -> sp.csr_matrix:
-        """``d1`` itself, which is already float64."""
-        return self.d1
-
     def count_carriers(self, degree: int, placement: str) -> int:
         """Number of cells carrying a cochain of the given degree/placement."""
         primal = (self.n_vertices, self.n_edges, self.n_faces)

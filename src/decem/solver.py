@@ -24,11 +24,13 @@ edges), and a step is two incidence products around one face solve:
 as one diagonal, so a step builds no operator: it allocates only the new
 state and the intermediates of these three lines, and adds a current on its
 support only (off the support the full-array formulas above subtract
-+0.0).  The face system is factored once by a sparse LU (SuperLU) or solved
-each step by Jacobi-preconditioned CG warm-started from the current face
-cochain.  The conduction terms use the time-average of the two levels; the
-curl coupling is fully implicit, which makes the update a contraction in
-the energy norm for any dt (unconditional stability).
++0.0).  ``assemble`` also binds the face solve once, as the stepper's
+``solve``: the back-substitution of a sparse LU (SuperLU) factored there,
+or Jacobi-preconditioned CG warm-started from the current face cochain, so
+a step never dispatches on the solver's name.  The conduction terms use the
+time-average of the two levels; the curl coupling is fully implicit, which
+makes the update a contraction in the energy norm for any dt
+(unconditional stability).
 
 Boundary condition is PEC: in TE the tangential electric unknowns on boundary
 edges are held at zero (g = 0 removes them from the system); in TM the
@@ -44,6 +46,7 @@ face carriers by |P|).  Sources are sampled at the half step t + dt/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -267,15 +270,16 @@ class SourceSpec:
 class ImplicitStepper:
     """Pre-assembled per-step linear system for one polarization.
 
-    Holds the diagonal update coefficients, the face Schur system with its
-    sparse LU factor (``direct``) or Jacobi preconditioner (``cg``), and the
-    solver configuration.  ``edge_couple`` is s g, and ``edge_decay``/
-    ``edge_drive`` are g m_e and g star1 (module docstring); all three are
-    +0.0 on PEC edges, so a PEC unknown at +0.0 stays +0.0.  ``d1`` is the
-    surface's own incidence matrix and ``d1t`` its transpose, the CSC view
-    that shares ``d1``'s arrays, taken once here rather than each step.  A
-    stepper is immutable: stepping never changes it, so one stepper can
-    serve any number of runs.
+    Holds the diagonal update coefficients, the face Schur system and
+    ``solve(rhs, x0)``, the face solve that ``assemble`` bound once: the
+    sparse LU factor's back-substitution (``direct``) or Jacobi CG
+    warm-started from ``x0`` (``cg``); ``solver`` names the one bound.
+    ``edge_couple`` is s g, and ``edge_decay``/``edge_drive`` are g m_e and
+    g star1 (module docstring); all three are +0.0 on PEC edges, so a PEC
+    unknown at +0.0 stays +0.0.  ``d1`` is the surface's own incidence
+    matrix and ``d1t`` its transpose, the CSC view that shares ``d1``'s
+    arrays, taken once here rather than each step.  A stepper is immutable:
+    stepping never changes it, so one stepper can serve any number of runs.
     """
 
     polarization: Polarization
@@ -295,30 +299,10 @@ class ImplicitStepper:
     d1t: sp.csc_matrix
     system: sp.csr_matrix
     solver: str
-    tolerance: float
-    max_iters: int
-    indefinite: bool = False
-    _factor: spla.SuperLU | None = None
-    _precond: sp.dia_matrix | None = None
-
-    def _solve(self, rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        if self.solver == "direct":
-            return self._factor.solve(rhs)
-        x, info = spla.cg(
-            self.system, rhs, x0=x0, rtol=self.tolerance, atol=0.0,
-            maxiter=self.max_iters, M=self._precond,
-        )
-        if info != 0:
-            res = np.linalg.norm(self.system @ x - rhs)
-            raise SolverError(
-                f"iterative solve failed to converge in {self.max_iters} "
-                f"iterations (info={info}, residual norm {res:.3e})"
-            )
-        return x
+    solve: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def assemble(
-    mode: str,
     surface: SimplicialSurface,
     metrics: DualMetrics,
     materials: MaterialParams,
@@ -329,29 +313,33 @@ def assemble(
     max_iters: int | None = None,
     allow_indefinite: bool = False,
 ) -> ImplicitStepper:
-    """Build the per-step system for one polarization.
+    """Build the per-step system for the polarization of ``materials``.
 
-    ``solver="direct"`` (the default) factors the face system here, once;
-    ``"cg"`` keeps no factor and runs Jacobi CG every step, using less memory.
+    The face solve is chosen here, once, and bound as the stepper's
+    ``solve``: ``solver="direct"`` (the default) factors the face system
+    here and back-substitutes each step; ``"cg"`` keeps no factor and runs
+    Jacobi CG each step, to the relative residual ``tolerance`` within
+    ``max_iters`` iterations (default 10 sqrt(unknowns); at least 1), using
+    less memory.
+
     The face system ``diag(p_f) + d1 diag(g) d1^T`` is symmetric positive
     definite whenever every diagonal entry ``(material / dt + conduction / 2)
     * measure`` is positive.  With material, dt > 0 and conduction >= 0, only
     a nonpositive dual edge (star1 <= 0, a mesh not Delaunay there) on an
     active edge makes one nonpositive; that raises ``SolverError`` naming
     the first such edge unless ``allow_indefinite`` is set, in which case the
-    stepper is flagged ``indefinite`` and always uses the sparse LU
-    (``solver`` becomes ``"direct"``), whose partial pivoting needs no
-    definiteness.
+    stepper always uses the sparse LU (``solver`` becomes ``"direct"``),
+    whose partial pivoting needs no definiteness.
     """
-    pol = polarization(mode)
-    if materials.mode != mode:
-        raise ValueError("materials were placed for a different mode")
+    pol = polarization(materials.mode)
     if not (dt > 0 and np.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     if not (tolerance > 0 and np.isfinite(tolerance)):
         raise ValueError("tolerance must be positive and finite")
     if solver not in ("cg", "direct"):
         raise ValueError(f"solver must be cg or direct, got {solver!r}")
+    if max_iters is not None and max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
 
     stars = build_hodge_stars(surface, metrics)
     star1 = stars.star1
@@ -383,10 +371,6 @@ def assemble(
     d1t = d1.T
     system = (sp.diags(face_plus) + d1 @ sp.diags(on_active(1.0)) @ d1t).tocsr()
 
-    if max_iters is None:
-        max_iters = int(np.ceil(10.0 * np.sqrt(system.shape[0])))
-
-    factor = precond = None
     if solver == "direct" or indefinite:
         solver = "direct"
         # MMD on A^T + A: COLAMD roughly doubles the fill on these meshes.
@@ -398,8 +382,22 @@ def assemble(
             system.tocsc(), permc_spec="MMD_AT_PLUS_A",
             options={"SymmetricMode": True}, panel_size=1,
         )
+        solve = lambda rhs, x0: factor.solve(rhs)
     else:
+        if max_iters is None:
+            max_iters = int(np.ceil(10.0 * np.sqrt(system.shape[0])))
         precond = sp.diags(1.0 / system.diagonal())
+
+        def solve(rhs, x0):
+            x, info = spla.cg(system, rhs, x0=x0, rtol=tolerance, atol=0.0,
+                              maxiter=max_iters, M=precond)
+            if info != 0:
+                res = np.linalg.norm(system @ x - rhs)
+                raise SolverError(
+                    f"iterative solve failed to converge in {max_iters} "
+                    f"iterations (info={info}, residual norm {res:.3e})"
+                )
+            return x
 
     return ImplicitStepper(
         polarization=pol, surface=surface, metrics=metrics, stars=stars, dt=dt,
@@ -407,9 +405,7 @@ def assemble(
         face_plus=face_plus, face_minus=face_minus,
         active_edges=active, edge_couple=on_active(pol.couple_sign),
         edge_decay=on_active(edge_minus), edge_drive=on_active(star1),
-        d1=d1, d1t=d1t, system=system, solver=solver,
-        tolerance=tolerance, max_iters=max_iters, indefinite=indefinite,
-        _factor=factor, _precond=precond,
+        d1=d1, d1t=d1t, system=system, solver=solver, solve=solve,
     )
 
 
@@ -433,7 +429,7 @@ def step(stepper: ImplicitStepper, state: FieldState,
         else:
             rhs[support] -= j
     rhs -= pol.couple_sign * (stepper.d1 @ hist)
-    w_new = stepper._solve(rhs, x0=w)
+    w_new = stepper.solve(rhs, w)
     u_new = hist + stepper.edge_couple * (stepper.d1t @ w_new)
 
     e_new, h_new = pol.place(u_new, w_new)

@@ -97,7 +97,7 @@ def test_criterion_2_unconditional_stability_long_run():
         mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0)
         c = 1.0
         dt = 100.0 * m.dual_edge_len.min() / c
-        stepper = solver.assemble("TE", s, m, mats, dt, solver="direct")
+        stepper = solver.assemble(s, m, mats, dt, solver="direct")
         d2 = ((mesh.face_circumcenters(s) - [0.0, 0.0, 1.0]) ** 2).sum(axis=1)
         state = solver.initial_state("TE", s, h=np.exp(-d2 / 0.05))
         e0 = solver.energy(state, stars, mats)
@@ -119,11 +119,11 @@ def test_criterion_3_gauss_law_preservation():
         stars = dec.build_hodge_stars(s, m)
         mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0)
         dt = 10.0 * m.dual_edge_len.min()
-        stepper = solver.assemble("TE", s, m, mats, dt, solver="direct")
+        stepper = solver.assemble(s, m, mats, dt, solver="direct")
 
         rng = np.random.default_rng(5)
         psi = rng.normal(size=s.n_faces)
-        e0 = (s.d1_real.T @ psi) / stars.star1        # exactly divergence-free
+        e0 = (s.d1.T @ psi) / stars.star1        # exactly divergence-free
         d2 = ((mesh.face_circumcenters(s) - [0.0, 0.0, 1.0]) ** 2).sum(axis=1)
         state = solver.initial_state("TE", s, e=e0, h=np.exp(-d2 / 0.1))
         scale0 = solver.gauss_residual_scale(state, s, stars, mats)
@@ -222,7 +222,7 @@ def test_criterion_6_stencil_fidelity():
         dt = 0.29
         mats = solver.MaterialParams("TE", eps=eps, mu=mu, sigma=sigma,
                                      sigma_m=sigma_m)
-        stepper = solver.assemble("TE", s, m, mats, dt, solver="direct")
+        stepper = solver.assemble(s, m, mats, dt, solver="direct")
 
         # hand-computed measures of the equilateral pair
         length, area = 1.0, np.sqrt(3.0) / 4.0
@@ -236,7 +236,7 @@ def test_criterion_6_stencil_fidelity():
         #                       + (H_+ - H_-)/|*e1| - J_e1
         close(stepper.edge_plus[e1] * length / dual_shared, eps[e1] / dt + sigma[e1] / 2)
         close(stepper.edge_minus[e1] * length / dual_shared, eps[e1] / dt - sigma[e1] / 2)
-        col = s.d1_real.T[e1].toarray().ravel()
+        col = s.d1.T[e1].toarray().ravel()
         assert sorted(col.tolist()) == [-1.0, 1.0]
         close(stepper.stars.star1[e1] * length / dual_shared, 1.0)  # J term
         close(m.dual_edge_len[e1], dual_shared)
@@ -246,7 +246,7 @@ def test_criterion_6_stencil_fidelity():
         for f in range(s.n_faces):
             close(stepper.face_plus[f] / area, mu[f] / dt + sigma_m[f] / 2)
             close(stepper.face_minus[f] / area, mu[f] / dt - sigma_m[f] / 2)
-            row = s.d1_real[f].toarray().ravel()
+            row = s.d1[f].toarray().ravel()
             for e in np.nonzero(row)[0]:
                 close(abs(row[e]) * m.edge_len[e] / area, length / area)
             close(m.face_area[f] / area, 1.0)  # J_m scaling (J |P|)/|P|

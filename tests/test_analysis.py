@@ -149,7 +149,7 @@ def test_cavity_oracle_satisfies_wave_equation():
     e_plus, _ = analysis.cavity_mode_fields(s, t + dt)
     dedt = (e_plus - e_minus) / (2 * dt)
     _, h = analysis.cavity_mode_fields(s, t)
-    curl = (s.d1_real @ h) / m.face_area
+    curl = (s.d1 @ h) / m.face_area
     interior = np.ones(s.n_faces, dtype=bool)
     # skip faces touching the boundary: one-sided stencils there
     interior[s.d1[:, s.boundary].nonzero()[0]] = False

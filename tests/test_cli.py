@@ -104,6 +104,8 @@ def test_config_bad_values(tmp_path):
         ({"source.t0": "nan"}, "source.t0: expected a finite number"),
         ({"solver.tolerance": "-1"}, "solver.tolerance must be positive"),
         ({"solver.tolerance": "nan"}, "solver.tolerance: expected a finite number"),
+        # 0 asks for the solver's own cap; a negative one is not a second spelling
+        ({"solver.max_iters": "-3"}, "solver.max_iters must be nonnegative"),
         ({"stability.dt_factors": "1,nan"}, "stability.dt_factors: expected finite numbers"),
         # the stability and convergence settings have range rules too
         ({"stability.k_samples": "0"}, "stability.k_samples must be >= 1"),
@@ -131,7 +133,7 @@ def test_config_key_table(tmp_path):
     # every table entry names a field of the dataclass it sets
     for key, (owner, name, _) in config._KEYS.items():
         assert name in {f.name for f in dataclasses.fields(owner)}, key
-    # a nonpositive iteration cap leaves the solver's own
+    # a zero iteration cap leaves the solver's own
     cfg = config.load_config(write_cfg(tmp_path / "c.cfg", **{"solver.max_iters": "0"}))
     assert cfg.max_iters is None
     # the removed initial-state knob and magnetic-current sign are unknown keys
@@ -151,7 +153,7 @@ def test_removed_second_spellings(tmp_path, icosphere1, icosphere1_metrics):
     assert not (tmp_path / "out").exists()
     mats = solver.MaterialParams.uniform("TE", icosphere1, eps=1.0, mu=1.0)
     with pytest.raises(TypeError, match="jm_sign"):
-        solver.assemble("TE", icosphere1, icosphere1_metrics, mats, 0.1, jm_sign=-1.0)
+        solver.assemble(icosphere1, icosphere1_metrics, mats, 0.1, jm_sign=-1.0)
     with pytest.raises(TypeError, match="eps0"):
         solver.MaterialParams("TE", mats.eps, mats.mu, mats.sigma, mats.sigma_m, eps0=1.0)
 
@@ -199,7 +201,7 @@ def test_run_simulation_initial_state(tmp_path):
     # e = d1^T psi / star1 has star1 e = d1^T psi, so d0^T star1 e = 0: it
     # satisfies the vertex Gauss law, runs, and is the step-0 snapshot
     cfg.output_dir = str(tmp_path / "good")
-    e = (surface.d1_real.T @ rng.normal(size=surface.n_faces)) / star1
+    e = (surface.d1.T @ rng.normal(size=surface.n_faces)) / star1
     state = cli.run_simulation(cfg, initial=solver.initial_state("TE", surface, e=e), echo=None)
     assert state.n == 4
     rows = (tmp_path / "good" / "snapshot_000000.csv").read_text().splitlines()
@@ -428,11 +430,12 @@ def test_default_run_uses_direct_solver(tmp_path):
     assert "solver = direct" in (out / "manifest.txt").read_text().splitlines()
 
 
-@pytest.mark.parametrize("command, cfg", [("stability", "stability_sphere.cfg"),
+@pytest.mark.parametrize("command, cfg", [("run", "demo_sphere_te.cfg"),
+                                          ("stability", "stability_sphere.cfg"),
                                           ("convergence", "cavity_convergence.cfg")])
-def test_allow_indefinite_is_a_run_only_flag(command, cfg, capsys):
-    """Only ``run`` assembles a system the flag can act on; the other
-    commands reject it as an unknown argument."""
+def test_allow_indefinite_has_no_flag(command, cfg, capsys):
+    """The indefinite opt-in has one spelling, ``flags.allow_indefinite``:
+    every command rejects ``--allow-indefinite`` as an unknown argument."""
     with pytest.raises(SystemExit) as exit_:
         cli.main([command, bundled.bundled_path(cfg), "--allow-indefinite"])
     assert exit_.value.code == 2
@@ -508,7 +511,7 @@ def write_obj(path, surface):
 @pytest.mark.parametrize("mode", ["TE", "TM"])
 def test_indefinite_system_fails_without_opt_in(mode, tmp_path, capsys, jittered_cavity):
     """A mesh with a negative interior dual edge makes an indefinite system:
-    without --allow-indefinite the run exits 2 in set-up, naming the first
+    without flags.allow_indefinite the run exits 2 in set-up, naming the first
     nonpositive active edge and creating no output directory, and an
     existing one ends with a failed manifest."""
     obj = write_obj(tmp_path / "jittered.obj", jittered_cavity)
@@ -534,14 +537,15 @@ def test_indefinite_system_fails_without_opt_in(mode, tmp_path, capsys, jittered
 
 @pytest.mark.parametrize("mode", ["TE", "TM"])
 def test_indefinite_system_runs_with_opt_in(mode, tmp_path, jittered_cavity):
-    """With --allow-indefinite the same indefinite system runs to the end on
-    the sparse LU, even where the config asks for CG, which needs a
+    """With flags.allow_indefinite the same indefinite system runs to the
+    end on the sparse LU, even where the config asks for CG, which needs a
     definite system."""
     obj = write_obj(tmp_path / "jittered.obj", jittered_cavity)
     out = tmp_path / "out"
     path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
-        "mesh_path": str(obj), "output.directory": str(out), "solver.kind": "cg"})
-    argv = ["run", path, "--quiet", "--allow-indefinite"]
+        "mesh_path": str(obj), "output.directory": str(out), "solver.kind": "cg",
+        "flags.allow_indefinite": "true"})
+    argv = ["run", path, "--quiet"]
     assert cli.main(argv) == 0
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert "status = complete" in manifest

@@ -196,7 +196,7 @@ def test_residual_gauge_orthogonality(sphere_setup):
 
     # divergence-free current: the pairing vanishes
     psi = rand_cochain(s, 0, "dual", 47)
-    J_free = dec.Cochain(s, 1, "primal", (s.d1_real.T @ psi.values) / h.star1)
+    J_free = dec.Cochain(s, 1, "primal", (s.d1.T @ psi.values) / h.star1)
     assert np.abs(dec.continuity_defect(J_free, h)).max() < 1e-12
     res2 = dec.maxwell_residual(A, J_free, h).values
     assert abs(res2 @ dec.d(f).values) < 1e-10

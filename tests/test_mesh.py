@@ -372,7 +372,7 @@ def test_mesh_errors_match_projection_oracle(obtuse_pair, jittered_cavity, monke
                 m = mesh.compute_dual_metrics(s)
             mats = solver.MaterialParams.uniform("TM", s, eps=1.0, mu=1.0)
             with pytest.raises(solver.SolverError) as exc:
-                solver.assemble("TM", s, m, mats, 0.1)
+                solver.assemble(s, m, mats, 0.1)
             messages.append(str(exc.value))
         return messages
 

@@ -169,7 +169,7 @@ def assert_writers_match_oracle(tmp_path, surface, state, tag):
 
 def stepped_state(mode, surface, metrics, target, support, steps=5):
     mats = solver.MaterialParams.uniform(mode, surface, eps=1.0, mu=1.0, sigma=0.1)
-    stepper = solver.assemble(mode, surface, metrics, mats, 0.05)
+    stepper = solver.assemble(surface, metrics, mats, 0.05)
     source = solver.SourceSpec(kind="gaussian_pulse", target=target, amplitude=1.0,
                                t0=0.1, width=0.05, support=support)
     state = solver.initial_state(mode, surface)

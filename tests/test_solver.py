@@ -17,7 +17,7 @@ def stars_of(surface, metrics):
 def sphere_stepper(surface, metrics, dt_scale=100.0, kind="direct", **mat_kw):
     mats = solver.MaterialParams.uniform("TE", surface, eps=1.0, mu=1.0, **mat_kw)
     dt = dt_scale * metrics.dual_edge_len.min()
-    return solver.assemble("TE", surface, metrics, mats, dt, solver=kind), mats
+    return solver.assemble(surface, metrics, mats, dt, solver=kind), mats
 
 
 def face_bump(surface, center=(0.0, 0.0, 1.0), width=0.1):
@@ -37,7 +37,7 @@ def test_assembled_system_is_spd(two_triangles, icosphere1, icosphere1_metrics):
     ):
         mats = solver.MaterialParams.uniform(mode, surface, eps=1.3, mu=0.7,
                                              sigma=0.2, sigma_m=0.1)
-        stepper = solver.assemble(mode, surface, metrics, mats, dt=0.3)
+        stepper = solver.assemble(surface, metrics, mats, dt=0.3)
         dense = stepper.system.toarray()
         assert np.allclose(dense, dense.T, rtol=1e-12)
         assert np.linalg.eigvalsh(dense).min() > 0
@@ -46,12 +46,16 @@ def test_assembled_system_is_spd(two_triangles, icosphere1, icosphere1_metrics):
 def test_assemble_rejects_bad_inputs(icosphere1, icosphere1_metrics):
     mats = solver.MaterialParams.uniform("TE", icosphere1)
     with pytest.raises(ValueError, match="dt must be positive"):
-        solver.assemble("TE", icosphere1, icosphere1_metrics, mats, dt=0.0)
-    with pytest.raises(ValueError, match="placed for a different mode"):
-        solver.assemble("TM", icosphere1, icosphere1_metrics, mats, dt=0.1)
+        solver.assemble(icosphere1, icosphere1_metrics, mats, dt=0.0)
     with pytest.raises(ValueError, match="solver must be"):
-        solver.assemble("TE", icosphere1, icosphere1_metrics, mats, dt=0.1,
+        solver.assemble(icosphere1, icosphere1_metrics, mats, dt=0.1,
                         solver="lu")
+    # scipy's cg reports success after zero iterations, so a cap of 0 would
+    # step by returning the warm start unchanged
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            solver.assemble(icosphere1, icosphere1_metrics, mats, dt=0.1,
+                            solver="cg", max_iters=cap)
 
 
 def test_material_validation(icosphere1):
@@ -65,10 +69,10 @@ def test_nonfinite_inputs_rejected(icosphere1, icosphere1_metrics):
     mats = solver.MaterialParams.uniform("TE", icosphere1)
     for dt in (np.nan, np.inf):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
-            solver.assemble("TE", icosphere1, icosphere1_metrics, mats, dt=dt)
+            solver.assemble(icosphere1, icosphere1_metrics, mats, dt=dt)
     for tolerance in (-1.0, np.nan):
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            solver.assemble("TE", icosphere1, icosphere1_metrics, mats, dt=0.1,
+            solver.assemble(icosphere1, icosphere1_metrics, mats, dt=0.1,
                             solver="cg", tolerance=tolerance)
     for bad in ({"eps": np.nan}, {"mu": np.inf}, {"sigma": np.nan}, {"sigma_m": np.inf}):
         with pytest.raises(ValueError, match="must be finite"):
@@ -94,9 +98,8 @@ def test_indefinite_rejected_then_allowed():
     mats = solver.MaterialParams.uniform("TM", s, eps=1.0, mu=1.0)
     with pytest.raises(solver.SolverError,
                        match="indefinite system: nonpositive dual edge length at edge 0 "):
-        solver.assemble("TM", s, m, mats, dt=0.1)
-    stepper = solver.assemble("TM", s, m, mats, dt=0.1, allow_indefinite=True)
-    assert stepper.indefinite
+        solver.assemble(s, m, mats, dt=0.1)
+    stepper = solver.assemble(s, m, mats, dt=0.1, allow_indefinite=True)
     assert stepper.solver == "direct"  # the path that actually runs
     e0 = np.array([1.0, -1.0])
     state = solver.step(stepper, solver.initial_state("TM", s, e=e0))
@@ -112,14 +115,14 @@ def test_direct_has_no_size_limit_and_agrees_with_cg():
     s = bundled.bundled_surface("cavity_3.obj")  # 2048 faces
     m = mesh.compute_dual_metrics(s)
     mats = solver.MaterialParams.uniform("TM", s, eps=1.0, mu=1.0)
-    direct = solver.assemble("TM", s, m, mats, dt=0.1, solver="direct")
-    cg = solver.assemble("TM", s, m, mats, dt=0.1, solver="cg")
+    direct = solver.assemble(s, m, mats, dt=0.1, solver="direct")
+    cg = solver.assemble(s, m, mats, dt=0.1, solver="cg")
     assert direct.system.shape[0] == 2048
     e0, _ = analysis.cavity_mode_fields(s, 0.0, 1, 1, 1.0, 1.0)
     state = solver.initial_state("TM", s, e=e0)
     a = solver.step(direct, state)
     b = solver.step(cg, state)
-    assert np.linalg.norm(a.e - b.e) <= cg.tolerance * np.linalg.norm(a.e)
+    assert np.linalg.norm(a.e - b.e) <= 1e-10 * np.linalg.norm(a.e)
 
 
 # -- stepping ----------------------------------------------------------------
@@ -149,7 +152,7 @@ def test_single_triangle_conduction_update_exact(equilateral):
     mats = solver.MaterialParams.uniform("TE", equilateral, eps=2.0, mu=3.0,
                                          sigma_m=0.5)
     dt = 0.7
-    stepper = solver.assemble("TE", equilateral, m, mats, dt, solver="direct")
+    stepper = solver.assemble(equilateral, m, mats, dt, solver="direct")
     jm = 1.3
     src = solver.SourceSpec(kind="gaussian_pulse", target="jm", amplitude=jm,
                             t0=0.0, width=1e12, support=[0])
@@ -195,7 +198,7 @@ def test_dissipation_ordering(icosphere1, icosphere1_metrics):
     for sigma in (0.0, 0.3, 0.9, 2.0):
         mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0,
                                              sigma=sigma)
-        stepper = solver.assemble("TE", s, m, mats, dt, solver="direct")
+        stepper = solver.assemble(s, m, mats, dt, solver="direct")
         state = solver.initial_state("TE", s, e=e0, h=h0)
         energies = []
         for _ in range(150):
@@ -217,8 +220,8 @@ def test_te_tm_duality(icosphere1, icosphere1_metrics):
     sgm_f = rng.uniform(0, 0.5, s.n_faces)
     te = solver.MaterialParams("TE", eps=eps_e, mu=mu_f, sigma=sig_e, sigma_m=sgm_f)
     tm = solver.MaterialParams("TM", eps=mu_f, mu=eps_e, sigma=sgm_f, sigma_m=sig_e)
-    st_te = solver.assemble("TE", s, m, te, 0.1, solver="direct")
-    st_tm = solver.assemble("TM", s, m, tm, 0.1, solver="direct")
+    st_te = solver.assemble(s, m, te, 0.1, solver="direct")
+    st_tm = solver.assemble(s, m, tm, 0.1, solver="direct")
     e0 = rng.normal(size=s.n_edges)
     h0 = rng.normal(size=s.n_faces)
     a = solver.initial_state("TE", s, e=e0, h=h0)
@@ -239,7 +242,7 @@ def test_te_tm_duality(icosphere1, icosphere1_metrics):
 
 def test_pec_boundary_edges_stay_zero(cavity1, cavity1_metrics):
     mats = solver.MaterialParams.uniform("TE", cavity1, eps=1.0, mu=1.0)
-    stepper = solver.assemble("TE", cavity1, cavity1_metrics, mats, dt=0.02)
+    stepper = solver.assemble(cavity1, cavity1_metrics, mats, dt=0.02)
     src = solver.SourceSpec(kind="gaussian_pulse", target="jm", amplitude=1.0,
                             t0=0.1, width=0.05, support=[10])
     state = solver.initial_state("TE", cavity1)
@@ -282,8 +285,9 @@ def test_stepper_is_immutable_and_repeatable(icosphere1, icosphere1_metrics):
 def held_bytes(*roots):
     """Bytes of the distinct numpy arrays and sparse matrices reachable from
     ``roots`` through instance attributes, lists and tuples, each array's
-    memory counted once however many views of it are reached; the LU factor
-    (``_factor``) is left out."""
+    memory counted once however many views of it are reached.  The bound
+    ``solve`` is a function, whose closure (the LU factor or the CG
+    preconditioner) is not walked."""
     seen, owners, total = set(), set(), 0
     stack = list(roots)
     while stack:
@@ -303,7 +307,7 @@ def held_bytes(*roots):
         elif isinstance(obj, (list, tuple)):
             stack += obj
         elif hasattr(obj, "__dict__") and not isinstance(obj, type):
-            stack += [value for name, value in vars(obj).items() if name != "_factor"]
+            stack += list(vars(obj).values())
     return total
 
 
@@ -325,13 +329,13 @@ def test_set_up_holds_each_array_once():
     for d in (s.d0, s.d1):
         assert d.format == "csr" and d.dtype == np.float64
         assert np.array_equal(np.unique(d.data), [-1.0, 1.0])
-    assert s.d0_real is s.d0 and s.d1_real is s.d1
+    assert s.d0_real is s.d0
     assert (s.d1 @ s.d0).nnz == 0
     m = mesh.compute_dual_metrics(s)
     assert [f.name for f in dataclasses.fields(m)] == [
         "edge_len", "face_area", "dual_edge_len", "dual_vertex_area", "well_centered"]
     mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0)
-    stepper = solver.assemble("TE", s, m, mats, 10.0 * m.dual_edge_len.min())
+    stepper = solver.assemble(s, m, mats, 10.0 * m.dual_edge_len.min())
     assert stepper.d1 is s.d1
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(stepper.d1t, name), getattr(s.d1, name))
@@ -344,7 +348,7 @@ def test_set_up_holds_each_array_once():
 def test_cg_iteration_cap_raises(icosphere1, icosphere1_metrics):
     mats = solver.MaterialParams.uniform("TE", icosphere1, eps=1.0, mu=1.0)
     dt = 1e4 * icosphere1_metrics.dual_edge_len.min()
-    stepper = solver.assemble("TE", icosphere1, icosphere1_metrics, mats, dt,
+    stepper = solver.assemble(icosphere1, icosphere1_metrics, mats, dt,
                               solver="cg", max_iters=1, tolerance=1e-14)
     state = solver.initial_state("TE", icosphere1, h=face_bump(icosphere1))
     with pytest.raises(solver.SolverError, match="residual norm"):
@@ -370,7 +374,7 @@ def test_source_carrier_and_jm_sign(mode, target, icosphere1, icosphere1_metrics
     magnetic current, negates the response bitwise."""
     s, m = icosphere1, icosphere1_metrics
     mats = solver.MaterialParams.uniform(mode, s, eps=1.0, mu=1.0)
-    stepper = solver.assemble(mode, s, m, mats, 1e-3)
+    stepper = solver.assemble(s, m, mats, 1e-3)
     zero = solver.initial_state(mode, s)
     plus, minus = (
         solver.step(stepper, zero, solver.SourceSpec(
@@ -447,7 +451,7 @@ def test_derived_material_views(icosphere1):
 def divergence_free_edge_field(surface, stars, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=surface.n_faces)
-    return (surface.d1_real.T @ psi) / stars.star1
+    return (surface.d1.T @ psi) / stars.star1
 
 
 def test_gauss_residual_zero_fields(icosphere1, icosphere1_metrics):
@@ -529,7 +533,7 @@ def test_te_update_matches_pointwise_stencil(two_triangles):
     sigma_m = rng.uniform(0.0, 1.0, s.n_faces)
     dt = 0.37
     mats = solver.MaterialParams("TE", eps=eps, mu=mu, sigma=sigma, sigma_m=sigma_m)
-    stepper = solver.assemble("TE", s, m, mats, dt, solver="direct")
+    stepper = solver.assemble(s, m, mats, dt, solver="direct")
 
     # independent geometry for the shared edge of the equilateral pair
     (e1,) = np.flatnonzero(~s.boundary)
@@ -546,7 +550,7 @@ def test_te_update_matches_pointwise_stencil(two_triangles):
     rhs_old = stepper.edge_minus[e1] / dual_len * length
     assert abs(lhs - (eps[e1] / dt + sigma[e1] / 2)) <= 1e-14 * lhs
     assert abs(rhs_old - (eps[e1] / dt - sigma[e1] / 2)) <= 1e-14 * abs(rhs_old)
-    col = s.d1_real.T[e1].toarray().ravel()
+    col = s.d1.T[e1].toarray().ravel()
     assert sorted(col.tolist()) == [-1.0, 1.0]
     coup = col / dual_len
     assert np.isclose(np.abs(coup).max(), 1.0 / dual_len, rtol=1e-14)
@@ -562,7 +566,7 @@ def test_te_update_matches_pointwise_stencil(two_triangles):
         fm = stepper.face_minus[f] / area
         assert abs(fp - (mu[f] / dt + sigma_m[f] / 2)) <= 1e-14 * fp
         assert abs(fm - (mu[f] / dt - sigma_m[f] / 2)) <= 1e-14 * abs(fm)
-        row = s.d1_real[f].toarray().ravel()
+        row = s.d1[f].toarray().ravel()
         # the oriented sum weights are the edge lengths over the face area
         weights = np.abs(row) * m.edge_len / area
         expect = np.where(row != 0, m.edge_len / area, 0.0)
@@ -583,7 +587,7 @@ def test_one_step_matches_full_coupled_solve(two_triangles):
         sigma=rng.uniform(0, 1, s.n_edges), sigma_m=rng.uniform(0, 1, s.n_faces),
     )
     dt = 0.21
-    stepper = solver.assemble("TE", s, m, mats, dt, solver="direct")
+    stepper = solver.assemble(s, m, mats, dt, solver="direct")
     e0 = rng.normal(size=s.n_edges)
     e0[s.boundary] = 0.0
     h0 = rng.normal(size=s.n_faces)
@@ -591,7 +595,7 @@ def test_one_step_matches_full_coupled_solve(two_triangles):
 
     # dense block system over active edges + faces:
     act = stepper.active_edges
-    d1 = s.d1_real.toarray()[:, act]
+    d1 = s.d1.toarray()[:, act]
     n_e, n_f = int(act.sum()), s.n_faces
     K = np.zeros((n_e + n_f, n_e + n_f))
     K[:n_e, :n_e] = np.diag(stepper.edge_plus[act])
@@ -619,7 +623,7 @@ def test_one_step_matches_coupled_solve_with_sources(mode, target, sign, cavity1
         mode, s, rng.uniform(1, 2, s.n_faces), rng.uniform(1, 2, s.n_faces),
         rng.uniform(0, 1, s.n_faces), rng.uniform(0, 1, s.n_faces))
     dt = 0.07
-    stepper = solver.assemble(mode, s, m, mats, dt)
+    stepper = solver.assemble(s, m, mats, dt)
     pol = solver.polarization(mode)
     src = solver.SourceSpec(kind="gaussian_pulse", target=target, amplitude=-1.7 * sign,
                             t0=0.02, width=0.05, support=[0, 3, 40, 41])
@@ -639,7 +643,7 @@ def test_one_step_matches_coupled_solve_with_sources(mode, target, sign, cavity1
 
     # p_e u' - s d1^T w' = m_e u - star1 j_edge;  s d1 u' + p_f w' = m_f w - j_face
     c = pol.couple_sign
-    d1 = s.d1_real.toarray()[:, act]
+    d1 = s.d1.toarray()[:, act]
     n_e, n_f = int(act.sum()), s.n_faces
     K = np.zeros((n_e + n_f, n_e + n_f))
     K[:n_e, :n_e] = np.diag(stepper.edge_plus[act])
@@ -665,7 +669,7 @@ def test_pec_edges_stay_positive_zero_under_negative_edge_current(cavity1, cavit
     boundary = np.flatnonzero(s.boundary).tolist()
     interior = np.flatnonzero(~s.boundary)[:4].tolist()
     mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0, sigma=150.0)
-    stepper = solver.assemble("TE", s, m, mats, dt=0.02)
+    stepper = solver.assemble(s, m, mats, dt=0.02)
     assert (stepper.edge_minus < 0).all()
     src = solver.SourceSpec(kind="gaussian_pulse", target="je", amplitude=-2.0,
                             t0=0.05, width=0.05, support=boundary[::2] + interior)
@@ -693,7 +697,7 @@ def reference_step(stepper, state, src, solve):
         j *= m.edge_len if on_edges else m.face_area
     g = np.divide(1.0, stepper.edge_plus, out=np.zeros(s.n_edges),
                   where=stepper.active_edges)
-    c, d1 = pol.couple_sign, s.d1_real
+    c, d1 = pol.couple_sign, s.d1
     u, w = pol.place(state.e, state.h)
     hist = stepper.edge_decay * u - stepper.edge_drive * j_edge
     rhs = stepper.face_minus * w - j_face - c * (d1 @ hist)
@@ -712,7 +716,7 @@ def lossy_stepper(mode, name, kind="direct"):
     mats = solver.MaterialParams.from_face_values(
         mode, s, rng.uniform(1, 2, s.n_faces), rng.uniform(1, 2, s.n_faces),
         rng.uniform(0, 1, s.n_faces), rng.uniform(0, 1, s.n_faces))
-    stepper = solver.assemble(mode, s, m, mats, 0.03, solver=kind)
+    stepper = solver.assemble(s, m, mats, 0.03, solver=kind)
     pol = stepper.polarization
     u0 = np.where(stepper.active_edges, rng.normal(size=s.n_edges), 0.0)
     state = solver.initial_state(mode, s, *pol.place(u0, rng.normal(size=s.n_faces)))
@@ -731,12 +735,11 @@ def test_step_bitwise_equals_full_array_reference(mode, target, name):
     kind = "none" if target == "none" else "gaussian_pulse"
     src = solver.SourceSpec(kind=kind, target="je" if target == "none" else target,
                             amplitude=-1.7, t0=0.1, width=0.08, support=[0, 7, 40])
-    solve = lambda rhs, w: stepper._factor.solve(rhs)
     for sources in ([src, None] if target == "none" else [src]):
         state = ref = start
         for _ in range(8):
             state = solver.step(stepper, state, sources)
-            ref = reference_step(stepper, ref, sources, solve)
+            ref = reference_step(stepper, ref, sources, stepper.solve)
             assert state.e.tobytes() == ref.e.tobytes()
             assert state.h.tobytes() == ref.h.tobytes()
             assert (state.n, state.t) == (ref.n, ref.t)
@@ -757,4 +760,4 @@ def test_cg_step_matches_full_array_reference(mode):
         state = solver.step(stepper, state, src)
         ref = reference_step(stepper, ref, src, solve)
         for a, b in ((state.e, ref.e), (state.h, ref.h)):
-            assert np.abs(a - b).max() <= 10 * stepper.tolerance * np.abs(b).max()
+            assert np.abs(a - b).max() <= 10 * 1e-10 * np.abs(b).max()
