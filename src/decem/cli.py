@@ -29,16 +29,18 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     """Execute a configured run; returns the final state.
 
     The loop keeps only the current state in memory (snapshots are
-    streamed).  A supplied initial state must be of the configured mode (else
-    a ``ConfigError``) and satisfy the vertex Gauss law to within 1e-8 of its
-    cancellation scale (else a ``SolverError``); either error aborts the run
-    before it creates the output directory.  A non-finite energy at a cadence
+    streamed).  It advances ``cfg.steps`` steps from the initial state's
+    step, so a run from a saved state writes its last step too.  A supplied
+    initial state must be of the configured mode (else a ``ConfigError``)
+    and satisfy the vertex Gauss law to within 1e-8 of its cancellation
+    scale (else a ``SolverError``); either error aborts the run before it
+    creates the output directory.  A non-finite energy at a cadence
     aborts the run with a ``SolverError`` naming the step.
     """
     outdir = cfg.output_dir
     manifest_path = os.path.join(outdir, "manifest.txt")
     written: list[str] = []
-    stepper = state = probe_writer = log_writer = None
+    state = probe_writer = log_writer = None
 
     def snapshot(st):
         stem = f"snapshot_{st.n:06d}"
@@ -57,7 +59,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
             "dt": repr(cfg.dt),
             "steps_requested": cfg.steps,
             "last_completed_step": last_step,
-            "solver": cfg.solver_kind if stepper is None else stepper.solver,
+            "solver": cfg.solver_kind,
             "files": ",".join(written),
             **extra,
         })
@@ -78,7 +80,6 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
         stepper = sv.assemble(
             surface, metrics, materials, cfg.dt,
             solver=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
-            allow_indefinite=cfg.allow_indefinite,
         )
         stars = stepper.stars
 
@@ -101,11 +102,11 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
         snapshot(state)
         probe_writer.record(state)
         diagnostics(state)
-        manifest("incomplete", 0)
-        for _ in range(cfg.steps):
+        manifest("incomplete", state.n)
+        for i in range(1, cfg.steps + 1):
             state = sv.step(stepper, state, cfg.source)
             probe_writer.record(state)
-            if state.n % cfg.cadence == 0 or state.n == cfg.steps:
+            if state.n % cfg.cadence == 0 or i == cfg.steps:
                 snapshot(state)
                 diagnostics(state)
                 manifest("incomplete", state.n)

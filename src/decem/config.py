@@ -69,15 +69,6 @@ def _upper(value: str, key: str) -> str:
     return value.upper()
 
 
-def _as_bool(value: str, key: str) -> bool:
-    low = value.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
 def _int(value: str, key: str) -> int:
     try:
         return int(value)
@@ -168,7 +159,6 @@ class RunConfig:
     solver_kind: str = "direct"
     tolerance: float = 1e-10
     max_iters: int | None = None
-    allow_indefinite: bool = False
     # stability / convergence command settings
     stability_dt_factors: list = field(default_factory=lambda: [1e-3, 1.0, 1e3])
     stability_k_samples: int = 64
@@ -236,7 +226,6 @@ _KEYS = {
     "solver.kind": (RunConfig, "solver_kind", _text),
     "solver.tolerance": (RunConfig, "tolerance", _float),
     "solver.max_iters": (RunConfig, "max_iters", _max_iters),
-    "flags.allow_indefinite": (RunConfig, "allow_indefinite", _as_bool),
     "stability.dt_factors": (RunConfig, "stability_dt_factors", _as_float_list),
     "stability.k_samples": (RunConfig, "stability_k_samples", _int),
     "convergence.time": (RunConfig, "convergence_time", _float),

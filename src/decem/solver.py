@@ -273,7 +273,7 @@ class ImplicitStepper:
     Holds the diagonal update coefficients, the face Schur system and
     ``solve(rhs, x0)``, the face solve that ``assemble`` bound once: the
     sparse LU factor's back-substitution (``direct``) or Jacobi CG
-    warm-started from ``x0`` (``cg``); ``solver`` names the one bound.
+    warm-started from ``x0`` (``cg``).
     ``edge_couple`` is s g, and ``edge_decay``/``edge_drive`` are g m_e and
     g star1 (module docstring); all three are +0.0 on PEC edges, so a PEC
     unknown at +0.0 stays +0.0.  ``d1`` is the surface's own incidence
@@ -298,7 +298,6 @@ class ImplicitStepper:
     d1: sp.csr_matrix
     d1t: sp.csc_matrix
     system: sp.csr_matrix
-    solver: str
     solve: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -311,7 +310,6 @@ def assemble(
     solver: str = "direct",
     tolerance: float = 1e-10,
     max_iters: int | None = None,
-    allow_indefinite: bool = False,
 ) -> ImplicitStepper:
     """Build the per-step system for the polarization of ``materials``.
 
@@ -327,9 +325,7 @@ def assemble(
     * measure`` is positive.  With material, dt > 0 and conduction >= 0, only
     a nonpositive dual edge (star1 <= 0, a mesh not Delaunay there) on an
     active edge makes one nonpositive; that raises ``SolverError`` naming
-    the first such edge unless ``allow_indefinite`` is set, in which case the
-    stepper always uses the sparse LU (``solver`` becomes ``"direct"``),
-    whose partial pivoting needs no definiteness.
+    the first such edge.
     """
     pol = polarization(materials.mode)
     if not (dt > 0 and np.isfinite(dt)):
@@ -355,12 +351,11 @@ def assemble(
     face_minus = (face_mat / dt - 0.5 * face_cond) * areas
 
     bad = np.nonzero(active & (edge_plus <= 0))[0]
-    indefinite = bool(bad.size)
-    if indefinite and not allow_indefinite:
+    if bad.size:
         raise SolverError(
             f"indefinite system: nonpositive dual edge length at edge {bad[0]} "
             f"(star1 = {star1[bad[0]]:.6g}); "
-            "rerun with allow_indefinite to use the sparse LU solver"
+            "the mesh is not Delaunay there (see decem check-mesh)"
         )
 
     def on_active(num):
@@ -371,13 +366,12 @@ def assemble(
     d1t = d1.T
     system = (sp.diags(face_plus) + d1 @ sp.diags(on_active(1.0)) @ d1t).tocsr()
 
-    if solver == "direct" or indefinite:
-        solver = "direct"
+    if solver == "direct":
         # MMD on A^T + A: COLAMD roughly doubles the fill on these meshes.
-        # A definite system is diagonally dominant, so the default threshold
-        # keeps every pivot on the diagonal; an indefinite one may pivot.
-        # panel_size=1 keeps the same fill with a smaller factor-time
-        # workspace (about 6 MB less peak at 20480 faces).
+        # The system is diagonally dominant, so the default threshold keeps
+        # every pivot on the diagonal.  panel_size=1 keeps the same fill
+        # with a smaller factor-time workspace (about 6 MB less peak at
+        # 20480 faces).
         factor = spla.splu(
             system.tocsc(), permc_spec="MMD_AT_PLUS_A",
             options={"SymmetricMode": True}, panel_size=1,
@@ -405,7 +399,7 @@ def assemble(
         face_plus=face_plus, face_minus=face_minus,
         active_edges=active, edge_couple=on_active(pol.couple_sign),
         edge_decay=on_active(edge_minus), edge_drive=on_active(star1),
-        d1=d1, d1t=d1t, system=system, solver=solver, solve=solve,
+        d1=d1, d1t=d1t, system=system, solve=solve,
     )
 
 

@@ -264,10 +264,8 @@ def test_criterion_7_pulse_on_sphere(tmp_path):
         assert state.n == cfg.steps
         assert np.isfinite(state.e).all() and np.isfinite(state.h).all()
 
-        log_rows = [
-            line.split(",")
-            for line in open(os.path.join(cfg.output_dir, "run_log.csv"))
-        ][1:]
+        with open(os.path.join(cfg.output_dir, "run_log.csv")) as fh:
+            log_rows = [line.split(",") for line in fh][1:]
         energies = np.array([float(r[2]) for r in log_rows])
         times = np.array([float(r[1]) for r in log_rows])
         assert np.isfinite(energies).all()
@@ -280,7 +278,8 @@ def test_criterion_7_pulse_on_sphere(tmp_path):
         # VTK snapshots are structurally valid
         vtks = sorted(p for p in os.listdir(cfg.output_dir) if p.endswith(".vtk"))
         assert len(vtks) == cfg.steps // cfg.cadence + 1
-        text = open(os.path.join(cfg.output_dir, vtks[-1])).read().splitlines()
+        with open(os.path.join(cfg.output_dir, vtks[-1])) as fh:
+            text = fh.read().splitlines()
         n_pts = int(text[4].split()[1])
         coords = [float(x) for x in " ".join(text[5:5 + n_pts]).split()]
         assert len(coords) == 3 * n_pts and np.isfinite(coords).all()

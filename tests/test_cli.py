@@ -69,10 +69,6 @@ def test_config_duplicate_key(tmp_path):
 def test_config_bad_values(tmp_path):
     with pytest.raises(config.ConfigError, match="dt must be positive"):
         config.load_config(write_cfg(tmp_path / "a.cfg", dt="0"))
-    with pytest.raises(config.ConfigError, match="boolean"):
-        config.load_config(
-            write_cfg(tmp_path / "c.cfg", **{"flags.allow_indefinite": "maybe"})
-        )
     # values that do not convert name their key, and source errors are
     # config errors too
     cases = [
@@ -136,16 +132,32 @@ def test_config_key_table(tmp_path):
     # a zero iteration cap leaves the solver's own
     cfg = config.load_config(write_cfg(tmp_path / "c.cfg", **{"solver.max_iters": "0"}))
     assert cfg.max_iters is None
-    # the removed initial-state knob and magnetic-current sign are unknown keys
+    # the removed initial-state knob, magnetic-current sign and indefinite
+    # opt-in are unknown keys
     for i, (key, value) in enumerate((("flags.initial_constraint", "warn"),
-                                      ("flags.jm_sign", "-1"))):
+                                      ("flags.jm_sign", "-1"),
+                                      ("flags.allow_indefinite", "true"))):
         with pytest.raises(config.ConfigError, match="unknown config keys"):
             config.load_config(write_cfg(tmp_path / f"b{i}.cfg", **{key: value}))
 
 
+def test_readme_config_block_names_every_key(tmp_path):
+    """README's "Configuration format" block loads as a config and names
+    every key of the key table, so the docs and the table stay in step."""
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Configuration format", 1)[1]
+    block = section.split("```\n", 2)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    config.load_config(str(path))
+    assert set(config._KEYS) <= set(config.parse_kv_file(str(path)))
+
+
 def test_removed_second_spellings(tmp_path, icosphere1, icosphere1_metrics):
     """Each setting has one spelling: the solver's CLI flag, the magnetic
-    current's sign and the unread vacuum constants of a material are gone."""
+    current's sign, the indefinite opt-in and the unread vacuum constants
+    of a material are gone."""
     path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(tmp_path / "out")})
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", path, "--quiet", "--direct-solver"])
@@ -154,6 +166,8 @@ def test_removed_second_spellings(tmp_path, icosphere1, icosphere1_metrics):
     mats = solver.MaterialParams.uniform("TE", icosphere1, eps=1.0, mu=1.0)
     with pytest.raises(TypeError, match="jm_sign"):
         solver.assemble(icosphere1, icosphere1_metrics, mats, 0.1, jm_sign=-1.0)
+    with pytest.raises(TypeError, match="allow_indefinite"):
+        solver.assemble(icosphere1, icosphere1_metrics, mats, 0.1, allow_indefinite=True)
     with pytest.raises(TypeError, match="eps0"):
         solver.MaterialParams("TE", mats.eps, mats.mu, mats.sigma, mats.sigma_m, eps0=1.0)
 
@@ -191,7 +205,7 @@ def test_run_attaches_nothing_to_the_surface(tmp_path, monkeypatch, cadence):
     assert vars(surface).keys() == {f.name for f in dataclasses.fields(surface)}
 
 
-def test_run_simulation_initial_state(tmp_path):
+def test_run_simulation_initial_state(tmp_path, monkeypatch):
     cfg = config.load_config(write_cfg(tmp_path / "a.cfg", steps="4"))
     surface = bundled.bundled_surface("icosphere_1.obj")
     metrics = mesh.compute_dual_metrics(surface)
@@ -220,6 +234,29 @@ def test_run_simulation_initial_state(tmp_path):
     with pytest.raises(config.ConfigError, match="initial state is TM but the run is TE"):
         cli.run_simulation(cfg, initial=other, echo=None)
     assert not (tmp_path / "tm").exists()
+
+    # a run from a saved state advances cfg.steps more steps and writes its
+    # last one; its first manifest names the saved state's step
+    cfg.output_dir, cfg.steps, cfg.cadence = str(tmp_path / "first"), 12, 5
+    saved = cli.run_simulation(cfg, echo=None)
+    assert saved.n == 12
+    manifests = []
+    write_manifest = output.write_manifest
+
+    def record(path, entries):
+        manifests.append((entries["status"], entries["last_completed_step"]))
+        write_manifest(path, entries)
+
+    monkeypatch.setattr(output, "write_manifest", record)
+    cfg.output_dir = str(tmp_path / "resumed")
+    assert cli.run_simulation(cfg, initial=saved, echo=None).n == 24
+    resumed = tmp_path / "resumed"
+    assert sorted(p.name for p in resumed.glob("snapshot_*.csv")) == [
+        f"snapshot_{n:06d}.csv" for n in (12, 15, 20, 24)]
+    log = np.loadtxt(resumed / "run_log.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert log[:, 0].tolist() == [12, 15, 20, 24]
+    assert manifests == [("incomplete", 12), ("incomplete", 15), ("incomplete", 20),
+                         ("incomplete", 24), ("complete", 24)]
 
 
 def test_config_region_materials(tmp_path):
@@ -430,18 +467,6 @@ def test_default_run_uses_direct_solver(tmp_path):
     assert "solver = direct" in (out / "manifest.txt").read_text().splitlines()
 
 
-@pytest.mark.parametrize("command, cfg", [("run", "demo_sphere_te.cfg"),
-                                          ("stability", "stability_sphere.cfg"),
-                                          ("convergence", "cavity_convergence.cfg")])
-def test_allow_indefinite_has_no_flag(command, cfg, capsys):
-    """The indefinite opt-in has one spelling, ``flags.allow_indefinite``:
-    every command rejects ``--allow-indefinite`` as an unknown argument."""
-    with pytest.raises(SystemExit) as exit_:
-        cli.main([command, bundled.bundled_path(cfg), "--allow-indefinite"])
-    assert exit_.value.code == 2
-    assert "unrecognized arguments: --allow-indefinite" in capsys.readouterr().err
-
-
 def test_stability_command(tmp_path, capsys):
     rc = cli.main([
         "stability", bundled.bundled_path("stability_sphere.cfg"),
@@ -509,11 +534,12 @@ def write_obj(path, surface):
 
 
 @pytest.mark.parametrize("mode", ["TE", "TM"])
-def test_indefinite_system_fails_without_opt_in(mode, tmp_path, capsys, jittered_cavity):
+def test_indefinite_system_fails_in_set_up(mode, tmp_path, capsys, jittered_cavity):
     """A mesh with a negative interior dual edge makes an indefinite system:
-    without flags.allow_indefinite the run exits 2 in set-up, naming the first
-    nonpositive active edge and creating no output directory, and an
-    existing one ends with a failed manifest."""
+    the run exits 2 in set-up, naming the first nonpositive active edge and
+    ``decem check-mesh`` and creating no output directory, and an existing
+    one ends with a failed manifest.  The removed opt-in key fails as an
+    unknown key, also before any output exists."""
     obj = write_obj(tmp_path / "jittered.obj", jittered_cavity)
     out = tmp_path / "out"
     path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
@@ -524,7 +550,14 @@ def test_indefinite_system_fails_without_opt_in(mode, tmp_path, capsys, jittered
     message = f"indefinite system: nonpositive dual edge length at edge {np.argmax(nonpositive)} "
     argv = ["run", path, "--quiet"]
     assert cli.main(argv) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "decem check-mesh" in err
+    assert not out.exists()
+    opted = write_cfg(tmp_path / "b.cfg", mode=mode, **{
+        "mesh_path": str(obj), "output.directory": str(out),
+        "flags.allow_indefinite": "true"})
+    assert cli.main(["run", opted, "--quiet"]) == 2
+    assert "unknown config keys: ['flags.allow_indefinite']" in capsys.readouterr().err
     assert not out.exists()
     out.mkdir()
     assert cli.main(argv) == 2
@@ -533,26 +566,6 @@ def test_indefinite_system_fails_without_opt_in(mode, tmp_path, capsys, jittered
     assert "status = failed" in manifest
     assert "files = " in manifest
     assert any(l.startswith("error = SolverError: " + message) for l in manifest)
-
-
-@pytest.mark.parametrize("mode", ["TE", "TM"])
-def test_indefinite_system_runs_with_opt_in(mode, tmp_path, jittered_cavity):
-    """With flags.allow_indefinite the same indefinite system runs to the
-    end on the sparse LU, even where the config asks for CG, which needs a
-    definite system."""
-    obj = write_obj(tmp_path / "jittered.obj", jittered_cavity)
-    out = tmp_path / "out"
-    path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
-        "mesh_path": str(obj), "output.directory": str(out), "solver.kind": "cg",
-        "flags.allow_indefinite": "true"})
-    argv = ["run", path, "--quiet"]
-    assert cli.main(argv) == 0
-    manifest = (out / "manifest.txt").read_text().splitlines()
-    assert "status = complete" in manifest
-    assert "last_completed_step = 12" in manifest
-    assert "solver = direct" in manifest
-    log = np.loadtxt(out / "run_log.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert log[-1, 0] == 12 and np.isfinite(log).all()
 
 
 @pytest.mark.parametrize("mode", ["TE", "TM"])
