@@ -1,22 +1,19 @@
-"""Growth-factor stability analysis and convergence verification.
+"""Stability of the assembled operator and convergence verification.
 
-The per-face growth factor comes from a plane-wave-like ansatz in the
-implicit update: one time step multiplies the mode amplitude by a root of
+Eliminating the edge cochain of the lossless scheme (``decem.solver``)
+leaves the face operator K w = lambda B w, with K = d1 diag(g) d1^T, g =
+1/(edge material * star1) (0 on PEC edges) and B = diag(face material *
+|P|).  K is positive semidefinite exactly when star1 > 0 on every active
+edge, which ``assemble`` enforces (Hirani, Kalyanaraman & VanderZee,
+"Delaunay Hodge star", 2013).  A generalized eigenvector v is a discrete
+mode: from w = v and a zero edge cochain one step gives v / (1 + M), M =
+lambda dt^2, and each later step multiplies the mode by a root of
 
-    (1 + M) xi^2 - 2 xi + 1 = 0,
+    (1 + M) xi^2 - 2 xi + 1 = 0,   |xi| = 1/sqrt(1 + M) <= 1,
 
-where the dimensionless face quantity
-
-    M = (c dt)^2 / |P| * sum_i (1 - cos(k |*e_i|)) |e_i| / |*e_i|
-
-collects the face's three edge/dual-edge ratios, the local wave speed
-c = 1/sqrt(eps mu), the time step and a spatial frequency k.  The modal
-weight multiplying each term is taken as one.  On a mesh whose dual edges
-are all positive (the Delaunay condition), M >= 0, the discriminant -4M is
-<= 0, and the two roots are complex conjugates with |xi| = 1/sqrt(1 + M)
-<= 1 for every dt and k: the scheme is unconditionally stable.  M is then
-non-decreasing in dt and in each (1 - cos) factor, so |xi| never grows with
-the step size.  A nonpositive dual edge is refused with a ``ValueError``.
+for any dt and eps/mu layout; conduction only adds damping.  The lowest and
+highest lambda so bound the growth of every mode.  ``growth_factor`` keeps
+the per-face plane-wave estimate of M.
 
 The convergence study runs the TM stepper on the nested unit-square cavity
 family against the exact standing mode
@@ -29,9 +26,12 @@ star-weighted discrete L2 errors.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import solver as sv
 from .mesh import (DualMetrics, SimplicialSurface, compute_dual_metrics, edge_midpoints,
@@ -56,86 +56,90 @@ def _face_wave_speed(surface, materials: sv.MaterialParams) -> np.ndarray:
     return 1.0 / np.sqrt(edge_mat[surface.face_edges].mean(axis=1) * face_mat)
 
 
-def _growth_m(surface, metrics: DualMetrics, c, faces, dt, k) -> np.ndarray:
-    """M of the module docstring for ``faces`` (an index list or slice) with
-    per-face wave speeds ``c``, each dt in ``dt`` and k in ``k``: (D, F, K).
-    Raises ``ValueError`` naming the first nonpositive dual edge of those
-    faces, where M is undefined or negative."""
-    fe = surface.face_edges[faces]
-    le, lde = metrics.edge_len[fe], metrics.dual_edge_len[fe]     # (F,3)
-    if (lde <= 0).any():
-        raise ValueError(f"nonpositive dual edge length at edge {fe[lde <= 0].min()}; "
-                         "the growth factor needs positive dual edges")
-    geom = ((1.0 - np.cos(lde[None, :, :] * k[:, None, None]))
-            * (le / lde)[None, :, :]).sum(axis=-1)                # (K,F)
-    base = geom.T / metrics.face_area[faces][:, None]             # (F,K)
-    return (c[faces][None, :, None] ** 2) * (dt[:, None, None] ** 2) * base[None, :, :]
-
-
 def growth_factor(face, surface, metrics: DualMetrics, materials, dt, k):
-    """Growth factor data for one face: returns ``(M, (xi_plus, xi_minus))``.
+    """Per-face plane-wave growth factor: returns ``(M, (xi_plus, xi_minus))``.
 
-    ``k`` may be a scalar or an array of spatial frequencies (rad/m).  The
-    roots are computed from the quadratic formula with complex discriminant;
-    both have modulus 1/sqrt(1+M).  ``dt = 0`` gives M = 0 and the double
-    root 1.
+    M = (c dt)^2 / |P| * sum_i (1 - cos(k |*e_i|)) |e_i| / |*e_i| over the
+    face's edges, with c its wave speed and unit modal weights, for each dt
+    in ``dt`` and k (rad/m, nonnegative) in ``k``: shape ``dt.shape +
+    k.shape``.  Both roots of the quadratic have modulus 1/sqrt(1+M); ``dt =
+    0`` gives M = 0 and the double root 1.  Raises ``ValueError`` naming the
+    face's first nonpositive dual edge.
     """
     k = np.asarray(k, dtype=float)
     if (k < 0).any():
         raise ValueError("spatial frequency k must be nonnegative")
-    c = _face_wave_speed(surface, materials)
-    M = _growth_m(surface, metrics, c, [face], np.ravel(dt), k.ravel())
-    M = M.reshape(np.shape(dt) + k.shape)[()]
-    disc = np.asarray(-4.0 * M, dtype=complex)
-    sq = np.sqrt(disc)
+    fe = surface.face_edges[face]
+    le, lde = metrics.edge_len[fe], metrics.dual_edge_len[fe]
+    if (lde <= 0).any():
+        raise ValueError(f"nonpositive dual edge length at edge {fe[lde <= 0].min()}; "
+                         "the growth factor needs positive dual edges")
+    geom = ((1.0 - np.cos(k[..., None] * lde)) * (le / lde)).sum(axis=-1)
+    c = _face_wave_speed(surface, materials)[face]
+    M = np.multiply.outer(c ** 2 * np.asarray(dt, dtype=float) ** 2,
+                          geom / metrics.face_area[face])
+    sq = np.sqrt(np.asarray(-4.0 * M, dtype=complex))
     xi_plus = (2.0 + sq) / (2.0 * (1.0 + M))
     xi_minus = (2.0 - sq) / (2.0 * (1.0 + M))
     return M, (xi_plus, xi_minus)
 
 
-@dataclass
-class GrowthFactorReport:
-    """Growth factors of every face over a (dt, k) grid.
+def _modal_operator(surface, metrics, materials):
+    """The lossless copy of ``materials`` and, from its stepper at dt = 1,
+    C = B^-1/2 K B^-1/2 and B^-1/2 (module docstring).  ``assemble`` refuses a
+    nonpositive active dual edge with ``SolverError``, as for a run."""
+    lossless = dataclasses.replace(materials, sigma=np.zeros_like(materials.sigma),
+                                   sigma_m=np.zeros_like(materials.sigma_m))
+    # cg: this stepper is never stepped, so it needs no factor
+    unit = sv.assemble(surface, metrics, lossless, 1.0, solver="cg")
+    g = unit.polarization.couple_sign * unit.edge_couple
+    scale = sp.diags(1.0 / np.sqrt(unit.face_plus))
+    return lossless, (scale @ unit.d1 @ sp.diags(g) @ unit.d1t @ scale).tocsr(), scale
 
-    ``M`` and ``xi_mod`` have shape (len(dt_list), n_faces, len(k_grid)).
-    ``empirical`` optionally records the cross-check run of the actual
-    stepper at the largest dt (max per-step energy ratio over the run).
+
+@dataclass(frozen=True)
+class GrowthFactorReport:
+    """Growth factors of the operator's lowest and highest modes.
+
+    ``lam`` holds their eigenvalues; ``M`` and ``xi_mod`` have shape
+    (len(dt_list), 2).  ``one_step`` is max |w1 - v/(1+M)| after one ``step``
+    of the highest mode v (max |v| = 1) at the largest dt: roundoff, if the
+    run steps the analysed operator.
     """
 
+    mode: str
     dt_list: np.ndarray
-    k_grid: np.ndarray
-    M: np.ndarray
-    xi_mod: np.ndarray
-    empirical: dict | None = None
+    lam: np.ndarray
+    one_step: float
+
+    @property
+    def M(self) -> np.ndarray:
+        return np.outer(self.dt_list ** 2, self.lam)
+
+    @property
+    def xi_mod(self) -> np.ndarray:
+        return 1.0 / np.sqrt(1.0 + self.M)
 
     @property
     def max_xi(self) -> float:
         return float(self.xi_mod.max())
 
     def rows(self):
-        """Yield (face_id, k, M, xi_mod, dt) tuples in deterministic order."""
-        for di, dt in enumerate(self.dt_list):
-            for f in range(self.M.shape[1]):
-                for ki, k in enumerate(self.k_grid):
-                    yield f, k, self.M[di, f, ki], self.xi_mod[di, f, ki], dt
+        """Yield (mode, lambda, M, xi_mod, dt) tuples, lowest mode first."""
+        for dt, M, xi in zip(self.dt_list, self.M, self.xi_mod):
+            for i, name in enumerate(("lowest", "highest")):
+                yield name, self.lam[i], M[i], xi[i], dt
 
     def summary(self) -> str:
         lines = [
-            "growth-factor stability sweep",
-            f"faces={self.M.shape[1]} k_samples={len(self.k_grid)} "
-            f"k_max={self.k_grid.max():.6g}",
-            f"dt_list={[float(x) for x in self.dt_list]}",
-            "modal weighting: unit",
-            f"max M={self.M.max():.6g}",
-            f"max |xi|={self.max_xi:.15f} (stable iff <= 1)",
-            f"min |xi|={self.xi_mod.min():.6g}",
+            "operator stability analysis: K v = lambda B v",
+            f"mode={self.mode} lambda in [{self.lam[0]:.6g}, {self.lam[1]:.6g}]",
         ]
-        if self.empirical is not None:
-            e = self.empirical
-            lines.append(
-                f"empirical cross-check: dt={e['dt']:.6g} steps={e['steps']} "
-                f"max energy ratio={e['max_energy_ratio']:.12f}"
-            )
+        for dt, xi in zip(self.dt_list, self.xi_mod):
+            lines.append(f"dt={dt:.6g}: |xi| in [{xi[1]:.6g}, {xi[0]:.6g}]")
+        lines.append(f"max |xi|={self.max_xi:.15f} (stable iff <= 1)")
+        lines.append(f"one step of the highest mode at dt={self.dt_list.max():.6g}: "
+                     f"max |w1 - v/(1+M)|={self.one_step:.1e}")
         return "\n".join(lines)
 
 
@@ -144,50 +148,35 @@ def stability_sweep(
     metrics: DualMetrics,
     materials: sv.MaterialParams,
     dt_list,
-    k_samples: int = 64,
-    empirical_steps: int = 200,
 ) -> GrowthFactorReport:
-    """Evaluate growth factors for every face over a uniform k grid.
+    """Growth factors of the lossless operator's lowest and highest modes
+    at each dt of ``dt_list``.
 
-    The k grid spans [0, pi / min |*e|].  When ``empirical_steps`` is
-    positive, a source-free run of the assembled stepper at the largest dt
-    cross-checks that per-step energy never grows beyond roundoff.
+    lambda_max comes from ``eigsh(C, which="LA")``, lambda_min by
+    shift-invert at -1e-3 lambda_max, both from a vector of ones, so that
+    they are reproducible; a lambda_min within 1e-12 lambda_max of zero is
+    roundoff on the static mode and becomes 0.0.
     """
     dt_list = np.atleast_1d(np.asarray(dt_list, dtype=float))
-    k_grid = np.linspace(0.0, np.pi / metrics.dual_edge_len.min(), k_samples)
-    c = _face_wave_speed(surface, materials)
-    M = _growth_m(surface, metrics, c, slice(None), dt_list, k_grid)
-    xi_mod = 1.0 / np.sqrt(1.0 + M)
+    lossless, C, scale = _modal_operator(surface, metrics, materials)
+    if C.shape[0] < 2:
+        raise ValueError("the operator analysis needs at least two faces")
+    v0 = np.ones(C.shape[0])
+    (lam_max,), top = spla.eigsh(C, k=1, which="LA", v0=v0)
+    lam_min = spla.eigsh(C, k=1, sigma=-1e-3 * lam_max, v0=v0, return_eigenvectors=False)[0]
+    if abs(lam_min) <= 1e-12 * lam_max:
+        lam_min = 0.0
 
-    empirical = None
-    if empirical_steps > 0:
-        dt_max = float(dt_list.max())
-        stepper = sv.assemble(surface, metrics, materials, dt_max)
-        stars = stepper.stars
-        # canned smooth bump on the face carrier, zero edge field
-        cc = face_circumcenters(surface)
-        bump = np.exp(
-            -((cc - cc[0]) ** 2).sum(axis=1)
-            / max(metrics.face_area.sum() / 20.0, 1e-30)
-        )
-        face_field = sv.polarization(materials.mode).face_field
-        state = sv.initial_state(materials.mode, surface, **{face_field: bump})
-        prev = sv.energy(state, stars, materials)
-        worst = 0.0
-        for _ in range(empirical_steps):
-            state = sv.step(stepper, state)
-            cur = sv.energy(state, stars, materials)
-            if prev > 0:
-                worst = max(worst, cur / prev)
-            prev = cur
-        empirical = {
-            "dt": dt_max,
-            "steps": empirical_steps,
-            "max_energy_ratio": worst,
-        }
-
-    return GrowthFactorReport(dt_list=dt_list, k_grid=k_grid, M=M, xi_mod=xi_mod,
-                              empirical=empirical)
+    dt_max = float(dt_list.max())
+    v = scale @ top[:, 0]
+    v /= np.abs(v).max()
+    pol = sv.polarization(materials.mode)
+    state = sv.initial_state(pol.mode, surface, **{pol.face_field: v})
+    stepped = sv.step(sv.assemble(surface, metrics, lossless, dt_max), state)
+    w1 = pol.place(stepped.e, stepped.h)[1]
+    one_step = float(np.abs(w1 - v / (1.0 + lam_max * dt_max ** 2)).max())
+    return GrowthFactorReport(mode=pol.mode, dt_list=dt_list,
+                              lam=np.array([lam_min, lam_max]), one_step=one_step)
 
 
 # ----------------------------------------------------------------------

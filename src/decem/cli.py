@@ -30,7 +30,8 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
 
     The loop keeps only the current state in memory (snapshots are
     streamed).  It advances ``cfg.steps`` steps from the initial state's
-    step, so a run from a saved state writes its last step too.  A supplied
+    step, so a run from a saved state writes its last step too; the
+    manifest names that first step and the last completed one.  A supplied
     initial state must be of the configured mode (else a ``ConfigError``)
     and satisfy the vertex Gauss law to within 1e-8 of its cancellation
     scale (else a ``SolverError``); either error aborts the run before it
@@ -41,6 +42,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     manifest_path = os.path.join(outdir, "manifest.txt")
     written: list[str] = []
     state = probe_writer = log_writer = None
+    first_step = 0 if initial is None else initial.n
 
     def snapshot(st):
         stem = f"snapshot_{st.n:06d}"
@@ -58,6 +60,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
             "mode": cfg.mode,
             "dt": repr(cfg.dt),
             "steps_requested": cfg.steps,
+            "first_step": first_step,
             "last_completed_step": last_step,
             "solver": cfg.solver_kind,
             "files": ",".join(written),
@@ -150,11 +153,12 @@ def _cmd_stability(args) -> int:
     metrics = compute_dual_metrics(surface)
     materials = cfg.materials(surface)
     c_max = float(analysis._face_wave_speed(surface, materials).max())
-    dt_base = metrics.dual_edge_len.min() / c_max
+    # the shortest positive *e: assemble refuses a nonpositive active one,
+    # and a run does not step a PEC one
+    dual = metrics.dual_edge_len
+    dt_base = dual[dual > 0].min() / c_max
     dt_list = [f * dt_base for f in cfg.stability_dt_factors]
-    report = analysis.stability_sweep(
-        surface, metrics, materials, dt_list, k_samples=cfg.stability_k_samples
-    )
+    report = analysis.stability_sweep(surface, metrics, materials, dt_list)
     os.makedirs(cfg.output_dir, exist_ok=True)
     output.write_growth_csv(os.path.join(cfg.output_dir, "growth.csv"), report)
     summary = report.summary()
@@ -169,6 +173,13 @@ def _cmd_convergence(args) -> int:
 
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
+    ignored = [f"{key} = {value}" for key, value, default in (
+        ("mode", cfg.mode, "TM"), ("material.sigma", cfg.sigma, 0.0),
+        ("material.sigma_m", cfg.sigma_m, 0.0)) if value != default]
+    ignored += [f"region.{name}" for name, _, _ in cfg.regions]
+    if ignored:
+        raise ConfigError("decem convergence runs the lossless TM cavity with uniform "
+                          f"eps and mu; it cannot take {', '.join(ignored)}")
     levels = cfg.convergence_levels
     family = bundled.cavity_family(levels)
     dts = [cfg.convergence_dt0 / 2**i for i in range(levels)]
@@ -221,7 +232,7 @@ def main(argv=None) -> int:
     p_check.add_argument("mesh")
     p_check.set_defaults(func=_cmd_check_mesh)
 
-    p_stab = sub.add_parser("stability", help="growth-factor sweep over faces, dt and k")
+    p_stab = sub.add_parser("stability", help="growth factors of the operator's extreme modes")
     p_stab.add_argument("config")
     _add_common(p_stab)
     p_stab.set_defaults(func=_cmd_stability)

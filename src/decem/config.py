@@ -161,7 +161,6 @@ class RunConfig:
     max_iters: int | None = None
     # stability / convergence command settings
     stability_dt_factors: list = field(default_factory=lambda: [1e-3, 1.0, 1e3])
-    stability_k_samples: int = 64
     convergence_time: float = 1.28
     convergence_dt0: float = 0.016
     convergence_levels: int = 3
@@ -227,7 +226,6 @@ _KEYS = {
     "solver.tolerance": (RunConfig, "tolerance", _float),
     "solver.max_iters": (RunConfig, "max_iters", _max_iters),
     "stability.dt_factors": (RunConfig, "stability_dt_factors", _as_float_list),
-    "stability.k_samples": (RunConfig, "stability_k_samples", _int),
     "convergence.time": (RunConfig, "convergence_time", _float),
     "convergence.dt0": (RunConfig, "convergence_dt0", _float),
     "convergence.levels": (RunConfig, "convergence_levels", _int),
@@ -274,7 +272,6 @@ def load_config(path) -> RunConfig:
         (cfg.cadence >= 1, "output.cadence must be >= 1"),
         (cfg.solver_kind in ("cg", "direct"), "solver.kind must be cg or direct"),
         (cfg.tolerance > 0, "solver.tolerance must be positive"),
-        (cfg.stability_k_samples >= 1, "stability.k_samples must be >= 1"),
         (min(cfg.stability_dt_factors, default=0.0) > 0,
          "stability.dt_factors must be nonempty and positive"),
         (cfg.convergence_time > 0, "convergence.time must be positive"),

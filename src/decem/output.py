@@ -141,18 +141,11 @@ def write_csv_snapshot(path, state: FieldState) -> None:
 
 
 def write_growth_csv(path, report) -> None:
-    """One row per (dt, face, k) in the order of ``report.rows()``."""
-    n_dt, n_faces, n_k = report.M.shape
-    columns = (
-        np.tile(np.repeat(np.arange(n_faces), n_k), n_dt),
-        np.tile(np.asarray(report.k_grid, dtype=np.float64), n_dt * n_faces),
-        np.asarray(report.M, dtype=np.float64).ravel(),
-        np.asarray(report.xi_mod, dtype=np.float64).ravel(),
-        np.repeat(np.asarray(report.dt_list, dtype=np.float64), n_faces * n_k),
-    )
+    """One row per (dt, mode) in the order of ``report.rows()``."""
     with open(path, "w") as fh:
-        fh.write("face_id,k,M,xi_mod,dt\n")
-        fh.writelines(_blocks("%d,%r,%r,%r,%r\n", *columns))
+        fh.write("mode,lambda,M,xi_mod,dt\n")
+        for mode, lam, M, xi, dt in report.rows():
+            fh.write(f"{mode},{_fmt(lam)},{_fmt(M)},{_fmt(xi)},{_fmt(dt)}\n")
 
 
 class ProbeWriter:

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from decem import analysis, bundled, mesh, solver
 
@@ -77,54 +81,115 @@ def test_negative_k_rejected(sphere):
         analysis.growth_factor(0, s, m, mats, dt=0.1, k=-1.0)
 
 
+def dense_spectrum(surface, metrics, materials):
+    """Every generalized eigenvalue of (K, B), built from the stars and the
+    materials rather than from a stepper: the oracle of the sweep."""
+    pol = solver.polarization(materials.mode)
+    edge_mat, face_mat = pol.place(materials.eps, materials.mu)
+    star1 = metrics.dual_edge_len / metrics.edge_len
+    g = 1.0 / (edge_mat * star1)
+    if pol.pec_edges:
+        g[surface.boundary] = 0.0
+    d1 = surface.d1.toarray()
+    return scipy.linalg.eigh((d1 * g) @ d1.T, np.diag(face_mat * metrics.face_area),
+                             eigvals_only=True)
+
+
 @pytest.mark.parametrize("name,mode", [("icosphere_2.obj", "TE"),
                                        ("cavity_1.obj", "TM")])
 def test_stability_sweep_bounded(name, mode):
+    """The sweep reads the extreme eigenvalues of the assembled operator:
+    they match a dense solve, and every |xi| = 1/sqrt(1 + lambda dt^2) <= 1."""
     s = bundled.bundled_surface(name)
     m = mesh.compute_dual_metrics(s)
     mats = solver.MaterialParams.uniform(mode, s, eps=1.0, mu=1.0)
     base = m.dual_edge_len.min()
-    rep = analysis.stability_sweep(s, m, mats, [1e-3 * base, base, 1e3 * base],
-                                   k_samples=64, empirical_steps=0)
-    assert rep.max_xi <= 1.0
-    assert rep.M.min() >= 0.0
-    assert rep.M.shape == (3, s.n_faces, 64)
-    # k grid reaches the Nyquist-like ceiling on the coarsest dual length
-    assert np.isclose(rep.k_grid.max(), np.pi / base)
-
-
-def test_stability_sweep_empirical_crosscheck(sphere):
-    s, m, mats = sphere
-    base = m.dual_edge_len.min()
-    rep = analysis.stability_sweep(s, m, mats, [base, 100 * base],
-                                   k_samples=16, empirical_steps=150)
-    assert rep.empirical["dt"] == 100 * base
-    assert rep.empirical["max_energy_ratio"] <= 1.0 + 1e-8
+    dts = [1e-3 * base, base, 1e3 * base]
+    rep = analysis.stability_sweep(s, m, mats, dts)
+    lam = dense_spectrum(s, m, mats)
+    assert np.allclose(rep.lam, [max(lam[0], 0.0), lam[-1]], rtol=1e-10, atol=1e-9)
+    # a closed sphere has the static mode; the TM cavity's lowest is 2 pi^2
+    assert rep.lam[0] == 0.0 if mode == "TE" else abs(rep.lam[0] / (2 * np.pi**2) - 1) < 1e-2
+    assert rep.M.shape == rep.xi_mod.shape == (3, 2)
+    assert np.array_equal(rep.M, np.outer(np.square(dts), rep.lam))
+    assert rep.max_xi <= 1.0 and rep.xi_mod.min() > 0.0
     assert "max |xi|" in rep.summary()
+
+
+def test_stability_sweep_empirical_crosscheck():
+    """One ``step`` of the highest mode v, from a zero edge cochain, gives
+    v / (1 + lambda dt^2) to roundoff on a sphere and a cavity in both modes,
+    for random eps and mu; conduction in the materials does not change the
+    analysed (lossless) operator."""
+    rng = np.random.default_rng(3)
+    for name, mode in itertools.product(("icosphere_3.obj", "cavity_2.obj"), ("TE", "TM")):
+        s = bundled.bundled_surface(name)
+        m = mesh.compute_dual_metrics(s)
+        eps, mu = rng.uniform(1.0, 3.0, (2, s.n_faces))
+        mats = solver.MaterialParams.from_face_values(mode, s, eps, mu)
+        lossy = solver.MaterialParams.from_face_values(
+            mode, s, eps, mu, np.full(s.n_faces, 0.3), np.full(s.n_faces, 0.2))
+        for dt in (1e-3, 0.1, 10.0):
+            rep = analysis.stability_sweep(s, m, mats, [dt])
+            assert rep.one_step <= 1e-15, (name, mode, dt, rep.one_step)
+            assert np.array_equal(analysis.stability_sweep(s, m, lossy, [dt]).lam, rep.lam)
+        # only the TM cavity (every edge active, a PEC wall) has no static mode
+        assert (rep.lam[0] > 0) == ((name, mode) == ("cavity_2.obj", "TM")), (name, mode)
 
 
 def test_report_rows_match_csv_columns(sphere):
     s, m, mats = sphere
-    rep = analysis.stability_sweep(s, m, mats, [0.1], k_samples=4,
-                                   empirical_steps=0)
+    rep = analysis.stability_sweep(s, m, mats, [0.1, 2.0])
     rows = list(rep.rows())
-    assert len(rows) == s.n_faces * 4
-    face_id, k, M, xi, dt = rows[1]
-    assert face_id == 0 and dt == 0.1
-    assert np.isclose(xi, 1 / np.sqrt(1 + M))
+    assert [(mode, dt) for mode, _, _, _, dt in rows] == [
+        ("lowest", 0.1), ("highest", 0.1), ("lowest", 2.0), ("highest", 2.0)]
+    for mode, lam, M, xi, dt in rows:
+        assert lam == rep.lam[int(mode == "highest")]
+        assert M == dt * dt * lam and xi == 1 / np.sqrt(1 + M)
+
+
+def test_sweep_needs_two_faces(equilateral):
+    """ARPACK needs an operator of order two or more: one face is refused
+    by a ``ValueError``, which the CLI reports, not a ``TypeError``."""
+    assert equilateral.n_faces == 1
+    m = mesh.compute_dual_metrics(equilateral)
+    mats = solver.MaterialParams.uniform("TM", equilateral, eps=1.0, mu=1.0)
+    with pytest.raises(ValueError, match="needs at least two faces"):
+        analysis.stability_sweep(equilateral, m, mats, [0.1])
+
+
+def test_sphere_eigenvalue_order_is_two(icosphere4):
+    """The spatial error is second order: the l = 1 eigenvalues of the
+    operator on the unit icospheres L1-L4 approach l(l+1) = 2 at order 2,
+    as a threefold degenerate multiplet above the static mode."""
+    surfaces = [bundled.bundled_surface(f"icosphere_{level}.obj") for level in (1, 2, 3)]
+    errors = []
+    for s in surfaces + [icosphere4]:
+        m = mesh.compute_dual_metrics(s)
+        mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0)
+        _, C, _ = analysis._modal_operator(s, m, mats)
+        lam = np.sort(scipy.sparse.linalg.eigsh(C, k=5, sigma=-0.5, v0=np.ones(s.n_faces),
+                                                return_eigenvectors=False))
+        assert abs(lam[0]) < 1e-10 and lam[4] > 4.0, lam
+        assert np.ptp(lam[1:4]) <= 1e-10 * lam[1], lam
+        errors.append(abs(lam[1:4].mean() - 2.0) / 2.0)
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((1.9 <= orders) & (orders <= 2.1)), (errors, orders)
 
 
 def test_nonpositive_dual_edge_rejected(obtuse_pair):
     """Edge 0 of the obtuse pair has a negative dual edge, so M < 0 on both
-    faces (the acute one shares the edge): every entry point refuses it."""
+    faces (the acute one shares the edge): the per-face law refuses it, and
+    the sweep refuses it as ``assemble`` does."""
     s = obtuse_pair
     m = mesh.compute_dual_metrics(s)
     mats = solver.MaterialParams.uniform("TM", s, eps=1.0, mu=1.0)
     for face in (0, 1):
         with pytest.raises(ValueError, match="nonpositive dual edge length at edge 0;"):
             analysis.growth_factor(face, s, m, mats, dt=0.1, k=1.0)
-    with pytest.raises(ValueError, match="nonpositive dual edge length at edge 0;"):
-        analysis.stability_sweep(s, m, mats, [0.1], k_samples=4, empirical_steps=0)
+    with pytest.raises(solver.SolverError,
+                       match="indefinite system: nonpositive dual edge length at edge 0 "):
+        analysis.stability_sweep(s, m, mats, [0.1])
 
 
 # -- cavity oracle and convergence -----------------------------------------

@@ -104,7 +104,6 @@ def test_config_bad_values(tmp_path):
         ({"solver.max_iters": "-3"}, "solver.max_iters must be nonnegative"),
         ({"stability.dt_factors": "1,nan"}, "stability.dt_factors: expected finite numbers"),
         # the stability and convergence settings have range rules too
-        ({"stability.k_samples": "0"}, "stability.k_samples must be >= 1"),
         ({"stability.dt_factors": "-1,1"}, "stability.dt_factors must be nonempty and positive"),
         ({"stability.dt_factors": ""}, "stability.dt_factors must be nonempty and positive"),
         ({"convergence.time": "0"}, "convergence.time must be positive"),
@@ -132,11 +131,12 @@ def test_config_key_table(tmp_path):
     # a zero iteration cap leaves the solver's own
     cfg = config.load_config(write_cfg(tmp_path / "c.cfg", **{"solver.max_iters": "0"}))
     assert cfg.max_iters is None
-    # the removed initial-state knob, magnetic-current sign and indefinite
-    # opt-in are unknown keys
+    # the removed initial-state knob, magnetic-current sign, indefinite
+    # opt-in and stability k grid are unknown keys
     for i, (key, value) in enumerate((("flags.initial_constraint", "warn"),
                                       ("flags.jm_sign", "-1"),
-                                      ("flags.allow_indefinite", "true"))):
+                                      ("flags.allow_indefinite", "true"),
+                                      ("stability.k_samples", "64"))):
         with pytest.raises(config.ConfigError, match="unknown config keys"):
             config.load_config(write_cfg(tmp_path / f"b{i}.cfg", **{key: value}))
 
@@ -174,7 +174,8 @@ def test_removed_second_spellings(tmp_path, icosphere1, icosphere1_metrics):
 
 def test_range_rules_fail_before_output(tmp_path, capsys):
     for i, (command, overrides, message) in enumerate((
-            ("stability", {"stability.k_samples": "0"}, "must be >= 1"),
+            ("stability", {"stability.dt_factors": "-1,1"},
+             "stability.dt_factors must be nonempty and positive"),
             ("convergence", {"convergence.m": "0"}, "must be >= 1"),
             # one level would fit an order through one point
             ("convergence", {"convergence.levels": "1"}, "convergence.levels must be 2 or 3"))):
@@ -240,10 +241,12 @@ def test_run_simulation_initial_state(tmp_path, monkeypatch):
     cfg.output_dir, cfg.steps, cfg.cadence = str(tmp_path / "first"), 12, 5
     saved = cli.run_simulation(cfg, echo=None)
     assert saved.n == 12
+    assert "first_step = 0" in (tmp_path / "first" / "manifest.txt").read_text().splitlines()
     manifests = []
     write_manifest = output.write_manifest
 
     def record(path, entries):
+        assert entries["first_step"] == 12
         manifests.append((entries["status"], entries["last_completed_step"]))
         write_manifest(path, entries)
 
@@ -468,16 +471,24 @@ def test_default_run_uses_direct_solver(tmp_path):
 
 
 def test_stability_command(tmp_path, capsys):
-    rc = cli.main([
-        "stability", bundled.bundled_path("stability_sphere.cfg"),
-        "--output-dir", str(tmp_path / "stab"),
-    ])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "max |xi|" in out
-    growth = (tmp_path / "stab" / "growth.csv").read_text().splitlines()
-    assert growth[0] == "face_id,k,M,xi_mod,dt"
-    assert (tmp_path / "stab" / "summary.txt").exists()
+    """Two rows per dt, the lowest and highest mode, and two runs write the
+    same bytes."""
+    outputs = []
+    for run in ("stab1", "stab2"):
+        rc = cli.main([
+            "stability", bundled.bundled_path("stability_sphere.cfg"),
+            "--output-dir", str(tmp_path / run),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "max |xi|" in out
+        outputs.append([(tmp_path / run / name).read_bytes()
+                        for name in ("growth.csv", "summary.txt")])
+    assert outputs[0] == outputs[1]
+    growth = outputs[0][0].decode().splitlines()
+    assert growth[0] == "mode,lambda,M,xi_mod,dt"
+    assert [line.split(",")[0] for line in growth[1:]] == ["lowest", "highest"] * 3
+    assert outputs[0][1].decode() == out
 
 
 def test_convergence_command_quick(tmp_path, capsys):
@@ -494,6 +505,27 @@ def test_convergence_command_quick(tmp_path, capsys):
     table = (tmp_path / "conv" / "errors.csv").read_text().splitlines()
     assert table[0] == "study,h,dt,error"
     assert len(table) == 1 + 2 + 2
+
+
+@pytest.mark.parametrize("overrides,named", [
+    ({"mode": "TE"}, "mode = TE"),
+    ({"material.sigma": "0.3"}, "material.sigma = 0.3"),
+    ({"material.sigma_m": "0.2"}, "material.sigma_m = 0.2"),
+    ({"region.lens.faces": "3,4", "region.lens.eps": "2.5"}, "region.lens"),
+], ids=["mode", "sigma", "sigma_m", "region"])
+def test_convergence_refuses_settings_it_cannot_run(overrides, named, tmp_path, capsys):
+    """The study always runs the lossless TM cavity with uniform eps and mu,
+    so a mode, conduction or region it would ignore is one error, naming
+    the setting, before any output."""
+    out = tmp_path / "conv"
+    path = write_cfg(tmp_path / "conv.cfg", **{
+        "mesh_path": "cavity_1.obj", "mode": "TM", "convergence.levels": "2",
+        "output.directory": str(out), **overrides})
+    assert cli.main(["convergence", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: decem convergence runs the lossless TM cavity")
+    assert err.rstrip().endswith(f"it cannot take {named}")
+    assert not out.exists()
 
 
 def test_convergence_direct_matches_cg_orders(tmp_path, capsys):
@@ -587,20 +619,54 @@ def test_delaunay_square_runs_with_default_flags(mode, tmp_path, delaunay_square
 
 
 def test_stability_refuses_a_nonpositive_dual_edge(tmp_path, capsys, jittered_cavity):
-    """M < 0 on a negative dual edge, where 1/sqrt(1 + M) is no growth
-    factor: the sweep exits 2 naming the first such edge, warns of no
-    invalid value, and writes no growth.csv."""
+    """A negative active dual edge makes the operator indefinite: in both
+    modes the sweep exits 2 with ``assemble``'s error, as a run does, warns
+    of no invalid value, and writes no growth.csv."""
     obj = write_obj(tmp_path / "jittered.obj", jittered_cavity)
     out = tmp_path / "out"
-    path = write_cfg(tmp_path / "a.cfg", **{
-        "mesh_path": str(obj), "output.directory": str(out)})
-    edge = np.argmax(mesh.compute_dual_metrics(jittered_cavity).dual_edge_len <= 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert cli.main(["stability", path]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: nonpositive dual edge length at edge {edge};")
-    assert not (out / "growth.csv").exists()
+    nonpositive = mesh.compute_dual_metrics(jittered_cavity).dual_edge_len <= 0
+    for mode in ("TE", "TM"):
+        path = write_cfg(tmp_path / f"{mode}.cfg", mode=mode, **{
+            "mesh_path": str(obj), "output.directory": str(out)})
+        active = nonpositive & ~jittered_cavity.boundary if mode == "TE" else nonpositive
+        assert np.argmax(active) == np.argmax(nonpositive) == 274
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["stability", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: indefinite system: nonpositive dual edge length at edge 274 ")
+        assert cli.main(["run", path, "--quiet"]) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+def test_stability_and_run_accept_the_same_meshes(mode, tmp_path, capsys):
+    """Three triangles whose only negative dual edge is boundary edge 5:
+    TE holds that edge at zero, so both commands accept the mesh, and TM
+    makes it active, so both refuse it naming edge 5."""
+    obj = tmp_path / "three.obj"
+    obj.write_text("v 0 0 0\nv 1 0 0\nv 0.5 0.6 0\nv 0.5 -0.6 0\nv 0.9 1.4 0\n"
+                   "f 1 2 3\nf 1 4 2\nf 2 5 3\n")
+    surface = mesh.load_obj(str(obj))
+    dual = mesh.compute_dual_metrics(surface).dual_edge_len
+    assert surface.boundary[5] and np.flatnonzero(dual <= 0).tolist() == [5]
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
+        "mesh_path": str(obj), "output.directory": str(out),
+        "source.kind": "none", "probe.p0.quantity": None, "probe.p0.index": None})
+    code = 0 if mode == "TE" else 2
+    assert cli.main(["stability", path]) == code
+    captured = capsys.readouterr()
+    assert cli.main(["run", path, "--quiet"]) == code
+    if mode == "TE":
+        rows = (out / "growth.csv").read_text().splitlines()[1:]
+        lam = sorted({float(row.split(",")[1]) for row in rows})
+        assert lam[0] == 0.0 and abs(lam[1] - 37.83) < 0.01, lam
+    else:
+        message = "error: indefinite system: nonpositive dual edge length at edge 5 "
+        assert captured.err.startswith(message)
+        assert capsys.readouterr().err.startswith(message)
 
 
 def test_run_without_snapshots_imports_no_text_kernel(tmp_path):

@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import os
 import shutil
+import types
 import weakref
 
 import numpy as np
@@ -217,31 +218,23 @@ def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch
         assert_writers_match_oracle(tmp_path, fresh, rest, f"rest{block}")
 
 
-def growth_per_line(path, report):
-    with open(path, "w") as fh:
-        fh.write("face_id,k,M,xi_mod,dt\n")
-        for face_id, k, m, xi, dt in report.rows():
-            fh.write(f"{face_id},{_fmt(k)},{_fmt(m)},{_fmt(xi)},{_fmt(dt)}\n")
-
-
-def test_growth_csv_matches_per_line_oracle(tmp_path, monkeypatch):
+def test_growth_csv_matches_per_line_oracle(tmp_path):
+    """``growth.csv`` has one line per row of the report, and every number
+    reads back bit for bit, special values included."""
     surface = bundled.bundled_surface("icosphere_1.obj")
     metrics = mesh.compute_dual_metrics(surface)
     mats = solver.MaterialParams.uniform("TE", surface, eps=1.0, mu=1.0)
-    swept = analysis.stability_sweep(surface, metrics, mats, [1e-3, 0.1, 10.0],
-                                     k_samples=5, empirical_steps=0)
-    specials = np.array([-0.0, 5e-324, 1e16, 0.1, 1.0, -1e-300, np.inf, np.nan])
-    special = analysis.GrowthFactorReport(
-        dt_list=[0.5, 1e-300], k_grid=specials[:3], M=np.resize(specials, (2, 4, 3)),
-        xi_mod=np.resize(specials[::-1], (2, 4, 3)))
-    # one block; many of 7 rows, short last; one row each
-    for block in (output.TEXT_BLOCK_NUMBERS, 35, 1):
-        monkeypatch.setattr(output, "TEXT_BLOCK_NUMBERS", block)
-        for tag, report in (("swept", swept), ("special", special)):
-            new, old = tmp_path / f"{tag}{block}.csv", tmp_path / f"{tag}{block}_oracle.csv"
-            output.write_growth_csv(str(new), report)
-            growth_per_line(str(old), report)
-            assert new.read_bytes() == old.read_bytes(), (tag, block)
+    swept = analysis.stability_sweep(surface, metrics, mats, [1e-3, 0.1, 10.0])
+    specials = [-0.0, 5e-324, 1e16, 0.1, 1.0, -1e-300, np.inf, np.nan]
+    special = [("lowest", *np.roll(specials, i)[:4]) for i in range(8)]
+    for tag, rows in (("swept", list(swept.rows())), ("special", special)):
+        path = tmp_path / f"{tag}.csv"
+        output.write_growth_csv(str(path), types.SimpleNamespace(rows=lambda: iter(rows)))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "mode,lambda,M,xi_mod,dt"
+        assert [line.split(",")[0] for line in lines[1:]] == [row[0] for row in rows]
+        read = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
+        assert read.tobytes() == np.array([row[1:] for row in rows], dtype=float).tobytes()
 
 
 def test_snapshot_text_kernel_passes(tmp_path, monkeypatch):

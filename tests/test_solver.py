@@ -89,7 +89,7 @@ def test_repeated_support_index_rejected():
         solver.SourceSpec(kind="gaussian_pulse", support=[5, 3, 0, 3])
 
 
-def test_indefinite_rejected_then_allowed():
+def test_indefinite_rejected():
     """A nonpositive active dual edge is refused by every solver: no option
     runs the indefinite system."""
     # the obtuse/acute pair has a negative shared dual edge, edge 0
