@@ -49,18 +49,13 @@ __all__ = [
 ]
 
 
-def _face_wave_speed(surface, materials: sv.MaterialParams) -> np.ndarray:
-    """Per-face wave speed 1/sqrt(eps mu); the edge-placed coefficient is
-    averaged over the face's three edges (exact for uniform materials)."""
-    edge_mat, face_mat = sv.polarization(materials.mode).place(materials.eps, materials.mu)
-    return 1.0 / np.sqrt(edge_mat[surface.face_edges].mean(axis=1) * face_mat)
-
-
 def growth_factor(face, surface, metrics: DualMetrics, materials, dt, k):
     """Per-face plane-wave growth factor: returns ``(M, (xi_plus, xi_minus))``.
 
     M = (c dt)^2 / |P| * sum_i (1 - cos(k |*e_i|)) |e_i| / |*e_i| over the
-    face's edges, with c its wave speed and unit modal weights, for each dt
+    face's edges, with unit modal weights and c = 1/sqrt(eps mu) the face's
+    wave speed (its edge-placed coefficient averaged over the three edges,
+    exact for uniform materials), for each dt
     in ``dt`` and k (rad/m, nonnegative) in ``k``: shape ``dt.shape +
     k.shape``.  Both roots of the quadratic have modulus 1/sqrt(1+M); ``dt =
     0`` gives M = 0 and the double root 1.  Raises ``ValueError`` naming the
@@ -75,7 +70,8 @@ def growth_factor(face, surface, metrics: DualMetrics, materials, dt, k):
         raise ValueError(f"nonpositive dual edge length at edge {fe[lde <= 0].min()}; "
                          "the growth factor needs positive dual edges")
     geom = ((1.0 - np.cos(k[..., None] * lde)) * (le / lde)).sum(axis=-1)
-    c = _face_wave_speed(surface, materials)[face]
+    edge_mat, face_mat = sv.polarization(materials.mode).place(materials.eps, materials.mu)
+    c = 1.0 / np.sqrt(edge_mat[fe].mean() * face_mat[face])
     M = np.multiply.outer(c ** 2 * np.asarray(dt, dtype=float) ** 2,
                           geom / metrics.face_area[face])
     sq = np.sqrt(np.asarray(-4.0 * M, dtype=complex))
@@ -155,7 +151,8 @@ def stability_sweep(
     lambda_max comes from ``eigsh(C, which="LA")``, lambda_min by
     shift-invert at -1e-3 lambda_max, both from a vector of ones, so that
     they are reproducible; a lambda_min within 1e-12 lambda_max of zero is
-    roundoff on the static mode and becomes 0.0.
+    roundoff on the static mode and becomes 0.0.  A lower one raises
+    ``SolverError``: ``assemble`` refuses every operator that has one.
     """
     dt_list = np.atleast_1d(np.asarray(dt_list, dtype=float))
     lossless, C, scale = _modal_operator(surface, metrics, materials)
@@ -164,7 +161,10 @@ def stability_sweep(
     v0 = np.ones(C.shape[0])
     (lam_max,), top = spla.eigsh(C, k=1, which="LA", v0=v0)
     lam_min = spla.eigsh(C, k=1, sigma=-1e-3 * lam_max, v0=v0, return_eigenvectors=False)[0]
-    if abs(lam_min) <= 1e-12 * lam_max:
+    if lam_min < -1e-12 * lam_max:
+        raise sv.SolverError(f"indefinite operator: lambda_min {lam_min:.6g} "
+                             f"< -1e-12 lambda_max {lam_max:.6g}")
+    if lam_min <= 1e-12 * lam_max:
         lam_min = 0.0
 
     dt_max = float(dt_list.max())
@@ -278,10 +278,11 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _run_cavity(surface, metrics, dt, time, m, n, eps, mu, solver_kind, tolerance):
+def _run_cavity(surface, metrics, dt, time, m, n, eps, mu, solver_kind, tolerance,
+                max_iters=None):
     mats = sv.MaterialParams.uniform("TM", surface, eps=eps, mu=mu)
     stepper = sv.assemble(surface, metrics, mats, dt, solver=solver_kind,
-                          tolerance=tolerance)
+                          tolerance=tolerance, max_iters=max_iters)
     e0, _ = cavity_mode_fields(surface, 0.0, m, n, eps, mu)
     state = sv.initial_state("TM", surface, e=e0)
     steps = int(round(time / dt))
@@ -305,6 +306,7 @@ def convergence_study(
     mu: float = 1.0,
     solver_kind: str = "direct",
     tolerance: float = 1e-10,
+    max_iters: int | None = None,
 ) -> ConvergenceReport:
     """Observed convergence orders for the TM cavity mode.
 
@@ -313,10 +315,14 @@ def convergence_study(
     joint order comes from running level i with dt_i; the temporal order from
     running every dt on the finest mesh, whose finest-dt run is the last
     joint one; at least two levels are needed.  Errors are area-weighted
-    relative L2 errors of the face field at the final time.  Each run factors its
-    system once with the sparse LU (``solver_kind="direct"``); ``"cg"``
-    solves every step with Jacobi CG instead.
+    relative L2 errors of the face field at the final time ``time``, which
+    must be positive (``decem convergence`` takes steps * dt).  Each run
+    factors its system once with the sparse LU (``solver_kind="direct"``);
+    ``"cg"`` solves every step with Jacobi CG instead, within ``max_iters``
+    iterations as in ``assemble``.
     """
+    if not time > 0:
+        raise ValueError(f"the convergence time (steps * dt) must be positive, got {time!r}")
     surfaces = list(mesh_family)
     dts = [float(x) for x in dt_family]
     if len(surfaces) != len(dts):
@@ -325,18 +331,19 @@ def convergence_study(
         raise ValueError("a convergence study needs at least two meshes")
     check_nested_family(surfaces)
     metrics = [compute_dual_metrics(s) for s in surfaces]
+    case = (m, n, eps, mu, solver_kind, tolerance, max_iters)
 
     joint = []
     for s, met, dt in zip(surfaces, metrics, dts):
         h = float(met.edge_len.max())
-        err = _run_cavity(s, met, dt, time, m, n, eps, mu, solver_kind, tolerance)
+        err = _run_cavity(s, met, dt, time, *case)
         joint.append((h, dt, err))
 
     # the finest mesh at the finest dt is the last joint run: reuse its error
     temporal = []
     s_fine, met_fine = surfaces[-1], metrics[-1]
     for dt in dts[:-1]:
-        err = _run_cavity(s_fine, met_fine, dt, time, m, n, eps, mu, solver_kind, tolerance)
+        err = _run_cavity(s_fine, met_fine, dt, time, *case)
         temporal.append((dt, err))
     temporal.append(joint[-1][1:])
 

@@ -161,8 +161,6 @@ class RunConfig:
     max_iters: int | None = None
     # stability / convergence command settings
     stability_dt_factors: list = field(default_factory=lambda: [1e-3, 1.0, 1e3])
-    convergence_time: float = 1.28
-    convergence_dt0: float = 0.016
     convergence_levels: int = 3
     convergence_m: int = 1
     convergence_n: int = 1
@@ -226,8 +224,6 @@ _KEYS = {
     "solver.tolerance": (RunConfig, "tolerance", _float),
     "solver.max_iters": (RunConfig, "max_iters", _max_iters),
     "stability.dt_factors": (RunConfig, "stability_dt_factors", _as_float_list),
-    "convergence.time": (RunConfig, "convergence_time", _float),
-    "convergence.dt0": (RunConfig, "convergence_dt0", _float),
     "convergence.levels": (RunConfig, "convergence_levels", _int),
     "convergence.m": (RunConfig, "convergence_m", _int),
     "convergence.n": (RunConfig, "convergence_n", _int),
@@ -274,8 +270,6 @@ def load_config(path) -> RunConfig:
         (cfg.tolerance > 0, "solver.tolerance must be positive"),
         (min(cfg.stability_dt_factors, default=0.0) > 0,
          "stability.dt_factors must be nonempty and positive"),
-        (cfg.convergence_time > 0, "convergence.time must be positive"),
-        (cfg.convergence_dt0 > 0, "convergence.dt0 must be positive"),
         (2 <= cfg.convergence_levels <= 3, "convergence.levels must be 2 or 3"),
         (cfg.convergence_m >= 1, "convergence.m must be >= 1"),
         (cfg.convergence_n >= 1, "convergence.n must be >= 1"),

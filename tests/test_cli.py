@@ -106,9 +106,6 @@ def test_config_bad_values(tmp_path):
         # the stability and convergence settings have range rules too
         ({"stability.dt_factors": "-1,1"}, "stability.dt_factors must be nonempty and positive"),
         ({"stability.dt_factors": ""}, "stability.dt_factors must be nonempty and positive"),
-        ({"convergence.time": "0"}, "convergence.time must be positive"),
-        ({"convergence.time": "-1"}, "convergence.time must be positive"),
-        ({"convergence.dt0": "-0.016"}, "convergence.dt0 must be positive"),
         ({"convergence.m": "0"}, "convergence.m must be >= 1"),
         ({"convergence.n": "0"}, "convergence.n must be >= 1"),
         ({"convergence.levels": "1"}, "convergence.levels must be 2 or 3"),
@@ -132,11 +129,14 @@ def test_config_key_table(tmp_path):
     cfg = config.load_config(write_cfg(tmp_path / "c.cfg", **{"solver.max_iters": "0"}))
     assert cfg.max_iters is None
     # the removed initial-state knob, magnetic-current sign, indefinite
-    # opt-in and stability k grid are unknown keys
+    # opt-in, stability k grid and convergence time and step (now steps * dt
+    # and dt) are unknown keys
     for i, (key, value) in enumerate((("flags.initial_constraint", "warn"),
                                       ("flags.jm_sign", "-1"),
                                       ("flags.allow_indefinite", "true"),
-                                      ("stability.k_samples", "64"))):
+                                      ("stability.k_samples", "64"),
+                                      ("convergence.time", "1.28"),
+                                      ("convergence.dt0", "0.016"))):
         with pytest.raises(config.ConfigError, match="unknown config keys"):
             config.load_config(write_cfg(tmp_path / f"b{i}.cfg", **{key: value}))
 
@@ -178,7 +178,10 @@ def test_range_rules_fail_before_output(tmp_path, capsys):
              "stability.dt_factors must be nonempty and positive"),
             ("convergence", {"convergence.m": "0"}, "must be >= 1"),
             # one level would fit an order through one point
-            ("convergence", {"convergence.levels": "1"}, "convergence.levels must be 2 or 3"))):
+            ("convergence", {"convergence.levels": "1"}, "convergence.levels must be 2 or 3"),
+            # and no steps would fit it through errors of zero
+            ("convergence", {"mesh_path": "cavity_1.obj", "mode": "TM", "steps": "0"},
+             "the convergence time (steps * dt) must be positive, got 0.0"))):
         out = tmp_path / f"{command}{i}"
         path = write_cfg(tmp_path / f"{command}{i}.cfg", **overrides)
         assert cli.main([command, path, "--output-dir", str(out)]) == 2
@@ -491,12 +494,51 @@ def test_stability_command(tmp_path, capsys):
     assert outputs[0][1].decode() == out
 
 
+def test_stability_sweeps_multiples_of_the_run_dt(tmp_path, capsys):
+    """growth.csv's dt column is stability.dt_factors times the config's dt,
+    exactly, so factor 1 is the step that ``decem run`` takes."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        "stability.dt_factors": "1e-3,1,0.3,1e3", "output.directory": str(out)})
+    assert cli.main(["stability", path]) == 0
+    rows = (out / "growth.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[-1]) for row in rows] == [
+        f * 0.05 for f in (1e-3, 1.0, 0.3, 1e3) for _ in ("lowest", "highest")]
+
+
+@pytest.mark.parametrize("ratio,code", [(-1e-13, 0), (-1e-11, 2)])
+def test_stability_refuses_a_negative_lowest_eigenvalue(ratio, code, tmp_path, capsys,
+                                                        monkeypatch):
+    """A lambda_min within 1e-12 lambda_max below zero is the static mode's
+    roundoff and is written as 0.0; a lower one is an indefinite operator
+    that ``assemble`` should have refused, so the command exits 2 and
+    writes no growth.csv."""
+    eigsh, lam_max = analysis.spla.eigsh, []
+
+    def shifted(C, k, **kwargs):
+        if "sigma" in kwargs:   # the lowest mode, found second
+            return np.array([ratio * lam_max[0]])
+        found = eigsh(C, k, **kwargs)
+        lam_max.append(found[0][0])
+        return found
+
+    monkeypatch.setattr(analysis.spla, "eigsh", shifted)
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(out)})
+    assert cli.main(["stability", path]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: indefinite operator: lambda_min ")
+        assert not (out / "growth.csv").exists()
+    else:
+        rows = (out / "growth.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows[::2]} == {"0.0"}
+
+
 def test_convergence_command_quick(tmp_path, capsys):
     cfg = tmp_path / "conv.cfg"
     cfg.write_text(
-        "mesh_path = cavity_1.obj\nmode = TM\ndt = 0.016\nsteps = 0\n"
+        "mesh_path = cavity_1.obj\nmode = TM\ndt = 0.016\nsteps = 80\n"
         "material.eps = 1.0\nmaterial.mu = 1.0\n"
-        "convergence.time = 1.28\nconvergence.dt0 = 0.016\n"
         "convergence.levels = 2\nsolver.kind = direct\n"
     )
     rc = cli.main(["convergence", str(cfg), "--output-dir", str(tmp_path / "conv")])
@@ -525,6 +567,18 @@ def test_convergence_refuses_settings_it_cannot_run(overrides, named, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: decem convergence runs the lossless TM cavity")
     assert err.rstrip().endswith(f"it cannot take {named}")
+    assert not out.exists()
+
+
+def test_convergence_passes_the_cg_cap(tmp_path, capsys):
+    """solver.max_iters reaches every cavity run: one CG iteration cannot
+    converge, so the command exits 2 before any output exists."""
+    out = tmp_path / "conv"
+    path = write_cfg(tmp_path / "conv.cfg", **{
+        "mesh_path": "cavity_1.obj", "mode": "TM", "convergence.levels": "2",
+        "solver.kind": "cg", "solver.max_iters": "1", "output.directory": str(out)})
+    assert cli.main(["convergence", path]) == 2
+    assert "iterative solve failed to converge in 1 iterations" in capsys.readouterr().err
     assert not out.exists()
 
 
