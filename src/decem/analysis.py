@@ -315,11 +315,11 @@ def convergence_study(
     joint order comes from running level i with dt_i; the temporal order from
     running every dt on the finest mesh, whose finest-dt run is the last
     joint one; at least two levels are needed.  Errors are area-weighted
-    relative L2 errors of the face field at the final time ``time``, which
-    must be positive (``decem convergence`` takes steps * dt).  Each run
-    factors its system once with the sparse LU (``solver_kind="direct"``);
-    ``"cg"`` solves every step with Jacobi CG instead, within ``max_iters``
-    iterations as in ``assemble``.
+    relative L2 errors of the face field at the final time ``time`` (``decem
+    convergence`` takes steps * dt), which every dt must reach in at least
+    one step.  Each run factors its system once with the sparse LU
+    (``solver_kind="direct"``); ``"cg"`` solves every step with Jacobi CG
+    instead, within ``max_iters`` iterations as in ``assemble``.
     """
     if not time > 0:
         raise ValueError(f"the convergence time (steps * dt) must be positive, got {time!r}")
@@ -329,6 +329,9 @@ def convergence_study(
         raise ValueError("mesh_family and dt_family must have equal length")
     if len(surfaces) < 2:
         raise ValueError("a convergence study needs at least two meshes")
+    for dt in dts:
+        if round(time / dt) == 0:
+            raise ValueError(f"dt = {dt!r} takes round(time / dt) = 0 steps to time {time!r}")
     check_nested_family(surfaces)
     metrics = [compute_dual_metrics(s) for s in surfaces]
     case = (m, n, eps, mu, solver_kind, tolerance, max_iters)

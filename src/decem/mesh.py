@@ -71,22 +71,22 @@ class SimplicialSurface:
     ----------
     vertices : (V, 3) float array
         Vertex positions.
-    edges : (E, 2) int array
+    edges : (E, 2) int32 array
         Canonically oriented edges, ``edges[:, 0] < edges[:, 1]``, sorted
         lexicographically (deterministic, independent of face order).
-    faces : (F, 3) int array
+    faces : (F, 3) int32 array
         Vertex triples in the winding order of the input file.
     d0 : (E, V) float64 CSR matrix
         Vertex-to-edge incidence, entries +-1.
     d1 : (F, E) float64 CSR matrix
         Edge-to-face incidence, entries +-1.
-    face_edges : (F, 3) int array
+    face_edges : (F, 3) int32 array
         Edge indices per face, in (a,b),(b,c),(c,a) local order.
     boundary : (E,) bool array
         True on the edges with exactly one incident face.
 
     Every field is built once by :func:`from_arrays`; equality and hashing
-    are by identity.
+    are by identity.  Mesh index arrays are int32, like scipy's sparse indices.
     """
 
     vertices: np.ndarray
@@ -136,7 +136,7 @@ def _canonical_edges(faces: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np
     The k-th directed boundary edge of face (a, b, c) is (a,b), (b,c), (c,a).
     An undirected edge lo < hi is found by the one integer key
     ``lo * n_vertices + hi``, whose order is the lexicographic order of
-    (lo, hi).
+    (lo, hi).  The keys are int64; both results are int32.
     """
     tails = np.asarray(faces, dtype=np.int64)
     heads = tails[:, [1, 2, 0]]
@@ -144,8 +144,8 @@ def _canonical_edges(faces: np.ndarray, n_vertices: int) -> tuple[np.ndarray, np
     hi = np.maximum(tails, heads).reshape(-1)
     n = np.int64(n_vertices)
     keys, inverse = np.unique(lo * n + hi, return_inverse=True)
-    edges = np.stack([keys // n, keys % n], axis=1)
-    return edges, inverse.reshape(-1, 3)
+    edges = np.stack([keys // n, keys % n], axis=1).astype(np.int32)
+    return edges, inverse.reshape(-1, 3).astype(np.int32)
 
 
 def _incidence(vertices, faces):
@@ -173,10 +173,8 @@ def _incidence(vertices, faces):
         raise MeshError(f"isolated vertices (no incident face): {isolated.tolist()}")
 
     # d1: sign +1 when the directed traversal matches the canonical (low->high)
-    # orientation of the edge
-    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
-    directed_tails = np.stack([a, b, c], axis=1)  # tails of (a,b),(b,c),(c,a)
-    signs = np.where(directed_tails == edges[face_edge, 0], 1.0, -1.0)
+    # orientation of the edge; the tails of (a,b),(b,c),(c,a) are the face itself
+    signs = np.where(faces == edges[face_edge, 0], 1.0, -1.0)
     rows = np.repeat(np.arange(n_f), 3)
     d1 = sp.csr_matrix(
         (signs.reshape(-1), (rows, face_edge.reshape(-1))), shape=(n_f, n_e)
@@ -214,7 +212,8 @@ def from_arrays(vertices, faces) -> SimplicialSurface:
     if faces.size == 0:
         raise MeshError("mesh has no faces")
     edges, d0, d1, face_edges, boundary = _incidence(vertices, faces)
-    return SimplicialSurface(vertices, edges, faces, d0, d1, face_edges, boundary)
+    return SimplicialSurface(vertices, edges, faces.astype(np.int32), d0, d1,
+                             face_edges, boundary)
 
 
 def _obj_token_blocks(path):

@@ -270,10 +270,10 @@ class SourceSpec:
 class ImplicitStepper:
     """Pre-assembled per-step linear system for one polarization.
 
-    Holds the diagonal update coefficients, the face Schur system and
-    ``solve(rhs, x0)``, the face solve that ``assemble`` bound once: the
-    sparse LU factor's back-substitution (``direct``) or Jacobi CG
-    warm-started from ``x0`` (``cg``).
+    Holds the diagonal update coefficients and ``solve(rhs, x0)``, the face
+    solve that ``assemble`` bound once: the back-substitution of a sparse LU
+    factor, held without the matrix it factored (``direct``), or Jacobi CG
+    warm-started from ``x0`` on the matrix it closes over (``cg``).
     ``edge_couple`` is s g, and ``edge_decay``/``edge_drive`` are g m_e and
     g star1 (module docstring); all three are +0.0 on PEC edges, so a PEC
     unknown at +0.0 stays +0.0.  ``d1`` is the surface's own incidence
@@ -297,8 +297,12 @@ class ImplicitStepper:
     edge_drive: np.ndarray
     d1: sp.csr_matrix
     d1t: sp.csc_matrix
-    system: sp.csr_matrix
     solve: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _face_system(d1, face_plus, g) -> sp.csr_matrix:
+    """The face system ``diag(p_f) + d1 diag(g) d1^T`` that ``assemble`` solves."""
+    return (sp.diags(face_plus) + d1 @ sp.diags(g) @ d1.T).tocsr()
 
 
 def assemble(
@@ -315,10 +319,10 @@ def assemble(
 
     The face solve is chosen here, once, and bound as the stepper's
     ``solve``: ``solver="direct"`` (the default) factors the face system
-    here and back-substitutes each step; ``"cg"`` keeps no factor and runs
-    Jacobi CG each step, to the relative residual ``tolerance`` within
-    ``max_iters`` iterations (default 10 sqrt(unknowns); at least 1), using
-    less memory.
+    here, drops the matrix and back-substitutes each step; ``"cg"`` keeps
+    the matrix, no factor, and runs Jacobi CG each step, to the relative
+    residual ``tolerance`` within ``max_iters`` iterations (default 10
+    sqrt(unknowns); at least 1), using less memory.
 
     The face system ``diag(p_f) + d1 diag(g) d1^T`` is symmetric positive
     definite whenever every diagonal entry ``(material / dt + conduction / 2)
@@ -362,9 +366,7 @@ def assemble(
         """num / edge_plus on active edges, +0.0 on PEC edges."""
         return np.divide(num, edge_plus, out=np.zeros(surface.n_edges), where=active)
 
-    d1 = surface.d1
-    d1t = d1.T
-    system = (sp.diags(face_plus) + d1 @ sp.diags(on_active(1.0)) @ d1t).tocsr()
+    system = _face_system(surface.d1, face_plus, on_active(1.0))
 
     if solver == "direct":
         # MMD on A^T + A: COLAMD roughly doubles the fill on these meshes.
@@ -399,7 +401,7 @@ def assemble(
         face_plus=face_plus, face_minus=face_minus,
         active_edges=active, edge_couple=on_active(pol.couple_sign),
         edge_decay=on_active(edge_minus), edge_drive=on_active(star1),
-        d1=d1, d1t=d1t, system=system, solve=solve,
+        d1=surface.d1, d1t=surface.d1.T, solve=solve,
     )
 
 

@@ -405,7 +405,7 @@ def reference_obj_arrays(path):
 
 
 def assert_bitwise_equal(surface, vertices, faces):
-    assert surface.vertices.dtype == np.float64 and surface.faces.dtype == np.int64
+    assert surface.vertices.dtype == np.float64 and surface.faces.dtype == np.int32
     assert np.array_equal(surface.vertices.view(np.uint64), vertices.view(np.uint64))
     assert np.array_equal(surface.faces, faces)
 

@@ -1,6 +1,7 @@
 import gc
 import importlib.util
 import os
+import re
 import shutil
 import types
 import weakref
@@ -348,7 +349,8 @@ def test_compare_outputs_tool(tmp_path, capsys):
         "probe.p0.quantity = h\nprobe.p0.index = 0\n"
         "output.cadence = 2\noutput.formats = vtk,csv\n")
     assert tool.main([src, src, str(cfg)]) == 0
-    assert "same" in capsys.readouterr().out
+    assert re.search(r"^same    .*: \d+ files, peak RSS \d+\.\d -> \d+\.\d MB$",
+                     capsys.readouterr().out, re.M)
     conv = tmp_path / "conv.cfg"
     conv.write_text(
         "mesh_path = cavity_1.obj\nmode = TM\ndt = 0.016\nsteps = 4\nmaterial.eps = 1\n"

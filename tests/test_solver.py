@@ -20,6 +20,13 @@ def sphere_stepper(surface, metrics, dt_scale=100.0, kind="direct", **mat_kw):
     return solver.assemble(surface, metrics, mats, dt, solver=kind), mats
 
 
+def face_system(stepper):
+    """The face system of a stepper, built by the code ``assemble`` factors;
+    a stepper holds its solve, not the matrix."""
+    g = stepper.polarization.couple_sign * stepper.edge_couple   # s s g = g
+    return solver._face_system(stepper.d1, stepper.face_plus, g)
+
+
 def face_bump(surface, center=(0.0, 0.0, 1.0), width=0.1):
     d2 = ((mesh.face_circumcenters(surface) - np.asarray(center)) ** 2).sum(axis=1)
     return np.exp(-d2 / width)
@@ -38,7 +45,7 @@ def test_assembled_system_is_spd(two_triangles, icosphere1, icosphere1_metrics):
         mats = solver.MaterialParams.uniform(mode, surface, eps=1.3, mu=0.7,
                                              sigma=0.2, sigma_m=0.1)
         stepper = solver.assemble(surface, metrics, mats, dt=0.3)
-        dense = stepper.system.toarray()
+        dense = face_system(stepper).toarray()
         assert np.allclose(dense, dense.T, rtol=1e-12)
         assert np.linalg.eigvalsh(dense).min() > 0
 
@@ -112,7 +119,7 @@ def test_direct_has_no_size_limit_and_agrees_with_cg():
     mats = solver.MaterialParams.uniform("TM", s, eps=1.0, mu=1.0)
     direct = solver.assemble(s, m, mats, dt=0.1, solver="direct")
     cg = solver.assemble(s, m, mats, dt=0.1, solver="cg")
-    assert direct.system.shape[0] == 2048
+    assert face_system(direct).shape[0] == 2048
     e0, _ = analysis.cavity_mode_fields(s, 0.0, 1, 1, 1.0, 1.0)
     state = solver.initial_state("TM", s, e=e0)
     a = solver.step(direct, state)
@@ -311,16 +318,22 @@ def held_bytes(*roots):
 # own arrays.  With int64 incidence and its cached float64 copies, and
 # circumcenters and edge midpoints in the metrics, it was 704740; with a CSR
 # copy of d1^T in the stepper and a Python-int boundary set, 576736; with
-# star0 a copy of the dual vertex areas, 524892.
-HELD_BYTES_ICOSPHERE_3 = 519_756
+# star0 a copy of the dual vertex areas, 524892; with a CSR copy of the
+# factored face system in the stepper and int64 edges, faces and face_edges,
+# 519756.
+HELD_BYTES_ICOSPHERE_3 = 391_752
 
 
 def test_set_up_holds_each_array_once():
     """The incidence is held once, as float64 with +-1 entries, and shared
-    with the stepper, whose ``d1t`` is a view of it; star0 is the metrics'
-    dual vertex areas; the metrics hold measures only; and the total that a
-    set-up holds does not grow past ``HELD_BYTES_ICOSPHERE_3``."""
+    with the stepper, whose ``d1t`` is a view of it; the mesh index arrays
+    are int32; star0 is the metrics' dual vertex areas; the metrics hold
+    measures only; the stepper holds its solve, not the face system; and
+    the total that a set-up holds does not grow past
+    ``HELD_BYTES_ICOSPHERE_3``."""
     s = mesh.load_obj(bundled.bundled_path("icosphere_3.obj"))
+    for index in (s.edges, s.faces, s.face_edges):
+        assert index.dtype == np.int32
     for d in (s.d0, s.d1):
         assert d.format == "csr" and d.dtype == np.float64
         assert np.array_equal(np.unique(d.data), [-1.0, 1.0])
@@ -331,6 +344,7 @@ def test_set_up_holds_each_array_once():
         "edge_len", "face_area", "dual_edge_len", "dual_vertex_area", "well_centered"]
     mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0)
     stepper = solver.assemble(s, m, mats, 10.0 * m.dual_edge_len.min())
+    assert "system" not in [f.name for f in dataclasses.fields(stepper)]
     assert stepper.d1 is s.d1
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(stepper.d1t, name), getattr(s.d1, name))
@@ -748,7 +762,7 @@ def test_cg_step_matches_full_array_reference(mode):
     stepper, start = lossy_stepper(mode, "cavity_1.obj", kind="cg")
     src = solver.SourceSpec(kind="gaussian_pulse", target="jm", amplitude=-2.0,
                             t0=0.1, width=0.08, support=[3, 5])
-    dense = stepper.system.toarray()
+    dense = face_system(stepper).toarray()
     solve = lambda rhs, w: np.linalg.solve(dense, rhs)
     state = ref = start
     for _ in range(8):

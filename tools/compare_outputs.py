@@ -13,7 +13,9 @@ arithmetic whatever the machine's core count.
 
 Every file either side wrote is compared as bytes.  A file that differs or
 exists on one side only, or a nonzero exit status on either side, is
-printed with the config it came from.  A file present on both sides that
+printed with the config it came from; a config whose files all match is
+printed with each side's peak RSS, read by ``os.wait4``, so that a memory
+change is seen on every config compared.  A file present on both sides that
 differs gets a second line: whether its non-numeric text matches and how
 many of its numbers differ.  A CSV file whose numbers differ also gets, per
 column named in its header (its first line that does not start with
@@ -34,17 +36,24 @@ import sys
 import tempfile
 
 
-def run_side(src: str, command: str, cfg: str, outdir: str) -> int:
+def run_side(src: str, command: str, cfg: str, outdir: str) -> tuple[int, float]:
+    """Run one config under ``src``; return its exit status and its peak RSS
+    in MB.  The child is reaped by ``os.wait4``, which reports its own
+    resource use, so its stderr goes to a file, not to a pipe that
+    ``communicate`` would drain by reaping it first."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     argv = [sys.executable, "-m", "decem.cli", command, cfg, "--output-dir", outdir]
     if command == "run":
         argv.append("--quiet")
-    done = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
-    if done.returncode:
-        print(f"{cfg}: {src} exited {done.returncode}: {done.stderr.strip()}")
-    return done.returncode
+    with tempfile.TemporaryFile("w+") as err:
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        if child.returncode:
+            print(f"{cfg}: {src} exited {child.returncode}: {err.read().strip()}")
+    return child.returncode, usage.ru_maxrss * 1024 / 1e6   # KiB on Linux; MB as bench/run.py
 
 
 def compare_dirs(a: str, b: str) -> list[str]:
@@ -132,8 +141,8 @@ def main(argv=None) -> int:
         for i, cfg in enumerate(args.cfg):
             cfg = os.path.abspath(cfg)
             outs = [os.path.join(work, side, str(i)) for side in ("a", "b")]
-            codes = [run_side(src, args.command, cfg, out)
-                     for src, out in zip((args.src_a, args.src_b), outs)]
+            codes, peaks = zip(*(run_side(src, args.command, cfg, out)
+                                 for src, out in zip((args.src_a, args.src_b), outs)))
             diffs = compare_dirs(*outs)
             if codes[0] != codes[1]:
                 diffs.insert(0, f"exit status {codes[0]} != {codes[1]}")
@@ -146,7 +155,7 @@ def main(argv=None) -> int:
                     print(f"        {describe_difference(*pair)}")
             if not diffs:
                 n = len(os.listdir(outs[0])) if os.path.isdir(outs[0]) else 0
-                print(f"same    {cfg}: {n} files")
+                print(f"same    {cfg}: {n} files, peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB")
             differed = differed or bool(diffs)
     return 1 if differed else 0
 
