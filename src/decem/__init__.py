@@ -7,7 +7,7 @@ faces; TM: the reverse), plus growth-factor stability analysis, conservation
 diagnostics and a small CLI (``decem run|check-mesh|stability|convergence``).
 """
 
-from .bundled import bundled_names, bundled_path, bundled_surface, cavity_family
+from .bundled import bundled_names, bundled_path, bundled_surface
 from .config import ConfigError, RunConfig, load_config
 from .dec import (
     Cochain,
@@ -59,7 +59,6 @@ _ANALYSIS_NAMES = (
     "ConvergenceReport",
     "GrowthFactorReport",
     "cavity_mode_fields",
-    "check_nested_family",
     "convergence_study",
     "growth_factor",
     "stability_sweep",

@@ -15,8 +15,8 @@ for any dt and eps/mu layout; conduction only adds damping.  The lowest and
 highest lambda so bound the growth of every mode.  ``growth_factor`` keeps
 the per-face plane-wave estimate of M.
 
-The convergence study runs the TM stepper on the nested unit-square cavity
-family against the exact standing mode
+The convergence study runs the TM stepper on a unit-square cavity mesh and
+its midpoint refinements against the exact standing mode
 
     E_z = sin(m pi x) sin(n pi y) cos(w t),   w = c pi sqrt(m^2 + n^2),
 
@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 
 from . import solver as sv
 from .mesh import (DualMetrics, SimplicialSurface, compute_dual_metrics, edge_midpoints,
-                   face_circumcenters)
+                   face_circumcenters, from_arrays, subdivide)
 
 __all__ = [
     "GrowthFactorReport",
@@ -45,7 +45,6 @@ __all__ = [
     "cavity_mode_fields",
     "field_error",
     "convergence_study",
-    "check_nested_family",
 ]
 
 
@@ -218,40 +217,6 @@ def field_error(values, exact, weights) -> float:
     return float(np.sqrt((weights * dv * dv).sum()))
 
 
-def check_nested_family(surfaces) -> None:
-    """Verify each mesh refines the previous by midpoint subdivision.
-
-    Checks the 1:4 face count, that the coarse vertices are a prefix of the
-    fine ones, and that every coarse edge midpoint appears as a fine vertex.
-    Raises ``ValueError`` for a non-nested family.
-    """
-    for k in range(len(surfaces) - 1):
-        coarse, fine = surfaces[k], surfaces[k + 1]
-        if fine.n_faces != 4 * coarse.n_faces:
-            raise ValueError(
-                f"non-nested mesh family: level {k + 1} has {fine.n_faces} faces, "
-                f"expected {4 * coarse.n_faces}"
-            )
-        nv = coarse.n_vertices
-        if fine.n_vertices < nv or not np.allclose(
-            fine.vertices[:nv], coarse.vertices, atol=1e-12, rtol=0.0
-        ):
-            raise ValueError(
-                f"non-nested mesh family: level {k} vertices are not a prefix "
-                f"of level {k + 1}"
-            )
-        mids = edge_midpoints(coarse)
-        fine_set = {tuple(np.round(v, 9)) for v in fine.vertices}
-        missing = [
-            i for i, p in enumerate(np.round(mids, 9)) if tuple(p) not in fine_set
-        ]
-        if missing:
-            raise ValueError(
-                f"non-nested mesh family: midpoint of level-{k} edge {missing[0]} "
-                f"is not a level-{k + 1} vertex"
-            )
-
-
 @dataclass
 class ConvergenceReport:
     """Observed orders from the cavity-mode study.
@@ -297,9 +262,10 @@ def _run_cavity(surface, metrics, dt, time, m, n, eps, mu, solver_kind, toleranc
 
 
 def convergence_study(
-    mesh_family,
-    dt_family,
+    surface: SimplicialSurface,
+    dt: float,
     time: float,
+    levels: int = 3,
     m: int = 1,
     n: int = 1,
     eps: float = 1.0,
@@ -310,44 +276,53 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Observed convergence orders for the TM cavity mode.
 
-    ``mesh_family`` is a nested refinement family (coarse to fine) of the
-    unit-square cavity; ``dt_family`` the matching time steps (dt ~ h).  The
-    joint order comes from running level i with dt_i; the temporal order from
-    running every dt on the finest mesh, whose finest-dt run is the last
-    joint one; at least two levels are needed.  Errors are area-weighted
-    relative L2 errors of the face field at the final time ``time`` (``decem
-    convergence`` takes steps * dt), which every dt must reach in at least
-    one step.  Each run factors its system once with the sparse LU
-    (``solver_kind="direct"``); ``"cg"`` solves every step with Jacobi CG
-    instead, within ``max_iters`` iterations as in ``assemble``.
+    Level i is ``surface`` midpoint-subdivided i times, run at ``dt / 2**i``,
+    so the family is nested and dt ~ h by construction; at least two
+    ``levels`` are needed.  ``surface`` must be the cavity mode's domain:
+    flat (z = 0), with a vertex bounding box of exactly [0, 1]^2 and every
+    boundary vertex on a side.  The joint order comes from running each
+    level at its dt; the temporal order from running every dt on the finest
+    mesh, whose finest-dt run is the last joint one.  Errors are
+    area-weighted relative L2 errors of the face field at the final time
+    ``time`` (``decem convergence`` takes steps * dt), which the coarsest dt
+    must reach in at least one step.  Each run factors its system once with
+    the sparse LU (``solver_kind="direct"``); ``"cg"`` solves every step
+    with Jacobi CG instead, within ``max_iters`` iterations as in
+    ``assemble``.  Every refusal is a ``ValueError`` raised before any run.
     """
     if not time > 0:
         raise ValueError(f"the convergence time (steps * dt) must be positive, got {time!r}")
-    surfaces = list(mesh_family)
-    dts = [float(x) for x in dt_family]
-    if len(surfaces) != len(dts):
-        raise ValueError("mesh_family and dt_family must have equal length")
-    if len(surfaces) < 2:
-        raise ValueError("a convergence study needs at least two meshes")
-    for dt in dts:
-        if round(time / dt) == 0:
-            raise ValueError(f"dt = {dt!r} takes round(time / dt) = 0 steps to time {time!r}")
-    check_nested_family(surfaces)
+    if levels < 2:
+        raise ValueError(f"a convergence study needs at least two levels, got {levels!r}")
+    if round(time / dt) == 0:
+        raise ValueError(f"dt = {dt!r} takes round(time / dt) = 0 steps to time {time!r}")
+    z, xy = surface.vertices[:, 2], surface.vertices[:, :2]
+    on_side = ((xy == 0.0) | (xy == 1.0)).any(axis=1)
+    if ((z != 0.0).any() or (xy.min(axis=0) != 0.0).any() or (xy.max(axis=0) != 1.0).any()
+            or not on_side[surface.edges[surface.boundary]].all()):
+        raise ValueError("the cavity mode needs the unit square: a flat mesh (z = 0) whose "
+                         "vertices span exactly [0, 1]^2, with every boundary vertex on a side")
+    surfaces = [surface]
+    for _ in range(levels - 1):
+        coarse = surfaces[-1]
+        surfaces.append(from_arrays(*subdivide(coarse.vertices, coarse.faces,
+                                               project_unit_sphere=False)))
+    dts = [dt / 2**i for i in range(levels)]
     metrics = [compute_dual_metrics(s) for s in surfaces]
     case = (m, n, eps, mu, solver_kind, tolerance, max_iters)
 
     joint = []
-    for s, met, dt in zip(surfaces, metrics, dts):
+    for s, met, dt_i in zip(surfaces, metrics, dts):
         h = float(met.edge_len.max())
-        err = _run_cavity(s, met, dt, time, *case)
-        joint.append((h, dt, err))
+        err = _run_cavity(s, met, dt_i, time, *case)
+        joint.append((h, dt_i, err))
 
     # the finest mesh at the finest dt is the last joint run: reuse its error
     temporal = []
     s_fine, met_fine = surfaces[-1], metrics[-1]
-    for dt in dts[:-1]:
-        err = _run_cavity(s_fine, met_fine, dt, time, *case)
-        temporal.append((dt, err))
+    for dt_i in dts[:-1]:
+        err = _run_cavity(s_fine, met_fine, dt_i, time, *case)
+        temporal.append((dt_i, err))
     temporal.append(joint[-1][1:])
 
     joint_order = float(

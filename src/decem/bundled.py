@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-__all__ = ["bundled_path", "bundled_names", "bundled_surface", "cavity_family"]
+__all__ = ["bundled_path", "bundled_names", "bundled_surface"]
 
 
 def bundled_names() -> list[str]:
@@ -26,7 +26,3 @@ def bundled_surface(name: str):
 
     return load_obj(bundled_path(name))
 
-
-def cavity_family(levels: int = 3):
-    """The nested unit-square cavity meshes, coarse to fine."""
-    return [bundled_surface(f"cavity_{k}.obj") for k in range(1, levels + 1)]

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import bundled, output
+from . import output
 from . import solver as sv
 from .config import ConfigError, RunConfig, load_config
 from .mesh import compute_dual_metrics, load_obj, mesh_report
@@ -169,16 +169,16 @@ def _cmd_convergence(args) -> int:
     _apply_overrides(cfg, args)
     ignored = [f"{key} = {value}" for key, value, default in (
         ("mode", cfg.mode, "TM"), ("material.sigma", cfg.sigma, 0.0),
-        ("material.sigma_m", cfg.sigma_m, 0.0)) if value != default]
+        ("material.sigma_m", cfg.sigma_m, 0.0), ("source.kind", cfg.source.kind, "none"))
+        if value != default]
     ignored += [f"region.{name}" for name, _, _ in cfg.regions]
+    ignored += [f"probe.{probe.name}" for probe in cfg.probes]
     if ignored:
         raise ConfigError("decem convergence runs the lossless TM cavity with uniform "
                           f"eps and mu; it cannot take {', '.join(ignored)}")
-    levels = cfg.convergence_levels
-    family = bundled.cavity_family(levels)
-    dts = [cfg.dt / 2**i for i in range(levels)]
     report = analysis.convergence_study(
-        family, dts, time=cfg.steps * cfg.dt,
+        load_obj(cfg.mesh_path), cfg.dt, time=cfg.steps * cfg.dt,
+        levels=cfg.convergence_levels,
         m=cfg.convergence_m, n=cfg.convergence_n,
         eps=cfg.eps, mu=cfg.mu,
         solver_kind=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,

@@ -42,6 +42,7 @@ __all__ = [
     "SimplicialSurface",
     "DualMetrics",
     "from_arrays",
+    "subdivide",
     "load_obj",
     "compute_dual_metrics",
     "face_circumcenters",
@@ -214,6 +215,29 @@ def from_arrays(vertices, faces) -> SimplicialSurface:
     edges, d0, d1, face_edges, boundary = _incidence(vertices, faces)
     return SimplicialSurface(vertices, edges, faces.astype(np.int32), d0, d1,
                              face_edges, boundary)
+
+
+def subdivide(verts, faces, project_unit_sphere):
+    """One midpoint refinement: the coarse vertices, then each edge's midpoint
+    (scaled to unit length if ``project_unit_sphere``); face i -> 4i..4i+3."""
+    verts = list(map(tuple, verts))
+    cache = {}
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            p = 0.5 * (np.array(verts[i]) + np.array(verts[j]))
+            if project_unit_sphere:
+                p = p / np.linalg.norm(p)
+            cache[key] = len(verts)
+            verts.append(tuple(p))
+        return cache[key]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(verts), np.array(out, dtype=np.int64)
 
 
 def _obj_token_blocks(path):

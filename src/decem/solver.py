@@ -380,6 +380,9 @@ def assemble(
         )
         solve = lambda rhs, x0: factor.solve(rhs)
     else:
+        # the sum's data and indices are views of 25% larger buffers; a copy
+        # holds exactly nnz entries, in the same order, so SpMV sums are kept
+        system = system.copy()
         if max_iters is None:
             max_iters = int(np.ceil(10.0 * np.sqrt(system.shape[0])))
         precond = sp.diags(1.0 / system.diagonal())

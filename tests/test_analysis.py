@@ -245,47 +245,48 @@ def test_delaunay_square_cavity_order_in_criterion_4_band(delaunay_squares):
     assert 0.8 <= order <= 1.5, (errors, order)
 
 
-def test_nested_family_accepted():
-    analysis.check_nested_family(bundled.cavity_family(3))
-
-
-def test_non_nested_family_rejected():
-    fam = bundled.cavity_family(3)
-    with pytest.raises(ValueError, match="non-nested"):
-        analysis.check_nested_family([fam[0], fam[2]])
-    with pytest.raises(ValueError, match="non-nested"):
-        analysis.check_nested_family([fam[0], fam[0]])
-
-
 def test_convergence_quick_two_levels():
     # over a horizon where the first-order temporal error dominates,
     # halving (h, dt) roughly halves the error
-    fam = bundled.cavity_family(2)
-    rep = analysis.convergence_study(fam, [0.016, 0.008], time=1.28,
-                                     solver_kind="direct")
+    rep = analysis.convergence_study(bundled.bundled_surface("cavity_1.obj"), 0.016,
+                                     time=1.28, levels=2, solver_kind="direct")
     (h1, dt1, err1), (h2, dt2, err2) = rep.joint
+    assert (dt1, dt2) == (0.016, 0.008)
     assert err2 < err1
     assert 1.6 < err1 / err2 < 2.6
     assert "observed order" in rep.summary()
 
 
-def test_convergence_mismatched_lengths():
-    fam = bundled.cavity_family(2)
-    with pytest.raises(ValueError, match="equal length"):
-        analysis.convergence_study(fam, [0.01], time=0.1)
-
-
 def test_convergence_needs_two_meshes():
-    fam = bundled.cavity_family(1)
-    with pytest.raises(ValueError, match="at least two meshes"):
-        analysis.convergence_study(fam, [0.016], time=0.1)
+    with pytest.raises(ValueError, match="at least two levels, got 1"):
+        analysis.convergence_study(bundled.bundled_surface("cavity_1.obj"), 0.016,
+                                   time=0.1, levels=1)
 
 
 def test_convergence_level_with_zero_steps_rejected():
-    """A dt that rounds to zero steps is refused before any run; a run of
-    zero steps has zero error, whose log the order fit would take."""
+    """A coarsest dt that rounds to zero steps is refused before any run; a
+    run of zero steps has zero error, whose log the order fit would take."""
     with pytest.raises(ValueError, match=r"dt = 0\.016 takes round\(time / dt\) = 0 steps"):
-        analysis.convergence_study(bundled.cavity_family(2), [0.016, 0.008], time=0.006)
+        analysis.convergence_study(bundled.bundled_surface("cavity_1.obj"), 0.016,
+                                   time=0.006, levels=2)
+
+
+@pytest.mark.parametrize("change", [
+    lambda s: bundled.bundled_surface("icosphere_1.obj"),
+    lambda s: mesh.from_arrays(s.vertices + [0.0, 0.0, 1e-3], s.faces),
+    lambda s: mesh.from_arrays(s.vertices * [2.0, 1.0, 1.0], s.faces),
+    lambda s: mesh.from_arrays(s.vertices + [1e-9, 0.0, 0.0], s.faces),
+    # a hole: the corners of the face nearest the centre become boundary vertices
+    lambda s: mesh.from_arrays(s.vertices, np.delete(s.faces, np.argmin(
+        np.linalg.norm(mesh.face_circumcenters(s)[:, :2] - 0.5, axis=1)), axis=0)),
+], ids=["sphere", "lifted", "stretched", "shifted", "hole"])
+def test_convergence_refuses_a_mesh_that_is_not_the_unit_square(change, monkeypatch):
+    """The exact cavity mode lives on the unit square with walls on its
+    sides, so any other mesh is refused before any run."""
+    monkeypatch.setattr(analysis, "_run_cavity", None)
+    surface = change(bundled.bundled_surface("cavity_1.obj"))
+    with pytest.raises(ValueError, match=r"the cavity mode needs the unit square"):
+        analysis.convergence_study(surface, 0.016, time=0.064, levels=2)
 
 
 def test_convergence_reuses_the_finest_joint_run(monkeypatch):
@@ -300,7 +301,7 @@ def test_convergence_reuses_the_finest_joint_run(monkeypatch):
         return run(surface, metrics, dt, *args)
 
     monkeypatch.setattr(analysis, "_run_cavity", counted)
-    rep = analysis.convergence_study(bundled.cavity_family(3), [0.016, 0.008, 0.004],
+    rep = analysis.convergence_study(bundled.bundled_surface("cavity_1.obj"), 0.016,
                                      time=0.064)
     assert calls == [(128, 0.016), (512, 0.008), (2048, 0.004),
                      (2048, 0.016), (2048, 0.008)]

@@ -37,6 +37,12 @@ def write_cfg(path, **overrides):
     return str(path)
 
 
+# overrides that turn write_cfg's config into one decem convergence runs:
+# the TM cavity, without the source and the probe it refuses
+CAVITY = {"mesh_path": "cavity_1.obj", "mode": "TM", "source.kind": None,
+          "probe.p0.quantity": None, "probe.p0.index": None}
+
+
 def test_config_parsing_roundtrip(tmp_path):
     cfg = config.load_config(write_cfg(tmp_path / "a.cfg"))
     assert cfg.mode == "TE"
@@ -180,7 +186,7 @@ def test_range_rules_fail_before_output(tmp_path, capsys):
             # one level would fit an order through one point
             ("convergence", {"convergence.levels": "1"}, "convergence.levels must be 2 or 3"),
             # and no steps would fit it through errors of zero
-            ("convergence", {"mesh_path": "cavity_1.obj", "mode": "TM", "steps": "0"},
+            ("convergence", {**CAVITY, "steps": "0"},
              "the convergence time (steps * dt) must be positive, got 0.0"))):
         out = tmp_path / f"{command}{i}"
         path = write_cfg(tmp_path / f"{command}{i}.cfg", **overrides)
@@ -554,15 +560,16 @@ def test_convergence_command_quick(tmp_path, capsys):
     ({"material.sigma": "0.3"}, "material.sigma = 0.3"),
     ({"material.sigma_m": "0.2"}, "material.sigma_m = 0.2"),
     ({"region.lens.faces": "3,4", "region.lens.eps": "2.5"}, "region.lens"),
-], ids=["mode", "sigma", "sigma_m", "region"])
+    ({"source.kind": "gaussian_pulse", "source.support": "5"}, "source.kind = gaussian_pulse"),
+    ({"probe.p.quantity": "e", "probe.p.index": "99999"}, "probe.p"),
+], ids=["mode", "sigma", "sigma_m", "region", "source", "probe"])
 def test_convergence_refuses_settings_it_cannot_run(overrides, named, tmp_path, capsys):
-    """The study always runs the lossless TM cavity with uniform eps and mu,
-    so a mode, conduction or region it would ignore is one error, naming
-    the setting, before any output."""
+    """The study always runs the source-free lossless TM cavity with uniform
+    eps and mu and no probes, so a mode, conduction, region, source or probe
+    it would ignore is one error, naming the setting, before any output."""
     out = tmp_path / "conv"
     path = write_cfg(tmp_path / "conv.cfg", **{
-        "mesh_path": "cavity_1.obj", "mode": "TM", "convergence.levels": "2",
-        "output.directory": str(out), **overrides})
+        **CAVITY, "convergence.levels": "2", "output.directory": str(out), **overrides})
     assert cli.main(["convergence", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: decem convergence runs the lossless TM cavity")
@@ -575,11 +582,33 @@ def test_convergence_passes_the_cg_cap(tmp_path, capsys):
     converge, so the command exits 2 before any output exists."""
     out = tmp_path / "conv"
     path = write_cfg(tmp_path / "conv.cfg", **{
-        "mesh_path": "cavity_1.obj", "mode": "TM", "convergence.levels": "2",
+        **CAVITY, "convergence.levels": "2",
         "solver.kind": "cg", "solver.max_iters": "1", "output.directory": str(out)})
     assert cli.main(["convergence", path]) == 2
     assert "iterative solve failed to converge in 1 iterations" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_convergence_refines_the_configured_mesh(tmp_path, capsys):
+    """Level 0 is mesh_path itself: a sphere is refused before any output,
+    and cavity_2 runs the levels cavity_2 and cavity_3."""
+    out = tmp_path / "sphere"
+    path = write_cfg(tmp_path / "sphere.cfg", **{
+        **CAVITY, "mesh_path": "icosphere_1.obj", "output.directory": str(out)})
+    assert cli.main(["convergence", path]) == 2
+    assert "the cavity mode needs the unit square" in capsys.readouterr().err
+    assert not out.exists()
+
+    out = tmp_path / "cavity_2"
+    path = write_cfg(tmp_path / "cavity_2.cfg", **{
+        **CAVITY, "mesh_path": "cavity_2.obj", "dt": "0.016", "steps": "2",
+        "convergence.levels": "2", "output.directory": str(out)})
+    assert cli.main(["convergence", path]) == 0
+    rows = (out / "errors.csv").read_text().splitlines()[1:3]
+    h = [float(mesh.compute_dual_metrics(bundled.bundled_surface(name)).edge_len.max())
+         for name in ("cavity_2.obj", "cavity_3.obj")]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["joint", repr(h[0]), "0.016"], ["joint", repr(h[1]), "0.008"]]
 
 
 def test_convergence_direct_matches_cg_orders(tmp_path, capsys):
@@ -742,7 +771,7 @@ def test_package_exposes_analysis_names_on_first_use():
     """``decem`` imports ``decem.analysis`` only when one of its names is
     asked for, and still lists and exports them all."""
     names = ["ConvergenceReport", "GrowthFactorReport", "cavity_mode_fields",
-             "check_nested_family", "convergence_study", "growth_factor", "stability_sweep"]
+             "convergence_study", "growth_factor", "stability_sweep"]
     script = ("import sys, decem; before = 'decem.analysis' in sys.modules; "
               "listed = [n for n in %r if n in dir(decem)]; "
               "from decem import convergence_study; "
@@ -751,7 +780,7 @@ def test_package_exposes_analysis_names_on_first_use():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["False", "7", "decem.analysis", "decem.analysis"]
+    assert done.stdout.split() == ["False", "6", "decem.analysis", "decem.analysis"]
     for name in names:
         assert getattr(decem, name) is getattr(analysis, name)
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):

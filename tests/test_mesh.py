@@ -434,6 +434,19 @@ def test_reader_matches_reference_on_bundled_and_generated_meshes(icosphere_objs
         assert_bitwise_equal(mesh.load_obj(path), *reference_obj_arrays(path))
 
 
+def test_bundled_cavities_are_subdivisions_of_cavity_1():
+    """cavity_{k+1}.obj is ``subdivide`` of cavity_k.obj, bit for bit, so the
+    convergence study, which refines the mesh it is given, runs on cavity_1
+    the family that the bundled files hold."""
+    from decem import bundled
+
+    for k in (1, 2):
+        coarse = bundled.bundled_surface(f"cavity_{k}.obj")
+        fine = bundled.bundled_surface(f"cavity_{k + 1}.obj")
+        assert_bitwise_equal(fine, *mesh.subdivide(coarse.vertices, coarse.faces,
+                                                   project_unit_sphere=False))
+
+
 def test_reader_peak_memory_on_20480_faces(icosphere_objs):
     """The reader holds a block of tokens as Python strings, not the whole
     file's: its traced peak stays below 9 MB (13.4 MB when it held every

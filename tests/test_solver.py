@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -286,10 +287,11 @@ def test_stepper_is_immutable_and_repeatable(icosphere1, icosphere1_metrics):
 
 def held_bytes(*roots):
     """Bytes of the distinct numpy arrays and sparse matrices reachable from
-    ``roots`` through instance attributes, lists and tuples, each array's
-    memory counted once however many views of it are reached.  The bound
-    ``solve`` is a function, whose closure (the LU factor or the CG
-    preconditioner) is not walked."""
+    ``roots`` through instance attributes, lists, tuples and function
+    closures, each array's memory counted once however many views of it are
+    reached.  The closure of a cg stepper's bound ``solve`` holds the face
+    system and its preconditioner; a direct one's holds the LU factor, which
+    is neither and is not counted."""
     seen, owners, total = set(), set(), 0
     stack = list(roots)
     while stack:
@@ -308,6 +310,8 @@ def held_bytes(*roots):
                       if hasattr(obj, name)]
         elif isinstance(obj, (list, tuple)):
             stack += obj
+        elif isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
         elif hasattr(obj, "__dict__") and not isinstance(obj, type):
             stack += list(vars(obj).values())
     return total
@@ -322,6 +326,10 @@ def held_bytes(*roots):
 # factored face system in the stepper and int64 edges, faces and face_edges,
 # 519756.
 HELD_BYTES_ICOSPHERE_3 = 391_752
+# The same for a cg stepper, whose bound solve holds the face system and its
+# Jacobi preconditioner: 483920 while the system's data and indices were
+# views of 25% larger buffers.
+HELD_BYTES_ICOSPHERE_3_CG = 468_560
 
 
 def test_set_up_holds_each_array_once():
@@ -330,7 +338,8 @@ def test_set_up_holds_each_array_once():
     are int32; star0 is the metrics' dual vertex areas; the metrics hold
     measures only; the stepper holds its solve, not the face system; and
     the total that a set-up holds does not grow past
-    ``HELD_BYTES_ICOSPHERE_3``."""
+    ``HELD_BYTES_ICOSPHERE_3``, or ``HELD_BYTES_ICOSPHERE_3_CG`` with the
+    face system and preconditioner that a cg solve holds."""
     s = mesh.load_obj(bundled.bundled_path("icosphere_3.obj"))
     for index in (s.edges, s.faces, s.face_edges):
         assert index.dtype == np.int32
@@ -352,6 +361,10 @@ def test_set_up_holds_each_array_once():
     held = held_bytes(s, m, mats, stepper.stars, stepper)
     print(f"icosphere_3 set-up holds {held} bytes besides the LU factor")
     assert held <= HELD_BYTES_ICOSPHERE_3
+    stepper = solver.assemble(s, m, mats, stepper.dt, solver="cg")
+    held = held_bytes(s, m, mats, stepper.stars, stepper)
+    print(f"icosphere_3 cg set-up holds {held} bytes")
+    assert held <= HELD_BYTES_ICOSPHERE_3_CG
 
 
 def test_cg_iteration_cap_raises(icosphere1, icosphere1_metrics):

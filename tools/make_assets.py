@@ -22,6 +22,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from decem import mesh  # noqa: E402
+from decem.mesh import subdivide  # noqa: E402  (also imported from here by bench/)
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "decem", "data")
 
@@ -51,27 +52,6 @@ def icosahedron():
         dtype=np.int64,
     )
     return verts, faces
-
-
-def subdivide(verts, faces, project_unit_sphere):
-    verts = list(map(tuple, verts))
-    cache = {}
-
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            p = 0.5 * (np.array(verts[i]) + np.array(verts[j]))
-            if project_unit_sphere:
-                p = p / np.linalg.norm(p)
-            cache[key] = len(verts)
-            verts.append(tuple(p))
-        return cache[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.array(verts), np.array(out, dtype=np.int64)
 
 
 def make_icospheres():
