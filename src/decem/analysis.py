@@ -16,9 +16,9 @@ highest lambda so bound the growth of every mode.  ``growth_factor`` keeps
 the per-face plane-wave estimate of M.
 
 The convergence study runs the TM stepper on a unit-square cavity mesh and
-its midpoint refinements against the exact standing mode
+its midpoint refinements against the exact (1, 1) standing mode
 
-    E_z = sin(m pi x) sin(n pi y) cos(w t),   w = c pi sqrt(m^2 + n^2),
+    E_z = sin(pi x) sin(pi y) cos(w t),   w = c pi sqrt(2),
 
 projected to cochains by midpoint quadrature, and fits observed orders from
 star-weighted discrete L2 errors.
@@ -185,27 +185,25 @@ def stability_sweep(
 def cavity_mode_fields(
     surface: SimplicialSurface,
     t: float,
-    m: int = 1,
-    n: int = 1,
     eps: float = 1.0,
     mu: float = 1.0,
 ):
-    """Exact TM standing-mode cochains on the unit-square cavity at time t.
+    """Exact cochains of the TM (1, 1) standing mode on the unit-square
+    cavity at time t (module docstring).
 
     Returns ``(e_faces, h_edges)``: the out-of-plane electric value at each
     face circumcenter and the tangential magnetic line integral along each
     edge (midpoint quadrature).
     """
     c = 1.0 / np.sqrt(eps * mu)
-    w = c * np.pi * np.sqrt(float(m * m + n * n))
-    mp, npi = m * np.pi, n * np.pi
+    w = c * np.pi * np.sqrt(2.0)
 
     cc = face_circumcenters(surface)
-    e_faces = np.sin(mp * cc[:, 0]) * np.sin(npi * cc[:, 1]) * np.cos(w * t)
+    e_faces = np.sin(np.pi * cc[:, 0]) * np.sin(np.pi * cc[:, 1]) * np.cos(w * t)
 
     mid = edge_midpoints(surface)
-    hx = -(npi / (mu * w)) * np.sin(mp * mid[:, 0]) * np.cos(npi * mid[:, 1])
-    hy = (mp / (mu * w)) * np.cos(mp * mid[:, 0]) * np.sin(npi * mid[:, 1])
+    hx = -(np.pi / (mu * w)) * np.sin(np.pi * mid[:, 0]) * np.cos(np.pi * mid[:, 1])
+    hy = (np.pi / (mu * w)) * np.cos(np.pi * mid[:, 0]) * np.sin(np.pi * mid[:, 1])
     tangent = surface.vertices[surface.edges[:, 1]] - surface.vertices[surface.edges[:, 0]]
     h_edges = (hx * tangent[:, 0] + hy * tangent[:, 1]) * np.sin(w * t)
     return e_faces, h_edges
@@ -243,18 +241,18 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _run_cavity(surface, metrics, dt, time, m, n, eps, mu, solver_kind, tolerance,
+def _run_cavity(surface, metrics, dt, time, eps, mu, solver_kind, tolerance,
                 max_iters=None):
     mats = sv.MaterialParams.uniform("TM", surface, eps=eps, mu=mu)
     stepper = sv.assemble(surface, metrics, mats, dt, solver=solver_kind,
                           tolerance=tolerance, max_iters=max_iters)
-    e0, _ = cavity_mode_fields(surface, 0.0, m, n, eps, mu)
+    e0, _ = cavity_mode_fields(surface, 0.0, eps, mu)
     state = sv.initial_state("TM", surface, e=e0)
     steps = int(round(time / dt))
     for _ in range(steps):
         state = sv.step(stepper, state)
     t_end = steps * dt
-    e_exact, _ = cavity_mode_fields(surface, t_end, m, n, eps, mu)
+    e_exact, _ = cavity_mode_fields(surface, t_end, eps, mu)
     weights = metrics.face_area
     err = field_error(state.e, e_exact, weights)
     ref = float(np.sqrt((weights * e_exact * e_exact).sum()))
@@ -266,15 +264,13 @@ def convergence_study(
     dt: float,
     time: float,
     levels: int = 3,
-    m: int = 1,
-    n: int = 1,
     eps: float = 1.0,
     mu: float = 1.0,
     solver_kind: str = "direct",
     tolerance: float = 1e-10,
     max_iters: int | None = None,
 ) -> ConvergenceReport:
-    """Observed convergence orders for the TM cavity mode.
+    """Observed convergence orders for the TM (1, 1) cavity mode.
 
     Level i is ``surface`` midpoint-subdivided i times, run at ``dt / 2**i``,
     so the family is nested and dt ~ h by construction; at least two
@@ -309,7 +305,7 @@ def convergence_study(
                                                project_unit_sphere=False)))
     dts = [dt / 2**i for i in range(levels)]
     metrics = [compute_dual_metrics(s) for s in surfaces]
-    case = (m, n, eps, mu, solver_kind, tolerance, max_iters)
+    case = (eps, mu, solver_kind, tolerance, max_iters)
 
     joint = []
     for s, met, dt_i in zip(surfaces, metrics, dts):

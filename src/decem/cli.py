@@ -144,14 +144,31 @@ def _cmd_check_mesh(args) -> int:
     return 0 if report.endswith("PASS") else 1
 
 
+# the multiples of the run's dt at which decem stability reports growth
+STABILITY_DT_FACTORS = (1e-3, 1.0, 1e3)
+
+
+def _refuse(cfg: RunConfig, runs: str, settings=(), names=()) -> None:
+    """One ``ConfigError``, raised before any output, that starts with
+    ``runs`` and names each setting a command would ignore: every (key,
+    value, the one value it takes) of ``settings`` set otherwise, each of
+    ``names``, a source and each probe."""
+    refused = [f"{key} = {value}" for key, value, taken in
+               (*settings, ("source.kind", cfg.source.kind, "none")) if value != taken]
+    refused += [*names, *(f"probe.{probe.name}" for probe in cfg.probes)]
+    if refused:
+        raise ConfigError(f"{runs}; it cannot take {', '.join(refused)}")
+
+
 def _cmd_stability(args) -> int:
     from . import analysis   # here, so that a run does not import it
 
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
+    _refuse(cfg, "decem stability analyses the source-free operator and records no probes")
     surface = load_obj(cfg.mesh_path)
     metrics = compute_dual_metrics(surface)
-    dt_list = [f * cfg.dt for f in cfg.stability_dt_factors]
+    dt_list = [f * cfg.dt for f in STABILITY_DT_FACTORS]
     report = analysis.stability_sweep(surface, metrics, cfg.materials(surface), dt_list)
     os.makedirs(cfg.output_dir, exist_ok=True)
     output.write_growth_csv(os.path.join(cfg.output_dir, "growth.csv"), report)
@@ -167,20 +184,12 @@ def _cmd_convergence(args) -> int:
 
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    ignored = [f"{key} = {value}" for key, value, default in (
-        ("mode", cfg.mode, "TM"), ("material.sigma", cfg.sigma, 0.0),
-        ("material.sigma_m", cfg.sigma_m, 0.0), ("source.kind", cfg.source.kind, "none"))
-        if value != default]
-    ignored += [f"region.{name}" for name, _, _ in cfg.regions]
-    ignored += [f"probe.{probe.name}" for probe in cfg.probes]
-    if ignored:
-        raise ConfigError("decem convergence runs the lossless TM cavity with uniform "
-                          f"eps and mu; it cannot take {', '.join(ignored)}")
+    _refuse(cfg, "decem convergence runs the lossless TM cavity with uniform eps and mu",
+            settings=(("mode", cfg.mode, "TM"), ("material.sigma", cfg.sigma, 0.0),
+                      ("material.sigma_m", cfg.sigma_m, 0.0)),
+            names=[f"region.{name}" for name, _, _ in cfg.regions])
     report = analysis.convergence_study(
-        load_obj(cfg.mesh_path), cfg.dt, time=cfg.steps * cfg.dt,
-        levels=cfg.convergence_levels,
-        m=cfg.convergence_m, n=cfg.convergence_n,
-        eps=cfg.eps, mu=cfg.mu,
+        load_obj(cfg.mesh_path), cfg.dt, time=cfg.steps * cfg.dt, eps=cfg.eps, mu=cfg.mu,
         solver_kind=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
     )
     os.makedirs(cfg.output_dir, exist_ok=True)

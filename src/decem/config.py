@@ -87,14 +87,6 @@ def _float(value: str, key: str) -> float:
     return number
 
 
-def _max_iters(value: str, key: str) -> int | None:
-    """An iteration cap; 0 leaves the solver's own (None)."""
-    number = _int(value, key)
-    if number < 0:
-        raise ConfigError(f"{key} must be nonnegative")
-    return number or None
-
-
 def _material(value: str, key: str) -> float:
     """A material value: eps and mu positive, conductivities nonnegative."""
     number = _float(value, key)
@@ -111,16 +103,6 @@ def _as_int_list(value: str, key: str):
         return [int(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}")
-
-
-def _as_float_list(value: str, key: str):
-    try:
-        out = [float(tok) for tok in value.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated floats, got {value!r}")
-    if not np.isfinite(out).all():
-        raise ConfigError(f"{key}: expected finite numbers, got {value!r}")
-    return out
 
 
 def _formats(value: str, key: str) -> tuple:
@@ -159,11 +141,6 @@ class RunConfig:
     solver_kind: str = "direct"
     tolerance: float = 1e-10
     max_iters: int | None = None
-    # stability / convergence command settings
-    stability_dt_factors: list = field(default_factory=lambda: [1e-3, 1.0, 1e3])
-    convergence_levels: int = 3
-    convergence_m: int = 1
-    convergence_n: int = 1
 
     def materials(self, surface) -> MaterialParams:
         """Per-face material arrays from uniform values plus region overrides,
@@ -222,11 +199,7 @@ _KEYS = {
     "output.formats": (RunConfig, "formats", _formats),
     "solver.kind": (RunConfig, "solver_kind", _text),
     "solver.tolerance": (RunConfig, "tolerance", _float),
-    "solver.max_iters": (RunConfig, "max_iters", _max_iters),
-    "stability.dt_factors": (RunConfig, "stability_dt_factors", _as_float_list),
-    "convergence.levels": (RunConfig, "convergence_levels", _int),
-    "convergence.m": (RunConfig, "convergence_m", _int),
-    "convergence.n": (RunConfig, "convergence_n", _int),
+    "solver.max_iters": (RunConfig, "max_iters", _int),
 }
 
 
@@ -268,11 +241,7 @@ def load_config(path) -> RunConfig:
         (cfg.cadence >= 1, "output.cadence must be >= 1"),
         (cfg.solver_kind in ("cg", "direct"), "solver.kind must be cg or direct"),
         (cfg.tolerance > 0, "solver.tolerance must be positive"),
-        (min(cfg.stability_dt_factors, default=0.0) > 0,
-         "stability.dt_factors must be nonempty and positive"),
-        (2 <= cfg.convergence_levels <= 3, "convergence.levels must be 2 or 3"),
-        (cfg.convergence_m >= 1, "convergence.m must be >= 1"),
-        (cfg.convergence_n >= 1, "convergence.n must be >= 1"),
+        (cfg.max_iters is None or cfg.max_iters >= 1, "solver.max_iters must be at least 1"),
     ):
         if not ok:
             raise ConfigError(message)

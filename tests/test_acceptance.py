@@ -149,12 +149,12 @@ def test_criterion_3_gauss_law_preservation():
 
 
 def test_criterion_4_first_order_accuracy():
-    """Unit-square cavity mode, joint and dt-only refinement over three
+    """Unit-square cavity (1, 1) mode, joint and dt-only refinement over three
     levels: observed orders inside [0.8, 1.5], in under 10 minutes."""
     with criterion(4, "cavity-mode convergence orders in [0.8, 1.5]"):
         start = time.time()
         report = analysis.convergence_study(
-            bundled.bundled_surface("cavity_1.obj"), 0.016, time=1.28, levels=3, m=1, n=1,
+            bundled.bundled_surface("cavity_1.obj"), 0.016, time=1.28, levels=3,
         )
         assert 0.8 <= report.joint_order <= 1.5, report.summary()
         assert 0.8 <= report.temporal_order <= 1.5, report.summary()

@@ -239,7 +239,7 @@ def test_delaunay_square_cavity_order_in_criterion_4_band(delaunay_squares):
         m = mesh.compute_dual_metrics(s)
         assert not m.all_well_centered and m.dual_edge_len.min() > 0
         hs.append(1.0 / n)
-        errors.append(analysis._run_cavity(s, m, 0.128 / n, 1.28, 1, 1, 1.0, 1.0,
+        errors.append(analysis._run_cavity(s, m, 0.128 / n, 1.28, 1.0, 1.0,
                                            "direct", 1e-10))
     order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
     assert 0.8 <= order <= 1.5, (errors, order)

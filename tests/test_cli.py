@@ -37,10 +37,11 @@ def write_cfg(path, **overrides):
     return str(path)
 
 
-# overrides that turn write_cfg's config into one decem convergence runs:
-# the TM cavity, without the source and the probe it refuses
-CAVITY = {"mesh_path": "cavity_1.obj", "mode": "TM", "source.kind": None,
-          "probe.p0.quantity": None, "probe.p0.index": None}
+# overrides that drop write_cfg's source and probe, which decem stability
+# and decem convergence refuse
+UNDRIVEN = {"source.kind": None, "probe.p0.quantity": None, "probe.p0.index": None}
+# and that turn its config into one decem convergence runs: the TM cavity
+CAVITY = {**UNDRIVEN, "mesh_path": "cavity_1.obj", "mode": "TM"}
 
 
 def test_config_parsing_roundtrip(tmp_path):
@@ -106,16 +107,9 @@ def test_config_bad_values(tmp_path):
         ({"source.t0": "nan"}, "source.t0: expected a finite number"),
         ({"solver.tolerance": "-1"}, "solver.tolerance must be positive"),
         ({"solver.tolerance": "nan"}, "solver.tolerance: expected a finite number"),
-        # 0 asks for the solver's own cap; a negative one is not a second spelling
-        ({"solver.max_iters": "-3"}, "solver.max_iters must be nonnegative"),
-        ({"stability.dt_factors": "1,nan"}, "stability.dt_factors: expected finite numbers"),
-        # the stability and convergence settings have range rules too
-        ({"stability.dt_factors": "-1,1"}, "stability.dt_factors must be nonempty and positive"),
-        ({"stability.dt_factors": ""}, "stability.dt_factors must be nonempty and positive"),
-        ({"convergence.m": "0"}, "convergence.m must be >= 1"),
-        ({"convergence.n": "0"}, "convergence.n must be >= 1"),
-        ({"convergence.levels": "1"}, "convergence.levels must be 2 or 3"),
-        ({"convergence.levels": "4"}, "convergence.levels must be 2 or 3"),
+        # the solver's own cap is the key left out: 0 is not a second spelling
+        ({"solver.max_iters": "-3"}, "solver.max_iters must be at least 1"),
+        ({"solver.max_iters": "0"}, "solver.max_iters must be at least 1"),
     ]
     for i, (overrides, message) in enumerate(cases):
         with pytest.raises(config.ConfigError, match=re.escape(message)):
@@ -131,18 +125,27 @@ def test_config_key_table(tmp_path):
     # every table entry names a field of the dataclass it sets
     for key, (owner, name, _) in config._KEYS.items():
         assert name in {f.name for f in dataclasses.fields(owner)}, key
-    # a zero iteration cap leaves the solver's own
-    cfg = config.load_config(write_cfg(tmp_path / "c.cfg", **{"solver.max_iters": "0"}))
+    # a cap left out is the solver's own; a given one is kept as given
     assert cfg.max_iters is None
+    cfg = config.load_config(write_cfg(tmp_path / "c.cfg", **{"solver.max_iters": "1"}))
+    assert cfg.max_iters == 1
+    # the table holds the run's keys only: no command has keys of its own
+    assert len(config._KEYS) == 20
+    assert not [key for key in config._KEYS if key.startswith(("stability.", "convergence."))]
     # the removed initial-state knob, magnetic-current sign, indefinite
-    # opt-in, stability k grid and convergence time and step (now steps * dt
-    # and dt) are unknown keys
+    # opt-in, stability k grid and dt factors, and convergence time, step,
+    # levels and mode numbers (now steps * dt, dt, 3 and the (1, 1) mode)
+    # are unknown keys
     for i, (key, value) in enumerate((("flags.initial_constraint", "warn"),
                                       ("flags.jm_sign", "-1"),
                                       ("flags.allow_indefinite", "true"),
                                       ("stability.k_samples", "64"),
+                                      ("stability.dt_factors", "1e-3,1,1e3"),
                                       ("convergence.time", "1.28"),
-                                      ("convergence.dt0", "0.016"))):
+                                      ("convergence.dt0", "0.016"),
+                                      ("convergence.levels", "3"),
+                                      ("convergence.m", "1"),
+                                      ("convergence.n", "1"))):
         with pytest.raises(config.ConfigError, match="unknown config keys"):
             config.load_config(write_cfg(tmp_path / f"b{i}.cfg", **{key: value}))
 
@@ -180,12 +183,10 @@ def test_removed_second_spellings(tmp_path, icosphere1, icosphere1_metrics):
 
 def test_range_rules_fail_before_output(tmp_path, capsys):
     for i, (command, overrides, message) in enumerate((
-            ("stability", {"stability.dt_factors": "-1,1"},
-             "stability.dt_factors must be nonempty and positive"),
-            ("convergence", {"convergence.m": "0"}, "must be >= 1"),
-            # one level would fit an order through one point
-            ("convergence", {"convergence.levels": "1"}, "convergence.levels must be 2 or 3"),
-            # and no steps would fit it through errors of zero
+            ("run", {"solver.max_iters": "0"}, "solver.max_iters must be at least 1"),
+            ("stability", {**UNDRIVEN, "solver.max_iters": "0"},
+             "solver.max_iters must be at least 1"),
+            # no steps would fit an order through errors of zero
             ("convergence", {**CAVITY, "steps": "0"},
              "the convergence time (steps * dt) must be positive, got 0.0"))):
         out = tmp_path / f"{command}{i}"
@@ -501,15 +502,34 @@ def test_stability_command(tmp_path, capsys):
 
 
 def test_stability_sweeps_multiples_of_the_run_dt(tmp_path, capsys):
-    """growth.csv's dt column is stability.dt_factors times the config's dt,
-    exactly, so factor 1 is the step that ``decem run`` takes."""
+    """growth.csv's dt column is dt/1000, dt and 1000 dt for the config's
+    dt, exactly, so the middle one is the step that ``decem run`` takes."""
     out = tmp_path / "out"
-    path = write_cfg(tmp_path / "a.cfg", **{
-        "stability.dt_factors": "1e-3,1,0.3,1e3", "output.directory": str(out)})
+    path = write_cfg(tmp_path / "a.cfg", **{**UNDRIVEN, "output.directory": str(out)})
     assert cli.main(["stability", path]) == 0
     rows = (out / "growth.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[-1]) for row in rows] == [
-        f * 0.05 for f in (1e-3, 1.0, 0.3, 1e3) for _ in ("lowest", "highest")]
+        f * 0.05 for f in (1e-3, 1.0, 1e3) for _ in ("lowest", "highest")]
+
+
+@pytest.mark.parametrize("overrides,named", [
+    ({"probe.p0.quantity": None, "probe.p0.index": None, "source.support": "99999"},
+     "source.kind = gaussian_pulse"),
+    ({"source.kind": None, "probe.p0.index": "99999"}, "probe.p0"),
+    ({"source.support": "99999", "probe.p0.index": "99999"},
+     "source.kind = gaussian_pulse, probe.p0"),
+], ids=["source", "probe", "both"])
+def test_stability_refuses_settings_it_cannot_run(overrides, named, tmp_path, capsys):
+    """The analysis steps no source and records no probes, so a source or a
+    probe it would ignore, here with indices that no run would take, is one
+    error, naming each setting, before any output."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(out), **overrides})
+    assert cli.main(["stability", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: decem stability analyses the source-free operator")
+    assert err.rstrip().endswith(f"it cannot take {named}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ratio,code", [(-1e-13, 0), (-1e-11, 2)])
@@ -530,7 +550,7 @@ def test_stability_refuses_a_negative_lowest_eigenvalue(ratio, code, tmp_path, c
 
     monkeypatch.setattr(analysis.spla, "eigsh", shifted)
     out = tmp_path / "out"
-    path = write_cfg(tmp_path / "a.cfg", **{"output.directory": str(out)})
+    path = write_cfg(tmp_path / "a.cfg", **{**UNDRIVEN, "output.directory": str(out)})
     assert cli.main(["stability", path]) == code
     if code:
         assert capsys.readouterr().err.startswith("error: indefinite operator: lambda_min ")
@@ -541,18 +561,19 @@ def test_stability_refuses_a_negative_lowest_eigenvalue(ratio, code, tmp_path, c
 
 
 def test_convergence_command_quick(tmp_path, capsys):
+    """Three levels, each run at its dt, and the two coarser dts again on
+    the finest mesh."""
     cfg = tmp_path / "conv.cfg"
     cfg.write_text(
         "mesh_path = cavity_1.obj\nmode = TM\ndt = 0.016\nsteps = 80\n"
-        "material.eps = 1.0\nmaterial.mu = 1.0\n"
-        "convergence.levels = 2\nsolver.kind = direct\n"
+        "material.eps = 1.0\nmaterial.mu = 1.0\nsolver.kind = direct\n"
     )
     rc = cli.main(["convergence", str(cfg), "--output-dir", str(tmp_path / "conv")])
     assert rc == 0
     assert "observed order" in capsys.readouterr().out
     table = (tmp_path / "conv" / "errors.csv").read_text().splitlines()
     assert table[0] == "study,h,dt,error"
-    assert len(table) == 1 + 2 + 2
+    assert len(table) == 1 + 3 + 3
 
 
 @pytest.mark.parametrize("overrides,named", [
@@ -569,7 +590,7 @@ def test_convergence_refuses_settings_it_cannot_run(overrides, named, tmp_path, 
     it would ignore is one error, naming the setting, before any output."""
     out = tmp_path / "conv"
     path = write_cfg(tmp_path / "conv.cfg", **{
-        **CAVITY, "convergence.levels": "2", "output.directory": str(out), **overrides})
+        **CAVITY, "output.directory": str(out), **overrides})
     assert cli.main(["convergence", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: decem convergence runs the lossless TM cavity")
@@ -582,8 +603,7 @@ def test_convergence_passes_the_cg_cap(tmp_path, capsys):
     converge, so the command exits 2 before any output exists."""
     out = tmp_path / "conv"
     path = write_cfg(tmp_path / "conv.cfg", **{
-        **CAVITY, "convergence.levels": "2",
-        "solver.kind": "cg", "solver.max_iters": "1", "output.directory": str(out)})
+        **CAVITY, "solver.kind": "cg", "solver.max_iters": "1", "output.directory": str(out)})
     assert cli.main(["convergence", path]) == 2
     assert "iterative solve failed to converge in 1 iterations" in capsys.readouterr().err
     assert not out.exists()
@@ -591,7 +611,7 @@ def test_convergence_passes_the_cg_cap(tmp_path, capsys):
 
 def test_convergence_refines_the_configured_mesh(tmp_path, capsys):
     """Level 0 is mesh_path itself: a sphere is refused before any output,
-    and cavity_2 runs the levels cavity_2 and cavity_3."""
+    and cavity_2 runs the levels cavity_2, cavity_3 and cavity_3 refined."""
     out = tmp_path / "sphere"
     path = write_cfg(tmp_path / "sphere.cfg", **{
         **CAVITY, "mesh_path": "icosphere_1.obj", "output.directory": str(out)})
@@ -602,13 +622,16 @@ def test_convergence_refines_the_configured_mesh(tmp_path, capsys):
     out = tmp_path / "cavity_2"
     path = write_cfg(tmp_path / "cavity_2.cfg", **{
         **CAVITY, "mesh_path": "cavity_2.obj", "dt": "0.016", "steps": "2",
-        "convergence.levels": "2", "output.directory": str(out)})
+        "output.directory": str(out)})
     assert cli.main(["convergence", path]) == 0
-    rows = (out / "errors.csv").read_text().splitlines()[1:3]
-    h = [float(mesh.compute_dual_metrics(bundled.bundled_surface(name)).edge_len.max())
-         for name in ("cavity_2.obj", "cavity_3.obj")]
+    rows = (out / "errors.csv").read_text().splitlines()[1:4]
+    cavity_3 = bundled.bundled_surface("cavity_3.obj")
+    levels = [bundled.bundled_surface("cavity_2.obj"), cavity_3,
+              mesh.from_arrays(*mesh.subdivide(cavity_3.vertices, cavity_3.faces, False))]
+    h = [float(mesh.compute_dual_metrics(s).edge_len.max()) for s in levels]
     assert [row.split(",")[:3] for row in rows] == [
-        ["joint", repr(h[0]), "0.016"], ["joint", repr(h[1]), "0.008"]]
+        ["joint", repr(h[0]), "0.016"], ["joint", repr(h[1]), "0.008"],
+        ["joint", repr(h[2]), "0.004"]]
 
 
 def test_convergence_direct_matches_cg_orders(tmp_path, capsys):
@@ -710,7 +733,7 @@ def test_stability_refuses_a_nonpositive_dual_edge(tmp_path, capsys, jittered_ca
     nonpositive = mesh.compute_dual_metrics(jittered_cavity).dual_edge_len <= 0
     for mode in ("TE", "TM"):
         path = write_cfg(tmp_path / f"{mode}.cfg", mode=mode, **{
-            "mesh_path": str(obj), "output.directory": str(out)})
+            **UNDRIVEN, "mesh_path": str(obj), "output.directory": str(out)})
         active = nonpositive & ~jittered_cavity.boundary if mode == "TE" else nonpositive
         assert np.argmax(active) == np.argmax(nonpositive) == 274
         with warnings.catch_warnings():
@@ -736,8 +759,7 @@ def test_stability_and_run_accept_the_same_meshes(mode, tmp_path, capsys):
     assert surface.boundary[5] and np.flatnonzero(dual <= 0).tolist() == [5]
     out = tmp_path / "out"
     path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
-        "mesh_path": str(obj), "output.directory": str(out),
-        "source.kind": "none", "probe.p0.quantity": None, "probe.p0.index": None})
+        **UNDRIVEN, "mesh_path": str(obj), "output.directory": str(out)})
     code = 0 if mode == "TE" else 2
     assert cli.main(["stability", path]) == code
     captured = capsys.readouterr()

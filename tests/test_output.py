@@ -354,7 +354,7 @@ def test_compare_outputs_tool(tmp_path, capsys):
     conv = tmp_path / "conv.cfg"
     conv.write_text(
         "mesh_path = cavity_1.obj\nmode = TM\ndt = 0.016\nsteps = 4\nmaterial.eps = 1\n"
-        "material.mu = 1\nconvergence.levels = 2\n")
+        "material.mu = 1\n")
     assert tool.main([src, src, str(conv), "--command", "convergence"]) == 0
     assert "2 files" in capsys.readouterr().out
     assert tool.absolute_difference("-0.0", "0.0") == 0.0

@@ -121,7 +121,7 @@ def test_direct_has_no_size_limit_and_agrees_with_cg():
     direct = solver.assemble(s, m, mats, dt=0.1, solver="direct")
     cg = solver.assemble(s, m, mats, dt=0.1, solver="cg")
     assert face_system(direct).shape[0] == 2048
-    e0, _ = analysis.cavity_mode_fields(s, 0.0, 1, 1, 1.0, 1.0)
+    e0, _ = analysis.cavity_mode_fields(s, 0.0, 1.0, 1.0)
     state = solver.initial_state("TM", s, e=e0)
     a = solver.step(direct, state)
     b = solver.step(cg, state)
