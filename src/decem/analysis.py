@@ -151,15 +151,19 @@ def stability_sweep(
     shift-invert at -1e-3 lambda_max, both from a vector of ones, so that
     they are reproducible; a lambda_min within 1e-12 lambda_max of zero is
     roundoff on the static mode and becomes 0.0.  A lower one raises
-    ``SolverError``: ``assemble`` refuses every operator that has one.
+    ``SolverError``: ``assemble`` refuses every operator that has one.  A
+    zero K (TE with no interior edge) makes every mode static, lambda = 0.
     """
     dt_list = np.atleast_1d(np.asarray(dt_list, dtype=float))
     lossless, C, scale = _modal_operator(surface, metrics, materials)
     if C.shape[0] < 2:
         raise ValueError("the operator analysis needs at least two faces")
     v0 = np.ones(C.shape[0])
-    (lam_max,), top = spla.eigsh(C, k=1, which="LA", v0=v0)
-    lam_min = spla.eigsh(C, k=1, sigma=-1e-3 * lam_max, v0=v0, return_eigenvectors=False)[0]
+    if C.data.any():
+        (lam_max,), top = spla.eigsh(C, k=1, which="LA", v0=v0)
+        lam_min = spla.eigsh(C, k=1, sigma=-1e-3 * lam_max, v0=v0, return_eigenvectors=False)[0]
+    else:   # K = 0 (TE with every edge PEC): every face mode is static
+        lam_max, lam_min, top = 0.0, 0.0, v0[:, None]
     if lam_min < -1e-12 * lam_max:
         raise sv.SolverError(f"indefinite operator: lambda_min {lam_min:.6g} "
                              f"< -1e-12 lambda_max {lam_max:.6g}")

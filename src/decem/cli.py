@@ -78,7 +78,7 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
         if initial is not None and initial.mode != cfg.mode:
             raise ConfigError(f"initial state is {initial.mode} but the run is {cfg.mode}")
         surface = load_obj(cfg.mesh_path)
-        materials = cfg.validate_against(surface)
+        materials = cfg.materials(surface)
         metrics = compute_dual_metrics(surface)
         stepper = sv.assemble(
             surface, metrics, materials, cfg.dt,
@@ -167,9 +167,9 @@ def _cmd_stability(args) -> int:
     _apply_overrides(cfg, args)
     _refuse(cfg, "decem stability analyses the source-free operator and records no probes")
     surface = load_obj(cfg.mesh_path)
-    metrics = compute_dual_metrics(surface)
+    materials = cfg.materials(surface)
     dt_list = [f * cfg.dt for f in STABILITY_DT_FACTORS]
-    report = analysis.stability_sweep(surface, metrics, cfg.materials(surface), dt_list)
+    report = analysis.stability_sweep(surface, compute_dual_metrics(surface), materials, dt_list)
     os.makedirs(cfg.output_dir, exist_ok=True)
     output.write_growth_csv(os.path.join(cfg.output_dir, "growth.csv"), report)
     summary = report.summary()

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bundled
-from .solver import EPS0, MU0, MaterialParams, SourceSpec, polarization
+from .solver import EPS0, MU0, MaterialParams, SourceSpec, check_indices, polarization
 
 __all__ = ["ConfigError", "RunConfig", "ProbeSpec", "parse_kv_file", "load_config"]
 
@@ -144,38 +144,22 @@ class RunConfig:
 
     def materials(self, surface) -> MaterialParams:
         """Per-face material arrays from uniform values plus region overrides,
-        placed for the configured polarization."""
-        nf = surface.n_faces
-        values = {q: np.full(nf, getattr(self, q)) for q in ("eps", "mu", "sigma", "sigma_m")}
-        for name, faces, over in self.regions:
-            faces = np.asarray(faces, dtype=int)
-            bad = faces[(faces < 0) | (faces >= nf)]
-            if bad.size:
-                raise ConfigError(
-                    f"region.{name}.faces: face index {int(bad[0])} out of "
-                    f"range (mesh has {nf})"
-                )
+        placed for the configured polarization.  This is where a config meets
+        its mesh: first every source, probe and region index is checked
+        against its carrier, by one ``ConfigError`` that names the key."""
+        pol, source = polarization(self.mode), self.source
+        carried = [("source.support", source.support, pol.on_edges(source.target))]
+        carried += [(f"probe.{p.name}.index", [p.index], pol.on_edges(p.quantity))
+                    for p in self.probes]
+        carried += [(f"region.{name}.faces", faces, False) for name, faces, _ in self.regions]
+        for key, indices, on_edges in carried:
+            check_indices(key, indices, surface, on_edges, ConfigError)
+        values = {q: np.full(surface.n_faces, getattr(self, q))
+                  for q in ("eps", "mu", "sigma", "sigma_m")}
+        for _, faces, over in self.regions:
             for quantity, value in over.items():
                 values[quantity][faces] = value
         return MaterialParams.from_face_values(self.mode, surface, **values)
-
-    def validate_against(self, surface) -> MaterialParams:
-        """Index validation before any compute; returns ``materials(surface)``
-        so that a run builds its materials once."""
-        try:
-            self.source.validate(surface, self.mode)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        for probe in self.probes:
-            on_edges = polarization(self.mode).on_edges(probe.quantity)
-            limit = surface.n_edges if on_edges else surface.n_faces
-            if not (0 <= probe.index < limit):
-                carrier = "edge" if on_edges else "face"
-                raise ConfigError(
-                    f"probe {probe.name}: {carrier} index {probe.index} out of "
-                    f"range (mesh has {limit})"
-                )
-        return self.materials(surface)
 
 
 # key: (the dataclass it sets, its field, the parser of its text)

@@ -201,11 +201,16 @@ def _incidence(vertices, faces):
 
 
 def from_arrays(vertices, faces) -> SimplicialSurface:
-    """Build a surface from raw vertex/face arrays (used by loaders and tests)."""
+    """Build a surface from raw vertex/face arrays (used by loaders and tests);
+    a nan or infinite coordinate is a :class:`MeshError`, as is bad incidence."""
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     faces = np.ascontiguousarray(faces, dtype=np.int64)
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise MeshError("vertices must be an (V, 3) array")
+    nonfinite = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if nonfinite.size:
+        raise MeshError(f"vertex {nonfinite[0]} has a non-finite coordinate: "
+                        f"{vertices[nonfinite[0]].tolist()}")
     if faces.ndim != 2 or faces.shape[1] != 3:
         raise MeshError("faces must be an (F, 3) array of vertex triples")
     if faces.size and (faces.min() < 0 or faces.max() >= vertices.shape[0]):

@@ -64,6 +64,7 @@ __all__ = [
     "MaterialParams",
     "FieldState",
     "SourceSpec",
+    "check_indices",
     "ImplicitStepper",
     "assemble",
     "step",
@@ -121,12 +122,21 @@ def polarization(mode: str) -> Polarization:
     return _POLARIZATIONS[mode]
 
 
+def check_indices(key: str, indices, surface: SimplicialSurface, on_edges: bool,
+                  error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``key`` if an index is no edge (``on_edges``) or face."""
+    limit, carrier = (surface.n_edges, "edge") if on_edges else (surface.n_faces, "face")
+    indices = np.asarray(indices, dtype=int)
+    bad = indices[(indices < 0) | (indices >= limit)]
+    if bad.size:
+        raise error(f"{key}: {carrier} index {int(bad[0])} out of range (mesh has {limit})")
+
+
 def _edge_values_from_faces(surface: SimplicialSurface, face_values: np.ndarray):
     """Average a per-face quantity onto edges (mean of incident faces)."""
-    absd1 = abs(surface.d1)
-    total = absd1.T @ face_values
-    count = absd1.T @ np.ones(surface.n_faces)
-    return total / count
+    edges = surface.face_edges.ravel()
+    total = np.bincount(edges, np.repeat(face_values, 3), surface.n_edges)
+    return total / np.bincount(edges, minlength=surface.n_edges)
 
 
 @dataclass(frozen=True)
@@ -220,8 +230,8 @@ class SourceSpec:
     converse).  ``amplitude`` is a pointwise density; the stepper integrates
     it over the carrier measure.  The pulse is
     ``amplitude * exp(-(t - t0)^2 / (2 width^2))``, evaluated at half steps.
-    ``support`` lists distinct carrier indices: a step subtracts the current
-    by one indexed update, which would apply a repeated index once.
+    ``support`` lists distinct nonnegative carrier indices, since a step's one
+    indexed update would apply a repeated index once and wrap a negative one.
     """
 
     kind: str = "none"
@@ -241,6 +251,9 @@ class SourceSpec:
         if self.kind != "none" and not self.width > 0:
             raise ValueError("source width must be positive")
         self.support = np.asarray(self.support, dtype=int)
+        negative = self.support[self.support < 0]
+        if negative.size:
+            raise ValueError(f"source.support: negative index {int(negative[0])}")
         index, count = np.unique(self.support, return_counts=True)
         if (count > 1).any():
             raise ValueError(
@@ -253,17 +266,8 @@ class SourceSpec:
         return self.amplitude * float(np.exp(-0.5 * arg * arg))
 
     def validate(self, surface: SimplicialSurface, mode: str) -> None:
-        if self.kind == "none" or self.support.size == 0:
-            return
-        on_edges = polarization(mode).on_edges(self.target)
-        limit = surface.n_edges if on_edges else surface.n_faces
-        bad = (self.support < 0) | (self.support >= limit)
-        if bad.any():
-            carrier = "edge" if on_edges else "face"
-            raise ValueError(
-                f"source support {carrier} index {int(self.support[bad][0])} "
-                f"out of range (mesh has {limit})"
-            )
+        check_indices("source.support", self.support, surface,
+                      polarization(mode).on_edges(self.target))
 
 
 @dataclass(frozen=True)

@@ -774,6 +774,47 @@ def test_stability_and_run_accept_the_same_meshes(mode, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("mode,lam", [("TE", 0.0), ("TM", 26.2564)])
+def test_stability_on_a_mesh_with_no_interior_edge(mode, lam, tmp_path, capsys):
+    """Two disjoint triangles: in TE every edge is PEC, so K = 0 and every
+    face mode is static (lambda = 0, |xi| = 1) without an eigensolve; in TM
+    both modes have the one lambda of the two equal faces.  Both commands
+    accept the mesh in both modes."""
+    obj = tmp_path / "two.obj"
+    obj.write_text("v 0 0 0\nv 1 0 0\nv 0.5 0.8 0\nv 3 0 0\nv 4 0 0\nv 3.5 0.8 0\n"
+                   "f 1 2 3\nf 4 5 6\n")
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
+        **UNDRIVEN, "mesh_path": str(obj), "output.directory": str(out)})
+    assert cli.main(["stability", path]) == 0
+    summary = capsys.readouterr().out
+    assert f"lambda in [{lam:.6g}, {lam:.6g}]" in summary
+    rows = [row.split(",") for row in (out / "growth.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 6 and {round(float(row[1]), 4) for row in rows} == {lam}
+    if mode == "TE":
+        assert {row[3] for row in rows} == {"1.0"}
+        assert "max |w1 - v/(1+M)|=0.0e+00" in summary
+    assert cli.main(["run", path, "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_vertex_is_one_error(value, tmp_path, capsys):
+    """A non-finite coordinate fails ``check-mesh`` and ``run`` with one
+    ``error:`` line, before ``run`` creates its output directory."""
+    obj = tmp_path / "bad.obj"
+    obj.write_text(f"v 0 0 0\nv 1 0 0\nv 0.5 {value} 0\nf 1 2 3\n")
+    message = f"error: vertex 2 has a non-finite coordinate: [0.5, {value}, 0.0]\n"
+    assert cli.main(["check-mesh", str(obj)]) == 2
+    assert capsys.readouterr() == ("", message)
+    out = tmp_path / "out"
+    for mode in ("TE", "TM"):
+        path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
+            **UNDRIVEN, "mesh_path": str(obj), "output.directory": str(out)})
+        assert cli.main(["run", path, "--quiet"]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
 def test_run_without_snapshots_imports_no_text_kernel(tmp_path):
     """A zero-step run that writes no snapshot, the shape of the benchmark's
     set-up runs, does not import the number-formatting kernel in a fresh
@@ -894,7 +935,11 @@ def test_demo_sphere_config_loads():
     cfg = config.load_config(bundled.bundled_path("demo_sphere_te.cfg"))
     assert cfg.mode == "TE"
     surface = bundled.bundled_surface("icosphere_3.obj")
-    cfg.validate_against(surface)
+    assert cfg.materials(surface).mode == "TE"
+
+
+def no_metrics(*args, **kwargs):
+    raise AssertionError("dual metrics computed before the index check")
 
 
 def test_region_range_error_names_offending_index(tmp_path, monkeypatch):
@@ -906,12 +951,45 @@ def test_region_range_error_names_offending_index(tmp_path, monkeypatch):
     surface = bundled.bundled_surface("icosphere_3.obj")
     with pytest.raises(config.ConfigError, match=r"face index -1 out of range \(mesh has 1280\)"):
         cfg.materials(surface)
-
-    def no_metrics(*args, **kwargs):
-        raise AssertionError("dual metrics computed before the region check")
-
     monkeypatch.setattr(cli, "compute_dual_metrics", no_metrics)
     assert cli.main(["run", path, "--quiet"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,index,message", [
+    ("source.support", "-1", "negative index -1"),
+    ("source.support", "80", "face index 80 out of range (mesh has 80)"),
+    ("probe.p0.index", "-1", "edge index -1 out of range (mesh has 120)"),
+    ("probe.p0.index", "120", "edge index 120 out of range (mesh has 120)"),
+    ("region.x.faces", "-1", "face index -1 out of range (mesh has 80)"),
+    ("region.x.faces", "80", "face index 80 out of range (mesh has 80)"),
+])
+def test_index_out_of_range_names_its_key(key, index, message, tmp_path, capsys, monkeypatch):
+    """Each index a config names, at -1 and at its carrier's count on
+    icosphere_1 (80 faces, 120 edges; a TE e probe is on edges), is refused
+    by one error that names its key, before the dual metrics and before
+    any output exists."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        "probe.p0.quantity": "e", "region.x.sigma": "0.5", "region.x.faces": "3",
+        key: index, "output.directory": str(out)})
+    monkeypatch.setattr(cli, "compute_dual_metrics", no_metrics)
+    assert cli.main(["run", path, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {key}: {message}\n"
+    assert not out.exists()
+
+
+def test_stability_checks_region_indices_before_the_metrics(tmp_path, capsys, monkeypatch):
+    """``decem stability`` meets its mesh as a run does: a region index out
+    of range is refused before the dual metrics and before any output."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        **UNDRIVEN, "region.x.faces": "0,80", "region.x.eps": "2.0",
+        "output.directory": str(out)})
+    monkeypatch.setattr(cli, "compute_dual_metrics", no_metrics)
+    assert cli.main(["stability", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: region.x.faces: face index 80 out of range (mesh has 80)\n")
     assert not out.exists()
 
 
@@ -968,10 +1046,15 @@ def test_tm_run_end_to_end(tmp_path):
 
 
 def test_source_index_error_is_config_error(tmp_path):
-    cfg = config.load_config(write_cfg(tmp_path / "a.cfg", **{"source.support": "999"}))
+    """A support index off the mesh is an error whether or not the source
+    is switched on, as a negative or repeated one is."""
     surface = bundled.bundled_surface("icosphere_1.obj")
-    with pytest.raises(config.ConfigError, match=r"source support face index 999 out of range"):
-        cfg.validate_against(surface)
+    for kind in ("gaussian_pulse", "none"):
+        cfg = config.load_config(write_cfg(tmp_path / "a.cfg", **{
+            "source.kind": kind, "source.support": "999"}))
+        with pytest.raises(config.ConfigError,
+                           match=r"^source\.support: face index 999 out of range \(mesh has 80\)$"):
+            cfg.materials(surface)
 
 
 def test_main_freezes_the_import_graph(tmp_path):

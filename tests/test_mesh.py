@@ -151,6 +151,19 @@ def test_square_diagonal_zero_dual_edge():
         mesh.compute_dual_metrics(s)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_vertex_rejected(tmp_path, value):
+    """A nan or infinite coordinate is refused at load, naming the first
+    such vertex, before any geometry divides by it."""
+    vertices = [[0, 0, 0], [1, 0, 0], [0.5, float(value), 0], [0.5, 0, float(value)]]
+    message = r"^vertex 2 has a non-finite coordinate: \[0.5, -?(nan|inf), 0.0\]$"
+    with pytest.raises(mesh.MeshError, match=message):
+        mesh.from_arrays(vertices, [[0, 1, 2], [0, 3, 1]])
+    path = write_obj_text(tmp_path, f"{TRIANGLE}v 0.5 {value} 0\nf 1 2 4\nf 1 4 3\n")
+    with pytest.raises(mesh.MeshError, match=r"^vertex 3 has a non-finite coordinate"):
+        mesh.load_obj(path)
+
+
 def test_degenerate_face_rejected():
     s = mesh.from_arrays([[0, 0, 0], [1, 0, 0], [2, 0, 1e-16]], [[0, 1, 2]])
     with pytest.raises(mesh.MeshError, match="degenerate face"):

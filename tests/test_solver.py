@@ -97,6 +97,15 @@ def test_repeated_support_index_rejected():
         solver.SourceSpec(kind="gaussian_pulse", support=[5, 3, 0, 3])
 
 
+@pytest.mark.parametrize("support,first", [([-1], -1), ([-1, 79], -1), ([4, -3, -1], -3)])
+def test_negative_support_index_rejected(support, first):
+    """A negative index would wrap to a carrier counted from the end, so
+    that -1 and 79 drive the same face of a mesh with 80: the support
+    refuses it, naming the first, without a mesh."""
+    with pytest.raises(ValueError, match=f"^source.support: negative index {first}$"):
+        solver.SourceSpec(kind="gaussian_pulse", support=support)
+
+
 def test_indefinite_rejected():
     """A nonpositive active dual edge is refused by every solver: no option
     runs the indefinite system."""
@@ -382,6 +391,8 @@ def test_source_validation(icosphere1):
                             width=0.1, support=[10_000])
     with pytest.raises(ValueError, match="out of range"):
         src.validate(icosphere1, "TE")
+    with pytest.raises(ValueError, match=r"^source.support: edge index 120 out of range"):
+        solver.SourceSpec(support=[120]).validate(icosphere1, "TE")
     with pytest.raises(ValueError, match="width"):
         solver.SourceSpec(kind="gaussian_pulse", width=0.0)
     with pytest.raises(ValueError, match="target"):
