@@ -109,7 +109,7 @@ def _formats(value: str, key: str) -> tuple:
     formats = tuple(tok.strip() for tok in value.split(",") if tok.strip())
     for fmt in formats:
         if fmt not in ("vtk", "csv"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+            raise ConfigError(f"{key}: unknown output format {fmt!r}")
     return formats
 
 

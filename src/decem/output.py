@@ -1,15 +1,15 @@
 """Snapshot, probe and report writers.
 
-VTK files are legacy ASCII unstructured grids for external viewers; the
-per-element CSV files are the exact regression contract (floats written with
-shortest round-trip repr, fixed iteration order, no timestamps, so identical
-runs produce byte-identical files).
+VTK files are legacy binary unstructured grids (big-endian, as VTK's
+legacy reader expects) for external viewers; the per-element CSV files are
+the exact regression contract (floats written with shortest round-trip repr,
+fixed iteration order, no timestamps, so identical runs produce
+byte-identical files).
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 
 import numpy as np
 
@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 
-# Numbers per block of text (one kernel pass) in the writers, and so faces
-# per block of Whitney vectors: it bounds every temporary.
+# Numbers per block of CSV text (one kernel pass), and so faces per block of
+# Whitney vectors: it bounds every temporary.
 TEXT_BLOCK_NUMBERS = 8192
 
 
@@ -50,7 +50,7 @@ def _whitney_blocks(surface: SimplicialSurface, edge_values: np.ndarray):
         arms = ((p[:, 0] + p[:, 1] + p[:, 2]) / 3)[:, None] - p[:, [2, 0, 1]]
         vectors = (np.cross(normal, np.einsum("fk,fkx->fx", values, arms))
                    / np.einsum("fx,fx->f", normal, normal)[:, None])
-        vectors += 0.0   # +0.0 where a component is -0.0, which would print as -0.0
+        vectors += 0.0   # +0.0 for -0.0: the bits that a state at rest writes
         del f, p, normal, values, arms   # not held while the caller writes the block
         yield vectors
 
@@ -64,7 +64,7 @@ def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) ->
     normal (p1 - p0) x (p2 - p0) and the sign of the value flipped where the
     canonical (low->high) orientation runs from k+1 to k.  This reproduces
     constant tangential fields exactly.  Faces are processed in blocks of
-    ``TEXT_BLOCK_NUMBERS // 3``, as the VTK writer takes them, so that the
+    ``TEXT_BLOCK_NUMBERS // 3``, as the VTK writer writes them, so that the
     (faces, 3, 3) temporaries stay small; every face's arithmetic is the same
     as in one pass over all faces.
     """
@@ -85,48 +85,39 @@ def _blocks(row: str, *columns):
         yield render(row, *(column[start:start + step] for column in columns))
 
 
-# The VTK geometry text of each surface that wrote a snapshot; an entry
-# dies with its surface.
-_GEOMETRY_TEXT = weakref.WeakKeyDictionary()
-
-
-def _vtk_geometry(surface: SimplicialSurface) -> tuple[str, ...]:
-    """The ``ASCII`` ... ``CELL_TYPES`` text of a snapshot.  It depends only
-    on the surface, so ``write_vtk_snapshot`` formats it at a surface's
-    first snapshot and keeps it in ``_GEOMETRY_TEXT`` for its later ones."""
-    nf = surface.n_faces
-    parts = [f"ASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {surface.n_vertices} double\n"]
-    parts += _blocks("%r %r %r\n", *np.asarray(surface.vertices, dtype=np.float64).T)
-    parts.append(f"CELLS {nf} {4 * nf}\n")
-    parts += _blocks("3 %d %d %d\n", *np.asarray(surface.faces, dtype=np.int64).T)
-    parts.append(f"CELL_TYPES {nf}\n" + "5\n" * nf)
-    return tuple(parts)
-
-
 def write_vtk_snapshot(path, surface: SimplicialSurface, state: FieldState) -> None:
-    """Legacy ASCII VTK unstructured grid with the face scalar (TE: h,
+    """Legacy binary VTK unstructured grid with the face scalar (TE: h,
     TM: e) and the Whitney vector reconstruction of the edge field.
 
-    The vectors are computed and written a block of ``TEXT_BLOCK_NUMBERS //
-    3`` faces at a time, one kernel pass each, so that no (faces, 3) array
-    is held; their text is that of ``whitney_face_vectors``."""
+    Each array follows its keyword line as big-endian bytes (``double`` as
+    float64, ``int`` as int32) and one newline.  The vectors are computed
+    and written a block of ``TEXT_BLOCK_NUMBERS // 3`` faces at a time, so
+    that no (faces, 3) array is held; their bits are those of
+    ``whitney_face_vectors``."""
     pol = polarization(state.mode)
     edge_field, face_scalar = pol.place(state.e, state.h)
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\ndecem snapshot\n")
-        geometry = _GEOMETRY_TEXT.get(surface)
-        if geometry is None:
-            geometry = _GEOMETRY_TEXT[surface] = _vtk_geometry(surface)
-        fh.writelines(geometry)
-        fh.write(f"CELL_DATA {surface.n_faces}\n"
-                 f"SCALARS {pol.face_field} double 1\nLOOKUP_TABLE default\n")
-        fh.writelines(_blocks("%r\n", np.asarray(face_scalar, dtype=np.float64)))
-        fh.write(f"VECTORS {pol.edge_field}_vec double\n")
+    nf = surface.n_faces
+    cells = np.empty((nf, 4), dtype=">i4")
+    cells[:, 0] = 3
+    cells[:, 1:] = surface.faces
+    with open(path, "wb") as fh:
+        fh.write(f"# vtk DataFile Version 3.0\ndecem snapshot\nBINARY\n"
+                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {surface.n_vertices} double\n".encode())
+        fh.write(np.asarray(surface.vertices, dtype=">f8"))
+        fh.write(f"\nCELLS {nf} {4 * nf}\n".encode())
+        fh.write(cells)
+        fh.write(f"\nCELL_TYPES {nf}\n".encode())
+        fh.write(np.full(nf, 5, dtype=">i4"))
+        fh.write(f"\nCELL_DATA {nf}\nSCALARS {pol.face_field} double 1\n"
+                 f"LOOKUP_TABLE default\n".encode())
+        fh.write(np.asarray(face_scalar, dtype=">f8"))
+        fh.write(f"\nVECTORS {pol.edge_field}_vec double\n".encode())
         if np.any(edge_field):
             for vectors in _whitney_blocks(surface, edge_field):
-                fh.writelines(_blocks("%r %r %r\n", *vectors.T))
+                fh.write(vectors.astype(">f8"))
         else:   # a state at rest: the +0.0 vectors that the reconstruction would give
-            fh.write("0.0 0.0 0.0\n" * surface.n_faces)
+            fh.write(bytes(24 * nf))
+        fh.write(b"\n")
 
 
 def write_csv_snapshot(path, state: FieldState) -> None:

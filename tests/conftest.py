@@ -1,6 +1,7 @@
 import gc
 import importlib.util
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,61 @@ def unfreeze_gc():
     after each test so that the suite's own garbage stays collectable."""
     yield
     gc.unfreeze()
+
+
+def read_binary_vtk(path):
+    """The arrays of a binary legacy VTK snapshot, read strictly.  Each
+    keyword line must be the next one of the writer's layout, each array
+    exactly the big-endian bytes that its keyword line announces followed by
+    one newline, and the file must end after the last one.  Returns the
+    arrays by name: ``points`` (V, 3), ``cells`` (F, 4), ``cell_types``
+    (F,), the face scalar under its field name and the vectors under
+    ``<edge field>_vec``, as read (big-endian dtypes)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    at = 0
+
+    def line(pattern):
+        nonlocal at
+        end = data.index(b"\n", at)
+        match = re.fullmatch(pattern, data[at:end].decode("ascii"))
+        assert match, (data[at:end], pattern)
+        at = end + 1
+        return [int(g) if g.isdigit() else g for g in match.groups()]
+
+    def array(count, dtype):
+        nonlocal at
+        stop = at + count * np.dtype(dtype).itemsize
+        assert data[stop:stop + 1] == b"\n", f"no newline after {count} {dtype} at {at}"
+        values = np.frombuffer(data[at:stop], dtype)
+        at = stop + 1
+        return values
+
+    line(r"# vtk DataFile Version 3\.0")
+    line(r"decem snapshot")
+    line(r"BINARY")
+    line(r"DATASET UNSTRUCTURED_GRID")
+    (nv,) = line(r"POINTS (\d+) double")
+    arrays = {"points": array(3 * nv, ">f8").reshape(nv, 3)}
+    nf, size = line(r"CELLS (\d+) (\d+)")
+    assert size == 4 * nf
+    arrays["cells"] = array(size, ">i4").reshape(nf, 4)
+    line(f"CELL_TYPES {nf}")
+    arrays["cell_types"] = array(nf, ">i4")
+    line(f"CELL_DATA {nf}")
+    (scalar,) = line(r"SCALARS ([a-z]+) double 1")
+    line(r"LOOKUP_TABLE default")
+    arrays[scalar] = array(nf, ">f8")
+    (vector,) = line(r"VECTORS ([a-z]+_vec) double")
+    arrays[vector] = array(3 * nf, ">f8").reshape(nf, 3)
+    assert at == len(data), f"{len(data) - at} bytes after the last array"
+    return arrays
+
+
+@pytest.fixture(scope="session")
+def read_vtk():
+    """``read_binary_vtk``, for the tests that check written snapshots."""
+    return read_binary_vtk
 
 
 @pytest.fixture(scope="session")

@@ -251,7 +251,7 @@ def test_criterion_6_stencil_fidelity():
             close(m.face_area[f] / area, 1.0)  # J_m scaling (J |P|)/|P|
 
 
-def test_criterion_7_pulse_on_sphere(tmp_path):
+def test_criterion_7_pulse_on_sphere(tmp_path, read_vtk):
     """The bundled Gaussian-pulse-on-icosphere demo completes with finite
     outputs, bounded energy, and well-formed VTK snapshots."""
     with criterion(7, "Gaussian pulse on the icosphere: finite and bounded"):
@@ -274,19 +274,15 @@ def test_criterion_7_pulse_on_sphere(tmp_path):
         assert (np.diff(tail) <= 1e-8 * tail[:-1]).all()
         assert energies.max() > 0
 
-        # VTK snapshots are structurally valid
+        # VTK snapshots are structurally valid: every keyword in order, each
+        # array exactly the bytes its keyword line announces
         vtks = sorted(p for p in os.listdir(cfg.output_dir) if p.endswith(".vtk"))
         assert len(vtks) == cfg.steps // cfg.cadence + 1
-        with open(os.path.join(cfg.output_dir, vtks[-1])) as fh:
-            text = fh.read().splitlines()
-        n_pts = int(text[4].split()[1])
-        coords = [float(x) for x in " ".join(text[5:5 + n_pts]).split()]
-        assert len(coords) == 3 * n_pts and np.isfinite(coords).all()
-        cells_at = text.index(f"CELLS 1280 5120")
-        assert text[cells_at + 1281].startswith("CELL_TYPES 1280")
-        scalars = text.index("SCALARS h double 1")
-        vals = [float(x) for x in text[scalars + 2:scalars + 2 + 1280]]
-        assert np.isfinite(vals).all()
+        arrays = read_vtk(os.path.join(cfg.output_dir, vtks[-1]))
+        assert arrays["points"].shape == (642, 3) and np.isfinite(arrays["points"]).all()
+        assert arrays["cells"].shape == (1280, 4) and (arrays["cell_types"] == 5).all()
+        assert arrays["h"].shape == (1280,) and np.isfinite(arrays["h"]).all()
+        assert np.isfinite(arrays["e_vec"]).all()
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -92,6 +92,7 @@ def test_config_bad_values(tmp_path):
         ({"source.width": "0"}, "source width must be positive"),
         ({"source.width": "-1"}, "source width must be positive"),
         ({"source.support": "3,7,3"}, "source.support lists index 3 more than once"),
+        ({"output.formats": "vtk,png"}, "output.formats: unknown output format 'png'"),
         # non-finite and out-of-range numbers name their key before any compute
         ({"dt": "nan"}, "dt: expected a finite number, got 'nan'"),
         ({"dt": "inf"}, "dt: expected a finite number, got 'inf'"),
@@ -436,22 +437,18 @@ def test_run_log_energy_and_gauss(mode, tmp_path):
     assert np.isfinite([float(r[vertex_law]) for r in rows]).all()
 
 
-def test_vtk_snapshot_structure(tmp_path):
+def test_vtk_snapshot_structure(tmp_path, read_vtk):
     out = tmp_path / "out"
     path = write_cfg(tmp_path / "a.cfg", steps="4",
                      **{"output.directory": str(out), "output.cadence": "4"})
     assert cli.main(["run", path, "--quiet"]) == 0
-    text = (out / "snapshot_000004.vtk").read_text().splitlines()
-    assert text[0].startswith("# vtk DataFile")
-    assert "ASCII" in text[2]
-    assert text[3] == "DATASET UNSTRUCTURED_GRID"
-    n_points = int(text[4].split()[1])
-    assert n_points == 42
-    idx = text.index(f"CELLS 80 320", 5)
-    assert text[idx + 81].startswith("CELL_TYPES")
-    assert "CELL_DATA 80" in text
-    assert any(l.startswith("SCALARS h double") for l in text)
-    assert any(l.startswith("VECTORS e_vec double") for l in text)
+    vtk = out / "snapshot_000004.vtk"
+    assert vtk.read_bytes().split(b"\n")[2] == b"BINARY"
+    arrays = read_vtk(str(vtk))   # the keywords in order, each array's bytes exactly
+    assert {name: a.shape for name, a in arrays.items()} == {
+        "points": (42, 3), "cells": (80, 4), "cell_types": (80,), "h": (80,),
+        "e_vec": (80, 3)}
+    assert np.isfinite(arrays["h"]).all() and np.abs(arrays["e_vec"]).max() > 0
 
 
 def test_run_determinism(tmp_path):
@@ -815,19 +812,35 @@ def test_nonfinite_vertex_is_one_error(value, tmp_path, capsys):
         assert not out.exists()
 
 
-def test_run_without_snapshots_imports_no_text_kernel(tmp_path):
-    """A zero-step run that writes no snapshot, the shape of the benchmark's
-    set-up runs, does not import the number-formatting kernel in a fresh
-    process, so that set-up time never pays for building its tables."""
-    path = write_cfg(tmp_path / "none.cfg", steps="0", **{
-        "output.formats": "", "output.directory": str(tmp_path / "out_none")})
+def modules_loaded_by_run(path):
+    """Whether ``decem._text`` and ``decem.analysis`` are loaded after
+    ``decem run <path>`` in a fresh process."""
     script = ("import sys; from decem import cli; cli.main(sys.argv[1:]); "
               "print('decem._text' in sys.modules, 'decem.analysis' in sys.modules)")
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     done = subprocess.run([sys.executable, "-c", script, "run", path, "--quiet"],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, check=True)
-    assert done.stdout.split()[-2:] == ["False", "False"]
+    return done.stdout.split()[-2:]
+
+
+def test_run_without_snapshots_imports_no_text_kernel(tmp_path):
+    """A zero-step run that writes no snapshot, the shape of the benchmark's
+    set-up runs, does not import the number-formatting kernel in a fresh
+    process, so that set-up time never pays for building its tables."""
+    path = write_cfg(tmp_path / "none.cfg", steps="0", **{
+        "output.formats": "", "output.directory": str(tmp_path / "out_none")})
+    assert modules_loaded_by_run(path) == ["False", "False"]
+
+
+def test_vtk_only_run_imports_no_text_kernel(tmp_path):
+    """The VTK snapshots are bytes: a run that writes only them never loads
+    the number-formatting kernel, which the CSV snapshots use."""
+    out = tmp_path / "out_vtk"
+    path = write_cfg(tmp_path / "vtk.cfg", **{
+        "output.formats": "vtk", "output.directory": str(out)})
+    assert modules_loaded_by_run(path) == ["False", "False"]
+    assert len(list(out.glob("*.vtk"))) == 4 and not list(out.glob("snapshot_*.csv"))
 
 
 def test_package_exposes_analysis_names_on_first_use():
@@ -1009,7 +1022,7 @@ def test_run_builds_materials_once(tmp_path, monkeypatch):
     assert calls == ["TE"]
 
 
-def test_tm_run_end_to_end(tmp_path):
+def test_tm_run_end_to_end(tmp_path, read_vtk):
     """TM on the cavity: je pulse on faces, a lossy region, an e and an h probe."""
     out = tmp_path / "out"
     surface = bundled.bundled_surface("cavity_2.obj")
@@ -1026,9 +1039,8 @@ def test_tm_run_end_to_end(tmp_path):
     assert cli.main(["run", path, "--quiet"]) == 0
     assert "status = complete" in (out / "manifest.txt").read_text()
 
-    vtk = (out / "snapshot_000040.vtk").read_text().splitlines()
-    assert "SCALARS e double 1" in vtk
-    assert "VECTORS h_vec double" in vtk
+    vtk = read_vtk(str(out / "snapshot_000040.vtk"))
+    assert vtk.keys() == {"points", "cells", "cell_types", "e", "h_vec"}
     rows = (out / "snapshot_000040.csv").read_text().splitlines()[3:]
     quantities = [r.split(",")[0] for r in rows]
     assert quantities.count("e") == surface.n_faces

@@ -1,12 +1,11 @@
-import gc
 import importlib.util
 import os
 import re
 import shutil
 import types
-import weakref
 
 import numpy as np
+import pytest
 
 from decem import _text, analysis, bundled, config, mesh, output, solver
 
@@ -30,31 +29,39 @@ def test_whitney_reproduces_constant_tangential_field():
 
 
 def test_whitney_zero_cochain_has_no_sign_bit():
-    """-0.0 would print as such in the VTK text, and +0.0 columns of a
-    state at rest are literal text for the writers."""
+    """-0.0 would keep its sign bit in the VTK file, whose state at rest
+    writes +0.0 vectors without the reconstruction."""
     surface = bundled.bundled_surface("icosphere_3.obj")
     vectors = output.whitney_face_vectors(surface, np.zeros(surface.n_edges))
     assert not vectors.any() and not np.signbit(vectors).any()
 
 
-def test_vtk_at_rest_skips_the_reconstruction(tmp_path, monkeypatch):
+def test_vtk_at_rest_skips_the_reconstruction(tmp_path, monkeypatch, read_vtk):
     """A zero edge cochain, -0.0 entries included, writes the +0.0 vectors
     the reconstruction would give without computing it."""
-    surface = bundled.bundled_surface("icosphere_2.obj")
     rng = np.random.default_rng(6)
-    states = [solver.initial_state("TE", surface), solver.initial_state("TM", surface),
-              solver.FieldState("TE", np.where(rng.random(surface.n_edges) < 0.5, -0.0, 0.0),
-                                rng.normal(size=surface.n_faces), n=2, t=0.1)]
-    for k, state in enumerate(states):
-        vtk_per_line(str(tmp_path / f"{k}_oracle.vtk"), surface, state)
+    cases = []
+    for mode, name in (("TE", "icosphere_2.obj"), ("TM", "cavity_2.obj")):
+        surface = bundled.bundled_surface(name)
+        signed_zeros = np.where(rng.random(surface.n_edges) < 0.5, -0.0, 0.0)
+        signed_zeros[0] = -0.0
+        # place orders an (edge, face) pair as (e, h)
+        e, h = solver.polarization(mode).place(signed_zeros, rng.normal(size=surface.n_faces))
+        cases += [(surface, solver.initial_state(mode, surface)),
+                  (surface, solver.FieldState(mode, e, h, n=2, t=0.1))]
 
     def fail(*args):
-        raise AssertionError("whitney_face_vectors called at rest")
+        raise AssertionError("the Whitney reconstruction ran at rest")
 
-    monkeypatch.setattr(output, "whitney_face_vectors", fail)
-    for k, state in enumerate(states):
+    monkeypatch.setattr(output, "_whitney_blocks", fail)
+    for k, (surface, state) in enumerate(cases):
         output.write_vtk_snapshot(str(tmp_path / f"{k}.vtk"), surface, state)
-        assert (tmp_path / f"{k}.vtk").read_bytes() == (tmp_path / f"{k}_oracle.vtk").read_bytes()
+    monkeypatch.undo()
+    for k, (surface, state) in enumerate(cases):
+        arrays = read_vtk(str(tmp_path / f"{k}.vtk"))
+        assert_vtk_holds(arrays, surface, state)
+        vectors = arrays[f"{solver.polarization(state.mode).edge_field}_vec"]
+        assert not vectors.tobytes().strip(b"\0")    # +0.0 only
 
 
 def test_whitney_blocks_match_single_pass(monkeypatch):
@@ -111,7 +118,31 @@ def test_whitney_closed_form_matches_per_corner_oracle(oracle_surface):
         assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
 
 
-# The per-line writers that the block writers replaced, kept as the byte oracle.
+def same_bits(read, expected):
+    """Whether two float arrays hold the same float64 bit patterns, whatever
+    their byte order."""
+    read, expected = (np.asarray(a, dtype=np.float64) for a in (read, expected))
+    return read.shape == expected.shape and read.tobytes() == expected.tobytes()
+
+
+def assert_vtk_holds(arrays, surface, state):
+    """The arrays of a VTK snapshot, as ``read_vtk`` reads them, are bit for
+    bit the surface, its triangle cells and the state's fields."""
+    pol = solver.polarization(state.mode)
+    edge_field, face_scalar = pol.place(state.e, state.h)
+    vector = f"{pol.edge_field}_vec"
+    assert arrays.keys() == {"points", "cells", "cell_types", pol.face_field, vector}
+    assert same_bits(arrays["points"], surface.vertices)
+    assert np.array_equal(arrays["cells"], np.column_stack(
+        [np.full(surface.n_faces, 3), surface.faces]))
+    assert np.array_equal(arrays["cell_types"], np.full(surface.n_faces, 5))
+    assert same_bits(arrays[pol.face_field], face_scalar)
+    assert same_bits(arrays[vector], output.whitney_face_vectors(surface, edge_field))
+
+
+# The per-line writers that the block writers replaced: the CSV one is the
+# byte oracle of the CSV snapshot, and the VTK one writes the legacy ASCII
+# layout, which the compare tool reads beside the binary one.
 def _fmt(x):
     return repr(float(x))
 
@@ -155,18 +186,16 @@ def csv_per_line(path, state):
             fh.write(f"h,{i},{_fmt(val)}\n")
 
 
-def assert_writers_match_oracle(tmp_path, surface, state, tag):
-    pairs = [
-        (lambda p: output.write_vtk_snapshot(p, surface, state),
-         lambda p: vtk_per_line(p, surface, state), "vtk"),
-        (lambda p: output.write_csv_snapshot(p, state),
-         lambda p: csv_per_line(p, state), "csv"),
-    ]
-    for write, oracle, ext in pairs:
-        new, old = tmp_path / f"{tag}.{ext}", tmp_path / f"{tag}_oracle.{ext}"
-        write(str(new))
-        oracle(str(old))
-        assert new.read_bytes() == old.read_bytes(), (tag, ext)
+def assert_writers_match_oracle(tmp_path, surface, state, tag, read_vtk):
+    """The VTK snapshot holds the surface and the state bit for bit, and the
+    CSV snapshot is the per-line oracle's bytes."""
+    vtk = tmp_path / f"{tag}.vtk"
+    output.write_vtk_snapshot(str(vtk), surface, state)
+    assert_vtk_holds(read_vtk(str(vtk)), surface, state)
+    new, old = tmp_path / f"{tag}.csv", tmp_path / f"{tag}_oracle.csv"
+    output.write_csv_snapshot(str(new), state)
+    csv_per_line(str(old), state)
+    assert new.read_bytes() == old.read_bytes(), tag
 
 
 def stepped_state(mode, surface, metrics, target, support, steps=5):
@@ -180,13 +209,36 @@ def stepped_state(mode, surface, metrics, target, support, steps=5):
     return state
 
 
-def test_writers_match_per_line_oracle_after_steps(tmp_path):
+def test_strict_vtk_reader_refuses_malformed_files(tmp_path, read_vtk):
+    """The reader of the VTK tests takes exactly the bytes that each keyword
+    line announces: a file one byte short or long, a miscounted header or
+    the legacy ASCII layout fails it.  A snapshot's size is that of its
+    keyword lines and newlines plus 8 bytes per double and 4 per int."""
+    surface = bundled.bundled_surface("icosphere_1.obj")
+    metrics = mesh.compute_dual_metrics(surface)
+    state = stepped_state("TE", surface, metrics, "jm", [0], steps=2)
+    path = tmp_path / "s.vtk"
+    output.write_vtk_snapshot(str(path), surface, state)
+    good = path.read_bytes()
+    keywords = 27 + 15 + 7 + 26 + 17 + 14 + 15 + 14 + 19 + 21 + 22 + 1   # 42 points, 80 faces
+    assert len(good) == keywords + 8 * 3 * 42 + 4 * 4 * 80 + 4 * 80 + 8 * 80 + 8 * 3 * 80
+    assert_vtk_holds(read_vtk(str(path)), surface, state)
+    vtk_per_line(str(tmp_path / "ascii.vtk"), surface, state)
+    for tag, data in (("short", good[:-1]), ("long", good + b"\n"),
+                      ("cells", good.replace(b"CELLS 80 320", b"CELLS 80 324")),
+                      ("ascii", (tmp_path / "ascii.vtk").read_bytes())):
+        (tmp_path / f"{tag}.vtk").write_bytes(data)
+        with pytest.raises((AssertionError, ValueError)):
+            read_vtk(str(tmp_path / f"{tag}.vtk"))
+
+
+def test_writers_match_per_line_oracle_after_steps(tmp_path, read_vtk):
     for mode, name, target in (("TE", "icosphere_2.obj", "jm"), ("TM", "cavity_2.obj", "je")):
         surface = bundled.bundled_surface(name)
         metrics = mesh.compute_dual_metrics(surface)
         state = stepped_state(mode, surface, metrics, target, [3, 4])
         assert np.abs(state.e).max() > 0 and np.abs(state.h).max() > 0
-        assert_writers_match_oracle(tmp_path, surface, state, mode)
+        assert_writers_match_oracle(tmp_path, surface, state, mode, read_vtk)
 
 
 def special_state(surface):
@@ -196,13 +248,14 @@ def special_state(surface):
     return solver.FieldState("TE", e, h, n=3, t=0.1)
 
 
-def test_writers_match_per_line_oracle_on_special_values(tmp_path):
+def test_writers_match_per_line_oracle_on_special_values(tmp_path, read_vtk):
     surface = bundled.bundled_surface("icosphere_2.obj")
     with np.errstate(invalid="ignore"):
-        assert_writers_match_oracle(tmp_path, surface, special_state(surface), "special")
+        assert_writers_match_oracle(tmp_path, surface, special_state(surface), "special",
+                                    read_vtk)
 
 
-def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch):
+def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch, read_vtk):
     surface = bundled.bundled_surface("icosphere_2.obj")
     metrics = mesh.compute_dual_metrics(surface)
     # 23 numbers: several blocks per section (rows of 1, 2 and 3 numbers),
@@ -214,9 +267,8 @@ def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch
     rest = solver.initial_state("TE", surface)   # its all-zero columns are literal text
     for block in (23, 1):
         monkeypatch.setattr(output, "TEXT_BLOCK_NUMBERS", block)
-        fresh = bundled.bundled_surface("icosphere_2.obj")   # its geometry text at this block
-        assert_writers_match_oracle(tmp_path, fresh, state, f"blocks{block}")
-        assert_writers_match_oracle(tmp_path, fresh, rest, f"rest{block}")
+        assert_writers_match_oracle(tmp_path, surface, state, f"blocks{block}", read_vtk)
+        assert_writers_match_oracle(tmp_path, surface, rest, f"rest{block}", read_vtk)
 
 
 def test_growth_csv_matches_per_line_oracle(tmp_path):
@@ -240,8 +292,9 @@ def test_growth_csv_matches_per_line_oracle(tmp_path):
 
 def test_snapshot_text_kernel_passes(tmp_path, monkeypatch):
     """The kernel passes of the 20480-face snapshots of the sphere_pulse
-    benchmark: blocks hold up to ``TEXT_BLOCK_NUMBERS`` numbers, and the
-    all-zero columns of a state at rest take none."""
+    benchmark: the CSV's blocks hold up to ``TEXT_BLOCK_NUMBERS`` numbers,
+    the all-zero columns of a state at rest take none, and the VTK, whose
+    arrays are bytes, takes none."""
     make_assets = load_tool("make_assets")
     ico3 = bundled.bundled_surface("icosphere_3.obj")
     verts, faces = make_assets.subdivide(ico3.vertices, ico3.faces, project_unit_sphere=True)
@@ -259,14 +312,13 @@ def test_snapshot_text_kernel_passes(tmp_path, monkeypatch):
         output.write_csv_snapshot(str(tmp_path / "s.csv"), state)
         return len(passes)
 
-    # geometry: 4 blocks of vertices and 8 of cells, formatted once; at rest
-    # the CSV's index columns only: 4 blocks of edges and 3 of faces
-    assert count(solver.initial_state("TE", surface)) == 12 + 7
+    # at rest the CSV's index columns only: 4 blocks of edges and 3 of faces
+    assert count(solver.initial_state("TE", surface)) == 7
     rng = np.random.default_rng(4)
     state = solver.FieldState("TE", rng.normal(size=surface.n_edges),
                               rng.normal(size=surface.n_faces), n=40, t=1.0)
-    # VTK: 3 blocks of scalars, 8 of vectors; CSV: 8 of edges, 5 of faces
-    assert count(state) == 24
+    # 8 blocks of edges and 5 of faces
+    assert count(state) == 13
 
 
 def probes_per_line(path, probes, states):
@@ -295,47 +347,6 @@ def test_probe_writer_matches_per_line_oracle(tmp_path):
     writer.close()
     probes_per_line(str(tmp_path / "old.csv"), probes, states)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
-def test_vtk_geometry_is_formatted_once_per_surface(tmp_path, monkeypatch):
-    """A surface's first snapshot formats its geometry text and the later
-    ones reuse it; another surface formats its own."""
-    formatted = []
-    format_geometry = output._vtk_geometry
-    monkeypatch.setattr(output, "_vtk_geometry",
-                        lambda s: formatted.append(s) or format_geometry(s))
-    surface = bundled.bundled_surface("icosphere_1.obj")
-    state = solver.initial_state("TE", surface)
-    for name in ("a.vtk", "b.vtk", "c.vtk"):
-        output.write_vtk_snapshot(str(tmp_path / name), surface, state)
-    assert formatted == [surface]
-    assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "c.vtk").read_bytes()
-    other = bundled.bundled_surface("icosphere_1.obj")
-    output.write_vtk_snapshot(str(tmp_path / "d.vtk"), other, state)
-    assert len(formatted) == 2 and formatted[1] is other
-
-
-def test_vtk_geometry_text_dies_with_its_surface(tmp_path):
-    """The kept geometry text does not keep its surface alive."""
-    surface = bundled.bundled_surface("icosphere_1.obj")
-    output.write_vtk_snapshot(str(tmp_path / "a.vtk"), surface,
-                              solver.initial_state("TE", surface))
-    ref = weakref.ref(surface)
-    del surface
-    gc.collect()
-    assert ref() is None
-
-
-def test_vtk_geometry_cache_is_per_surface(tmp_path):
-    first = bundled.bundled_surface("icosphere_1.obj")
-    moved = mesh.from_arrays(2.0 * first.vertices, first.faces)   # same cells
-    for tag, surface in (("first", first), ("moved", moved)):
-        metrics = mesh.compute_dual_metrics(surface)
-        state = stepped_state("TE", surface, metrics, "jm", [0], steps=2)
-        assert_writers_match_oracle(tmp_path, surface, state, tag)
-    geometry = [(tmp_path / f"{tag}.vtk").read_text().split("CELL_DATA")[0]
-                for tag in ("first", "moved")]
-    assert geometry[0] != geometry[1]
 
 
 def test_compare_outputs_tool(tmp_path, capsys):
@@ -409,6 +420,48 @@ def test_compare_outputs_tool(tmp_path, capsys):
         # each column is measured against its own largest number
         "per column: step 0, t 0, energy 1e-09, max_gauss_electric 0, "
         "max_gauss_magnetic 0"]
+
+    # a VTK file is compared by its arrays, ASCII or binary: the legacy
+    # ASCII layout of a snapshot, special values included, holds the arrays
+    # of the binary one, bit for bit but for the sign of a nan, which its
+    # text does not carry
+    surface = bundled.bundled_surface("icosphere_2.obj")
+    with np.errstate(invalid="ignore"):
+        output.write_vtk_snapshot(str(tmp_path / "b.vtk"), surface, special_state(surface))
+        vtk_per_line(str(tmp_path / "a.vtk"), surface, special_state(surface))
+    (enc_a, ascii_arrays), (enc_b, binary_arrays) = (
+        tool.read_vtk(str(tmp_path / name)) for name in ("a.vtk", "b.vtk"))
+    assert (enc_a, enc_b) == ("ASCII", "BINARY")
+    assert list(ascii_arrays) == ["POINTS", "CELLS", "CELL_TYPES", "SCALARS h", "VECTORS e_vec"]
+    def unsigned_nan(x):
+        return np.where(np.isnan(x), np.nan, x)
+
+    assert all(same_bits(unsigned_nan(a), unsigned_nan(binary_arrays[name]))
+               for name, a in ascii_arrays.items())
+    assert tool.describe_difference(str(tmp_path / "a.vtk"), str(tmp_path / "b.vtk")) == (
+        "ASCII -> BINARY, arrays equal\n        per array: POINTS: 0 of 486 differ, 0; "
+        "CELLS: 0 of 1280 differ, 0; CELL_TYPES: 0 of 320 differ, 0; "
+        "SCALARS h: 0 of 320 differ, 0; VECTORS e_vec: 0 of 960 differ, 0")
+
+    # a copy whose Whitney vectors are 1e-9 larger differs in the VTK
+    # vectors only, at the nonzero snapshots
+    vectors = tmp_path / "vectors"
+    shutil.copytree(os.path.join(src, "decem"), vectors / "decem",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    writer = vectors / "decem" / "output.py"
+    text = writer.read_text()
+    assert text.count("vectors += 0.0") == 1
+    writer.write_text(text.replace("vectors += 0.0", "vectors *= 1 + 1e-9"))
+    assert tool.main([src, str(vectors), str(cfg)]) == 1
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert lines[0::3] == [f"DIFFERS {cfg}: snapshot_00000{n}.vtk" for n in (2, 4)]
+    assert lines[1::3] == ["BINARY -> BINARY, 1 of 5 arrays differ"] * 2
+    for detail in lines[2::3]:
+        assert detail.startswith("per array: POINTS: 0 of 126 differ, 0; CELLS: 0 of 320 "
+                                 "differ, 0; CELL_TYPES: 0 of 80 differ, 0; SCALARS h: 0 of "
+                                 "80 differ, 0; VECTORS e_vec: ")
+        count, figure = re.fullmatch(r".*e_vec: (\d+) of 240 differ, (\S+)", detail).groups()
+        assert int(count) > 0 and 0.5e-9 < float(figure) < 2e-9
 
     # a config that fails on both sides with the same exit status differs
     assert tool.main([src, src, str(tmp_path)]) == 1

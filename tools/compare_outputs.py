@@ -20,8 +20,12 @@ differs gets a second line: whether its non-numeric text matches and how
 many of its numbers differ.  A CSV file whose numbers differ also gets, per
 column named in its header (its first line that does not start with
 ``#``), the largest |a - b| over the column's largest |a|, so each figure
-measures an energy against energies and a step against steps.  The exit
-status is 1 if anything differed, else 0.
+measures an energy against energies and a step against steps.  A legacy VTK
+file, ``ASCII`` or ``BINARY``, is compared by its named arrays instead: its
+second line gives each side's encoding and, per array, how many values
+differ and the same scale-relative figure, so a change of encoding alone
+reads as every array equal.  The exit status is 1 if anything differed,
+else 0.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ import re
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 
 def run_side(src: str, command: str, cfg: str, outdir: str) -> tuple[int, float]:
@@ -110,9 +116,101 @@ def column_differences(text_a: str, text_b: str) -> str:
     return ", ".join(figures)
 
 
+# legacy VTK data types, as big-endian binary
+VTK_TYPES = {"double": ">f8", "int": ">i4"}
+
+
+def read_vtk(path: str) -> tuple[str, dict]:
+    """The encoding (``ASCII`` or ``BINARY``) of a legacy VTK file and its
+    arrays as float64, by keyword: ``POINTS``, ``CELLS``, ``CELL_TYPES``,
+    ``SCALARS <name>`` and ``VECTORS <name>``.  Each array's size comes from
+    its keyword line (and the ``CELL_DATA``/``POINT_DATA`` count before it);
+    in a binary file it is that many big-endian values, in an ASCII file
+    that many whitespace-separated numbers, and other lines are skipped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _, _, encoding, body = (data.split(b"\n", 3) + [b""] * 3)[:4]
+    encoding = encoding.strip().decode("ascii", "replace")
+    at, count, arrays = 0, 0, {}
+
+    def line():
+        nonlocal at
+        end = body.find(b"\n", at)
+        end = len(body) if end < 0 else end
+        words, at = body[at:end].decode("ascii", "replace").split(), end + 1
+        return words
+
+    while at < len(body):
+        words = line()
+        key = words[0] if words else ""
+        if key in ("CELL_DATA", "POINT_DATA"):
+            count = int(words[1])
+            continue
+        if key == "POINTS":
+            n, vtk_type = 3 * int(words[1]), words[2]
+        elif key in ("CELLS", "CELL_TYPES"):
+            n, vtk_type = int(words[-1]), "int"
+        elif key == "SCALARS":
+            n, vtk_type = count * int(words[3]), words[2]
+            if body.startswith(b"LOOKUP_TABLE", at):
+                line()
+        elif key == "VECTORS":
+            n, vtk_type = 3 * count, words[2]
+        else:
+            continue
+        name = " ".join(words[:2]) if key in ("SCALARS", "VECTORS") else key
+        if encoding == "BINARY":   # a short file gives a short array
+            dtype = np.dtype(VTK_TYPES[vtk_type])
+            values = np.frombuffer(body, dtype, min(n, (len(body) - at) // dtype.itemsize), at)
+            at += values.nbytes
+        else:
+            tokens = []
+            while len(tokens) < n and at < len(body):
+                tokens += line()
+            values = np.array(tokens[:n], dtype=np.float64)
+        arrays[name] = values.astype(np.float64)
+    return encoding, arrays
+
+
+def array_difference(a: np.ndarray, b: np.ndarray) -> tuple[int, float]:
+    """How many values of two arrays differ (-0.0 equals 0.0, nan equals
+    nan) and their scale-relative difference, as ``scale_relative_difference``
+    measures it."""
+    differ = ~((a == b) | (np.isnan(a) & np.isnan(b)))
+    if not differ.any():
+        return 0, 0.0
+    finite = np.isfinite(a) & np.isfinite(b)
+    worst = np.inf if (differ & ~finite).any() else float(np.abs(a - b)[differ].max())
+    scale = float(np.abs(a[np.isfinite(a)]).max(initial=0.0))
+    return int(differ.sum()), worst / scale if scale else np.inf
+
+
+def vtk_differences(path_a: str, path_b: str) -> str:
+    """Each side's encoding and, per array of two legacy VTK files, how many
+    values differ and how far apart they are."""
+    (enc_a, arrays_a), (enc_b, arrays_b) = read_vtk(path_a), read_vtk(path_b)
+    if arrays_a.keys() != arrays_b.keys():
+        return f"{enc_a} -> {enc_b}, arrays {sorted(arrays_a)} != {sorted(arrays_b)}"
+    figures, differ = [], 0
+    for name, a in arrays_a.items():
+        b = arrays_b[name]
+        if a.shape != b.shape:
+            figures.append(f"{name}: {a.size} != {b.size} values")
+            differ += 1
+            continue
+        count, figure = array_difference(a, b)
+        figures.append(f"{name}: {count} of {a.size} differ, {figure:.3g}")
+        differ += bool(count)
+    verdict = "arrays equal" if not differ else f"{differ} of {len(figures)} arrays differ"
+    return f"{enc_a} -> {enc_b}, {verdict}\n        per array: {'; '.join(figures)}"
+
+
 def describe_difference(path_a: str, path_b: str) -> str:
     """Whether two text files agree outside their numbers, how many of their
-    numbers differ and, for a CSV file, how far apart each column is."""
+    numbers differ and, for a CSV file, how far apart each column is; for a
+    VTK file, ``vtk_differences``."""
+    if path_a.endswith(".vtk"):
+        return vtk_differences(path_a, path_b)
     texts = []
     for path in (path_a, path_b):
         with open(path, errors="replace") as fh:
