@@ -1,9 +1,9 @@
-"""Text of float64 and int64 columns, a block of rows at a time.
+"""Text of the rows of a CSV snapshot, a block at a time.
 
-``render(row, *columns)`` returns ``(row * n) % flat``, where ``row`` holds
-``%r`` and ``%d`` conversions and literal text, and ``flat`` interleaves the
-``n`` rows of the columns as Python floats and ints: the same bytes, made
-with numpy and no Python object per number.
+``rows(quantity, start, values)`` returns the rows ``<quantity>,<i>,<v>``
+of the float64 ``values``, with ``i`` counting from ``start`` and ``v`` the
+value's ``repr``: the bytes of one f-string per row, made with numpy and no
+Python object per number.
 
 A float's digits are its shortest round-trip decimal, which is what CPython's
 ``repr`` prints: of the decimals that read back as the float, the one with
@@ -20,7 +20,7 @@ zeros ``repr`` pads with come free): row offsets come from a ``cumsum`` of
 the row lengths, and each number's characters are scattered to where a
 table for its layout puts them; characters a layout does not use go to a
 trash byte past the text.  The tables are module constants, built when the
-module is imported (a few milliseconds): the writers import it at their
+module is imported (a few milliseconds): the CSV writer imports it at its
 first snapshot, so a run that writes none never builds them.
 
 All uint64 arithmetic has uint64 operands only: numpy promotes a mix of
@@ -29,8 +29,6 @@ uint64 and int64 arrays to float64.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 _U = np.uint64
@@ -38,7 +36,6 @@ _M32, _M63 = _U(0xFFFFFFFF), _U((1 << 63) - 1)
 _K_MIN, _K_MAX = -324, 292
 _POW10 = np.array([10 ** i for i in range(20)], dtype=np.uint64)
 _ONE_BITS = _U(0x3FF0000000000000)
-_FIELD = re.compile("%([rd])")
 _TRASH = 1 << 30   # an offset that clips to the trash byte
 _INF = _U(0x7FF0000000000000)
 _DECPT = range(-330, 320)   # decimal point positions of the tables
@@ -105,8 +102,8 @@ def _build_tables():
     float_len = np.where(fixed, zeros + np.maximum(ndig, point) + 1 + (point >= ndig),
                          np.where(word, 3, ndig + (ndig > 1) + 2 + exp_digits))
 
-    # a %d text's rows are the 19 digits of its absolute value, leading zeros
-    # included; its class is its digit count
+    # an index text's rows are its 19 digits, leading zeros included; its
+    # class is its digit count
     j, count = np.arange(19)[:, None], np.arange(20)
     int_at = np.where(j >= 19 - count, j - (19 - count), _TRASH)
     return g, k - _K_MIN, h, quads, decimal_class, exponent, float_at, float_len, int_at
@@ -119,9 +116,9 @@ def _build_tables():
  _QUADS,           # the four ASCII digits of each i < 10^4, as bytes
  _DECIMAL_CLASS,   # layout class of each decimal point position
  _EXPONENT,        # the "e+dd" text of each decimal point position
- _FLOAT_AT,        # where each text row goes, per %r layout class
- _FLOAT_LEN,       # the text length of each %r layout class
- _INT_AT,          # where each %d text row goes, per digit count
+ _FLOAT_AT,        # where each text row goes, per float layout class
+ _FLOAT_LEN,       # the text length of each float layout class
+ _INT_AT,          # where each index text row goes, per digit count
  ) = _build_tables()
 
 
@@ -215,20 +212,20 @@ def _digits(d, width):
     return text[4 * quads - width:]
 
 
-def _int_text(x):
-    """The ``%d`` texts of the int64 values ``x``: their signs and lengths,
-    the characters after the sign as rows, their layout classes, and where
-    each row goes per class."""
-    neg = x < 0
-    u = x.astype(np.uint64)
-    u = np.where(neg, _U(0) - u, u)
-    count = _count(u)
-    used = int(count.max())
-    return neg, neg + count, _digits(u, used), count, _INT_AT[19 - used:]
+def _int_text(start, n):
+    """The texts of the indices ``start`` ... ``start + n - 1`` (nonnegative):
+    their lengths, which are their layout classes, their characters as rows,
+    and where each row goes per class."""
+    index = np.arange(start, start + n, dtype=np.uint64)
+    count = _count(index)
+    used = int(count[-1])
+    return count, _digits(index, used), _INT_AT[19 - used:]
 
 
 def _float_text(x):
-    """The ``%r`` texts of the float64 values ``x``, as ``_int_text``."""
+    """The ``repr`` texts of the float64 values ``x``: their signs and
+    lengths, the characters after the sign as rows, their layout classes,
+    and where each row goes per class."""
     bits = x.view(np.uint64)
     magnitude = bits & _M63
     # finite and nonzero; the others are worked as 1 (1.0) and then patched
@@ -259,61 +256,50 @@ def _float_text(x):
     return neg, neg + _FLOAT_LEN[cls], text, cls, _FLOAT_AT[start:stop]
 
 
-def fold(row, columns):
-    """``row`` with each ``%r`` whose column is +0.0 only (bitwise) made the
-    literal text ``0.0``, and the columns of the conversions left."""
-    zero = [kind == "r" and not np.asarray(column, np.float64).view(np.uint64).any()
-            for kind, column in zip(_FIELD.findall(row), columns)]
-    fields = iter(zero)
-    row = _FIELD.sub(lambda field: "0.0" if next(fields) else field[0], row)
-    return row, [column for column, folded in zip(columns, zero) if not folded]
+def _scatter(buf, first, text, cls, at):
+    """Put the text rows of each number at ``first`` plus the positions that
+    ``at`` gives its class; a position past the text goes to the trash byte,
+    the last of ``buf``."""
+    trash = len(buf) - 1
+    for j in range(0, len(at), 4):            # 4 rows at a time bound the positions
+        pos = np.take(at[j:j + 4], cls, axis=1)
+        pos += first
+        np.minimum(pos, trash, out=pos)
+        buf[pos] = text[j:j + 4]
 
 
-def render(row: str, *columns) -> str:
-    """``(row * n) % flat`` for the ``n`` rows of the 1-D ``columns``, one per
-    ``%r`` (float64) or ``%d`` (int64) conversion of ``row``, with ``flat``
-    their rows interleaved as Python floats and ints.  It takes one kernel
-    pass, on the columns that ``fold`` leaves, so the caller bounds the
-    kernel's temporaries by the size of the block."""
-    n = len(columns[0])
-    row, columns = fold(row, columns)
-    if not (columns and n):                    # repeated text
-        return row * n
-    parts = _FIELD.split(row)
-    return _render([text.encode("ascii") for text in parts[0::2]], parts[1::2], columns)
-
-
-def _render(literals, kinds, columns):
-    """The text of the rows of ``columns``, in one pass: ``literals[0]``, a
-    ``kinds[0]`` conversion of ``columns[0]``, ``literals[1]``, ...,
-    ``literals[-1]``."""
-    n = len(columns[0])
-    sizes = np.empty((n, len(literals)), dtype=np.int64)
-    for j, text in enumerate(literals):
-        sizes[:, j] = len(text)
-    texts = []
-    for kind, make, dtype in (("r", _float_text, np.float64), ("d", _int_text, np.int64)):
-        # the columns of one kind go through its kernel as one array
-        fields = [j for j, k in enumerate(kinds) if k == kind]
-        if fields:
-            neg, length, text, cls, at = make(
-                np.concatenate([columns[j] for j in fields], dtype=dtype))
-            for i, j in enumerate(fields):
-                sizes[:, j] += length[i * n:(i + 1) * n]
-            texts.append((fields, neg, text, cls, at))
-    starts = np.cumsum(sizes.ravel()).reshape(sizes.shape) - sizes
-    total = int(starts[-1, -1] + sizes[-1, -1])
+def rows(quantity: str, start: int, values) -> str:
+    """``"".join(f"{quantity},{i},{v!r}\\n" for i, v in enumerate(values, start))``
+    for the 1-D float64 ``values`` and a nonnegative ``start``.  It takes one
+    kernel pass, so the caller bounds the kernel's temporaries by the size of
+    the block.  Values that are all +0.0 (bitwise) are the literal text
+    ``0.0``: only their indices take the kernel."""
+    values = np.asarray(values, dtype=np.float64)
+    n = len(values)
+    if not n:
+        return ""
+    head = f"{quantity},".encode("ascii")
+    zero = not values.view(np.uint64).any()
+    tail = b",0.0\n" if zero else b","
+    count, digits, int_at = _int_text(start, n)
+    sizes = len(head) + count + len(tail)
+    if not zero:
+        neg, length, text, cls, float_at = _float_text(values)
+        sizes += length + 1                   # the value and its newline
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
     buf = np.full(total + 1, ord("0"), dtype=np.uint8)   # the last byte is trash
-    for j, text in enumerate(literals):
-        for i, char in enumerate(text):
-            buf[starts[:, j] + i] = char
-    for fields, neg, text, cls, at in texts:
-        first = (starts[:, fields] + [len(literals[j]) for j in fields]).T.ravel()
+    first = ends - sizes
+    for i, char in enumerate(head):
+        buf[first + i] = char
+    _scatter(buf, first + len(head), digits, count, int_at)
+    first += len(head) + count
+    for i, char in enumerate(tail):
+        buf[first + i] = char
+    if not zero:
+        first += len(tail)
         buf[np.where(neg, first, total)] = ord("-")
         first += neg
-        for rows in range(0, len(at), 4):     # 4 rows at a time bound the positions
-            pos = np.take(at[rows:rows + 4], cls, axis=1)
-            pos += first
-            np.minimum(pos, total, out=pos)
-            buf[pos] = text[rows:rows + 4]
+        _scatter(buf, first, text, cls, float_at)
+        buf[ends - 1] = ord("\n")
     return str(memoryview(buf)[:total], "ascii")

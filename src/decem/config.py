@@ -248,6 +248,9 @@ def load_config(path) -> RunConfig:
         cfg.regions.append((name, faces, over))
 
     for name, spec in sorted(probes.items()):
+        if "," in name:
+            raise ConfigError(f"probe.{name}: a probe name cannot hold ',', "
+                              "which separates the fields of probes.csv")
         quantity = spec.get("quantity", "")
         if quantity not in ("e", "h"):
             raise ConfigError(f"probe.{name}.quantity must be e or h")

@@ -71,20 +71,6 @@ def whitney_face_vectors(surface: SimplicialSurface, edge_values: np.ndarray) ->
     return np.concatenate(list(_whitney_blocks(surface, edge_values)))
 
 
-def _blocks(row: str, *columns):
-    """``row`` %-formatted over the rows of the 1-D arrays ``columns`` by
-    ``_text.render`` (``%r`` gives ``_fmt``'s text, ``%d`` an int's ``str``),
-    one string per block of at most ``TEXT_BLOCK_NUMBERS`` numbers that need
-    the kernel: a ``%r`` column of +0.0 only is literal text."""
-    # imported here, so that a run that writes no snapshot does not load (or,
-    # without a bytecode cache, compile) the kernel
-    from ._text import fold, render
-
-    step = max(1, TEXT_BLOCK_NUMBERS // max(1, len(fold(row, columns)[1])))
-    for start in range(0, len(columns[0]), step):
-        yield render(row, *(column[start:start + step] for column in columns))
-
-
 def write_vtk_snapshot(path, surface: SimplicialSurface, state: FieldState) -> None:
     """Legacy binary VTK unstructured grid with the face scalar (TE: h,
     TM: e) and the Whitney vector reconstruction of the edge field.
@@ -121,14 +107,24 @@ def write_vtk_snapshot(path, surface: SimplicialSurface, state: FieldState) -> N
 
 
 def write_csv_snapshot(path, state: FieldState) -> None:
-    """Raw integrated cochain values, one row per element."""
+    """Raw integrated cochain values, one row per element.
+
+    The rows are written by ``_text.rows``, one kernel pass per block: a
+    block holds ``TEXT_BLOCK_NUMBERS`` rows where the values are all +0.0
+    (only their indices need the kernel), else half as many."""
+    # imported here, so that a run that writes no CSV snapshot does not load
+    # (or, without a bytecode cache, compile) the kernel
+    from ._text import rows
+
     with open(path, "w") as fh:
         fh.write("# integrated cochain values (exact regression contract)\n")
         fh.write(f"# mode={state.mode} n={state.n} t={_fmt(state.t)}\n")
         fh.write("quantity,index,value\n")
         for quantity, values in (("e", state.e), ("h", state.h)):
-            fh.writelines(_blocks(f"{quantity},%d,%r\n", np.arange(len(values)),
-                                  np.asarray(values, dtype=np.float64)))
+            values = np.asarray(values, dtype=np.float64)
+            step = max(1, TEXT_BLOCK_NUMBERS // (1 + bool(values.view(np.uint64).any())))
+            for start in range(0, len(values), step):
+                fh.write(rows(quantity, start, values[start:start + step]))
 
 
 def write_growth_csv(path, report) -> None:

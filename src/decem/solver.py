@@ -122,11 +122,20 @@ def polarization(mode: str) -> Polarization:
     return _POLARIZATIONS[mode]
 
 
+def _as_indices(key: str, indices, error: type[Exception] = ValueError) -> np.ndarray:
+    """``indices`` as an int array; ``error`` naming ``key`` for an int that
+    int64 cannot hold, which indexes no mesh either."""
+    try:
+        return np.asarray(indices, dtype=int)
+    except OverflowError:
+        raise error(f"{key}: index {max(indices, key=abs)} out of range") from None
+
+
 def check_indices(key: str, indices, surface: SimplicialSurface, on_edges: bool,
                   error: type[Exception] = ValueError) -> None:
     """Raise ``error`` naming ``key`` if an index is no edge (``on_edges``) or face."""
     limit, carrier = (surface.n_edges, "edge") if on_edges else (surface.n_faces, "face")
-    indices = np.asarray(indices, dtype=int)
+    indices = _as_indices(key, indices, error)
     bad = indices[(indices < 0) | (indices >= limit)]
     if bad.size:
         raise error(f"{key}: {carrier} index {int(bad[0])} out of range (mesh has {limit})")
@@ -250,7 +259,7 @@ class SourceSpec:
             raise ValueError("source amplitude, t0 and width must be finite")
         if self.kind != "none" and not self.width > 0:
             raise ValueError("source width must be positive")
-        self.support = np.asarray(self.support, dtype=int)
+        self.support = _as_indices("source.support", self.support)
         negative = self.support[self.support < 0]
         if negative.size:
             raise ValueError(f"source.support: negative index {int(negative[0])}")
@@ -264,10 +273,6 @@ class SourceSpec:
             return 0.0
         arg = (t - self.t0) / self.width
         return self.amplitude * float(np.exp(-0.5 * arg * arg))
-
-    def validate(self, surface: SimplicialSurface, mode: str) -> None:
-        check_indices("source.support", self.support, surface,
-                      polarization(mode).on_edges(self.target))
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,9 @@ def test_config_bad_values(tmp_path):
         ({"source.width": "-1"}, "source width must be positive"),
         ({"source.support": "3,7,3"}, "source.support lists index 3 more than once"),
         ({"output.formats": "vtk,png"}, "output.formats: unknown output format 'png'"),
+        # a comma would split the probe's name into two fields of probes.csv
+        ({"probe.p0.quantity": None, "probe.p0.index": None, "probe.a,b.quantity": "h",
+          "probe.a,b.index": "7"}, "probe.a,b: a probe name cannot hold ','"),
         # non-finite and out-of-range numbers name their key before any compute
         ({"dt": "nan"}, "dt: expected a finite number, got 'nan'"),
         ({"dt": "inf"}, "dt: expected a finite number, got 'inf'"),
@@ -976,10 +979,15 @@ def test_region_range_error_names_offending_index(tmp_path, monkeypatch):
     ("probe.p0.index", "120", "edge index 120 out of range (mesh has 120)"),
     ("region.x.faces", "-1", "face index -1 out of range (mesh has 80)"),
     ("region.x.faces", "80", "face index 80 out of range (mesh has 80)"),
+    # beyond int64
+    ("source.support", "99999999999999999999", "index 99999999999999999999 out of range"),
+    ("probe.p0.index", "99999999999999999999", "index 99999999999999999999 out of range"),
+    ("region.x.faces", "99999999999999999999", "index 99999999999999999999 out of range"),
 ])
 def test_index_out_of_range_names_its_key(key, index, message, tmp_path, capsys, monkeypatch):
-    """Each index a config names, at -1 and at its carrier's count on
-    icosphere_1 (80 faces, 120 edges; a TE e probe is on edges), is refused
+    """Each index a config names, at -1, at its carrier's count on
+    icosphere_1 (80 faces, 120 edges; a TE e probe is on edges) and beyond
+    what int64 holds, is refused
     by one error that names its key, before the dual metrics and before
     any output exists."""
     out = tmp_path / "out"

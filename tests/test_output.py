@@ -142,7 +142,7 @@ def assert_vtk_holds(arrays, surface, state):
 
 # The per-line writers that the block writers replaced: the CSV one is the
 # byte oracle of the CSV snapshot, and the VTK one writes the legacy ASCII
-# layout, which the compare tool reads beside the binary one.
+# layout, which the strict VTK reader must refuse.
 def _fmt(x):
     return repr(float(x))
 
@@ -258,11 +258,11 @@ def test_writers_match_per_line_oracle_on_special_values(tmp_path, read_vtk):
 def test_writers_match_per_line_oracle_across_short_blocks(tmp_path, monkeypatch, read_vtk):
     surface = bundled.bundled_surface("icosphere_2.obj")
     metrics = mesh.compute_dual_metrics(surface)
-    # 23 numbers: several blocks per section (rows of 1, 2 and 3 numbers),
-    # each with a short last block; 1 number: a block per row
-    assert all(n % (23 // width) for n, width in (
-        (surface.n_vertices, 3), (surface.n_faces, 3), (surface.n_faces, 1),
-        (surface.n_edges, 2), (surface.n_faces, 2)))
+    # 23 numbers: several CSV blocks per section (rows of 1 number that needs
+    # the kernel at rest, of 2 once stepped), each with a short last block;
+    # 1 number: a block per row
+    assert all(n % (23 // width) for n in (surface.n_edges, surface.n_faces)
+               for width in (1, 2))
     state = stepped_state("TE", surface, metrics, "jm", [0])
     rest = solver.initial_state("TE", surface)   # its all-zero columns are literal text
     for block in (23, 1):
@@ -292,9 +292,10 @@ def test_growth_csv_matches_per_line_oracle(tmp_path):
 
 def test_snapshot_text_kernel_passes(tmp_path, monkeypatch):
     """The kernel passes of the 20480-face snapshots of the sphere_pulse
-    benchmark: the CSV's blocks hold up to ``TEXT_BLOCK_NUMBERS`` numbers,
-    the all-zero columns of a state at rest take none, and the VTK, whose
-    arrays are bytes, takes none."""
+    benchmark, one per ``_text.rows`` call: the CSV's blocks hold up to
+    ``TEXT_BLOCK_NUMBERS`` numbers that need the kernel, the all-zero values
+    of a state at rest need none, and the VTK, whose arrays are bytes, takes
+    none."""
     make_assets = load_tool("make_assets")
     ico3 = bundled.bundled_surface("icosphere_3.obj")
     verts, faces = make_assets.subdivide(ico3.vertices, ico3.faces, project_unit_sphere=True)
@@ -303,8 +304,8 @@ def test_snapshot_text_kernel_passes(tmp_path, monkeypatch):
     assert (surface.n_vertices, surface.n_edges, surface.n_faces) == (10242, 30720, 20480)
     assert output.TEXT_BLOCK_NUMBERS == 8192
     passes = []
-    kernel = _text._render
-    monkeypatch.setattr(_text, "_render", lambda *args: passes.append(1) or kernel(*args))
+    kernel = _text.rows
+    monkeypatch.setattr(_text, "rows", lambda *args: passes.append(1) or kernel(*args))
 
     def count(state):
         passes.clear()
@@ -312,7 +313,7 @@ def test_snapshot_text_kernel_passes(tmp_path, monkeypatch):
         output.write_csv_snapshot(str(tmp_path / "s.csv"), state)
         return len(passes)
 
-    # at rest the CSV's index columns only: 4 blocks of edges and 3 of faces
+    # at rest the CSV's indices only: 4 blocks of edges and 3 of faces
     assert count(solver.initial_state("TE", surface)) == 7
     rng = np.random.default_rng(4)
     state = solver.FieldState("TE", rng.normal(size=surface.n_edges),
@@ -421,27 +422,28 @@ def test_compare_outputs_tool(tmp_path, capsys):
         "per column: step 0, t 0, energy 1e-09, max_gauss_electric 0, "
         "max_gauss_magnetic 0"]
 
-    # a VTK file is compared by its arrays, ASCII or binary: the legacy
-    # ASCII layout of a snapshot, special values included, holds the arrays
-    # of the binary one, bit for bit but for the sign of a nan, which its
-    # text does not carry
+    # a VTK file is compared by its arrays, read bit for bit from the binary
+    # layout, special values included (nan equals nan); a file of another
+    # encoding is refused
     surface = bundled.bundled_surface("icosphere_2.obj")
+    state = special_state(surface)
+    vtk = str(tmp_path / "b.vtk")
     with np.errstate(invalid="ignore"):
-        output.write_vtk_snapshot(str(tmp_path / "b.vtk"), surface, special_state(surface))
-        vtk_per_line(str(tmp_path / "a.vtk"), surface, special_state(surface))
-    (enc_a, ascii_arrays), (enc_b, binary_arrays) = (
-        tool.read_vtk(str(tmp_path / name)) for name in ("a.vtk", "b.vtk"))
-    assert (enc_a, enc_b) == ("ASCII", "BINARY")
-    assert list(ascii_arrays) == ["POINTS", "CELLS", "CELL_TYPES", "SCALARS h", "VECTORS e_vec"]
-    def unsigned_nan(x):
-        return np.where(np.isnan(x), np.nan, x)
-
-    assert all(same_bits(unsigned_nan(a), unsigned_nan(binary_arrays[name]))
-               for name, a in ascii_arrays.items())
-    assert tool.describe_difference(str(tmp_path / "a.vtk"), str(tmp_path / "b.vtk")) == (
-        "ASCII -> BINARY, arrays equal\n        per array: POINTS: 0 of 486 differ, 0; "
+        output.write_vtk_snapshot(vtk, surface, state)
+        vectors = output.whitney_face_vectors(surface, state.e)
+    arrays = tool.read_vtk(vtk)
+    assert list(arrays) == ["POINTS", "CELLS", "CELL_TYPES", "SCALARS h", "VECTORS e_vec"]
+    assert same_bits(arrays["POINTS"], surface.vertices.ravel())
+    assert same_bits(arrays["SCALARS h"], state.h)
+    assert same_bits(arrays["VECTORS e_vec"], vectors.ravel())
+    assert tool.describe_difference(vtk, vtk) == (
+        "arrays equal\n        per array: POINTS: 0 of 486 differ, 0; "
         "CELLS: 0 of 1280 differ, 0; CELL_TYPES: 0 of 320 differ, 0; "
         "SCALARS h: 0 of 320 differ, 0; VECTORS e_vec: 0 of 960 differ, 0")
+    ascii_vtk = tmp_path / "a.vtk"
+    ascii_vtk.write_bytes(b"# vtk DataFile Version 3.0\ndecem snapshot\nASCII\n")
+    assert tool.describe_difference(str(ascii_vtk), vtk) == (
+        f"{ascii_vtk}: not a legacy binary VTK file")
 
     # a copy whose Whitney vectors are 1e-9 larger differs in the VTK
     # vectors only, at the nonzero snapshots
@@ -455,7 +457,7 @@ def test_compare_outputs_tool(tmp_path, capsys):
     assert tool.main([src, str(vectors), str(cfg)]) == 1
     lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
     assert lines[0::3] == [f"DIFFERS {cfg}: snapshot_00000{n}.vtk" for n in (2, 4)]
-    assert lines[1::3] == ["BINARY -> BINARY, 1 of 5 arrays differ"] * 2
+    assert lines[1::3] == ["1 of 5 arrays differ"] * 2
     for detail in lines[2::3]:
         assert detail.startswith("per array: POINTS: 0 of 126 differ, 0; CELLS: 0 of 320 "
                                  "differ, 0; CELL_TYPES: 0 of 80 differ, 0; SCALARS h: 0 of "

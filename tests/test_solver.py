@@ -387,12 +387,12 @@ def test_cg_iteration_cap_raises(icosphere1, icosphere1_metrics):
 
 
 def test_source_validation(icosphere1):
-    src = solver.SourceSpec(kind="gaussian_pulse", target="je", amplitude=1.0,
-                            width=0.1, support=[10_000])
     with pytest.raises(ValueError, match="out of range"):
-        src.validate(icosphere1, "TE")
+        solver.check_indices("source.support", [10_000], icosphere1, on_edges=True)
     with pytest.raises(ValueError, match=r"^source.support: edge index 120 out of range"):
-        solver.SourceSpec(support=[120]).validate(icosphere1, "TE")
+        solver.check_indices("source.support", [120], icosphere1, on_edges=True)
+    with pytest.raises(ValueError, match=r"^source.support: index 1180591620717411303424 out"):
+        solver.SourceSpec(support=[2**70])
     with pytest.raises(ValueError, match="width"):
         solver.SourceSpec(kind="gaussian_pulse", width=0.0)
     with pytest.raises(ValueError, match="target"):

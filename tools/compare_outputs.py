@@ -20,12 +20,10 @@ differs gets a second line: whether its non-numeric text matches and how
 many of its numbers differ.  A CSV file whose numbers differ also gets, per
 column named in its header (its first line that does not start with
 ``#``), the largest |a - b| over the column's largest |a|, so each figure
-measures an energy against energies and a step against steps.  A legacy VTK
-file, ``ASCII`` or ``BINARY``, is compared by its named arrays instead: its
-second line gives each side's encoding and, per array, how many values
-differ and the same scale-relative figure, so a change of encoding alone
-reads as every array equal.  The exit status is 1 if anything differed,
-else 0.
+measures an energy against energies and a step against steps.  A legacy
+binary VTK file is compared by its named arrays instead: its second line
+gives, per array, how many values differ and the same scale-relative
+figure.  The exit status is 1 if anything differed, else 0.
 """
 
 from __future__ import annotations
@@ -120,17 +118,18 @@ def column_differences(text_a: str, text_b: str) -> str:
 VTK_TYPES = {"double": ">f8", "int": ">i4"}
 
 
-def read_vtk(path: str) -> tuple[str, dict]:
-    """The encoding (``ASCII`` or ``BINARY``) of a legacy VTK file and its
-    arrays as float64, by keyword: ``POINTS``, ``CELLS``, ``CELL_TYPES``,
-    ``SCALARS <name>`` and ``VECTORS <name>``.  Each array's size comes from
-    its keyword line (and the ``CELL_DATA``/``POINT_DATA`` count before it);
-    in a binary file it is that many big-endian values, in an ASCII file
-    that many whitespace-separated numbers, and other lines are skipped."""
+def read_vtk(path: str) -> dict:
+    """The arrays of a legacy binary VTK file as float64, by keyword:
+    ``POINTS``, ``CELLS``, ``CELL_TYPES``, ``SCALARS <name>`` and ``VECTORS
+    <name>``.  Each array's size comes from its keyword line (and the
+    ``CELL_DATA``/``POINT_DATA`` count before it), and it is that many
+    big-endian values; other lines are skipped.  A file whose encoding is not
+    ``BINARY`` raises ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     _, _, encoding, body = (data.split(b"\n", 3) + [b""] * 3)[:4]
-    encoding = encoding.strip().decode("ascii", "replace")
+    if encoding.strip() != b"BINARY":
+        raise ValueError(f"{path}: not a legacy binary VTK file")
     at, count, arrays = 0, 0, {}
 
     def line():
@@ -159,17 +158,11 @@ def read_vtk(path: str) -> tuple[str, dict]:
         else:
             continue
         name = " ".join(words[:2]) if key in ("SCALARS", "VECTORS") else key
-        if encoding == "BINARY":   # a short file gives a short array
-            dtype = np.dtype(VTK_TYPES[vtk_type])
-            values = np.frombuffer(body, dtype, min(n, (len(body) - at) // dtype.itemsize), at)
-            at += values.nbytes
-        else:
-            tokens = []
-            while len(tokens) < n and at < len(body):
-                tokens += line()
-            values = np.array(tokens[:n], dtype=np.float64)
+        dtype = np.dtype(VTK_TYPES[vtk_type])   # a short file gives a short array
+        values = np.frombuffer(body, dtype, min(n, (len(body) - at) // dtype.itemsize), at)
+        at += values.nbytes
         arrays[name] = values.astype(np.float64)
-    return encoding, arrays
+    return arrays
 
 
 def array_difference(a: np.ndarray, b: np.ndarray) -> tuple[int, float]:
@@ -186,11 +179,14 @@ def array_difference(a: np.ndarray, b: np.ndarray) -> tuple[int, float]:
 
 
 def vtk_differences(path_a: str, path_b: str) -> str:
-    """Each side's encoding and, per array of two legacy VTK files, how many
-    values differ and how far apart they are."""
-    (enc_a, arrays_a), (enc_b, arrays_b) = read_vtk(path_a), read_vtk(path_b)
+    """Per array of two legacy binary VTK files, how many values differ and
+    how far apart they are."""
+    try:
+        arrays_a, arrays_b = read_vtk(path_a), read_vtk(path_b)
+    except ValueError as exc:
+        return str(exc)
     if arrays_a.keys() != arrays_b.keys():
-        return f"{enc_a} -> {enc_b}, arrays {sorted(arrays_a)} != {sorted(arrays_b)}"
+        return f"arrays {sorted(arrays_a)} != {sorted(arrays_b)}"
     figures, differ = [], 0
     for name, a in arrays_a.items():
         b = arrays_b[name]
@@ -202,7 +198,7 @@ def vtk_differences(path_a: str, path_b: str) -> str:
         figures.append(f"{name}: {count} of {a.size} differ, {figure:.3g}")
         differ += bool(count)
     verdict = "arrays equal" if not differ else f"{differ} of {len(figures)} arrays differ"
-    return f"{enc_a} -> {enc_b}, {verdict}\n        per array: {'; '.join(figures)}"
+    return f"{verdict}\n        per array: {'; '.join(figures)}"
 
 
 def describe_difference(path_a: str, path_b: str) -> str:
