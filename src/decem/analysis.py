@@ -147,9 +147,12 @@ def stability_sweep(
     """Growth factors of the lossless operator's lowest and highest modes
     at each dt of ``dt_list``.
 
-    lambda_max comes from ``eigsh(C, which="LA")``, lambda_min by
-    shift-invert at -1e-3 lambda_max, both from a vector of ones, so that
-    they are reproducible; a lambda_min within 1e-12 lambda_max of zero is
+    lambda_max comes from ``eigsh(C, which="LA")`` with a Lanczos basis of
+    up to 40 vectors (ARPACK's default of 20 stalls on the 5120-face
+    icosphere),
+    lambda_min by shift-invert at -1e-3 lambda_max, both from a vector of
+    ones, so that they are reproducible; an ARPACK failure of either raises
+    ``SolverError``.  A lambda_min within 1e-12 lambda_max of zero is
     roundoff on the static mode and becomes 0.0.  A lower one raises
     ``SolverError``: ``assemble`` refuses every operator that has one.  A
     zero K (TE with no interior edge) makes every mode static, lambda = 0.
@@ -160,8 +163,12 @@ def stability_sweep(
         raise ValueError("the operator analysis needs at least two faces")
     v0 = np.ones(C.shape[0])
     if C.data.any():
-        (lam_max,), top = spla.eigsh(C, k=1, which="LA", v0=v0)
-        lam_min = spla.eigsh(C, k=1, sigma=-1e-3 * lam_max, v0=v0, return_eigenvectors=False)[0]
+        try:
+            (lam_max,), top = spla.eigsh(C, k=1, which="LA", v0=v0, ncv=min(C.shape[0], 40))
+            lam_min = spla.eigsh(C, k=1, sigma=-1e-3 * lam_max, v0=v0,
+                                 return_eigenvectors=False)[0]
+        except spla.ArpackError as exc:
+            raise sv.SolverError(f"operator eigensolve failed: {exc}") from None
     else:   # K = 0 (TE with every edge PEC): every face mode is static
         lam_max, lam_min, top = 0.0, 0.0, v0[:, None]
     if lam_min < -1e-12 * lam_max:

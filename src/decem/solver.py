@@ -22,15 +22,22 @@ edges), and a step is two incidence products around one face solve:
 
 ``assemble`` also stores d1^T, the CSC view that shares d1's arrays, and s g
 as one diagonal, so a step builds no operator: it allocates only the new
-state and the intermediates of these three lines, and adds a current on its
-support only (off the support the full-array formulas above subtract
-+0.0).  ``assemble`` also binds the face solve once, as the stepper's
-``solve``: the back-substitution of a sparse LU (SuperLU) factored there,
-or Jacobi-preconditioned CG warm-started from the current face cochain, so
-a step never dispatches on the solver's name.  The conduction terms use the
-time-average of the two levels; the curl coupling is fully implicit, which
-makes the update a contraction in the energy norm for any dt
-(unconditional stability).
+state, hist, the right-hand side and one product for the d1 hist term, does
+the two coupling lines in place, and adds a current on its support only
+(off the support the full-array formulas above subtract +0.0); each
+in-place line rounds exactly as the formula written with fresh arrays.
+``assemble`` also binds the face solve once, as the stepper's ``solve``:
+the back-substitution of a sparse LU (SuperLU) factored there, or
+Jacobi-preconditioned CG warm-started from the current face cochain, so a
+step never dispatches on the solver's name.  The face matrix is exactly
+symmetric as assembled: two faces share at most one edge, so each
+off-diagonal entry is the single term +-g_e of that edge in both triangles.
+A^T x = b is therefore the same system, and the back-substitution runs
+SuperLU's transposed sweeps, which read the factor by gathers instead of
+column scatters and agree with the plain sweeps to roundoff.  The
+conduction terms use the time-average of the two levels; the curl coupling
+is fully implicit, which makes the update a contraction in the energy norm
+for any dt (unconditional stability).
 
 Boundary condition is PEC: in TE the tangential electric unknowns on boundary
 edges are held at zero (g = 0 removes them from the system); in TM the
@@ -280,8 +287,9 @@ class ImplicitStepper:
     """Pre-assembled per-step linear system for one polarization.
 
     Holds the diagonal update coefficients and ``solve(rhs, x0)``, the face
-    solve that ``assemble`` bound once: the back-substitution of a sparse LU
-    factor, held without the matrix it factored (``direct``), or Jacobi CG
+    solve that ``assemble`` bound once: the transposed back-substitution of
+    a sparse LU factor, held without the matrix it factored, which is valid
+    because that matrix equals its transpose (``direct``), or Jacobi CG
     warm-started from ``x0`` on the matrix it closes over (``cg``).
     ``edge_couple`` is s g, and ``edge_decay``/``edge_drive`` are g m_e and
     g star1 (module docstring); all three are +0.0 on PEC edges, so a PEC
@@ -328,10 +336,13 @@ def assemble(
 
     The face solve is chosen here, once, and bound as the stepper's
     ``solve``: ``solver="direct"`` (the default) factors the face system
-    here, drops the matrix and back-substitutes each step; ``"cg"`` keeps
-    the matrix, no factor, and runs Jacobi CG each step, to the relative
-    residual ``tolerance`` within ``max_iters`` iterations (default 10
-    sqrt(unknowns); at least 1), using less memory.
+    here, drops the matrix and back-substitutes each step through the
+    factor's transposed sweeps (``trans="T"``, the faster direction), which
+    solve A^T x = b, the same system: each off-diagonal entry of A is the
+    one term of the one edge two faces share, so A equals its transpose bit
+    for bit; ``"cg"`` keeps the matrix, no factor, and runs Jacobi CG each
+    step, to the relative residual ``tolerance`` within ``max_iters``
+    iterations (default 10 sqrt(unknowns); at least 1), using less memory.
 
     The face system ``diag(p_f) + d1 diag(g) d1^T`` is symmetric positive
     definite whenever every diagonal entry ``(material / dt + conduction / 2)
@@ -387,7 +398,7 @@ def assemble(
             system.tocsc(), permc_spec="MMD_AT_PLUS_A",
             options={"SymmetricMode": True}, panel_size=1,
         )
-        solve = lambda rhs, x0: factor.solve(rhs)
+        solve = lambda rhs, x0: factor.solve(rhs, trans="T")
     else:
         # the sum's data and indices are views of 25% larger buffers; a copy
         # holds exactly nnz entries, in the same order, so SpMV sums are kept
@@ -436,9 +447,13 @@ def step(stepper: ImplicitStepper, state: FieldState,
             hist[support] -= stepper.edge_drive[support] * j
         else:
             rhs[support] -= j
-    rhs -= pol.couple_sign * (stepper.d1 @ hist)
+    coupling = stepper.d1 @ hist
+    coupling *= pol.couple_sign
+    rhs -= coupling
     w_new = stepper.solve(rhs, w)
-    u_new = hist + stepper.edge_couple * (stepper.d1t @ w_new)
+    u_new = stepper.d1t @ w_new
+    u_new *= stepper.edge_couple
+    u_new += hist
 
     e_new, h_new = pol.place(u_new, w_new)
     return FieldState(pol.mode, e_new, h_new, n=state.n + 1, t=(state.n + 1) * stepper.dt)

@@ -797,6 +797,66 @@ def test_stability_on_a_mesh_with_no_interior_edge(mode, lam, tmp_path, capsys):
     assert cli.main(["run", path, "--quiet"]) == 0
 
 
+def test_stability_converges_on_the_5120_face_icosphere(tmp_path, capsys):
+    """ARPACK's default basis of 20 vectors did not converge on lambda_max of
+    the once-subdivided icosphere_3 (about 43 s, then a traceback); the sweep's
+    basis of 40 finds it, to the digits of a dense ``eigvalsh``."""
+    icosphere_3 = bundled.bundled_surface("icosphere_3.obj")
+    surface = mesh.from_arrays(*mesh.subdivide(icosphere_3.vertices, icosphere_3.faces,
+                                               project_unit_sphere=True))
+    assert surface.n_faces == 5120
+    obj = write_obj(tmp_path / "icosphere_4.obj", surface)
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{
+        **UNDRIVEN, "mesh_path": str(obj), "dt": "0.03", "output.directory": str(out)})
+    assert cli.main(["stability", path]) == 0
+    rows = [row.split(",") for row in (out / "growth.csv").read_text().splitlines()[1:]]
+    assert {round(float(row[1]), 6) for row in rows[1::2]} == {4909.876541}
+    assert {row[1] for row in rows[::2]} == {"0.0"}
+
+
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+def test_stability_on_the_icosahedron(mode, icosahedron_path, tmp_path, capsys):
+    """20 faces, fewer than the 40 vectors of the lambda_max basis: the basis
+    shrinks to the operator's size, and both extreme eigenvalues match a dense
+    ``eigvalsh`` of the same operator."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", mode=mode, **{
+        **UNDRIVEN, "mesh_path": icosahedron_path, "output.directory": str(out)})
+    assert cli.main(["stability", path]) == 0
+    rows = [row.split(",") for row in (out / "growth.csv").read_text().splitlines()[1:]]
+    surface = mesh.load_obj(icosahedron_path)
+    materials = config.load_config(path).materials(surface)
+    _, C, _ = analysis._modal_operator(surface, mesh.compute_dual_metrics(surface), materials)
+    dense = np.linalg.eigvalsh(C.toarray())
+    assert {row[1] for row in rows[::2]} == {"0.0"} and abs(dense[0]) < 1e-12 * dense[-1]
+    assert {abs(float(row[1]) / dense[-1] - 1) < 1e-12 for row in rows[1::2]} == {True}
+
+
+@pytest.mark.parametrize("call", ["lambda_max", "lambda_min"])
+def test_stability_turns_an_arpack_failure_into_an_error(call, tmp_path, capsys,
+                                                         monkeypatch):
+    """An eigensolve that ARPACK gives up on, for either extreme mode, exits 2
+    with one ``error:`` line and writes no growth.csv, as an indefinite
+    operator does."""
+    eigsh = analysis.spla.eigsh
+
+    def failing(C, k, **kwargs):
+        if ("sigma" in kwargs) == (call == "lambda_min"):
+            raise analysis.spla.ArpackNoConvergence(
+                "No convergence (300 iterations, 0/1 eigenvectors converged)", [], [])
+        return eigsh(C, k, **kwargs)
+
+    monkeypatch.setattr(analysis.spla, "eigsh", failing)
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{**UNDRIVEN, "output.directory": str(out)})
+    assert cli.main(["stability", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: operator eigensolve failed: ARPACK error -1: No convergence "
+        "(300 iterations, 0/1 eigenvectors converged)\n")
+    assert not (out / "growth.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_nonfinite_vertex_is_one_error(value, tmp_path, capsys):
     """A non-finite coordinate fails ``check-mesh`` and ``run`` with one

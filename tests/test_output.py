@@ -361,8 +361,9 @@ def test_compare_outputs_tool(tmp_path, capsys):
         "probe.p0.quantity = h\nprobe.p0.index = 0\n"
         "output.cadence = 2\noutput.formats = vtk,csv\n")
     assert tool.main([src, src, str(cfg)]) == 0
-    assert re.search(r"^same    .*: \d+ files, peak RSS \d+\.\d -> \d+\.\d MB$",
-                     capsys.readouterr().out, re.M)
+    out = capsys.readouterr().out
+    assert re.search(r"^same    .*: \d+ files, peak RSS \d+\.\d -> \d+\.\d MB$", out, re.M)
+    assert out.splitlines()[-1] == "largest scale-relative difference: 0"
     conv = tmp_path / "conv.cfg"
     conv.write_text(
         "mesh_path = cavity_1.obj\nmode = TM\ndt = 0.016\nsteps = 4\nmaterial.eps = 1\n"
@@ -386,8 +387,15 @@ def test_compare_outputs_tool(tmp_path, capsys):
 
     # per column of a CSV: comment lines skipped, text cells ignored
     assert tool.column_differences("# c\nstep,probe,value\n1,p0,2.0\n2,p0,-4.0\n",
-                                   "# c\nstep,probe,value\n1,p0,2.5\n2,p0,-4.0\n") == (
-        "step 0, value 0.125")
+                                   "# c\nstep,probe,value\n1,p0,2.5\n2,p0,-4.0\n") == {
+        "step": 0.0, "value": 0.125}
+
+    # a text file that is not a CSV counts as one column
+    txt_a, txt_b = tmp_path / "a.txt", tmp_path / "b.txt"
+    txt_a.write_text("lambda in [0, 4.0]\n")
+    txt_b.write_text("lambda in [0, 4.5]\n")
+    assert tool.describe_difference(str(txt_a), str(txt_b)) == (
+        "text same, 1 of 2 numbers differ", (0.125, ""))
 
     # a copy whose CSV snapshot header differs is caught, file by file
     mutant = tmp_path / "mutant"
@@ -404,6 +412,8 @@ def test_compare_outputs_tool(tmp_path, capsys):
     details = [line.strip() for line in lines if line.startswith(" ")]
     assert len(details) == 3
     assert all(d.startswith("text differs, 0 of ") for d in details)
+    # which is no roundoff
+    assert lines[-1] == f"largest scale-relative difference: inf ({cfg}: snapshot_000000.csv)"
 
     # a copy whose energies are 1e-9 larger differs in run_log.csv numbers only
     scaled = tmp_path / "scaled"
@@ -420,7 +430,8 @@ def test_compare_outputs_tool(tmp_path, capsys):
         "text same, 2 of 15 numbers differ",
         # each column is measured against its own largest number
         "per column: step 0, t 0, energy 1e-09, max_gauss_electric 0, "
-        "max_gauss_magnetic 0"]
+        "max_gauss_magnetic 0",
+        f"largest scale-relative difference: 1e-09 ({cfg}: run_log.csv energy)"]
 
     # a VTK file is compared by its arrays, read bit for bit from the binary
     # layout, special values included (nan equals nan); a file of another
@@ -439,11 +450,11 @@ def test_compare_outputs_tool(tmp_path, capsys):
     assert tool.describe_difference(vtk, vtk) == (
         "arrays equal\n        per array: POINTS: 0 of 486 differ, 0; "
         "CELLS: 0 of 1280 differ, 0; CELL_TYPES: 0 of 320 differ, 0; "
-        "SCALARS h: 0 of 320 differ, 0; VECTORS e_vec: 0 of 960 differ, 0")
+        "SCALARS h: 0 of 320 differ, 0; VECTORS e_vec: 0 of 960 differ, 0", (0.0, ""))
     ascii_vtk = tmp_path / "a.vtk"
     ascii_vtk.write_bytes(b"# vtk DataFile Version 3.0\ndecem snapshot\nASCII\n")
     assert tool.describe_difference(str(ascii_vtk), vtk) == (
-        f"{ascii_vtk}: not a legacy binary VTK file")
+        f"{ascii_vtk}: not a legacy binary VTK file", (float("inf"), ""))
 
     # a copy whose Whitney vectors are 1e-9 larger differs in the VTK
     # vectors only, at the nonzero snapshots
@@ -456,18 +467,26 @@ def test_compare_outputs_tool(tmp_path, capsys):
     writer.write_text(text.replace("vectors += 0.0", "vectors *= 1 + 1e-9"))
     assert tool.main([src, str(vectors), str(cfg)]) == 1
     lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    *lines, last = lines
     assert lines[0::3] == [f"DIFFERS {cfg}: snapshot_00000{n}.vtk" for n in (2, 4)]
     assert lines[1::3] == ["1 of 5 arrays differ"] * 2
-    for detail in lines[2::3]:
+    figures = {}
+    for n, detail in zip((2, 4), lines[2::3]):
         assert detail.startswith("per array: POINTS: 0 of 126 differ, 0; CELLS: 0 of 320 "
                                  "differ, 0; CELL_TYPES: 0 of 80 differ, 0; SCALARS h: 0 of "
                                  "80 differ, 0; VECTORS e_vec: ")
         count, figure = re.fullmatch(r".*e_vec: (\d+) of 240 differ, (\S+)", detail).groups()
         assert int(count) > 0 and 0.5e-9 < float(figure) < 2e-9
+        figures[f"snapshot_00000{n}.vtk"] = figure
+    # the last line is the larger of the two snapshots' figures, and where
+    name = max(figures, key=lambda name: float(figures[name]))
+    assert last == (f"largest scale-relative difference: {figures[name]} "
+                    f"({cfg}: {name} VECTORS e_vec)")
 
     # a config that fails on both sides with the same exit status differs
     assert tool.main([src, src, str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert f"DIFFERS {tmp_path}: both exited 2" in lines
     assert not any(line.startswith("same") for line in lines)
+    assert lines[-1] == f"largest scale-relative difference: inf ({tmp_path}: both exited 2)"
 

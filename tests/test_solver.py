@@ -7,6 +7,7 @@ import types
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from decem import bundled, dec, mesh, solver
 
@@ -135,6 +136,30 @@ def test_direct_has_no_size_limit_and_agrees_with_cg():
     a = solver.step(direct, state)
     b = solver.step(cg, state)
     assert np.linalg.norm(a.e - b.e) <= 1e-10 * np.linalg.norm(a.e)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0])
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+@pytest.mark.parametrize("name", ["cavity_2.obj", "icosphere_2.obj"])
+def test_face_system_is_exactly_symmetric(name, mode, dt):
+    """Two faces share at most one edge, so each off-diagonal entry of the
+    face system is the one term +-g_e of that edge and the matrix equals its
+    transpose bit for bit, with any materials and conduction.  The direct
+    ``solve`` runs SuperLU's transposed sweeps, so it solves A^T x = b: the
+    same system, to roundoff."""
+    s = bundled.bundled_surface(name)
+    m = mesh.compute_dual_metrics(s)
+    rng = np.random.default_rng(31)
+    lossy = lambda: np.where(rng.random(s.n_faces) < 0.3, rng.uniform(0, 5, s.n_faces), 0.0)
+    mats = solver.MaterialParams.from_face_values(
+        mode, s, rng.uniform(1, 4, s.n_faces), rng.uniform(1, 4, s.n_faces), lossy(), lossy())
+    stepper = solver.assemble(s, m, mats, dt)
+    A = face_system(stepper)
+    assert A.nnz > s.n_faces and (A != A.T).nnz == 0
+    for _ in range(3):
+        rhs = rng.normal(size=s.n_faces)
+        x, ref = stepper.solve(rhs, None), spla.spsolve(A.tocsc(), rhs)
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # -- stepping ----------------------------------------------------------------
@@ -760,10 +785,11 @@ def lossy_stepper(mode, name, kind="direct"):
 @pytest.mark.parametrize("target", ["je", "jm", "none"])
 @pytest.mark.parametrize("mode", ["TE", "TM"])
 def test_step_bitwise_equals_full_array_reference(mode, target, name):
-    """The stored d1^T, the folded s g and the current added on its support
-    only change no bit against the full-array formulas, on either carrier,
-    on a closed sphere and a PEC cavity, and with no source (None or kind =
-    none)."""
+    """The stored d1^T, the folded s g, the current added on its support
+    only and the coupling lines done in place change no bit against the
+    full-array formulas written with fresh arrays, on either carrier, on a
+    closed sphere and a PEC cavity, and with no source (None or kind =
+    none); a step writes nothing into the state it advances."""
     stepper, start = lossy_stepper(mode, name)
     kind = "none" if target == "none" else "gaussian_pulse"
     src = solver.SourceSpec(kind=kind, target="je" if target == "none" else target,
@@ -771,7 +797,9 @@ def test_step_bitwise_equals_full_array_reference(mode, target, name):
     for sources in ([src, None] if target == "none" else [src]):
         state = ref = start
         for _ in range(8):
-            state = solver.step(stepper, state, sources)
+            before = state.e.tobytes(), state.h.tobytes()
+            previous, state = state, solver.step(stepper, state, sources)
+            assert (previous.e.tobytes(), previous.h.tobytes()) == before
             ref = reference_step(stepper, ref, sources, stepper.solve)
             assert state.e.tobytes() == ref.e.tobytes()
             assert state.h.tobytes() == ref.h.tobytes()

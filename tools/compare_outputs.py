@@ -23,7 +23,13 @@ column named in its header (its first line that does not start with
 measures an energy against energies and a step against steps.  A legacy
 binary VTK file is compared by its named arrays instead: its second line
 gives, per array, how many values differ and the same scale-relative
-figure.  The exit status is 1 if anything differed, else 0.
+figure.  The last line is the largest scale-relative difference over every
+column and array compared, and the config, file and column or array it
+comes from, so that a change that moves roundoff only can be judged at a
+glance: inf where a file exists on one side only, where the two sides exit
+differently or both fail, or where a file differs other than in its numbers
+(a text file that is not a CSV counts as one column).  The exit status is 1
+if anything differed, else 0.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from operator import itemgetter
 
 import numpy as np
 
@@ -96,22 +103,22 @@ def scale_relative_difference(nums_a: list, nums_b: list) -> float:
     return worst and (worst / scale if scale else math.inf)
 
 
-def column_differences(text_a: str, text_b: str) -> str:
-    """The scale-relative difference of each column of two CSV texts, over
-    the rows both hold and the cells that are numbers on both sides; empty
-    when the headers differ or no column holds a number."""
+def column_differences(text_a: str, text_b: str) -> dict:
+    """The scale-relative difference of each column of two CSV texts, by
+    column name, over the rows both hold and the cells that are numbers on
+    both sides; empty when the headers differ or no column holds a number."""
     rows_a, rows_b = ([line.split(",") for line in text.splitlines()
                        if not line.startswith("#")] for text in (text_a, text_b))
     if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
-        return ""
-    figures = []
+        return {}
+    figures = {}
     for k, name in enumerate(rows_a[0]):
         pairs = [(a[k], b[k]) for a, b in zip(rows_a[1:], rows_b[1:])
                  if len(a) > k and len(b) > k
                  and NUMBER.fullmatch(a[k]) and NUMBER.fullmatch(b[k])]
         if pairs:
-            figures.append(f"{name} {scale_relative_difference(*zip(*pairs)):.3g}")
-    return ", ".join(figures)
+            figures[name] = scale_relative_difference(*zip(*pairs))
+    return figures
 
 
 # legacy VTK data types, as big-endian binary
@@ -178,33 +185,37 @@ def array_difference(a: np.ndarray, b: np.ndarray) -> tuple[int, float]:
     return int(differ.sum()), worst / scale if scale else np.inf
 
 
-def vtk_differences(path_a: str, path_b: str) -> str:
+def vtk_differences(path_a: str, path_b: str) -> tuple[str, tuple[float, str]]:
     """Per array of two legacy binary VTK files, how many values differ and
-    how far apart they are."""
+    how far apart they are; and the largest of those figures with the name
+    of its array."""
     try:
         arrays_a, arrays_b = read_vtk(path_a), read_vtk(path_b)
     except ValueError as exc:
-        return str(exc)
+        return str(exc), (math.inf, "")
     if arrays_a.keys() != arrays_b.keys():
-        return f"arrays {sorted(arrays_a)} != {sorted(arrays_b)}"
-    figures, differ = [], 0
+        return f"arrays {sorted(arrays_a)} != {sorted(arrays_b)}", (math.inf, "")
+    figures, differ, worst = [], 0, (0.0, "")
     for name, a in arrays_a.items():
         b = arrays_b[name]
         if a.shape != b.shape:
             figures.append(f"{name}: {a.size} != {b.size} values")
-            differ += 1
+            differ, worst = differ + 1, max(worst, (math.inf, name), key=itemgetter(0))
             continue
         count, figure = array_difference(a, b)
         figures.append(f"{name}: {count} of {a.size} differ, {figure:.3g}")
-        differ += bool(count)
+        differ, worst = differ + bool(count), max(worst, (figure, name), key=itemgetter(0))
     verdict = "arrays equal" if not differ else f"{differ} of {len(figures)} arrays differ"
-    return f"{verdict}\n        per array: {'; '.join(figures)}"
+    return f"{verdict}\n        per array: {'; '.join(figures)}", worst
 
 
-def describe_difference(path_a: str, path_b: str) -> str:
+def describe_difference(path_a: str, path_b: str) -> tuple[str, tuple[float, str]]:
     """Whether two text files agree outside their numbers, how many of their
     numbers differ and, for a CSV file, how far apart each column is; for a
-    VTK file, ``vtk_differences``."""
+    VTK file, ``vtk_differences``.  Also the largest scale-relative figure
+    and the column it comes from: over the columns of a CSV file, over all
+    the numbers of another text file (no column name), and inf where the
+    text outside the numbers differs."""
     if path_a.endswith(".vtk"):
         return vtk_differences(path_a, path_b)
     texts = []
@@ -215,11 +226,19 @@ def describe_difference(path_a: str, path_b: str) -> str:
     same_text = NUMBER.sub("#", texts[0]) == NUMBER.sub("#", texts[1])
     text = "text same" if same_text else "text differs"
     if len(nums_a) != len(nums_b):
-        return f"{text}, {len(nums_a)} != {len(nums_b)} numbers"
+        return f"{text}, {len(nums_a)} != {len(nums_b)} numbers", (math.inf, "")
     differ = sum(map(bool, map(absolute_difference, nums_a, nums_b)))
-    columns = column_differences(*texts) if differ and path_a.endswith(".csv") else ""
+    columns = column_differences(*texts) if differ and path_a.endswith(".csv") else {}
+    if not same_text:
+        worst = (math.inf, "")
+    elif path_a.endswith(".csv"):
+        worst = max(((figure, name) for name, figure in columns.items()),
+                    default=(0.0, ""), key=itemgetter(0))
+    else:
+        worst = (scale_relative_difference(nums_a, nums_b), "")
+    per_column = ", ".join(f"{name} {figure:.3g}" for name, figure in columns.items())
     return (f"{text}, {differ} of {len(nums_a)} numbers differ"
-            + (f"\n        per column: {columns}" if columns else ""))
+            + (f"\n        per column: {per_column}" if columns else "")), worst
 
 
 def main(argv=None) -> int:
@@ -230,7 +249,7 @@ def main(argv=None) -> int:
     p.add_argument("--command", choices=("run", "stability", "convergence"), default="run")
     args = p.parse_args(argv)
 
-    differed = False
+    differed, worst = False, (0.0, "")
     with tempfile.TemporaryDirectory() as work:
         for i, cfg in enumerate(args.cfg):
             cfg = os.path.abspath(cfg)
@@ -246,11 +265,19 @@ def main(argv=None) -> int:
                 print(f"DIFFERS {cfg}: {what}")
                 pair = [os.path.join(out, what) for out in outs]
                 if all(os.path.isfile(p) for p in pair):
-                    print(f"        {describe_difference(*pair)}")
+                    description, (figure, part) = describe_difference(*pair)
+                    print(f"        {description}")
+                else:   # an exit status, or a file on one side only
+                    figure, part = math.inf, ""
+                worst = max(worst, (figure, f"{cfg}: {what} {part}".rstrip()),
+                            key=itemgetter(0))
             if not diffs:
                 n = len(os.listdir(outs[0])) if os.path.isdir(outs[0]) else 0
                 print(f"same    {cfg}: {n} files, peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB")
             differed = differed or bool(diffs)
+    figure, where = worst
+    print(f"largest scale-relative difference: {figure:.3g}"
+          + (f" ({where})" if where else ""))
     return 1 if differed else 0
 
 
