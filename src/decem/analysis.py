@@ -89,7 +89,7 @@ def _modal_operator(surface, metrics, materials):
     unit = sv.assemble(surface, metrics, lossless, 1.0, solver="cg")
     g = unit.polarization.couple_sign * unit.edge_couple
     scale = sp.diags(1.0 / np.sqrt(unit.face_plus))
-    return lossless, (scale @ unit.d1 @ sp.diags(g) @ unit.d1t @ scale).tocsr(), scale
+    return lossless, (scale @ unit.surface.d1 @ sp.diags(g) @ unit.d1t @ scale).tocsr(), scale
 
 
 @dataclass(frozen=True)

@@ -224,25 +224,20 @@ def from_arrays(vertices, faces) -> SimplicialSurface:
 
 def subdivide(verts, faces, project_unit_sphere):
     """One midpoint refinement: the coarse vertices, then each edge's midpoint
-    (scaled to unit length if ``project_unit_sphere``); face i -> 4i..4i+3."""
-    verts = list(map(tuple, verts))
-    cache = {}
-
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            p = 0.5 * (np.array(verts[i]) + np.array(verts[j]))
-            if project_unit_sphere:
-                p = p / np.linalg.norm(p)
-            cache[key] = len(verts)
-            verts.append(tuple(p))
-        return cache[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.array(verts), np.array(out, dtype=np.int64)
+    (scaled to unit length if ``project_unit_sphere``), numbered in the order
+    the faces first reach their edges; face i -> 4i..4i+3."""
+    verts = np.asarray(verts, dtype=np.float64)
+    faces = np.asarray(faces, dtype=np.int64)
+    edges, face_edges = _canonical_edges(faces, len(verts))
+    order = np.argsort(np.unique(face_edges, return_index=True)[1])
+    mid = 0.5 * (verts[edges[order, 0]] + verts[edges[order, 1]])
+    if project_unit_sphere:
+        # the norm np.linalg.norm takes of one vector, bit for bit
+        mid /= np.sqrt(np.matmul(mid[:, None], mid[:, :, None]))[:, 0]
+    ab, bc, ca = (len(verts) + np.argsort(order)[face_edges]).T
+    a, b, c = faces.T
+    children = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.concatenate([verts, mid]), children.reshape(-1, 3)
 
 
 def _obj_token_blocks(path):

@@ -293,9 +293,9 @@ class ImplicitStepper:
     warm-started from ``x0`` on the matrix it closes over (``cg``).
     ``edge_couple`` is s g, and ``edge_decay``/``edge_drive`` are g m_e and
     g star1 (module docstring); all three are +0.0 on PEC edges, so a PEC
-    unknown at +0.0 stays +0.0.  ``d1`` is the surface's own incidence
-    matrix and ``d1t`` its transpose, the CSC view that shares ``d1``'s
-    arrays, taken once here rather than each step.  A stepper is immutable:
+    unknown at +0.0 stays +0.0.  ``d1t`` is the transpose of the surface's
+    incidence matrix ``surface.d1``, the CSC view that shares its arrays,
+    taken once here rather than each step.  A stepper is immutable:
     stepping never changes it, so one stepper can serve any number of runs.
     """
 
@@ -312,7 +312,6 @@ class ImplicitStepper:
     edge_couple: np.ndarray
     edge_decay: np.ndarray
     edge_drive: np.ndarray
-    d1: sp.csr_matrix
     d1t: sp.csc_matrix
     solve: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -424,7 +423,7 @@ def assemble(
         face_plus=face_plus, face_minus=face_minus,
         active_edges=active, edge_couple=on_active(pol.couple_sign),
         edge_decay=on_active(edge_minus), edge_drive=on_active(star1),
-        d1=surface.d1, d1t=surface.d1.T, solve=solve,
+        d1t=surface.d1.T, solve=solve,
     )
 
 
@@ -447,7 +446,7 @@ def step(stepper: ImplicitStepper, state: FieldState,
             hist[support] -= stepper.edge_drive[support] * j
         else:
             rhs[support] -= j
-    coupling = stepper.d1 @ hist
+    coupling = stepper.surface.d1 @ hist
     coupling *= pol.couple_sign
     rhs -= coupling
     w_new = stepper.solve(rhs, w)
@@ -488,19 +487,16 @@ def gauss_residuals(
     surface: SimplicialSurface,
     stars: HodgeStars,
     materials: MaterialParams,
-    charge: np.ndarray | None = None,
 ) -> np.ndarray:
     """Discrete Gauss-law residual of a state, one value per vertex.
 
     The divergence constraint on the edge-carried flux lives on vertices
-    (dual 2-cells): in TE the electric law ``d0^T star1 (eps e) - |*v| rho``,
-    in TM the magnetic law with ``mu h``.  The complementary law acts on a
-    top-degree form and has no carriers on a surface, so it has no residual.
-    ``charge`` is a pointwise per-vertex density (zero by default).
+    (dual 2-cells): in TE the electric law ``d0^T star1 (eps e)``, in TM the
+    magnetic law with ``mu h``, both charge-free.  The complementary law
+    acts on a top-degree form and has no carriers on a surface, so it has no
+    residual.
     """
-    rho = np.zeros(surface.n_vertices) if charge is None else np.asarray(charge, float)
-    flux = _edge_flux(state, materials)
-    return surface.d0.T @ (stars.star1 * flux) - stars.star0 * rho
+    return surface.d0.T @ (stars.star1 * _edge_flux(state, materials))
 
 
 def gauss_residual_scale(

@@ -460,6 +460,122 @@ def test_bundled_cavities_are_subdivisions_of_cavity_1():
                                                    project_unit_sphere=False))
 
 
+def test_bundled_icospheres_are_the_written_subdivision_chain(make_assets, tmp_path):
+    """icosphere_k.obj is, byte for byte, ``make_assets.write_obj`` of the
+    icosahedron subdivided k times with projection to the unit sphere."""
+    from decem import bundled
+
+    v, f = make_assets.icosahedron()
+    for level in (1, 2, 3):
+        v, f = mesh.subdivide(v, f, project_unit_sphere=True)
+        path = tmp_path / f"icosphere_{level}.obj"
+        make_assets.write_obj(str(path), v, f)
+        with open(bundled.bundled_path(f"icosphere_{level}.obj"), "rb") as fh:
+            assert path.read_bytes() == fh.read(), level
+
+
+# The dict-and-loop refinement that the array form of ``subdivide`` replaced,
+# kept as the oracle for its vertex numbering and its bits.
+def reference_subdivide(verts, faces, project_unit_sphere):
+    verts = list(map(tuple, verts))
+    cache = {}
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            p = 0.5 * (np.array(verts[i]) + np.array(verts[j]))
+            if project_unit_sphere:
+                p = p / np.linalg.norm(p)
+            cache[key] = len(verts)
+            verts.append(tuple(p))
+        return cache[key]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(verts), np.array(out, dtype=np.int64)
+
+
+def assert_same_refinement(verts, faces, project_unit_sphere):
+    """``subdivide`` equals the reference bit for bit, with its dtypes."""
+    v, f = mesh.subdivide(verts, faces, project_unit_sphere)
+    v_ref, f_ref = reference_subdivide(verts, faces, project_unit_sphere)
+    assert v.dtype == np.float64 and f.dtype == np.int64
+    assert v.shape == v_ref.shape and f.shape == f_ref.shape
+    assert np.array_equal(v.view(np.uint64), v_ref.view(np.uint64))
+    assert np.array_equal(f, f_ref)
+    return v, f
+
+
+def shuffled_and_rotated(faces, seed):
+    """The faces in a random order, each starting at a random corner (same
+    winding)."""
+    rng = np.random.default_rng(seed)
+    faces = rng.permutation(np.asarray(faces))
+    shift = rng.integers(0, 3, (len(faces), 1))
+    return np.take_along_axis(faces, (np.arange(3) + shift) % 3, axis=1)
+
+
+def test_subdivide_matches_reference_on_the_icosphere_chain(make_assets):
+    """L1 to L5 (20480 faces), each level refined from the one before."""
+    v, f = make_assets.icosahedron()
+    for _ in range(5):
+        v, f = assert_same_refinement(v, f, project_unit_sphere=True)
+    assert len(f) == 20480
+
+
+@pytest.mark.parametrize("name", ["cavity_1.obj", "cavity_2.obj", "cavity_3.obj",
+                                  "icosphere_3.obj"])
+@pytest.mark.parametrize("project", [False, True])
+def test_subdivide_matches_reference_on_bundled_meshes(name, project):
+    from decem import bundled
+
+    s = bundled.bundled_surface(name)
+    assert_same_refinement(s.vertices, s.faces, project)
+    assert_same_refinement(s.vertices, shuffled_and_rotated(s.faces, 7), project)
+
+
+def test_subdivide_matches_reference_on_plane_points_and_lists(make_assets):
+    """The cavity's 2-D base chain, which the asset generator refines
+    without a z column, equals the refinement of its z = 0 lift; a single
+    triangle may come as lists of ints."""
+    v2, f = make_assets.acute8()
+    for _ in range(3):
+        v3, f3 = mesh.subdivide(np.column_stack([v2, np.zeros(len(v2))]), f, False)
+        v2, f = assert_same_refinement(v2, f, project_unit_sphere=False)
+        assert np.array_equal(v2.view(np.uint64), v3[:, :2].view(np.uint64))
+        assert np.array_equal(f, f3)
+    for project in (False, True):
+        assert_same_refinement([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], project)
+
+
+def total_area(v, f):
+    """The summed face areas, from cross products: a right-angled face
+    refines into a rectangle of two children, whose shared edge has a zero
+    dual edge, which the dual metrics refuse."""
+    cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    return 0.5 * np.linalg.norm(cross, axis=1).sum()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), rotate=st.booleans())
+def test_subdivide_refines_delaunay_squares(make_assets, n, seed, rotate):
+    """On seeded jittered Delaunay squares: the reference's bits, the counts
+    V' = V + E, E' = 2E + 3F, F' = 4F, the total area to roundoff, and a
+    result that ``from_arrays`` accepts."""
+    verts, faces = make_assets.delaunay_square(n, np.random.default_rng(seed))
+    if rotate:
+        faces = shuffled_and_rotated(faces, seed)
+    coarse = mesh.from_arrays(verts, faces)
+    fine = mesh.from_arrays(*assert_same_refinement(verts, faces, project_unit_sphere=False))
+    assert fine.n_vertices == coarse.n_vertices + coarse.n_edges
+    assert fine.n_edges == 2 * coarse.n_edges + 3 * coarse.n_faces
+    assert fine.n_faces == 4 * coarse.n_faces
+    area, fine_area = (total_area(s.vertices, s.faces) for s in (coarse, fine))
+    assert abs(fine_area - area) <= 1e-13 * area
+
+
 def test_reader_peak_memory_on_20480_faces(icosphere_objs):
     """The reader holds a block of tokens as Python strings, not the whole
     file's: its traced peak stays below 9 MB (13.4 MB when it held every

@@ -26,7 +26,7 @@ def face_system(stepper):
     """The face system of a stepper, built by the code ``assemble`` factors;
     a stepper holds its solve, not the matrix."""
     g = stepper.polarization.couple_sign * stepper.edge_couple   # s s g = g
-    return solver._face_system(stepper.d1, stepper.face_plus, g)
+    return solver._face_system(stepper.surface.d1, stepper.face_plus, g)
 
 
 def face_bump(surface, center=(0.0, 0.0, 1.0), width=0.1):
@@ -388,7 +388,6 @@ def test_set_up_holds_each_array_once():
     mats = solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0)
     stepper = solver.assemble(s, m, mats, 10.0 * m.dual_edge_len.min())
     assert "system" not in [f.name for f in dataclasses.fields(stepper)]
-    assert stepper.d1 is s.d1
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(stepper.d1t, name), getattr(s.d1, name))
     assert np.shares_memory(stepper.stars.star0, m.dual_vertex_area)

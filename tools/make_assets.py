@@ -10,7 +10,8 @@ then polished with a direct max-angle descent until every triangle is acute
 with margin; midpoint refinement preserves triangle shapes, so the finer
 levels are acute too and are exactly nested in the coarse one.
 
-Deterministic: no randomness anywhere.
+Deterministic: no randomness anywhere in the bundled assets.  The test
+meshes of ``delaunay_square`` draw from the generator they are given.
 """
 
 import os
@@ -190,7 +191,7 @@ def improve_fixed_topology(pts, faces, kinds, iters=6000, step=2e-4,
 def make_cavities():
     v2, f = acute8()
     for _ in range(2):
-        v2, f = subdivide_2d(v2, f)
+        v2, f = subdivide(v2, f, project_unit_sphere=False)
     kinds = [boundary_kind(p) for p in v2]
     v2, (amax, neg_amin) = improve_fixed_topology(v2, f, kinds)
     print(f"cavity base: {len(v2)} points, angles in [{-neg_amin:.2f}, {amax:.2f}] deg")
@@ -218,10 +219,22 @@ def make_cavities():
             v, f = subdivide(v, f, project_unit_sphere=False)
 
 
-def subdivide_2d(v2, f):
-    v3 = np.column_stack([v2, np.zeros(len(v2))])
-    v3, f = subdivide(v3, f, project_unit_sphere=False)
-    return v3[:, :2], f
+def delaunay_square(n, rng):
+    """``scipy.spatial.Delaunay`` triangulation of the (n+1)^2 grid on the
+    unit square, its interior points moved by up to 0.3 h = 0.3 / n in each
+    coordinate by ``rng``, every face wound counter-clockwise.  Returns
+    ``(vertices, faces)``, the vertices in the plane z = 0."""
+    from scipy.spatial import Delaunay
+
+    g = np.linspace(0.0, 1.0, n + 1)
+    p = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    inner = ((p > 0) & (p < 1)).all(axis=1)
+    p[inner] += (0.3 / n) * rng.uniform(-1.0, 1.0, (inner.sum(), 2))
+    faces = Delaunay(p).simplices
+    u, w = p[faces[:, 1]] - p[faces[:, 0]], p[faces[:, 2]] - p[faces[:, 0]]
+    clockwise = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0] < 0
+    faces[clockwise] = faces[clockwise][:, ::-1]
+    return np.column_stack([p, np.zeros(len(p))]), faces
 
 
 def write_obj(path, verts, faces):
