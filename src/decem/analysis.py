@@ -34,8 +34,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import solver as sv
-from .mesh import (DualMetrics, SimplicialSurface, compute_dual_metrics, edge_midpoints,
-                   face_circumcenters, from_arrays, subdivide)
+from .mesh import (DualMetrics, MeshError, SimplicialSurface, compute_dual_metrics,
+                   edge_midpoints, face_circumcenters, from_arrays, subdivide)
 
 __all__ = [
     "GrowthFactorReport",
@@ -79,17 +79,16 @@ def growth_factor(face, surface, metrics: DualMetrics, materials, dt, k):
     return M, (xi_plus, xi_minus)
 
 
-def _modal_operator(surface, metrics, materials):
-    """The lossless copy of ``materials`` and, from its stepper at dt = 1,
-    C = B^-1/2 K B^-1/2 and B^-1/2 (module docstring).  ``assemble`` refuses a
-    nonpositive active dual edge with ``SolverError``, as for a run."""
+def _modal_operator(surface, metrics, materials, dt=1.0):
+    """The stepper of the lossless copy of ``materials`` at ``dt`` and, from its coupling
+    dt g and face diagonal B / dt (exact at dt = 1), C = B^-1/2 K B^-1/2 and B^-1/2 (module
+    docstring); ``assemble`` refuses a nonpositive active dual edge, as for a run."""
     lossless = dataclasses.replace(materials, sigma=np.zeros_like(materials.sigma),
                                    sigma_m=np.zeros_like(materials.sigma_m))
-    # cg: this stepper is never stepped, so it needs no factor
-    unit = sv.assemble(surface, metrics, lossless, 1.0, solver="cg")
-    g = unit.polarization.couple_sign * unit.edge_couple
-    scale = sp.diags(1.0 / np.sqrt(unit.face_plus))
-    return lossless, (scale @ unit.surface.d1 @ sp.diags(g) @ unit.d1t @ scale).tocsr(), scale
+    stepper = sv.assemble(surface, metrics, lossless, dt)
+    g = stepper.polarization.couple_sign * stepper.edge_couple / dt
+    scale = sp.diags(1.0 / np.sqrt(stepper.face_plus * dt))
+    return stepper, (scale @ surface.d1 @ sp.diags(g) @ stepper.d1t @ scale).tocsr(), scale
 
 
 @dataclass(frozen=True)
@@ -147,18 +146,20 @@ def stability_sweep(
     """Growth factors of the lossless operator's lowest and highest modes
     at each dt of ``dt_list``.
 
-    lambda_max comes from ``eigsh(C, which="LA")`` with a Lanczos basis of
-    up to 40 vectors (ARPACK's default of 20 stalls on the 5120-face
-    icosphere),
-    lambda_min by shift-invert at -1e-3 lambda_max, both from a vector of
-    ones, so that they are reproducible; an ARPACK failure of either raises
-    ``SolverError``.  A lambda_min within 1e-12 lambda_max of zero is
-    roundoff on the static mode and becomes 0.0.  A lower one raises
-    ``SolverError``: ``assemble`` refuses every operator that has one.  A
-    zero K (TE with no interior edge) makes every mode static, lambda = 0.
+    C is read from the one lossless stepper, at the largest dt, that takes
+    the one-step check.  lambda_max comes from ``eigsh(C, which="LA")``
+    with a Lanczos basis of up to 40 vectors (ARPACK's default of 20 stalls
+    on the 5120-face icosphere), lambda_min by shift-invert at -1e-3
+    lambda_max, both from a vector of ones, so that they are reproducible;
+    an ARPACK failure of either raises ``SolverError``.  A lambda_min within
+    1e-12 lambda_max of zero is roundoff on the static mode and becomes
+    0.0.  A lower one raises ``SolverError``: ``assemble`` refuses every
+    operator that has one.  A zero K (TE with no interior edge) makes every
+    mode static, lambda = 0.
     """
     dt_list = np.atleast_1d(np.asarray(dt_list, dtype=float))
-    lossless, C, scale = _modal_operator(surface, metrics, materials)
+    dt_max = float(dt_list.max())
+    stepper, C, scale = _modal_operator(surface, metrics, materials, dt_max)
     if C.shape[0] < 2:
         raise ValueError("the operator analysis needs at least two faces")
     v0 = np.ones(C.shape[0])
@@ -177,12 +178,11 @@ def stability_sweep(
     if lam_min <= 1e-12 * lam_max:
         lam_min = 0.0
 
-    dt_max = float(dt_list.max())
     v = scale @ top[:, 0]
     v /= np.abs(v).max()
-    pol = sv.polarization(materials.mode)
+    pol = stepper.polarization
     state = sv.initial_state(pol.mode, surface, **{pol.face_field: v})
-    stepped = sv.step(sv.assemble(surface, metrics, lossless, dt_max), state)
+    stepped = sv.step(stepper, state)
     w1 = pol.place(stepped.e, stepped.h)[1]
     one_step = float(np.abs(w1 - v / (1.0 + lam_max * dt_max ** 2)).max())
     return GrowthFactorReport(mode=pol.mode, dt_list=dt_list,
@@ -240,6 +240,14 @@ class ConvergenceReport:
     joint_order: float
     temporal_order: float
 
+    def rows(self):
+        """Yield (study, h, dt, error) tuples, the joint rows first; a
+        temporal row's h is the empty text."""
+        for h, dt, err in self.joint:
+            yield "joint", h, dt, err
+        for dt, err in self.temporal:
+            yield "temporal", "", dt, err
+
     def summary(self) -> str:
         lines = ["cavity-mode convergence study", "joint refinement (dt ~ h):"]
         for h, dt, err in self.joint:
@@ -262,12 +270,10 @@ def _run_cavity(surface, metrics, dt, time, eps, mu, solver_kind, tolerance,
     steps = int(round(time / dt))
     for _ in range(steps):
         state = sv.step(stepper, state)
-    t_end = steps * dt
-    e_exact, _ = cavity_mode_fields(surface, t_end, eps, mu)
+    e_exact, _ = cavity_mode_fields(surface, steps * dt, eps, mu)
     weights = metrics.face_area
-    err = field_error(state.e, e_exact, weights)
-    ref = float(np.sqrt((weights * e_exact * e_exact).sum()))
-    return err / max(ref, 1e-300)
+    return (field_error(state.e, e_exact, weights)
+            / max(field_error(0.0, e_exact, weights), 1e-300))
 
 
 def convergence_study(
@@ -309,13 +315,16 @@ def convergence_study(
             or not on_side[surface.edges[surface.boundary]].all()):
         raise ValueError("the cavity mode needs the unit square: a flat mesh (z = 0) whose "
                          "vertices span exactly [0, 1]^2, with every boundary vertex on a side")
-    surfaces = [surface]
-    for _ in range(levels - 1):
-        coarse = surfaces[-1]
-        surfaces.append(from_arrays(*subdivide(coarse.vertices, coarse.faces,
-                                               project_unit_sphere=False)))
+    surfaces, metrics = [], []
+    for i in range(levels):
+        s = from_arrays(*subdivide(s.vertices, s.faces, False)) if i else surface
+        try:
+            metrics.append(compute_dual_metrics(s))
+        except MeshError as exc:
+            refined = {0: "itself", 1: "refined once"}.get(i, f"refined {i} times")
+            raise MeshError(f"level {i} of {levels} (the mesh {refined}): {exc}") from None
+        surfaces.append(s)
     dts = [dt / 2**i for i in range(levels)]
-    metrics = [compute_dual_metrics(s) for s in surfaces]
     case = (eps, mu, solver_kind, tolerance, max_iters)
 
     joint = []
@@ -332,13 +341,8 @@ def convergence_study(
         temporal.append((dt_i, err))
     temporal.append(joint[-1][1:])
 
-    joint_order = float(
-        np.polyfit(np.log([r[1] for r in joint]), np.log([r[2] for r in joint]), 1)[0]
-    )
-    temporal_order = float(
-        np.polyfit(np.log([r[0] for r in temporal]), np.log([r[1] for r in temporal]), 1)[0]
-    )
-    return ConvergenceReport(
-        joint=joint, temporal=temporal,
-        joint_order=joint_order, temporal_order=temporal_order,
-    )
+    order = lambda dts, errors: float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
+    (_, joint_dts, joint_errors), (temporal_dts, temporal_errors) = zip(*joint), zip(*temporal)
+    return ConvergenceReport(joint=joint, temporal=temporal,
+                             joint_order=order(joint_dts, joint_errors),
+                             temporal_order=order(temporal_dts, temporal_errors))

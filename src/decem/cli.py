@@ -170,12 +170,8 @@ def _cmd_stability(args) -> int:
     materials = cfg.materials(surface)
     dt_list = [f * cfg.dt for f in STABILITY_DT_FACTORS]
     report = analysis.stability_sweep(surface, compute_dual_metrics(surface), materials, dt_list)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    output.write_growth_csv(os.path.join(cfg.output_dir, "growth.csv"), report)
-    summary = report.summary()
-    with open(os.path.join(cfg.output_dir, "summary.txt"), "w") as fh:
-        fh.write(summary + "\n")
-    print(summary)
+    print(output.write_report(cfg.output_dir, report, "growth.csv", "mode,lambda,M,xi_mod,dt",
+                              "summary.txt"))
     return 0
 
 
@@ -192,16 +188,8 @@ def _cmd_convergence(args) -> int:
         load_obj(cfg.mesh_path), cfg.dt, time=cfg.steps * cfg.dt, eps=cfg.eps, mu=cfg.mu,
         solver_kind=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
     )
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "convergence.txt"), "w") as fh:
-        fh.write(report.summary() + "\n")
-    with open(os.path.join(cfg.output_dir, "errors.csv"), "w") as fh:
-        fh.write("study,h,dt,error\n")
-        for h, dt, err in report.joint:
-            fh.write(f"joint,{h!r},{dt!r},{err!r}\n")
-        for dt, err in report.temporal:
-            fh.write(f"temporal,,{dt!r},{err!r}\n")
-    print(report.summary())
+    print(output.write_report(cfg.output_dir, report, "errors.csv", "study,h,dt,error",
+                              "convergence.txt"))
     return 0
 
 

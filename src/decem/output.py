@@ -20,7 +20,7 @@ __all__ = [
     "whitney_face_vectors",
     "write_vtk_snapshot",
     "write_csv_snapshot",
-    "write_growth_csv",
+    "write_report",
     "ProbeWriter",
     "RunLogWriter",
     "write_manifest",
@@ -127,12 +127,19 @@ def write_csv_snapshot(path, state: FieldState) -> None:
                 fh.write(rows(quantity, start, values[start:start + step]))
 
 
-def write_growth_csv(path, report) -> None:
-    """One row per (dt, mode) in the order of ``report.rows()``."""
-    with open(path, "w") as fh:
-        fh.write("mode,lambda,M,xi_mod,dt\n")
-        for mode, lam, M, xi, dt in report.rows():
-            fh.write(f"{mode},{_fmt(lam)},{_fmt(M)},{_fmt(xi)},{_fmt(dt)}\n")
+def write_report(directory, report, csv_name, columns, text_name) -> str:
+    """Write ``report.summary()`` to ``text_name`` and ``report.rows()`` under
+    the header ``columns`` to ``csv_name`` (text as it is, a number as its
+    ``repr``) in ``directory``, made if missing; return the summary."""
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, csv_name), "w") as fh:
+        fh.write(columns + "\n")
+        for row in report.rows():
+            fh.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n")
+    summary = report.summary()
+    with open(os.path.join(directory, text_name), "w") as fh:
+        fh.write(summary + "\n")
+    return summary
 
 
 class ProbeWriter:

@@ -137,6 +137,24 @@ def test_stability_sweep_empirical_crosscheck():
         assert (rep.lam[0] > 0) == ((name, mode) == ("cavity_2.obj", "TM")), (name, mode)
 
 
+def test_stability_sweep_assembles_one_stepper(sphere, monkeypatch):
+    """The sweep reads C from the stepper that takes its one-step check, the
+    default (direct) one at its largest dt: one ``assemble`` per sweep.  That
+    C is the dt = 1 operator to roundoff."""
+    s, m, mats = sphere
+    calls, assemble = [], solver.assemble
+
+    def counted(*args, **kwargs):
+        calls.append((args[3], kwargs))
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble", counted)
+    analysis.stability_sweep(s, m, mats, [1e-3, 10.0, 0.1])
+    assert calls == [(10.0, {})]
+    (_, unit, _), (_, at_dt, _) = (analysis._modal_operator(s, m, mats, dt) for dt in (1.0, 10.0))
+    assert abs(at_dt - unit).max() <= 1e-14 * abs(unit).max()
+
+
 def test_report_rows_match_csv_columns(sphere):
     s, m, mats = sphere
     rep = analysis.stability_sweep(s, m, mats, [0.1, 2.0])

@@ -706,6 +706,26 @@ def test_indefinite_system_fails_in_set_up(mode, tmp_path, capsys, jittered_cavi
     assert any(l.startswith("error = SolverError: " + message) for l in manifest)
 
 
+def test_convergence_names_the_level_it_refuses(tmp_path, capsys, monkeypatch,
+                                                delaunay_squares):
+    """The n = 8 Delaunay square has right-angled corner faces, which the
+    midpoint refinement splits into rectangles of two children, so the mesh
+    refined once has a zero dual edge.  The study refuses it before any run,
+    exit 2, with an error that names the level whose edge index it gives,
+    and writes no errors.csv."""
+    runs = []
+    monkeypatch.setattr(analysis, "_run_cavity", lambda *args: runs.append(args))
+    obj = write_obj(tmp_path / "square.obj", delaunay_squares[8])
+    out = tmp_path / "conv"
+    path = write_cfg(tmp_path / "conv.cfg", **{
+        **CAVITY, "mesh_path": str(obj), "dt": "0.016", "steps": "80",
+        "output.directory": str(out)})
+    assert cli.main(["convergence", path]) == 2
+    assert re.match(r"error: level 1 of 3 \(the mesh refined once\): "
+                    r"zero dual edge at interior edge \d+ ", capsys.readouterr().err)
+    assert runs == [] and not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["TE", "TM"])
 def test_delaunay_square_runs_with_default_flags(mode, tmp_path, delaunay_square):
     """Non-well-centered faces need no option: every dual edge of the

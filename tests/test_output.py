@@ -281,13 +281,38 @@ def test_growth_csv_matches_per_line_oracle(tmp_path):
     specials = [-0.0, 5e-324, 1e16, 0.1, 1.0, -1e-300, np.inf, np.nan]
     special = [("lowest", *np.roll(specials, i)[:4]) for i in range(8)]
     for tag, rows in (("swept", list(swept.rows())), ("special", special)):
-        path = tmp_path / f"{tag}.csv"
-        output.write_growth_csv(str(path), types.SimpleNamespace(rows=lambda: iter(rows)))
-        lines = path.read_text().splitlines()
+        report = types.SimpleNamespace(rows=lambda: iter(rows), summary=lambda: tag)
+        assert output.write_report(str(tmp_path), report, f"{tag}.csv",
+                                   "mode,lambda,M,xi_mod,dt", f"{tag}.txt") == tag
+        assert (tmp_path / f"{tag}.txt").read_text() == tag + "\n"
+        lines = (tmp_path / f"{tag}.csv").read_text().splitlines()
         assert lines[0] == "mode,lambda,M,xi_mod,dt"
         assert [line.split(",")[0] for line in lines[1:]] == [row[0] for row in rows]
         read = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
         assert read.tobytes() == np.array([row[1:] for row in rows], dtype=float).tobytes()
+
+
+def test_errors_csv_matches_per_line_oracle(tmp_path):
+    """``errors.csv`` has the line that ``decem convergence`` wrote by hand
+    for each joint (h, dt, error) and temporal (dt, error) row, every number
+    as its ``repr``, special values included, and ``convergence.txt`` holds
+    the summary."""
+    studied = analysis.convergence_study(bundled.bundled_surface("cavity_1.obj"), 0.016,
+                                         time=0.032, levels=2)
+    specials = [-0.0, 5e-324, 1e16, 0.1, 1.0, -1e-300, float("inf"), float("nan")]
+    special = analysis.ConvergenceReport(
+        joint=[tuple(specials[i:i + 3]) for i in range(6)],
+        temporal=[tuple(specials[i:i + 2]) for i in range(7)], joint_order=1.0,
+        temporal_order=float("nan"))
+    for tag, report in (("studied", studied), ("special", special)):
+        out = tmp_path / tag
+        assert output.write_report(str(out), report, "errors.csv", "study,h,dt,error",
+                                   "convergence.txt") == report.summary()
+        assert (out / "convergence.txt").read_text() == report.summary() + "\n"
+        oracle = (["study,h,dt,error"]
+                  + [f"joint,{h!r},{dt!r},{err!r}" for h, dt, err in report.joint]
+                  + [f"temporal,,{dt!r},{err!r}" for dt, err in report.temporal])
+        assert (out / "errors.csv").read_text().splitlines() == oracle
 
 
 def test_snapshot_text_kernel_passes(tmp_path, monkeypatch):
