@@ -101,6 +101,9 @@ class GrowthFactorReport:
     run steps the analysed operator.
     """
 
+    # the files and CSV header that output.write_report writes (not fields)
+    csv_name, csv_header, text_name = "growth.csv", "mode,lambda,M,xi_mod,dt", "summary.txt"
+
     mode: str
     dt_list: np.ndarray
     lam: np.ndarray
@@ -235,6 +238,8 @@ class ConvergenceReport:
     Orders are least-squares log-log slopes.
     """
 
+    csv_name, csv_header, text_name = "errors.csv", "study,h,dt,error", "convergence.txt"
+
     joint: list
     temporal: list
     joint_order: float
@@ -260,11 +265,9 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _run_cavity(surface, metrics, dt, time, eps, mu, solver_kind, tolerance,
-                max_iters=None):
+def _run_cavity(surface, metrics, dt, time, eps, mu, **solve):
     mats = sv.MaterialParams.uniform("TM", surface, eps=eps, mu=mu)
-    stepper = sv.assemble(surface, metrics, mats, dt, solver=solver_kind,
-                          tolerance=tolerance, max_iters=max_iters)
+    stepper = sv.assemble(surface, metrics, mats, dt, **solve)
     e0, _ = cavity_mode_fields(surface, 0.0, eps, mu)
     state = sv.initial_state("TM", surface, e=e0)
     steps = int(round(time / dt))
@@ -283,9 +286,7 @@ def convergence_study(
     levels: int = 3,
     eps: float = 1.0,
     mu: float = 1.0,
-    solver_kind: str = "direct",
-    tolerance: float = 1e-10,
-    max_iters: int | None = None,
+    **solve,
 ) -> ConvergenceReport:
     """Observed convergence orders for the TM (1, 1) cavity mode.
 
@@ -298,10 +299,11 @@ def convergence_study(
     mesh, whose finest-dt run is the last joint one.  Errors are
     area-weighted relative L2 errors of the face field at the final time
     ``time`` (``decem convergence`` takes steps * dt), which the coarsest dt
-    must reach in at least one step.  Each run factors its system once with
-    the sparse LU (``solver_kind="direct"``); ``"cg"`` solves every step
-    with Jacobi CG instead, within ``max_iters`` iterations as in
-    ``assemble``.  Every refusal is a ``ValueError`` raised before any run.
+    must reach in at least one step.  ``solve``, ``assemble``'s keywords
+    ``solver``, ``tolerance`` and ``max_iters``, goes to each run's
+    ``assemble`` as it is.  Every refusal, a level's nonpositive dual edge
+    (``assemble``'s in TM, where every edge is active) included, is a
+    ``ValueError`` raised before any run.
     """
     if not time > 0:
         raise ValueError(f"the convergence time (steps * dt) must be positive, got {time!r}")
@@ -320,24 +322,26 @@ def convergence_study(
         s = from_arrays(*subdivide(s.vertices, s.faces, False)) if i else surface
         try:
             metrics.append(compute_dual_metrics(s))
+            if (bad := np.flatnonzero(metrics[-1].dual_edge_len <= 0)).size:
+                raise MeshError(f"nonpositive dual edge length at edge {bad[0]}; "
+                                "the mesh is not Delaunay there")
         except MeshError as exc:
             refined = {0: "itself", 1: "refined once"}.get(i, f"refined {i} times")
             raise MeshError(f"level {i} of {levels} (the mesh {refined}): {exc}") from None
         surfaces.append(s)
     dts = [dt / 2**i for i in range(levels)]
-    case = (eps, mu, solver_kind, tolerance, max_iters)
 
     joint = []
     for s, met, dt_i in zip(surfaces, metrics, dts):
         h = float(met.edge_len.max())
-        err = _run_cavity(s, met, dt_i, time, *case)
+        err = _run_cavity(s, met, dt_i, time, eps, mu, **solve)
         joint.append((h, dt_i, err))
 
     # the finest mesh at the finest dt is the last joint run: reuse its error
     temporal = []
     s_fine, met_fine = surfaces[-1], metrics[-1]
     for dt_i in dts[:-1]:
-        err = _run_cavity(s_fine, met_fine, dt_i, time, *case)
+        err = _run_cavity(s_fine, met_fine, dt_i, time, eps, mu, **solve)
         temporal.append((dt_i, err))
     temporal.append(joint[-1][1:])
 

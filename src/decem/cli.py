@@ -129,17 +129,15 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     return state
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def _cmd_run(cfg: RunConfig, args) -> int:
     run_simulation(cfg, echo=None if args.quiet else print)
     print(f"run complete: {cfg.steps} steps, outputs in {cfg.output_dir}")
     return 0
 
 
-def _cmd_check_mesh(args) -> int:
-    surface = load_obj(args.mesh)
-    report = mesh_report(surface, path=args.mesh)
+def _cmd_check_mesh(path) -> int:
+    surface = load_obj(path)
+    report = mesh_report(surface, path=path)
     print(report)
     return 0 if report.endswith("PASS") else 1
 
@@ -160,46 +158,31 @@ def _refuse(cfg: RunConfig, runs: str, settings=(), names=()) -> None:
         raise ConfigError(f"{runs}; it cannot take {', '.join(refused)}")
 
 
-def _cmd_stability(args) -> int:
+def _cmd_stability(cfg: RunConfig, args) -> int:
     from . import analysis   # here, so that a run does not import it
 
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
     _refuse(cfg, "decem stability analyses the source-free operator and records no probes")
     surface = load_obj(cfg.mesh_path)
     materials = cfg.materials(surface)
     dt_list = [f * cfg.dt for f in STABILITY_DT_FACTORS]
     report = analysis.stability_sweep(surface, compute_dual_metrics(surface), materials, dt_list)
-    print(output.write_report(cfg.output_dir, report, "growth.csv", "mode,lambda,M,xi_mod,dt",
-                              "summary.txt"))
+    print(output.write_report(cfg.output_dir, report))
     return 0
 
 
-def _cmd_convergence(args) -> int:
+def _cmd_convergence(cfg: RunConfig, args) -> int:
     from . import analysis
 
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
     _refuse(cfg, "decem convergence runs the lossless TM cavity with uniform eps and mu",
             settings=(("mode", cfg.mode, "TM"), ("material.sigma", cfg.sigma, 0.0),
                       ("material.sigma_m", cfg.sigma_m, 0.0)),
             names=[f"region.{name}" for name, _, _ in cfg.regions])
     report = analysis.convergence_study(
         load_obj(cfg.mesh_path), cfg.dt, time=cfg.steps * cfg.dt, eps=cfg.eps, mu=cfg.mu,
-        solver_kind=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
+        solver=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
     )
-    print(output.write_report(cfg.output_dir, report, "errors.csv", "study,h,dt,error",
-                              "convergence.txt"))
+    print(output.write_report(cfg.output_dir, report))
     return 0
-
-
-def _apply_overrides(cfg: RunConfig, args) -> None:
-    if args.output_dir:
-        cfg.output_dir = args.output_dir
-
-
-def _add_common(parser) -> None:
-    parser.add_argument("--output-dir", help="override output.directory")
 
 
 def main(argv=None) -> int:
@@ -214,28 +197,29 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a simulation from a config file")
-    p_run.add_argument("config")
     p_run.add_argument("--quiet", action="store_true", help="suppress the per-cadence log")
-    _add_common(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check-mesh", help="geometry and duality report for an OBJ mesh")
     p_check.add_argument("mesh")
-    p_check.set_defaults(func=_cmd_check_mesh)
 
     p_stab = sub.add_parser("stability", help="growth factors of the operator's extreme modes")
-    p_stab.add_argument("config")
-    _add_common(p_stab)
     p_stab.set_defaults(func=_cmd_stability)
 
     p_conv = sub.add_parser("convergence", help="cavity-mode convergence orders")
-    p_conv.add_argument("config")
-    _add_common(p_conv)
     p_conv.set_defaults(func=_cmd_convergence)
+
+    for p in (p_run, p_stab, p_conv):
+        p.add_argument("config")
+        p.add_argument("--output-dir", help="override output.directory")
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "check-mesh":
+            return _cmd_check_mesh(args.mesh)
+        cfg = load_config(args.config)
+        cfg.output_dir = args.output_dir or cfg.output_dir
+        return args.func(cfg, args)
     except (ValueError, sv.SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -127,17 +127,19 @@ def write_csv_snapshot(path, state: FieldState) -> None:
                 fh.write(rows(quantity, start, values[start:start + step]))
 
 
-def write_report(directory, report, csv_name, columns, text_name) -> str:
-    """Write ``report.summary()`` to ``text_name`` and ``report.rows()`` under
-    the header ``columns`` to ``csv_name`` (text as it is, a number as its
-    ``repr``) in ``directory``, made if missing; return the summary."""
+def write_report(directory, report) -> str:
+    """Write a report to ``directory``, made if missing, and return its
+    summary.  A report names its own files and header: ``report.summary()``
+    goes to ``report.text_name``, and ``report.rows()`` under the header
+    ``report.csv_header`` to ``report.csv_name`` (text as it is, a number
+    as its ``repr``)."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, csv_name), "w") as fh:
-        fh.write(columns + "\n")
+    with open(os.path.join(directory, report.csv_name), "w") as fh:
+        fh.write(report.csv_header + "\n")
         for row in report.rows():
             fh.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n")
     summary = report.summary()
-    with open(os.path.join(directory, text_name), "w") as fh:
+    with open(os.path.join(directory, report.text_name), "w") as fh:
         fh.write(summary + "\n")
     return summary
 

@@ -297,8 +297,7 @@ def test_delaunay_square_cavity_order_in_criterion_4_band(delaunay_squares):
         m = mesh.compute_dual_metrics(s)
         assert not m.all_well_centered and m.dual_edge_len.min() > 0
         hs.append(1.0 / n)
-        errors.append(analysis._run_cavity(s, m, 0.128 / n, 1.28, 1.0, 1.0,
-                                           "direct", 1e-10))
+        errors.append(analysis._run_cavity(s, m, 0.128 / n, 1.28, 1.0, 1.0))
     order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
     assert 0.8 <= order <= 1.5, (errors, order)
 
@@ -307,7 +306,7 @@ def test_convergence_quick_two_levels():
     # over a horizon where the first-order temporal error dominates,
     # halving (h, dt) roughly halves the error
     rep = analysis.convergence_study(bundled.bundled_surface("cavity_1.obj"), 0.016,
-                                     time=1.28, levels=2, solver_kind="direct")
+                                     time=1.28, levels=2, solver="direct")
     (h1, dt1, err1), (h2, dt2, err2) = rep.joint
     assert (dt1, dt2) == (0.016, 0.008)
     assert err2 < err1

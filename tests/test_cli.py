@@ -120,6 +120,27 @@ def test_config_bad_values(tmp_path):
             config.load_config(write_cfg(tmp_path / f"d{i}.cfg", **overrides))
 
 
+@pytest.mark.parametrize("lines,message", [
+    ["nonsense", "c.cfg:3: expected 'key = value'"],
+    ["= 5", "c.cfg:3: empty key"],
+    ["source.support = 1,x", "source.support: expected comma-separated integers, got '1,x'"],
+    ["mode = xy", "mode must be TE or TM, got 'XY'"],
+    ["region.a.eps = 2", "region.a: missing region.a.faces"],
+    ["region.a.faces = 0\nregion.a.foo = 1", "region.a.foo: unknown material quantity"],
+    ["probe.p.quantity = x\nprobe.p.index = 0", "probe.p.quantity must be e or h"],
+    ["probe.p.quantity = e", "probe.p: missing probe.p.index"],
+], ids=["no-equals", "empty-key", "support", "mode", "region-faces", "region-quantity",
+        "probe-quantity", "probe-index"])
+def test_config_refusals(lines, message, tmp_path):
+    """Each malformed line or missing part is one ``ConfigError`` whose text
+    names it; a line error gives the file and the line number."""
+    path = tmp_path / "c.cfg"
+    path.write_text(f"mesh_path = icosphere_1.obj\ndt = 0.1\n{lines}\n")
+    with pytest.raises(config.ConfigError) as err:
+        config.load_config(str(path))
+    assert str(err.value) == message.replace("c.cfg", str(path))
+
+
 def test_config_key_table(tmp_path):
     # a key left out keeps the RunConfig (or SourceSpec) field default
     p = tmp_path / "a.cfg"
@@ -724,6 +745,58 @@ def test_convergence_names_the_level_it_refuses(tmp_path, capsys, monkeypatch,
     assert re.match(r"error: level 1 of 3 \(the mesh refined once\): "
                     r"zero dual edge at interior edge \d+ ", capsys.readouterr().err)
     assert runs == [] and not out.exists()
+
+
+def test_convergence_refuses_an_obtuse_face_before_any_run(tmp_path, capsys, monkeypatch):
+    """cavity_1 with its interior vertices moved in-plane by up to a quarter
+    of the shortest edge has 12 faces that are not well-centred, passes
+    check-mesh, and runs.  Midpoint refinement gives each obtuse angle a
+    negative dual edge, which ``assemble`` refuses in TM, so the study
+    refuses the mesh refined once before any run, naming the level, exit 2,
+    and writes no errors.csv."""
+    s = bundled.bundled_surface("cavity_1.obj")
+    interior = np.ones(s.n_vertices, dtype=bool)
+    interior[s.edges[s.boundary]] = False
+    v = s.vertices.copy()
+    v[interior, :2] += (0.25 * mesh.compute_dual_metrics(s).edge_len.min()
+                        * np.random.default_rng(2).uniform(-1, 1, (interior.sum(), 2)))
+    s = mesh.from_arrays(v, s.faces)
+    assert (~mesh.compute_dual_metrics(s).well_centered).sum() == 12
+    assert mesh.mesh_report(s).endswith("PASS")
+    runs = []
+    monkeypatch.setattr(analysis, "_run_cavity", lambda *args, **kw: runs.append(args))
+    out = tmp_path / "conv"
+    path = write_cfg(tmp_path / "conv.cfg", **{
+        **CAVITY, "mesh_path": write_obj(tmp_path / "obtuse.obj", s), "dt": "0.016",
+        "steps": "80", "output.directory": str(out)})
+    assert cli.main(["convergence", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: level 1 of 3 (the mesh refined once): "
+        "nonpositive dual edge length at edge 422;")
+    assert runs == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command,overrides,written", [
+    ("run", {}, "manifest.txt"),
+    ("stability", UNDRIVEN, "growth.csv"),
+    ("convergence", {**CAVITY, "dt": "0.016", "steps": "4"}, "errors.csv"),
+])
+def test_each_config_command_loads_its_config_once(command, overrides, written, tmp_path,
+                                                    monkeypatch, capsys):
+    """``main`` loads the config of ``run``, ``stability`` and
+    ``convergence`` once per call, through ``cli.load_config``, and
+    ``--output-dir`` replaces ``output.directory`` for each."""
+    loads = []
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: loads.append(path) or load(path))
+    configured, flagged = tmp_path / "configured", tmp_path / "flagged"
+    path = write_cfg(tmp_path / "a.cfg", **overrides, **{"output.directory": str(configured)})
+    argv = [command, path, *(["--quiet"] if command == "run" else [])]
+    assert cli.main([*argv, "--output-dir", str(flagged)]) == 0
+    assert loads == [path] and (flagged / written).exists() and not configured.exists()
+    assert cli.main(argv) == 0
+    assert loads == [path, path]
+    assert sorted(os.listdir(configured)) == sorted(os.listdir(flagged))
 
 
 @pytest.mark.parametrize("mode", ["TE", "TM"])

@@ -106,6 +106,19 @@ def test_inconsistent_winding_rejected():
         mesh.from_arrays(v, [[0, 1, 2], [0, 1, 3]])
 
 
+@pytest.mark.parametrize("vertices,faces,message", [
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], "vertices must be an (V, 3) array"),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2, 0]],
+     "faces must be an (F, 3) array of vertex triples"),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 3]], "face vertex index out of range"),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[-1, 1, 2]], "face vertex index out of range"),
+], ids=["vertex-shape", "face-shape", "index-above", "index-below"])
+def test_from_arrays_refuses_malformed_arrays(vertices, faces, message):
+    with pytest.raises(mesh.MeshError) as err:
+        mesh.from_arrays(vertices, faces)
+    assert str(err.value) == message
+
+
 def test_isolated_vertex_rejected():
     v = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]]
     with pytest.raises(mesh.MeshError) as err:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 import re
@@ -281,15 +282,28 @@ def test_growth_csv_matches_per_line_oracle(tmp_path):
     specials = [-0.0, 5e-324, 1e16, 0.1, 1.0, -1e-300, np.inf, np.nan]
     special = [("lowest", *np.roll(specials, i)[:4]) for i in range(8)]
     for tag, rows in (("swept", list(swept.rows())), ("special", special)):
-        report = types.SimpleNamespace(rows=lambda: iter(rows), summary=lambda: tag)
-        assert output.write_report(str(tmp_path), report, f"{tag}.csv",
-                                   "mode,lambda,M,xi_mod,dt", f"{tag}.txt") == tag
+        report = types.SimpleNamespace(
+            rows=lambda: iter(rows), summary=lambda: tag, csv_name=f"{tag}.csv",
+            csv_header=analysis.GrowthFactorReport.csv_header, text_name=f"{tag}.txt")
+        assert output.write_report(str(tmp_path), report) == tag
         assert (tmp_path / f"{tag}.txt").read_text() == tag + "\n"
         lines = (tmp_path / f"{tag}.csv").read_text().splitlines()
         assert lines[0] == "mode,lambda,M,xi_mod,dt"
         assert [line.split(",")[0] for line in lines[1:]] == [row[0] for row in rows]
         read = np.array([[float(x) for x in line.split(",")[1:]] for line in lines[1:]])
         assert read.tobytes() == np.array([row[1:] for row in rows], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("report,layout", [
+    (analysis.GrowthFactorReport, ("growth.csv", "mode,lambda,M,xi_mod,dt", "summary.txt")),
+    (analysis.ConvergenceReport, ("errors.csv", "study,h,dt,error", "convergence.txt")),
+])
+def test_a_report_names_its_own_files(report, layout):
+    """Each report class carries the CSV name, CSV header and text name that
+    ``write_report`` writes, as class attributes that are not fields."""
+    assert (report.csv_name, report.csv_header, report.text_name) == layout
+    fields = {field.name for field in dataclasses.fields(report)}
+    assert fields.isdisjoint({"csv_name", "csv_header", "text_name"})
 
 
 def test_errors_csv_matches_per_line_oracle(tmp_path):
@@ -306,8 +320,7 @@ def test_errors_csv_matches_per_line_oracle(tmp_path):
         temporal_order=float("nan"))
     for tag, report in (("studied", studied), ("special", special)):
         out = tmp_path / tag
-        assert output.write_report(str(out), report, "errors.csv", "study,h,dt,error",
-                                   "convergence.txt") == report.summary()
+        assert output.write_report(str(out), report) == report.summary()
         assert (out / "convergence.txt").read_text() == report.summary() + "\n"
         oracle = (["study,h,dt,error"]
                   + [f"joint,{h!r},{dt!r},{err!r}" for h, dt, err in report.joint]

@@ -67,6 +67,21 @@ def test_assemble_rejects_bad_inputs(icosphere1, icosphere1_metrics):
                             solver="cg", max_iters=cap)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda s, m: solver.step(
+        solver.assemble(s, m, solver.MaterialParams.uniform("TE", s, eps=1.0, mu=1.0), 0.1),
+        solver.initial_state("TM", s)),
+     "state mode TM does not match stepper TE"),
+    (lambda s, m: solver.MaterialParams.from_face_values(
+        "TE", s, np.ones(s.n_faces - 1), np.ones(s.n_faces)),
+     "eps must be a per-face array"),
+], ids=["mode", "eps-length"])
+def test_solver_refuses_mismatched_inputs(call, message, icosphere1, icosphere1_metrics):
+    with pytest.raises(ValueError) as err:
+        call(icosphere1, icosphere1_metrics)
+    assert str(err.value) == message
+
+
 def test_material_validation(icosphere1):
     with pytest.raises(ValueError, match="positive"):
         solver.MaterialParams.uniform("TE", icosphere1, eps=-1.0)
