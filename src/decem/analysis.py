@@ -79,13 +79,14 @@ def growth_factor(face, surface, metrics: DualMetrics, materials, dt, k):
     return M, (xi_plus, xi_minus)
 
 
-def _modal_operator(surface, metrics, materials, dt=1.0):
-    """The stepper of the lossless copy of ``materials`` at ``dt`` and, from its coupling
-    dt g and face diagonal B / dt (exact at dt = 1), C = B^-1/2 K B^-1/2 and B^-1/2 (module
-    docstring); ``assemble`` refuses a nonpositive active dual edge, as for a run."""
+def _modal_operator(surface, metrics, materials, dt=1.0, **solve):
+    """The stepper of the lossless copy of ``materials`` at ``dt``, assembled with
+    ``assemble``'s ``solve`` keywords, and, from its coupling dt g and face diagonal
+    B / dt (exact at dt = 1), C = B^-1/2 K B^-1/2 and B^-1/2 (module docstring);
+    ``assemble`` refuses a nonpositive active dual edge, as for a run."""
     lossless = dataclasses.replace(materials, sigma=np.zeros_like(materials.sigma),
                                    sigma_m=np.zeros_like(materials.sigma_m))
-    stepper = sv.assemble(surface, metrics, lossless, dt)
+    stepper = sv.assemble(surface, metrics, lossless, dt, **solve)
     g = stepper.polarization.couple_sign * stepper.edge_couple / dt
     scale = sp.diags(1.0 / np.sqrt(stepper.face_plus * dt))
     return stepper, (scale @ surface.d1 @ sp.diags(g) @ stepper.d1t @ scale).tocsr(), scale
@@ -97,8 +98,10 @@ class GrowthFactorReport:
 
     ``lam`` holds their eigenvalues; ``M`` and ``xi_mod`` have shape
     (len(dt_list), 2).  ``one_step`` is max |w1 - v/(1+M)| after one ``step``
-    of the highest mode v (max |v| = 1) at the largest dt: roundoff, if the
-    run steps the analysed operator.
+    of the highest mode v (max |v| = 1) at the largest dt: roundoff with the
+    ``direct`` solve, within the CG tolerance with ``cg``, if the run steps
+    the analysed operator.  The rest depends on the coefficients only, not
+    on the solve: ``growth.csv`` is the same with either.
     """
 
     # the files and CSV header that output.write_report writes (not fields)
@@ -145,14 +148,17 @@ def stability_sweep(
     metrics: DualMetrics,
     materials: sv.MaterialParams,
     dt_list,
+    **solve,
 ) -> GrowthFactorReport:
     """Growth factors of the lossless operator's lowest and highest modes
     at each dt of ``dt_list``.
 
     C is read from the one lossless stepper, at the largest dt, that takes
-    the one-step check.  lambda_max comes from ``eigsh(C, which="LA")``
-    with a Lanczos basis of up to 40 vectors (ARPACK's default of 20 stalls
-    on the 5120-face icosphere), lambda_min by shift-invert at -1e-3
+    the one-step check; ``solve``, ``assemble``'s keywords ``solver``,
+    ``tolerance`` and ``max_iters``, goes to its ``assemble`` as it is.
+    lambda_max comes from ``eigsh(C, which="LA")`` with a Lanczos basis of
+    up to 40 vectors (ARPACK's default of 20 stalls on the 5120-face
+    icosphere), lambda_min by shift-invert at -1e-3
     lambda_max, both from a vector of ones, so that they are reproducible;
     an ARPACK failure of either raises ``SolverError``.  A lambda_min within
     1e-12 lambda_max of zero is roundoff on the static mode and becomes
@@ -162,7 +168,7 @@ def stability_sweep(
     """
     dt_list = np.atleast_1d(np.asarray(dt_list, dtype=float))
     dt_max = float(dt_list.max())
-    stepper, C, scale = _modal_operator(surface, metrics, materials, dt_max)
+    stepper, C, scale = _modal_operator(surface, metrics, materials, dt_max, **solve)
     if C.shape[0] < 2:
         raise ValueError("the operator analysis needs at least two faces")
     v0 = np.ones(C.shape[0])

@@ -25,6 +25,11 @@ from .mesh import compute_dual_metrics, load_obj, mesh_report
 __all__ = ["main", "run_simulation"]
 
 
+def _solve(cfg: RunConfig) -> dict:
+    """``assemble``'s solve keywords, as the config's ``solver.*`` keys set them."""
+    return {"solver": cfg.solver_kind, "tolerance": cfg.tolerance, "max_iters": cfg.max_iters}
+
+
 def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=print):
     """Execute a configured run; returns the final state.
 
@@ -34,9 +39,10 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     manifest names that first step and the last completed one.  A supplied
     initial state must be of the configured mode (else a ``ConfigError``)
     and satisfy the vertex Gauss law to within 1e-8 of its cancellation
-    scale (else a ``SolverError``); either error aborts the run before it
-    creates the output directory.  A non-finite energy at a cadence
-    aborts the run with a ``SolverError`` naming the step.
+    scale (else a ``SolverError``) off the vertices of PEC edges, whose
+    residual is the wall's induced charge; either error aborts the run
+    before it creates the output directory.  A non-finite energy at a
+    cadence aborts the run with a ``SolverError`` naming the step.
     """
     outdir = cfg.output_dir
     manifest_path = os.path.join(outdir, "manifest.txt")
@@ -80,14 +86,12 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
         surface = load_obj(cfg.mesh_path)
         materials = cfg.materials(surface)
         metrics = compute_dual_metrics(surface)
-        stepper = sv.assemble(
-            surface, metrics, materials, cfg.dt,
-            solver=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
-        )
+        stepper = sv.assemble(surface, metrics, materials, cfg.dt, **_solve(cfg))
         stars = stepper.stars
 
         if initial is not None:
             res = sv.gauss_residuals(initial, surface, stars, materials)
+            res[surface.edges[~stepper.active_edges]] = 0.0   # the wall's induced charge
             scale = sv.gauss_residual_scale(initial, surface, stars, materials)
             worst = np.abs(res).max()
             if worst > 1e-8 * max(scale, 1e-300):
@@ -153,7 +157,7 @@ def _refuse(cfg: RunConfig, runs: str, settings=(), names=()) -> None:
     ``names``, a source and each probe."""
     refused = [f"{key} = {value}" for key, value, taken in
                (*settings, ("source.kind", cfg.source.kind, "none")) if value != taken]
-    refused += [*names, *(f"probe.{probe.name}" for probe in cfg.probes)]
+    refused += [*names, *(f"probe.{name}" for name in cfg.probes)]
     if refused:
         raise ConfigError(f"{runs}; it cannot take {', '.join(refused)}")
 
@@ -164,8 +168,8 @@ def _cmd_stability(cfg: RunConfig, args) -> int:
     _refuse(cfg, "decem stability analyses the source-free operator and records no probes")
     surface = load_obj(cfg.mesh_path)
     materials = cfg.materials(surface)
-    dt_list = [f * cfg.dt for f in STABILITY_DT_FACTORS]
-    report = analysis.stability_sweep(surface, compute_dual_metrics(surface), materials, dt_list)
+    report = analysis.stability_sweep(surface, compute_dual_metrics(surface), materials,
+                                      [f * cfg.dt for f in STABILITY_DT_FACTORS], **_solve(cfg))
     print(output.write_report(cfg.output_dir, report))
     return 0
 
@@ -176,11 +180,10 @@ def _cmd_convergence(cfg: RunConfig, args) -> int:
     _refuse(cfg, "decem convergence runs the lossless TM cavity with uniform eps and mu",
             settings=(("mode", cfg.mode, "TM"), ("material.sigma", cfg.sigma, 0.0),
                       ("material.sigma_m", cfg.sigma_m, 0.0)),
-            names=[f"region.{name}" for name, _, _ in cfg.regions])
+            names=[f"region.{name}" for name in cfg.regions])
     report = analysis.convergence_study(
         load_obj(cfg.mesh_path), cfg.dt, time=cfg.steps * cfg.dt, eps=cfg.eps, mu=cfg.mu,
-        solver=cfg.solver_kind, tolerance=cfg.tolerance, max_iters=cfg.max_iters,
-    )
+        **_solve(cfg))
     print(output.write_report(cfg.output_dir, report))
     return 0
 

@@ -19,8 +19,10 @@ Example::
 ``#`` starts a comment; unknown keys are rejected so typos fail fast.
 ``_KEYS`` lists each scalar key once, with the ``RunConfig`` (or
 ``SourceSpec``) field it sets and its parser; a key left out keeps that
-field's default.  Relative mesh paths resolve against the config file's
-directory, falling back to the bundled data directory.
+field's default.  ``_FIELDS`` gives the parser of each field of a
+``region.<name>.<field>`` and ``probe.<name>.<field>`` key; a key that
+neither table knows is refused.  Relative mesh paths resolve against the
+config file's directory, falling back to the bundled data directory.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from . import bundled
 from .solver import EPS0, MU0, MaterialParams, SourceSpec, check_indices, polarization
 
-__all__ = ["ConfigError", "RunConfig", "ProbeSpec", "parse_kv_file", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "parse_kv_file", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -63,10 +65,6 @@ def parse_kv_file(path) -> dict:
 # Parsers: each takes a value's text and its full key, which every error names.
 def _text(value: str, key: str) -> str:
     return value
-
-
-def _upper(value: str, key: str) -> str:
-    return value.upper()
 
 
 def _int(value: str, key: str) -> int:
@@ -105,6 +103,12 @@ def _as_int_list(value: str, key: str):
         raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}")
 
 
+def _quantity(value: str, key: str) -> str:
+    if value not in ("e", "h"):
+        raise ConfigError(f"{key} must be e or h")
+    return value
+
+
 def _formats(value: str, key: str) -> tuple:
     formats = tuple(tok.strip() for tok in value.split(",") if tok.strip())
     for fmt in formats:
@@ -114,15 +118,9 @@ def _formats(value: str, key: str) -> tuple:
 
 
 @dataclass
-class ProbeSpec:
-    name: str
-    quantity: str   # "e" | "h"
-    index: int
-
-
-@dataclass
 class RunConfig:
-    """Validated simulation configuration; ``_KEYS`` names each field's key."""
+    """Validated simulation configuration; ``_KEYS`` names each field's key,
+    ``_FIELDS`` the fields of each entry of ``regions`` and ``probes``."""
 
     mesh_path: str
     mode: str = "TE"
@@ -132,9 +130,9 @@ class RunConfig:
     mu: float = MU0
     sigma: float = 0.0
     sigma_m: float = 0.0
-    regions: list = field(default_factory=list)  # (name, faces, overrides dict)
+    regions: dict = field(default_factory=dict)  # name: {field: value}, by name
     source: SourceSpec = field(default_factory=SourceSpec)
-    probes: list = field(default_factory=list)
+    probes: dict = field(default_factory=dict)   # name: {field: value}, by name
     output_dir: str = "out"
     cadence: int = 1
     formats: tuple = ("vtk", "csv")
@@ -149,23 +147,25 @@ class RunConfig:
         against its carrier, by one ``ConfigError`` that names the key."""
         pol, source = polarization(self.mode), self.source
         carried = [("source.support", source.support, pol.on_edges(source.target))]
-        carried += [(f"probe.{p.name}.index", [p.index], pol.on_edges(p.quantity))
-                    for p in self.probes]
-        carried += [(f"region.{name}.faces", faces, False) for name, faces, _ in self.regions]
+        carried += [(f"probe.{name}.index", [p["index"]], pol.on_edges(p["quantity"]))
+                    for name, p in self.probes.items()]
+        carried += [(f"region.{name}.faces", r["faces"], False)
+                    for name, r in self.regions.items()]
         for key, indices, on_edges in carried:
             check_indices(key, indices, surface, on_edges, ConfigError)
         values = {q: np.full(surface.n_faces, getattr(self, q))
                   for q in ("eps", "mu", "sigma", "sigma_m")}
-        for _, faces, over in self.regions:
-            for quantity, value in over.items():
-                values[quantity][faces] = value
+        for region in self.regions.values():
+            for quantity, face_values in values.items():
+                if quantity in region:
+                    face_values[region["faces"]] = region[quantity]
         return MaterialParams.from_face_values(self.mode, surface, **values)
 
 
 # key: (the dataclass it sets, its field, the parser of its text)
 _KEYS = {
     "mesh_path": (RunConfig, "mesh_path", _text),
-    "mode": (RunConfig, "mode", _upper),
+    "mode": (RunConfig, "mode", _text),
     "dt": (RunConfig, "dt", _float),
     "steps": (RunConfig, "steps", _int),
     "material.eps": (RunConfig, "eps", _material),
@@ -187,33 +187,49 @@ _KEYS = {
 }
 
 
+# section: {field: its parser}, for the keys <section>.<name>.<field>; each
+# entry of a section needs the fields of _REQUIRED
+_FIELDS = {
+    "region": {"faces": _as_int_list, "eps": _material, "mu": _material,
+               "sigma": _material, "sigma_m": _material},
+    "probe": {"quantity": _quantity, "index": _int},
+}
+_REQUIRED = {"region": ("faces",), "probe": ("quantity", "index")}
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
-    raw = parse_kv_file(path)
-
-    regions: dict[str, dict] = {}
-    probes: dict[str, dict] = {}
-    for key in list(raw):
+    values: dict = {RunConfig: {}, SourceSpec: {}, "region": {}, "probe": {}}
+    unknown = []
+    for key, text in parse_kv_file(path).items():
         parts = key.split(".")
-        if parts[0] == "region" and len(parts) == 3:
-            regions.setdefault(parts[1], {})[parts[2]] = raw.pop(key)
-        elif parts[0] == "probe" and len(parts) == 3:
-            probes.setdefault(parts[1], {})[parts[2]] = raw.pop(key)
-
-    unknown = set(raw) - set(_KEYS)
+        if key in _KEYS:
+            owner, attr, parse = _KEYS[key]
+            values[owner][attr] = parse(text, key)
+        elif len(parts) == 3 and parts[2] in _FIELDS.get(parts[0], ()):
+            section, name, fld = parts
+            values[section].setdefault(name, {})[fld] = _FIELDS[section][fld](text, key)
+        else:
+            unknown.append(key)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "mesh_path" not in raw:
+    if "mesh_path" not in values[RunConfig]:
         raise ConfigError("mesh_path is required")
-    values: dict = {RunConfig: {}, SourceSpec: {}}
-    for key, text in raw.items():
-        owner, name, parse = _KEYS[key]
-        values[owner][name] = parse(text, key)
+    sections = {section: dict(sorted(values[section].items())) for section in _FIELDS}
+    for section, entries in sections.items():
+        for name, entry in entries.items():
+            if section == "probe" and "," in name:
+                raise ConfigError(f"probe.{name}: a probe name cannot hold ',', "
+                                  "which separates the fields of probes.csv")
+            missing = [fld for fld in _REQUIRED[section] if fld not in entry]
+            if missing:
+                raise ConfigError(f"{section}.{name}: missing {section}.{name}.{missing[0]}")
     try:
         source = SourceSpec(**values[SourceSpec])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(source=source, **values[RunConfig])
+    cfg = RunConfig(source=source, regions=sections["region"], probes=sections["probe"],
+                    **values[RunConfig])
     # the range rules, on the final values (defaults included)
     try:
         polarization(cfg.mode)
@@ -235,27 +251,4 @@ def load_config(path) -> RunConfig:
     if not os.path.exists(mesh) and cfg.mesh_path in bundled.bundled_names():
         mesh = bundled.bundled_path(cfg.mesh_path)
     cfg.mesh_path = mesh
-
-    for name, spec in sorted(regions.items()):
-        if "faces" not in spec:
-            raise ConfigError(f"region.{name}: missing region.{name}.faces")
-        faces = _as_int_list(spec.pop("faces"), f"region.{name}.faces")
-        over = {}
-        for quantity, text in spec.items():
-            if quantity not in ("eps", "mu", "sigma", "sigma_m"):
-                raise ConfigError(f"region.{name}.{quantity}: unknown material quantity")
-            over[quantity] = _material(text, f"region.{name}.{quantity}")
-        cfg.regions.append((name, faces, over))
-
-    for name, spec in sorted(probes.items()):
-        if "," in name:
-            raise ConfigError(f"probe.{name}: a probe name cannot hold ',', "
-                              "which separates the fields of probes.csv")
-        quantity = spec.get("quantity", "")
-        if quantity not in ("e", "h"):
-            raise ConfigError(f"probe.{name}.quantity must be e or h")
-        if "index" not in spec:
-            raise ConfigError(f"probe.{name}: missing probe.{name}.index")
-        index = _int(spec["index"], f"probe.{name}.index")
-        cfg.probes.append(ProbeSpec(name=name, quantity=quantity, index=index))
     return cfg

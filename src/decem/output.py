@@ -145,12 +145,14 @@ def write_report(directory, report) -> str:
 
 
 class ProbeWriter:
-    """Streams probe samples (integrated cochain values) to CSV."""
+    """Streams probe samples (integrated cochain values) to CSV; ``probes``
+    maps each probe's name to its ``quantity`` and ``index``."""
 
     def __init__(self, path, probes):
         # each probe's array, index and constant ",name,quantity,index," text
-        self._probes = [(p.quantity == "e", p.index, f",{p.name},{p.quantity},{p.index},")
-                         for p in probes]
+        self._probes = [(p["quantity"] == "e", p["index"],
+                         f",{name},{p['quantity']},{p['index']},")
+                        for name, p in probes.items()]
         self.fh = open(path, "w")
         self.fh.write("# probe samples of integrated cochain values\n")
         self.fh.write("# (edge quantities are line integrals: field x length;\n")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import decem
-from decem import analysis, bundled, cli, config, mesh, output, solver
+from decem import analysis, bundled, cli, config, dec, mesh, output, solver
 
 
 def write_cfg(path, **overrides):
@@ -49,7 +49,7 @@ def test_config_parsing_roundtrip(tmp_path):
     assert cfg.mode == "TE"
     assert cfg.dt == 0.05
     assert cfg.source.kind == "gaussian_pulse"
-    assert cfg.probes[0].name == "p0"
+    assert cfg.probes == {"p0": {"quantity": "h", "index": 0}}
     assert os.path.exists(cfg.mesh_path)
 
 
@@ -124,13 +124,15 @@ def test_config_bad_values(tmp_path):
     ["nonsense", "c.cfg:3: expected 'key = value'"],
     ["= 5", "c.cfg:3: empty key"],
     ["source.support = 1,x", "source.support: expected comma-separated integers, got '1,x'"],
-    ["mode = xy", "mode must be TE or TM, got 'XY'"],
+    ["mode = xy", "mode must be TE or TM, got 'xy'"],
     ["region.a.eps = 2", "region.a: missing region.a.faces"],
-    ["region.a.faces = 0\nregion.a.foo = 1", "region.a.foo: unknown material quantity"],
+    ["region.a.faces = 0\nregion.a.foo = 1", "unknown config keys: ['region.a.foo']"],
     ["probe.p.quantity = x\nprobe.p.index = 0", "probe.p.quantity must be e or h"],
     ["probe.p.quantity = e", "probe.p: missing probe.p.index"],
+    ["probe.p.index = 0", "probe.p: missing probe.p.quantity"],
+    ["mode = te", "mode must be TE or TM, got 'te'"],
 ], ids=["no-equals", "empty-key", "support", "mode", "region-faces", "region-quantity",
-        "probe-quantity", "probe-index"])
+        "probe-quantity", "probe-index", "probe-quantity-missing", "mode-case"])
 def test_config_refusals(lines, message, tmp_path):
     """Each malformed line or missing part is one ``ConfigError`` whose text
     names it; a line error gives the file and the line number."""
@@ -139,6 +141,18 @@ def test_config_refusals(lines, message, tmp_path):
     with pytest.raises(config.ConfigError) as err:
         config.load_config(str(path))
     assert str(err.value) == message.replace("c.cfg", str(path))
+
+
+@pytest.mark.parametrize("key", ["probe.p0.indx", "region.a.foo"])
+def test_run_refuses_a_misspelt_field_before_output(key, tmp_path, capsys):
+    """A region or probe field that no table knows is an unknown key, like
+    any other: the run exits 2 and makes no output directory."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **{key: "5", "region.a.faces": "0",
+                                            "output.directory": str(out)})
+    assert cli.main(["run", path, "--quiet"]) == 2
+    assert f"error: unknown config keys: [{key!r}]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_key_table(tmp_path):
@@ -185,7 +199,11 @@ def test_readme_config_block_names_every_key(tmp_path):
     path = tmp_path / "readme.cfg"
     path.write_text(block)
     config.load_config(str(path))
-    assert set(config._KEYS) <= set(config.parse_kv_file(str(path)))
+    keys = set(config.parse_kv_file(str(path)))
+    assert set(config._KEYS) <= keys
+    fields = {f"{section}.{field}" for section, fields in config._FIELDS.items()
+              for field in fields}
+    assert fields <= {re.sub(r"\.[^.]+\.", ".", key) for key in keys}
 
 
 def test_removed_second_spellings(tmp_path, icosphere1, icosphere1_metrics):
@@ -295,6 +313,47 @@ def test_run_simulation_initial_state(tmp_path, monkeypatch):
     assert log[:, 0].tolist() == [12, 15, 20, 24]
     assert manifests == [("incomplete", 12), ("incomplete", 15), ("incomplete", 20),
                          ("incomplete", 24), ("complete", 24)]
+
+
+def test_run_resumes_a_te_state_with_a_wall(tmp_path):
+    """A TE state that a run on the cavity wrote resumes: its PEC wall's
+    vertices carry the wall's induced charge, so the initial Gauss check
+    leaves them out.  A random edge field is still refused before any
+    output."""
+    cfg = config.load_config(write_cfg(tmp_path / "a.cfg", **{
+        "probe.p0.quantity": None, "probe.p0.index": None,
+        "mesh_path": "cavity_2.obj", "dt": "0.01", "steps": "60", "output.cadence": "60",
+        "source.t0": "0.1", "source.width": "0.03", "source.support": "100",
+        "output.directory": str(tmp_path / "first")}))
+    saved = cli.run_simulation(cfg, echo=None)
+    surface = bundled.bundled_surface("cavity_2.obj")
+    stars = dec.build_hodge_stars(surface, mesh.compute_dual_metrics(surface))
+    mats = cfg.materials(surface)
+    on_wall = surface.edges[surface.boundary]
+    res = solver.gauss_residuals(saved, surface, stars, mats)
+    scale = solver.gauss_residual_scale(saved, surface, stars, mats)
+    assert np.abs(res[on_wall]).max() > 0.1 * scale   # the wall's charge, not roundoff
+    cfg.source, cfg.output_dir = solver.SourceSpec(), str(tmp_path / "resumed")
+    assert cli.run_simulation(cfg, initial=saved, echo=None).n == 120
+    cfg.output_dir = str(tmp_path / "bad")
+    rng = np.random.default_rng(3)
+    bad = solver.initial_state("TE", surface, e=rng.normal(size=surface.n_edges))
+    with pytest.raises(solver.SolverError, match="divergence constraint"):
+        cli.run_simulation(cfg, initial=bad, echo=None)
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("name", ["regions_probes_te.cfg", "regions_probes_tm.cfg"])
+def test_region_and_probe_configs_run(name, tmp_path, capsys):
+    """The region and probe configs that the compare-outputs job runs: each
+    completes, and probes.csv has a row per step for each of its probes."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--quiet", "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    rows = [r.split(",") for r in (out / "probes.csv").read_text().splitlines()[4:]]
+    assert [r[2] for r in rows] == ["center", "wall"] * 31
+    assert "status = complete" in (out / "manifest.txt").read_text().splitlines()
 
 
 def test_config_region_materials(tmp_path):
@@ -520,6 +579,29 @@ def test_stability_command(tmp_path, capsys):
     assert growth[0] == "mode,lambda,M,xi_mod,dt"
     assert [line.split(",")[0] for line in growth[1:]] == ["lowest", "highest"] * 3
     assert outputs[0][1].decode() == out
+
+
+def test_stability_solves_as_the_config_says(tmp_path, capsys, monkeypatch):
+    """``decem stability`` assembles with the ``solver.*`` keys: ``cg``
+    factors nothing, and its growth.csv is the ``direct`` run's, byte for
+    byte, since the growth factors depend on the coefficients only."""
+    factored, splu = [], solver.spla.splu
+
+    def counted(*args, **kwargs):
+        factored.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counted)
+    growth = {}
+    for kind in ("direct", "cg"):
+        path = write_cfg(tmp_path / f"{kind}.cfg", **{
+            **UNDRIVEN, "mesh_path": "icosphere_2.obj", "dt": "0.118", "solver.kind": kind})
+        factored.clear()
+        assert cli.main(["stability", path, "--output-dir", str(tmp_path / kind)]) == 0
+        assert len(factored) == (kind == "direct"), kind
+        growth[kind] = (tmp_path / kind / "growth.csv").read_bytes()
+    capsys.readouterr()
+    assert growth["cg"] == growth["direct"]
 
 
 def test_stability_sweeps_multiples_of_the_run_dt(tmp_path, capsys):

@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from decem import _text, analysis, bundled, config, mesh, output, solver
+from decem import _text, analysis, bundled, mesh, output, solver
 
 TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
 
@@ -367,18 +367,18 @@ def probes_per_line(path, probes, states):
         fh.write("#  face quantities are dual-node values)\n")
         fh.write("step,t,probe,quantity,index,value\n")
         for state in states:
-            for probe in probes:
-                array = state.e if probe.quantity == "e" else state.h
-                fh.write(f"{state.n},{_fmt(state.t)},{probe.name},"
-                         f"{probe.quantity},{probe.index},{_fmt(array[probe.index])}\n")
+            for name, probe in probes.items():
+                array = state.e if probe["quantity"] == "e" else state.h
+                fh.write(f"{state.n},{_fmt(state.t)},{name},{probe['quantity']},"
+                         f"{probe['index']},{_fmt(array[probe['index']])}\n")
 
 
 def test_probe_writer_matches_per_line_oracle(tmp_path):
     surface = bundled.bundled_surface("icosphere_2.obj")
     first = special_state(surface)
     states = [first, solver.FieldState("TE", -first.e, first.h[::-1], n=4, t=np.float64(0.2))]
-    probes = [config.ProbeSpec(name, quantity, index) for name, quantity, index in
-              (("p%d", "e", 0), ("{h}", "h", 1), ("x", "e", 6), ("y", "h", 7))]
+    probes = {name: {"quantity": quantity, "index": index} for name, quantity, index in
+              (("p%d", "e", 0), ("{h}", "h", 1), ("x", "e", 6), ("y", "h", 7))}
     writer = output.ProbeWriter(str(tmp_path / "new.csv"), probes)
     with np.errstate(invalid="ignore"):
         for state in states:

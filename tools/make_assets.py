@@ -11,7 +11,8 @@ with margin; midpoint refinement preserves triangle shapes, so the finer
 levels are acute too and are exactly nested in the coarse one.
 
 Deterministic: no randomness anywhere in the bundled assets.  The test
-meshes of ``delaunay_square`` draw from the generator they are given.
+meshes of ``delaunay_square`` draw from the generator they are given;
+``staggered_torus`` gives the tests a closed surface of genus 1.
 """
 
 import os
@@ -235,6 +236,27 @@ def delaunay_square(n, rng):
     clockwise = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0] < 0
     faces[clockwise] = faces[clockwise][:, ::-1]
     return np.column_stack([p, np.zeros(len(p))]), faces
+
+
+def staggered_torus(nu, nv, R, r):
+    """Torus of major radius ``R`` and minor radius ``r``: ``nv`` rings, one
+    per step of the angle around the tube, of ``nu`` vertices around the
+    axis, each odd ring turned by half a step, so that neighbouring rings
+    zigzag into near-equilateral triangles (``nv`` even closes the zigzag).
+    Every face is wound with its normal pointing out of the tube.  Returns
+    ``(vertices, faces)``."""
+    j, i = np.divmod(np.arange(nu * nv), nu)
+    u = 2.0 * np.pi * (i + 0.5 * (j % 2)) / nu
+    v = 2.0 * np.pi * j / nv
+    ring = R + r * np.cos(v)
+    vertices = np.column_stack([ring * np.cos(u), ring * np.sin(u), r * np.sin(v)])
+    i, j = np.meshgrid(np.arange(nu), np.arange(nv))
+    a, b = j * nu + i, j * nu + (i + 1) % nu              # ring j
+    c, d = (j + 1) % nv * nu + i, (j + 1) % nv * nu + (i + 1) % nu   # ring j + 1
+    odd = (j % 2 == 1)[..., None]
+    first = np.where(odd, np.stack([a, b, d], -1), np.stack([a, b, c], -1))
+    second = np.where(odd, np.stack([a, d, c], -1), np.stack([b, d, c], -1))
+    return vertices, np.concatenate([first.reshape(-1, 3), second.reshape(-1, 3)])
 
 
 def write_obj(path, verts, faces):
