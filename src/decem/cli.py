@@ -35,8 +35,9 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
 
     The loop keeps only the current state in memory (snapshots are
     streamed).  It advances ``cfg.steps`` steps from the initial state's
-    step, so a run from a saved state writes its last step too; the
-    manifest names that first step and the last completed one.  A supplied
+    step, writes a probe row for each state, and records (snapshots, a log
+    row, the manifest naming the first step and the last completed one)
+    the first, the last and each step a multiple of the cadence.  A supplied
     initial state must be of the configured mode (else a ``ConfigError``)
     and satisfy the vertex Gauss law to within 1e-8 of its cancellation
     scale (else a ``SolverError``) off the vertices of PEC edges, whose
@@ -45,40 +46,22 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     cadence aborts the run with a ``SolverError`` naming the step.
     """
     outdir = cfg.output_dir
-    manifest_path = os.path.join(outdir, "manifest.txt")
     written: list[str] = []
     state = probe_writer = log_writer = None
-    first_step = 0 if initial is None else initial.n
-
-    def snapshot(st):
-        stem = f"snapshot_{st.n:06d}"
-        if "vtk" in cfg.formats:
-            output.write_vtk_snapshot(os.path.join(outdir, stem + ".vtk"), surface, st)
-            written.append(stem + ".vtk")
-        if "csv" in cfg.formats:
-            output.write_csv_snapshot(os.path.join(outdir, stem + ".csv"), st)
-            written.append(stem + ".csv")
 
     def manifest(status, last_step, **extra):
-        output.write_manifest(manifest_path, {
+        output.write_manifest(os.path.join(outdir, "manifest.txt"), {
             "status": status,
             "mesh": os.path.basename(cfg.mesh_path),
             "mode": cfg.mode,
             "dt": repr(cfg.dt),
             "steps_requested": cfg.steps,
-            "first_step": first_step,
+            "first_step": 0 if initial is None else initial.n,
             "last_completed_step": last_step,
             "solver": cfg.solver_kind,
             "files": ",".join(written),
             **extra,
         })
-
-    def diagnostics(st):
-        en = sv.energy(st, stars, materials)
-        res = sv.gauss_residuals(st, surface, stars, materials)
-        log_writer.record(st, en, res)
-        if not np.isfinite(en):
-            raise sv.SolverError(f"non-finite energy at step {st.n}")
 
     try:
         if initial is not None and initial.mode != cfg.mode:
@@ -106,16 +89,22 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
         written += ["probes.csv", "run_log.csv"]
         state = initial if initial is not None else sv.initial_state(cfg.mode, surface)
 
-        snapshot(state)
-        probe_writer.record(state)
-        diagnostics(state)
-        manifest("incomplete", state.n)
-        for i in range(1, cfg.steps + 1):
-            state = sv.step(stepper, state, cfg.source)
+        for i in range(cfg.steps + 1):
+            if i > 0:
+                state = sv.step(stepper, state, cfg.source)
             probe_writer.record(state)
-            if state.n % cfg.cadence == 0 or i == cfg.steps:
-                snapshot(state)
-                diagnostics(state)
+            if i in (0, cfg.steps) or state.n % cfg.cadence == 0:
+                stem = f"snapshot_{state.n:06d}"
+                if "vtk" in cfg.formats:
+                    output.write_vtk_snapshot(os.path.join(outdir, stem + ".vtk"), surface, state)
+                    written.append(stem + ".vtk")
+                if "csv" in cfg.formats:
+                    output.write_csv_snapshot(os.path.join(outdir, stem + ".csv"), state)
+                    written.append(stem + ".csv")
+                en = sv.energy(state, stars, materials)
+                log_writer.record(state, en, sv.gauss_residuals(state, surface, stars, materials))
+                if not np.isfinite(en):
+                    raise sv.SolverError(f"non-finite energy at step {state.n}")
                 manifest("incomplete", state.n)
         manifest("complete", state.n)
     except (Exception, KeyboardInterrupt) as exc:

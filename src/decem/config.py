@@ -144,7 +144,8 @@ class RunConfig:
         """Per-face material arrays from uniform values plus region overrides,
         placed for the configured polarization.  This is where a config meets
         its mesh: first every source, probe and region index is checked
-        against its carrier, by one ``ConfigError`` that names the key."""
+        against its carrier, and a TE je support against the PEC wall, by
+        one ``ConfigError`` that names the key."""
         pol, source = polarization(self.mode), self.source
         carried = [("source.support", source.support, pol.on_edges(source.target))]
         carried += [(f"probe.{name}.index", [p["index"]], pol.on_edges(p["quantity"]))
@@ -153,6 +154,11 @@ class RunConfig:
                     for name, r in self.regions.items()]
         for key, indices, on_edges in carried:
             check_indices(key, indices, surface, on_edges, ConfigError)
+        if pol.pec_edges and pol.on_edges(source.target):
+            wall = source.support[surface.boundary[source.support]]
+            if wall.size:
+                raise ConfigError(f"source.support: edge {int(wall[0])} is on the PEC wall, "
+                                  "where a TE je current drives nothing")
         values = {q: np.full(surface.n_faces, getattr(self, q))
                   for q in ("eps", "mu", "sigma", "sigma_m")}
         for region in self.regions.values():
@@ -224,6 +230,9 @@ def load_config(path) -> RunConfig:
             missing = [fld for fld in _REQUIRED[section] if fld not in entry]
             if missing:
                 raise ConfigError(f"{section}.{name}: missing {section}.{name}.{missing[0]}")
+            if section == "region" and not entry["faces"]:
+                raise ConfigError(f"region.{name}.faces: lists no face, "
+                                  "so the region would set nothing")
     try:
         source = SourceSpec(**values[SourceSpec])
     except ValueError as exc:

@@ -247,7 +247,8 @@ class SourceSpec:
     it over the carrier measure.  The pulse is
     ``amplitude * exp(-(t - t0)^2 / (2 width^2))``, evaluated at half steps.
     ``support`` lists distinct nonnegative carrier indices, since a step's one
-    indexed update would apply a repeated index once and wrap a negative one.
+    indexed update would apply a repeated index once and wrap a negative one;
+    a pulse needs at least one, else it drives nothing.
     """
 
     kind: str = "none"
@@ -267,6 +268,8 @@ class SourceSpec:
         if self.kind != "none" and not self.width > 0:
             raise ValueError("source width must be positive")
         self.support = _as_indices("source.support", self.support)
+        if self.kind != "none" and not self.support.size:
+            raise ValueError("source.support: a gaussian_pulse needs at least one carrier index")
         negative = self.support[self.support < 0]
         if negative.size:
             raise ValueError(f"source.support: negative index {int(negative[0])}")

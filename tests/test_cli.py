@@ -155,6 +155,26 @@ def test_run_refuses_a_misspelt_field_before_output(key, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"region.a.faces": "", "region.a.eps": "5"},
+     "region.a.faces: lists no face, so the region would set nothing"),
+    ({"source.support": ""},
+     "source.support: a gaussian_pulse needs at least one carrier index"),
+    ({"mesh_path": "cavity_1.obj", "source.target": "je", "source.support": "0,2,4"},
+     "source.support: edge 0 is on the PEC wall, where a TE je current drives nothing"),
+])
+def test_run_refuses_a_setting_that_acts_on_nothing(overrides, message, tmp_path, capsys):
+    """A region with no face, a pulse with no carrier and a TE je pulse on
+    the first three edges of cavity_1's PEC wall, whose step multiplies it
+    by 0, each set nothing: the run exits 2 with one error naming the key
+    and makes no output directory."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", **overrides, **{"output.directory": str(out)})
+    assert cli.main(["run", path, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_config_key_table(tmp_path):
     # a key left out keeps the RunConfig (or SourceSpec) field default
     p = tmp_path / "a.cfg"
@@ -313,6 +333,37 @@ def test_run_simulation_initial_state(tmp_path, monkeypatch):
     assert log[:, 0].tolist() == [12, 15, 20, 24]
     assert manifests == [("incomplete", 12), ("incomplete", 15), ("incomplete", 20),
                          ("incomplete", 24), ("complete", 24)]
+
+
+@pytest.mark.parametrize("steps, cadence, first, recorded", [
+    (0, 4, 0, [0]),            # the initial state, recorded once
+    (7, 3, 0, [0, 3, 6, 7]),
+    (5, 9, 0, [0, 5]),         # a cadence beyond the run: the first and the last
+    (4, 3, 5, [5, 6, 9]),      # resumed from n = 5
+])
+def test_record_schedule(steps, cadence, first, recorded, tmp_path):
+    """A run records its first state, its last and each state whose step is
+    a multiple of the cadence, once each: snapshot files, a log row and the
+    manifest's files in that order.  Every state gets a probe row."""
+    out = tmp_path / "out"
+    cfg = config.load_config(write_cfg(tmp_path / "a.cfg", steps=str(steps), **{
+        "output.cadence": str(cadence), "output.directory": str(out)}))
+    surface = bundled.bundled_surface("icosphere_1.obj")
+    initial = solver.FieldState("TE", np.zeros(surface.n_edges), np.zeros(surface.n_faces),
+                                n=first, t=first * cfg.dt)
+    assert cli.run_simulation(cfg, initial=initial, echo=None).n == first + steps
+    stems = [f"snapshot_{n:06d}" for n in recorded]
+    for fmt in ("vtk", "csv"):
+        assert sorted(p.name for p in out.glob(f"snapshot_*.{fmt}")) == [
+            f"{stem}.{fmt}" for stem in stems]
+    log = np.loadtxt(out / "run_log.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert log[:, 0].tolist() == recorded
+    probes = (out / "probes.csv").read_text().splitlines()[4:]
+    assert [int(row.split(",")[0]) for row in probes] == list(range(first, first + steps + 1))
+    files = ["probes.csv", "run_log.csv"] + [f"{stem}.{fmt}" for stem in stems
+                                             for fmt in ("vtk", "csv")]
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert f"files = {','.join(files)}" in manifest and "status = complete" in manifest
 
 
 def test_run_resumes_a_te_state_with_a_wall(tmp_path):

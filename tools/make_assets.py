@@ -11,8 +11,9 @@ with margin; midpoint refinement preserves triangle shapes, so the finer
 levels are acute too and are exactly nested in the coarse one.
 
 Deterministic: no randomness anywhere in the bundled assets.  The test
-meshes of ``delaunay_square`` draw from the generator they are given;
-``staggered_torus`` gives the tests a closed surface of genus 1.
+meshes of ``delaunay_square`` and ``jittered_icosphere`` draw from the
+generator they are given; ``staggered_torus`` gives the tests a closed
+surface of genus 1.
 """
 
 import os
@@ -236,6 +237,23 @@ def delaunay_square(n, rng):
     clockwise = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0] < 0
     faces[clockwise] = faces[clockwise][:, ::-1]
     return np.column_stack([p, np.zeros(len(p))]), faces
+
+
+def jittered_icosphere(level, fraction, rng):
+    """The level-``level`` icosphere with each vertex moved by ``rng`` in a
+    random tangential direction, by a length uniform in [0, ``fraction`` x
+    the icosphere's shortest edge], then put back on the unit sphere.  Returns
+    ``(vertices, faces)``.  At fraction 0.2 most seeds keep every dual edge
+    positive at levels 1 and 2, with a few faces not well-centered."""
+    v, f = icosahedron()
+    for _ in range(level):
+        v, f = subdivide(v, f, project_unit_sphere=True)
+    shortest = np.linalg.norm(v[f] - v[np.roll(f, 1, axis=1)], axis=2).min()
+    direction = rng.normal(size=v.shape)
+    direction -= np.sum(direction * v, axis=1, keepdims=True) * v   # |v| = 1: tangential
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    v = v + fraction * shortest * rng.uniform(0.0, 1.0, (len(v), 1)) * direction
+    return v / np.linalg.norm(v, axis=1, keepdims=True), f
 
 
 def staggered_torus(nu, nv, R, r):
