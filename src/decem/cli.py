@@ -37,19 +37,21 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     streamed).  It advances ``cfg.steps`` steps from the initial state's
     step, writes a probe row for each state, and records (snapshots, a log
     row, the manifest naming the first step and the last completed one)
-    the first, the last and each step a multiple of the cadence.  A supplied
-    initial state must be of the configured mode (else a ``ConfigError``)
-    and satisfy the vertex Gauss law to within 1e-8 of its cancellation
-    scale (else a ``SolverError``) off the vertices of PEC edges, whose
-    residual is the wall's induced charge; either error aborts the run
-    before it creates the output directory.  A non-finite energy at a
-    cadence aborts the run with a ``SolverError`` naming the step.
+    the first, the last and each step a multiple of the cadence, flushing
+    the probe and log streams before each manifest.  A supplied initial
+    state is refused before the output directory exists unless it is of the
+    configured mode and at t = n dt (else a ``ConfigError``) and has the
+    mode's field lengths (else ``initial_state``'s ``ValueError``); its
+    charge is the scheme's to carry.  A non-finite energy at a cadence
+    aborts the run with a ``SolverError`` naming the step.
     """
     outdir = cfg.output_dir
     written: list[str] = []
     state = probe_writer = log_writer = None
 
     def manifest(status, last_step, **extra):
+        for writer in filter(None, (probe_writer, log_writer)):
+            writer.fh.flush()
         output.write_manifest(os.path.join(outdir, "manifest.txt"), {
             "status": status,
             "mesh": os.path.basename(cfg.mesh_path),
@@ -66,23 +68,16 @@ def run_simulation(cfg: RunConfig, initial: sv.FieldState | None = None, echo=pr
     try:
         if initial is not None and initial.mode != cfg.mode:
             raise ConfigError(f"initial state is {initial.mode} but the run is {cfg.mode}")
+        if initial is not None and initial.t != initial.n * cfg.dt:
+            raise ConfigError(f"initial state is at t = {initial.t!r}, but step {initial.n} "
+                              f"of a run with dt = {cfg.dt!r} is at t = {initial.n * cfg.dt!r}")
         surface = load_obj(cfg.mesh_path)
         materials = cfg.materials(surface)
         metrics = compute_dual_metrics(surface)
         stepper = sv.assemble(surface, metrics, materials, cfg.dt, **_solve(cfg))
         stars = stepper.stars
-
         if initial is not None:
-            res = sv.gauss_residuals(initial, surface, stars, materials)
-            res[surface.edges[~stepper.active_edges]] = 0.0   # the wall's induced charge
-            scale = sv.gauss_residual_scale(initial, surface, stars, materials)
-            worst = np.abs(res).max()
-            if worst > 1e-8 * max(scale, 1e-300):
-                raise sv.SolverError(
-                    f"initial data violates the divergence constraint "
-                    f"(residual {worst:.3e}, scale {scale:.3e})"
-                )
-
+            sv.initial_state(cfg.mode, surface, initial.e, initial.h)   # the lengths' check
         os.makedirs(outdir, exist_ok=True)
         probe_writer = output.ProbeWriter(os.path.join(outdir, "probes.csv"), cfg.probes)
         log_writer = output.RunLogWriter(os.path.join(outdir, "run_log.csv"), echo=echo)

@@ -233,6 +233,10 @@ def load_config(path) -> RunConfig:
             if section == "region" and not entry["faces"]:
                 raise ConfigError(f"region.{name}.faces: lists no face, "
                                   "so the region would set nothing")
+    idle = sorted(f"source.{attr}" for attr in values[SourceSpec] if attr != "kind")
+    if values[SourceSpec].get("kind", "none") == "none" and idle:
+        raise ConfigError(f"{', '.join(idle)}: set while source.kind is none, "
+                          "so they drive nothing")
     try:
         source = SourceSpec(**values[SourceSpec])
     except ValueError as exc:

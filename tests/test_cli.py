@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -37,9 +38,12 @@ def write_cfg(path, **overrides):
     return str(path)
 
 
-# overrides that drop write_cfg's source and probe, which decem stability
-# and decem convergence refuse
-UNDRIVEN = {"source.kind": None, "probe.p0.quantity": None, "probe.p0.index": None}
+# overrides that drop write_cfg's source, whose keys a config without a
+# source.kind refuses, and then its probe, which decem stability and decem
+# convergence refuse
+SOURCELESS = dict.fromkeys(["source.kind", "source.target", "source.amplitude", "source.t0",
+                            "source.width", "source.support"])
+UNDRIVEN = {**SOURCELESS, "probe.p0.quantity": None, "probe.p0.index": None}
 # and that turn its config into one decem convergence runs: the TM cavity
 CAVITY = {**UNDRIVEN, "mesh_path": "cavity_1.obj", "mode": "TM"}
 
@@ -162,12 +166,17 @@ def test_run_refuses_a_misspelt_field_before_output(key, tmp_path, capsys):
      "source.support: a gaussian_pulse needs at least one carrier index"),
     ({"mesh_path": "cavity_1.obj", "source.target": "je", "source.support": "0,2,4"},
      "source.support: edge 0 is on the PEC wall, where a TE je current drives nothing"),
+    ({"source.kind": None}, "source.amplitude, source.support, source.t0, source.target, "
+     "source.width: set while source.kind is none, so they drive nothing"),
+    ({**SOURCELESS, "source.kind": "none", "source.support": "3"},
+     "source.support: set while source.kind is none, so they drive nothing"),
 ])
 def test_run_refuses_a_setting_that_acts_on_nothing(overrides, message, tmp_path, capsys):
-    """A region with no face, a pulse with no carrier and a TE je pulse on
+    """A region with no face, a pulse with no carrier, a TE je pulse on
     the first three edges of cavity_1's PEC wall, whose step multiplies it
-    by 0, each set nothing: the run exits 2 with one error naming the key
-    and makes no output directory."""
+    by 0, and pulse settings with no source switched on each set nothing:
+    the run exits 2 with one error naming the keys and makes no output
+    directory."""
     out = tmp_path / "out"
     path = write_cfg(tmp_path / "a.cfg", **overrides, **{"output.directory": str(out)})
     assert cli.main(["run", path, "--quiet"]) == 2
@@ -295,12 +304,21 @@ def test_run_simulation_initial_state(tmp_path, monkeypatch):
     rows = (tmp_path / "good" / "snapshot_000000.csv").read_text().splitlines()
     assert [float(r.split(",")[2]) for r in rows if r.startswith("e,")] == e.tolist()
 
-    # a random edge field violates it: the run aborts before any output
-    cfg.output_dir = str(tmp_path / "bad")
-    bad = solver.initial_state("TE", surface, e=rng.normal(size=surface.n_edges))
-    with pytest.raises(solver.SolverError, match="divergence constraint"):
-        cli.run_simulation(cfg, initial=bad, echo=None)
-    assert not (tmp_path / "bad").exists()
+    # a random edge field carries charge, which the scheme keeps: with no
+    # edge current and no conduction the vertex residual stays where it was,
+    # and max_gauss_electric reads the same at each cadence
+    cfg.output_dir, cfg.steps = str(tmp_path / "charged"), 12
+    charged = solver.initial_state("TE", surface, e=rng.normal(size=surface.n_edges))
+    stars, mats = dec.build_hodge_stars(surface, metrics), cfg.materials(surface)
+    before = solver.gauss_residuals(charged, surface, stars, mats)
+    scale = solver.gauss_residual_scale(charged, surface, stars, mats)
+    after = cli.run_simulation(cfg, initial=charged, echo=None)
+    assert after.n == 12 and np.abs(before).max() > 0.1 * scale
+    moved = solver.gauss_residuals(after, surface, stars, mats) - before
+    assert np.abs(moved).max() <= 1e-12 * scale
+    log = np.loadtxt(tmp_path / "charged" / "run_log.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert log[:, 0].tolist() == [0, 4, 8, 12]
+    assert np.abs(log[:, 3] - np.abs(before).max()).max() <= 1e-12 * scale
 
     # a state of the other mode is refused, naming both, before any compute
     cfg.output_dir = str(tmp_path / "tm")
@@ -367,10 +385,8 @@ def test_record_schedule(steps, cadence, first, recorded, tmp_path):
 
 
 def test_run_resumes_a_te_state_with_a_wall(tmp_path):
-    """A TE state that a run on the cavity wrote resumes: its PEC wall's
-    vertices carry the wall's induced charge, so the initial Gauss check
-    leaves them out.  A random edge field is still refused before any
-    output."""
+    """A TE state that a run on the cavity wrote resumes, with the induced
+    charge that its PEC wall's vertices carry."""
     cfg = config.load_config(write_cfg(tmp_path / "a.cfg", **{
         "probe.p0.quantity": None, "probe.p0.index": None,
         "mesh_path": "cavity_2.obj", "dt": "0.01", "steps": "60", "output.cadence": "60",
@@ -386,12 +402,94 @@ def test_run_resumes_a_te_state_with_a_wall(tmp_path):
     assert np.abs(res[on_wall]).max() > 0.1 * scale   # the wall's charge, not roundoff
     cfg.source, cfg.output_dir = solver.SourceSpec(), str(tmp_path / "resumed")
     assert cli.run_simulation(cfg, initial=saved, echo=None).n == 120
-    cfg.output_dir = str(tmp_path / "bad")
-    rng = np.random.default_rng(3)
-    bad = solver.initial_state("TE", surface, e=rng.normal(size=surface.n_edges))
-    with pytest.raises(solver.SolverError, match="divergence constraint"):
-        cli.run_simulation(cfg, initial=bad, echo=None)
-    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("initial, error, message", [
+    (solver.FieldState("TE", np.zeros(119), np.zeros(80)), ValueError,
+     "wrong field lengths for mode TE: (119,), (80,)"),
+    (solver.FieldState("TE", np.zeros(120), np.zeros(81)), ValueError,
+     "wrong field lengths for mode TE: (120,), (81,)"),
+    (solver.FieldState("TE", np.zeros(120), np.zeros(80), n=5, t=123.0), config.ConfigError,
+     "initial state is at t = 123.0, but step 5 of a run with dt = 0.05 is at t = 0.25"),
+], ids=["short-e", "long-h", "time"])
+def test_run_refuses_a_malformed_initial_state(initial, error, message, tmp_path):
+    """A state whose arrays are not the mode's lengths on the mesh, or whose
+    t is not n dt of the run, is refused before any output: the run would
+    fail in its first step, or log and drive at a time that is not its
+    own."""
+    out = tmp_path / "out"
+    cfg = config.load_config(write_cfg(tmp_path / "a.cfg", **{"output.directory": str(out)}))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        cli.run_simulation(cfg, initial=initial, echo=None)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, total, split", [
+    ("regions_probes_te.cfg", 30, 13), ("regions_probes_tm.cfg", 30, 13),
+    (None, 40, 17)], ids=["te-regions", "tm-regions", "te-je-icosphere_2"])
+def test_a_resumed_run_continues_bit_for_bit(name, total, split, tmp_path):
+    """A run split in two, the second resuming from the first's final state,
+    ends at the bits of the unsplit run and writes its probe rows, and its
+    log rows at every step both record.  The states carry charge: from the
+    edge current's divergence (the TE je pulse on icosphere_2), from
+    conduction across faces of different sigma/eps and from a TE wall (the
+    region configs)."""
+    if name is None:
+        path = write_cfg(tmp_path / "a.cfg", **{
+            "mesh_path": "icosphere_2.obj", "dt": "0.02", "source.target": "je",
+            "source.support": "5", "probe.p1.quantity": "e", "probe.p1.index": "5"})
+    else:
+        path = os.path.join(os.path.dirname(__file__), "data", name)
+    cfg = config.load_config(path)
+    cfg.cadence, cfg.formats = 7, ()
+
+    def run(name, steps, initial=None):
+        """The final state, the probe rows and the log rows by step."""
+        out = tmp_path / name
+        cfg.output_dir, cfg.steps = str(out), steps
+        state = cli.run_simulation(cfg, initial=initial, echo=None)
+        log = (out / "run_log.csv").read_text().splitlines()[1:]
+        return state, (out / "probes.csv").read_text().splitlines()[4:], {
+            row.split(",")[0]: row for row in log}
+
+    whole, whole_probes, whole_log = run("whole", total)
+    first, first_probes, first_log = run("first", split)
+    resumed, resumed_probes, resumed_log = run("resumed", total - split, first)
+    assert (resumed.n, resumed.t) == (whole.n, whole.t)
+    assert resumed.e.tobytes() == whole.e.tobytes() and resumed.h.tobytes() == whole.h.tobytes()
+    assert first_probes + resumed_probes[len(cfg.probes):] == whole_probes
+    assert first_log[str(split)] == resumed_log[str(split)]
+    split_log = {**first_log, **resumed_log}
+    assert {step: split_log[step] for step in whole_log} == whole_log
+
+
+def test_a_killed_run_leaves_the_rows_its_manifest_names(tmp_path):
+    """A run killed outright, with no chance to close its files, has written
+    probes.csv and run_log.csv through the step its last manifest names:
+    both streams are flushed before each manifest."""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path / "a.cfg", steps="40", **{
+        "output.formats": "", "output.directory": str(out)})
+    script = ("import os, signal, sys\n"
+              "from decem import cli, solver\n"
+              "real_step = solver.step\n"
+              "def step(stepper, state, sources=None):\n"
+              "    if state.n == 10:\n"
+              "        os.kill(os.getpid(), signal.SIGKILL)\n"
+              "    return real_step(stepper, state, sources)\n"
+              "solver.step = step\n"
+              "cli.main(sys.argv[1:])\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run([sys.executable, "-c", script, "run", path, "--quiet"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "status = incomplete" in manifest and "last_completed_step = 8" in manifest
+    log = (out / "run_log.csv").read_text().splitlines()
+    assert log[0].startswith("step,") and [row.split(",")[0] for row in log[1:]] == ["0", "4", "8"]
+    probes = (out / "probes.csv").read_text().splitlines()
+    assert probes[3].startswith("step,")
+    assert [row.split(",")[0] for row in probes[4:]] == [str(n) for n in range(9)]
 
 
 @pytest.mark.parametrize("name", ["regions_probes_te.cfg", "regions_probes_tm.cfg"])
@@ -669,7 +767,7 @@ def test_stability_sweeps_multiples_of_the_run_dt(tmp_path, capsys):
 @pytest.mark.parametrize("overrides,named", [
     ({"probe.p0.quantity": None, "probe.p0.index": None, "source.support": "99999"},
      "source.kind = gaussian_pulse"),
-    ({"source.kind": None, "probe.p0.index": "99999"}, "probe.p0"),
+    ({**SOURCELESS, "probe.p0.index": "99999"}, "probe.p0"),
     ({"source.support": "99999", "probe.p0.index": "99999"},
      "source.kind = gaussian_pulse, probe.p0"),
 ], ids=["source", "probe", "both"])
@@ -1352,15 +1450,18 @@ def test_tm_run_end_to_end(tmp_path, read_vtk):
 
 
 def test_source_index_error_is_config_error(tmp_path):
-    """A support index off the mesh is an error whether or not the source
-    is switched on, as a negative or repeated one is."""
+    """A support index off the mesh is a config error naming the key, as a
+    negative or repeated one is; with the source switched off, a support is
+    refused before the mesh, as a setting that drives nothing."""
     surface = bundled.bundled_surface("icosphere_1.obj")
-    for kind in ("gaussian_pulse", "none"):
-        cfg = config.load_config(write_cfg(tmp_path / "a.cfg", **{
-            "source.kind": kind, "source.support": "999"}))
-        with pytest.raises(config.ConfigError,
-                           match=r"^source\.support: face index 999 out of range \(mesh has 80\)$"):
-            cfg.materials(surface)
+    cfg = config.load_config(write_cfg(tmp_path / "a.cfg", **{"source.support": "999"}))
+    with pytest.raises(config.ConfigError,
+                       match=r"^source\.support: face index 999 out of range \(mesh has 80\)$"):
+        cfg.materials(surface)
+    with pytest.raises(config.ConfigError, match=r"^source\.amplitude, .*, source\.width: set "
+                                                 r"while source\.kind is none, so they drive"):
+        config.load_config(write_cfg(tmp_path / "b.cfg", **{
+            "source.kind": "none", "source.support": "999"}))
 
 
 def test_main_freezes_the_import_graph(tmp_path):

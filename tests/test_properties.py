@@ -77,6 +77,48 @@ def test_lossy_run_keeps_the_vertex_gauss_law(make_assets, mode, drawn, eps, mu,
         assert np.abs(residual).max() <= 1e-12 * scale, (state.n, drawn)
 
 
+@pytest.mark.parametrize("solve", ["direct", "cg"])
+@pytest.mark.parametrize("mode", ["TE", "TM"])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(drawn=meshes, seed=seeds)
+def test_the_discrete_charge_balance_closes(make_assets, mode, solve, drawn, seed):
+    """Each step changes a vertex's charge by exactly what conduction and
+    the edge current carry: d0^T (p_e u' - m_e u + star1 j) = 0, with j the
+    integrated current at the half step.  The edge row makes that sum s
+    d1^T w' and d1 d0 = 0, so it holds whatever the face solve's accuracy.
+    Checked over 10 steps from a random charged state, with random eps and
+    mu in [1, 3], conduction on about 30% of the faces and a pulse on 3
+    interior edges (je in TE, jm in TM), to 1e-12 of the largest absolute
+    sum, at every vertex off the PEC wall, where the edge row does not
+    hold."""
+    s, metrics, _ = generated(make_assets, *drawn)
+    rng = np.random.default_rng(seed)
+    eps, mu = rng.uniform(1.0, 3.0, (2, s.n_faces))
+    sigma, sigma_m = rng.uniform(0.0, 2.0, (2, s.n_faces)) * (rng.random((2, s.n_faces)) < 0.3)
+    mats = solver.MaterialParams.from_face_values(mode, s, eps, mu, sigma, sigma_m)
+    dt = 0.07
+    stepper = solver.assemble(s, metrics, mats, dt, solver=solve, tolerance=1e-12,
+                              max_iters=5000)
+    pol, star1 = stepper.polarization, stepper.stars.star1
+    support = rng.choice(np.flatnonzero(~s.boundary), 3, replace=False)
+    source = solver.SourceSpec(kind="gaussian_pulse", target=pol.place("je", "jm")[0],
+                               amplitude=1.0, t0=0.2, width=0.1, support=support)
+    e, h = pol.place(rng.normal(size=s.n_edges), rng.normal(size=s.n_faces))
+    state = solver.initial_state(mode, s, e=e, h=h)
+    off_wall = np.ones(s.n_vertices, dtype=bool)
+    off_wall[s.edges[~stepper.active_edges]] = False
+    for _ in range(10):
+        new = solver.step(stepper, state, source)
+        j = np.zeros(s.n_edges)
+        j[support] = source.waveform(state.t + 0.5 * dt) * metrics.edge_len[support]
+        terms = (stepper.edge_plus * pol.place(new.e, new.h)[0],
+                 -stepper.edge_minus * pol.place(state.e, state.h)[0], star1 * j)
+        balance = s.d0.T @ sum(terms)
+        scale = abs(s.d0).T @ sum(np.abs(term) for term in terms)
+        assert np.abs(balance[off_wall]).max() <= 1e-12 * scale.max(), (new.n, drawn)
+        state = new
+
+
 def dense_step(s, metrics, mats, dt, state, source):
     """One step as the dense (E+F) x (E+F) solve of the coupled rows of
     ``solver``'s module docstring, built from the materials alone:
