@@ -8,7 +8,8 @@ sweeping dt over six decades never produces growth -- and one actual step of
 the highest mode at the largest dt lands on v/(1+M) to roundoff.
 """
 
-from decem import MaterialParams, bundled, compute_dual_metrics, stability_sweep
+from decem import MaterialParams, bundled, compute_dual_metrics
+from decem.analysis import stability_sweep
 
 surface = bundled.bundled_surface("icosphere_2.obj")
 metrics = compute_dual_metrics(surface)

@@ -7,12 +7,13 @@ and fitting error against step size exposes the scheme's first order
 accuracy: halving (h, dt) halves the error.
 """
 
-from decem import bundled, convergence_study
+from decem import bundled
+from decem.analysis import convergence_study
 
 surface = bundled.bundled_surface("cavity_1.obj")
 print(f"coarsest mesh: {surface.n_faces} faces, each level 4x the faces of the last")
 
-report = convergence_study(surface, 0.016, time=1.28, levels=3)
+report = convergence_study(surface, 0.016, time=1.28)
 print()
 print(report.summary())
 print()

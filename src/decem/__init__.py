@@ -3,8 +3,10 @@
 The package couples a circumcentric-dual DEC discretization of a triangulated
 2-manifold with a fully implicit, unconditionally stable time integrator for
 the two surface polarizations (TE: electric field on edges, magnetic on
-faces; TM: the reverse), plus growth-factor stability analysis, conservation
-diagnostics and a small CLI (``decem run|check-mesh|stability|convergence``).
+faces; TM: the reverse), plus conservation diagnostics and a small CLI
+(``decem run|check-mesh|stability|convergence``).  The growth-factor stability
+analysis and the convergence study live in ``decem.analysis``, which
+``import decem`` does not load, so that a ``decem run`` never compiles it.
 """
 
 from .bundled import bundled_names, bundled_path, bundled_surface
@@ -12,9 +14,7 @@ from .config import ConfigError, RunConfig, load_config
 from .dec import (
     Cochain,
     DecError,
-    GaugeField,
     HodgeStars,
-    bianchi_defect,
     build_hodge_stars,
     continuity_defect,
     curvature,
@@ -52,26 +52,3 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
-
-# ``decem.analysis`` is imported on first use of one of its names, so that a
-# ``decem run`` never loads (or, without a bytecode cache, compiles) it.
-_ANALYSIS_NAMES = (
-    "ConvergenceReport",
-    "GrowthFactorReport",
-    "cavity_mode_fields",
-    "convergence_study",
-    "growth_factor",
-    "stability_sweep",
-)
-
-
-def __getattr__(name):
-    if name in _ANALYSIS_NAMES:
-        from . import analysis
-
-        return getattr(analysis, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted([*globals(), *_ANALYSIS_NAMES])

@@ -285,21 +285,24 @@ def _run_cavity(surface, metrics, dt, time, eps, mu, **solve):
             / max(field_error(0.0, e_exact, weights), 1e-300))
 
 
+# the meshes of a convergence study: its surface and two midpoint refinements
+CONVERGENCE_LEVELS = 3
+
+
 def convergence_study(
     surface: SimplicialSurface,
     dt: float,
     time: float,
-    levels: int = 3,
     eps: float = 1.0,
     mu: float = 1.0,
     **solve,
 ) -> ConvergenceReport:
     """Observed convergence orders for the TM (1, 1) cavity mode.
 
-    Level i is ``surface`` midpoint-subdivided i times, run at ``dt / 2**i``,
-    so the family is nested and dt ~ h by construction; at least two
-    ``levels`` are needed.  ``surface`` must be the cavity mode's domain:
-    flat (z = 0), with a vertex bounding box of exactly [0, 1]^2 and every
+    Level i of ``CONVERGENCE_LEVELS`` is ``surface`` midpoint-subdivided i
+    times, run at ``dt / 2**i``, so the family is nested and dt ~ h by
+    construction.  ``surface`` must be the cavity mode's domain: flat
+    (z = 0), with a vertex bounding box of exactly [0, 1]^2 and every
     boundary vertex on a side.  The joint order comes from running each
     level at its dt; the temporal order from running every dt on the finest
     mesh, whose finest-dt run is the last joint one.  Errors are
@@ -313,8 +316,6 @@ def convergence_study(
     """
     if not time > 0:
         raise ValueError(f"the convergence time (steps * dt) must be positive, got {time!r}")
-    if levels < 2:
-        raise ValueError(f"a convergence study needs at least two levels, got {levels!r}")
     if round(time / dt) == 0:
         raise ValueError(f"dt = {dt!r} takes round(time / dt) = 0 steps to time {time!r}")
     z, xy = surface.vertices[:, 2], surface.vertices[:, :2]
@@ -324,7 +325,7 @@ def convergence_study(
         raise ValueError("the cavity mode needs the unit square: a flat mesh (z = 0) whose "
                          "vertices span exactly [0, 1]^2, with every boundary vertex on a side")
     surfaces, metrics = [], []
-    for i in range(levels):
+    for i in range(CONVERGENCE_LEVELS):
         s = from_arrays(*subdivide(s.vertices, s.faces, False)) if i else surface
         try:
             metrics.append(compute_dual_metrics(s))
@@ -333,9 +334,10 @@ def convergence_study(
                                 "the mesh is not Delaunay there")
         except MeshError as exc:
             refined = {0: "itself", 1: "refined once"}.get(i, f"refined {i} times")
-            raise MeshError(f"level {i} of {levels} (the mesh {refined}): {exc}") from None
+            raise MeshError(f"level {i} of {CONVERGENCE_LEVELS} (the mesh {refined}): "
+                            f"{exc}") from None
         surfaces.append(s)
-    dts = [dt / 2**i for i in range(levels)]
+    dts = [dt / 2**i for i in range(CONVERGENCE_LEVELS)]
 
     joint = []
     for s, met, dt_i in zip(surfaces, metrics, dts):

@@ -212,7 +212,7 @@ def load_config(path) -> RunConfig:
         if key in _KEYS:
             owner, attr, parse = _KEYS[key]
             values[owner][attr] = parse(text, key)
-        elif len(parts) == 3 and parts[2] in _FIELDS.get(parts[0], ()):
+        elif len(parts) == 3 and parts[1] and parts[2] in _FIELDS.get(parts[0], ()):
             section, name, fld = parts
             values[section].setdefault(name, {})[fld] = _FIELDS[section][fld](text, key)
         else:

@@ -24,13 +24,11 @@ from .mesh import DualMetrics, SimplicialSurface
 __all__ = [
     "Cochain",
     "HodgeStars",
-    "GaugeField",
     "DecError",
     "build_hodge_stars",
     "d",
     "star",
     "curvature",
-    "bianchi_defect",
     "gauge_transform",
     "maxwell_residual",
     "continuity_defect",
@@ -147,22 +145,11 @@ def star(c: Cochain, h: HodgeStars) -> Cochain:
 
 
 def curvature(A: Cochain) -> Cochain:
-    """Curvature two-form F = dA of a connection edge cochain.
-
-    On a surface the identity dF = 0 has no carriers (no 3-cells), so the
-    Bianchi check is trivially satisfied; :func:`bianchi_defect` reports it
-    as structurally zero.
-    """
+    """Curvature two-form F = dA of a connection edge cochain; its Bianchi
+    identity dF = 0 has no carriers on a surface (no 3-cells)."""
     if A.degree != 1 or A.placement != "primal":
         raise DecError("curvature expects a primal 1-cochain")
     return d(A)
-
-
-def bianchi_defect(F: Cochain) -> float:
-    """Norm of dF, structurally zero on a surface (no 3-cells)."""
-    if F.degree != 2 or F.placement != "primal":
-        raise DecError("bianchi_defect expects a primal 2-cochain")
-    return 0.0
 
 
 def gauge_transform(A: Cochain, f: Cochain) -> Cochain:
@@ -172,22 +159,6 @@ def gauge_transform(A: Cochain, f: Cochain) -> Cochain:
     if f.degree != 0 or f.placement != "primal":
         raise DecError("gauge parameter must be a primal 0-cochain")
     return Cochain(A.surface, 1, "primal", A.values + d(f).values)
-
-
-@dataclass
-class GaugeField:
-    """Connection edge cochain A with its derived curvature F = dA and an
-    optional current J on edges."""
-
-    A: Cochain
-    J: Cochain | None = None
-    F: Cochain = None
-
-    def __post_init__(self):
-        if self.F is None:
-            self.F = curvature(self.A)
-        elif not np.array_equal(self.F.values, (d(self.A)).values):
-            raise DecError("F does not equal dA")
 
 
 def maxwell_residual(A: Cochain, J: Cochain, h: HodgeStars) -> Cochain:

@@ -154,7 +154,7 @@ def test_criterion_4_first_order_accuracy():
     with criterion(4, "cavity-mode convergence orders in [0.8, 1.5]"):
         start = time.time()
         report = analysis.convergence_study(
-            bundled.bundled_surface("cavity_1.obj"), 0.016, time=1.28, levels=3,
+            bundled.bundled_surface("cavity_1.obj"), 0.016, time=1.28,
         )
         assert 0.8 <= report.joint_order <= 1.5, report.summary()
         assert 0.8 <= report.temporal_order <= 1.5, report.summary()

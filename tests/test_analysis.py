@@ -302,11 +302,12 @@ def test_delaunay_square_cavity_order_in_criterion_4_band(delaunay_squares):
     assert 0.8 <= order <= 1.5, (errors, order)
 
 
-def test_convergence_quick_two_levels():
+def test_convergence_quick_two_levels(monkeypatch):
     # over a horizon where the first-order temporal error dominates,
     # halving (h, dt) roughly halves the error
+    monkeypatch.setattr(analysis, "CONVERGENCE_LEVELS", 2)
     rep = analysis.convergence_study(bundled.bundled_surface("cavity_1.obj"), 0.016,
-                                     time=1.28, levels=2, solver="direct")
+                                     time=1.28, solver="direct")
     (h1, dt1, err1), (h2, dt2, err2) = rep.joint
     assert (dt1, dt2) == (0.016, 0.008)
     assert err2 < err1
@@ -314,18 +315,12 @@ def test_convergence_quick_two_levels():
     assert "observed order" in rep.summary()
 
 
-def test_convergence_needs_two_meshes():
-    with pytest.raises(ValueError, match="at least two levels, got 1"):
-        analysis.convergence_study(bundled.bundled_surface("cavity_1.obj"), 0.016,
-                                   time=0.1, levels=1)
-
-
 def test_convergence_level_with_zero_steps_rejected():
     """A coarsest dt that rounds to zero steps is refused before any run; a
     run of zero steps has zero error, whose log the order fit would take."""
     with pytest.raises(ValueError, match=r"dt = 0\.016 takes round\(time / dt\) = 0 steps"):
         analysis.convergence_study(bundled.bundled_surface("cavity_1.obj"), 0.016,
-                                   time=0.006, levels=2)
+                                   time=0.006)
 
 
 @pytest.mark.parametrize("change", [
@@ -343,7 +338,7 @@ def test_convergence_refuses_a_mesh_that_is_not_the_unit_square(change, monkeypa
     monkeypatch.setattr(analysis, "_run_cavity", None)
     surface = change(bundled.bundled_surface("cavity_1.obj"))
     with pytest.raises(ValueError, match=r"the cavity mode needs the unit square"):
-        analysis.convergence_study(surface, 0.016, time=0.064, levels=2)
+        analysis.convergence_study(surface, 0.016, time=0.064)
 
 
 def test_convergence_reuses_the_finest_joint_run(monkeypatch):

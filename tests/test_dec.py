@@ -126,21 +126,6 @@ def test_curvature_sums_to_zero_on_closed_surface(sphere_setup):
     assert abs(dec.curvature(A).values.sum()) < 1e-12
 
 
-def test_bianchi_structurally_zero(sphere_setup):
-    s, _, _ = sphere_setup
-    F = dec.curvature(rand_cochain(s, 1, "primal", 34))
-    assert dec.bianchi_defect(F) == 0.0
-
-
-def test_gauge_field_container(sphere_setup):
-    s, _, _ = sphere_setup
-    A = rand_cochain(s, 1, "primal", 35)
-    gf = dec.GaugeField(A=A)
-    assert np.array_equal(gf.F.values, dec.d(A).values)
-    with pytest.raises(dec.DecError, match="F does not equal dA"):
-        dec.GaugeField(A=A, F=dec.Cochain(s, 2, "primal", np.ones(s.n_faces)))
-
-
 # -- static residual and its oracle --------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Each narrative demo runs to completion from a clean working directory."""
+"""Each narrative demo, and README's library example, runs to completion
+from a clean working directory."""
 
 import glob
 import os
@@ -19,5 +20,17 @@ def test_all_demos_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, demo], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_library_example_runs(tmp_path):
+    """The python block under README's ``## Library`` heading runs as it is
+    written, so the documented API cannot drift from the package."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        library = f.read().split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

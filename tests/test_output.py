@@ -312,7 +312,7 @@ def test_errors_csv_matches_per_line_oracle(tmp_path):
     as its ``repr``, special values included, and ``convergence.txt`` holds
     the summary."""
     studied = analysis.convergence_study(bundled.bundled_surface("cavity_1.obj"), 0.016,
-                                         time=0.032, levels=2)
+                                         time=0.032)
     specials = [-0.0, 5e-324, 1e16, 0.1, 1.0, -1e-300, float("inf"), float("nan")]
     special = analysis.ConvergenceReport(
         joint=[tuple(specials[i:i + 3]) for i in range(6)],
